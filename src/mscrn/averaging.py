@@ -3,9 +3,16 @@
 Reduction replaces every faster tier by its equilibrium: molecule
 positions by movement equilibria and their multinomial/point-mass
 product measures, fast subsystems by stationary measures. Slow-reaction
-rates are then integrated against those measures, in closed form where
-the structure allows it and by time-averaged Monte Carlo otherwise,
-always with a reported standard error.
+rates are then integrated against those measures, always with a
+reported standard error.
+
+Every averaged rate finds a fast tier's stationary law in one order:
+``split_reactants`` splits each reaction into fast orders and a frozen
+factor, ``closed_form_measure`` tries the closed form, and otherwise
+``montecarlo_measure`` picks the estimator for a jump, flow or hybrid
+fast system (``fast_stationary_law`` chains the two under a mode).
+Nonspatial two-scale rates, both tiers of the three-scale average and
+the spatial cases 1-4 all use it.
 
 The closed forms rest on two factorial-moment identities: a Poisson
 variable with mean m has E[x(x-1)...(x-n+1)] = m^n, and a Binomial(s, p)
@@ -17,6 +24,7 @@ falling factorials and continuous species through plain powers.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,11 +33,11 @@ import numpy as np
 from . import rng as rng_mod
 from .classify import ScaleClassification, ConservedBasis
 from .errors import (AnalyticUnavailable, IsolatedSpeciesError, ModelError,
-                     NonErgodicSuspected, NotMassAction, RateEvaluationError)
+                     NonErgodicSuspected, RateEvaluationError)
 from .exact import stationary_distribution
 from .model import (Expression, MassAction, Network, SpatialModel,
-                    falling_factorial, scaled_rate_function)
-from .pdmp import OdeConfig, simulate_conditional_fast, simulate_pdmp, HybridSystem
+                    falling_factorial, mass_action_value, scaled_rate_function)
+from .pdmp import HybridSystem, OdeConfig, fast_subsystem, simulate_pdmp, tier_system
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +94,6 @@ class ProductMeasure:
     def n_compartments(self) -> int:
         return len(self.pis[0])
 
-    def mean_matrix(self) -> np.ndarray:
-        """Expected counts per (species, compartment)."""
-        return np.array([self.totals[j] * self.pis[j] for j in range(len(self.species))])
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         out = np.empty((len(self.species), self.n_compartments))
         for j, a in enumerate(self.alphas):
@@ -127,6 +131,27 @@ class ProductMeasure:
         for combo, p in _multinomial_support(total, pj):
             matrix[j] = combo
             yield from self._support_rec(j + 1, matrix, prob * p)
+
+    def expect(self, g, seed: int, draws: int, cap: float = 1_000_000.0):
+        """(E[g], standard error) over positions; ``g`` maps a positions
+        matrix to (value, se). Exact summation while the support is under
+        ``cap``, otherwise ``draws`` samples from the stream of ``seed``."""
+        support = self.support(cap=cap)
+        if support is not None:
+            value = 0.0
+            var = 0.0
+            for positions, prob in support:
+                val, se = g(positions)
+                value += prob * val
+                var += (prob * se) ** 2
+            return value, math.sqrt(var)
+        rng = rng_mod.stream(seed)
+        vals = np.empty(draws)
+        ses = np.empty(draws)
+        for r in range(draws):
+            vals[r], ses[r] = g(self.sample(rng))
+        se_outer = vals.std(ddof=1) / math.sqrt(draws)
+        return float(vals.mean()), float(math.hypot(se_outer, ses.mean()))
 
 
 def _multinomial_support(total: int, probs: np.ndarray):
@@ -207,11 +232,13 @@ class StationaryMeasure:
     discrete, point mass for continuous), optionally with multinomial
     blocks for conserved unary-conversion groups. variant 'pointmass':
     a single state. variant 'empirical': time-averaged weighted samples
-    with batch structure for standard errors.
+    with batch structure for standard errors. ``discrete`` marks the
+    variables of a point mass or empirical law whose mass-action orders
+    enter as falling factorials.
     """
 
     def __init__(self, variant: str, *, components=None, blocks=None, point=None,
-                 batches=None, ess=None, n_events=None, dim=None):
+                 batches=None, ess=None, n_events=None, dim=None, discrete=None):
         self.variant = variant
         self.components: tuple[StationaryComponent, ...] | None = components
         self.blocks: tuple[MultinomialBlock, ...] = tuple(blocks or ())
@@ -220,6 +247,7 @@ class StationaryMeasure:
         self.ess = ess
         self.n_events = n_events
         self._dim = dim
+        self.discrete = discrete
 
     @property
     def dim(self) -> int:
@@ -234,15 +262,13 @@ class StationaryMeasure:
     # -- expectations ------------------------------------------------------
 
     def mean_vector(self) -> np.ndarray:
-        if self.variant == "pointmass":
-            return self.point.copy()
         if self.variant == "product":
             out = np.array([c.mean for c in self.components])
             for block in self.blocks:
                 for pos, p in zip(block.positions, block.probs):
                     out[pos] = block.total * p
             return out
-        value, _ = self.expect(lambda z: np.asarray(z, dtype=float))
+        value, _ = self.expect(lambda z: np.array(z, dtype=float))
         return value
 
     def expect(self, fn):
@@ -261,12 +287,6 @@ class StationaryMeasure:
         ones plain powers, matching the component kinds exactly.
         """
         orders = np.asarray(orders, dtype=int)
-        if self.variant == "pointmass":
-            out = coeff
-            for j, n in enumerate(orders):
-                if n:
-                    out *= self.point[j] ** n
-            return out, 0.0
         if self.variant == "product":
             out = coeff
             in_block = {}
@@ -289,9 +309,7 @@ class StationaryMeasure:
                     p = block.probs[block.positions.index(j)]
                     out *= p ** n
             return out, 0.0
-        value, se = self._expect_empirical(
-            lambda z: _mass_action_term(coeff, orders, z, self._discrete_mask))
-        return value, se
+        return self.expect(lambda z: mass_action_term(coeff, orders, self.discrete, z))
 
     def _expect_empirical(self, fn):
         means = []
@@ -333,15 +351,15 @@ class StationaryMeasure:
         values = np.array([fn(s) for s in samples])
         return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(draws)
 
-    _discrete_mask = None
 
-
-def _mass_action_term(coeff, orders, z, discrete_mask):
+def mass_action_term(coeff, orders, discrete, z) -> float:
+    """``coeff`` times each variable of ``z`` at its reactant order: a
+    falling factorial where ``discrete``, a power elsewhere."""
     out = coeff
     for j, n in enumerate(orders):
         if not n:
             continue
-        if discrete_mask is None or discrete_mask[j]:
+        if discrete[j]:
             out *= falling_factorial(z[j], n)
         else:
             out *= z[j] ** n
@@ -473,27 +491,31 @@ def fast_reaction_structs(classification: ScaleClassification, frozen) -> list[F
     None when any fast reaction has an expression law."""
     network = classification.network
     fast = classification.fast
-    rows = fast.rows
-    row_pos = {i: j for j, i in enumerate(rows)}
     frozen = np.asarray(frozen, dtype=float)
     out = []
     for k in sorted(classification.k_sets["fast"]):
-        reaction = network.reactions[k]
-        if not isinstance(reaction.rate_law, MassAction):
+        law = network.reactions[k].rate_law
+        if not isinstance(law, MassAction):
             return None
-        coeff = reaction.rate_law.kappa
-        orders = [0] * len(rows)
-        for i, n in reaction.reactants:
-            if i in row_pos:
-                orders[row_pos[i]] = n
-            else:
-                coeff *= _mixed_factor(frozen[i], n, network.species[i].alpha == 0)
-        out.append(FastReaction(k, coeff, tuple(orders), tuple(fast.column(k))))
+        orders, frozen_terms = split_reactants(network, k, fast.rows)
+        coeff = mass_action_value(law.kappa, frozen_terms, network.alphas, frozen)
+        out.append(FastReaction(k, coeff, orders, tuple(fast.column(k))))
     return out
 
 
-def _mixed_factor(value: float, n: int, discrete: bool) -> float:
-    return falling_factorial(value, n) if discrete else value ** n
+def split_reactants(network: Network, k: int, fast_rows) -> tuple[tuple[int, ...], tuple]:
+    """Split reaction k's reactants into orders on the fast variables (in
+    ``fast_rows`` order) and the remaining (species, multiplicity) terms,
+    which are frozen on the fast timescale."""
+    position = {i: j for j, i in enumerate(fast_rows)}
+    orders = [0] * len(fast_rows)
+    frozen_terms = []
+    for i, n in network.reactions[k].reactants:
+        if i in position:
+            orders[position[i]] = n
+        else:
+            frozen_terms.append((i, n))
+    return tuple(orders), tuple(frozen_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +532,8 @@ class McConfig:
     ode: OdeConfig | None = None
 
 
-def _empirical_from_jump_paths(fast_system: HybridSystem, v0,
-                               mc: McConfig) -> StationaryMeasure:
+def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
+                               discrete) -> StationaryMeasure:
     """Chunked time-average of a pure-jump fast path.
 
     The budget counts events burn-in inclusive; the first
@@ -524,7 +546,7 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0,
     v = np.asarray(v0, dtype=float).copy()
     total_rate = float(fast_system.jump_rates(v).sum())
     if total_rate <= 0:
-        return StationaryMeasure("pointmass", point=v)
+        return StationaryMeasure("pointmass", point=v, discrete=discrete)
     chunk_events = max(200, budget // (4 * mc.n_batches))
     batch_quota = max(1, (budget - burn_events) // mc.n_batches)
     batches: list[dict] = []
@@ -561,7 +583,7 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0,
             absorbed = True
     if absorbed:
         # time average of an absorbed chain is the absorbing state
-        return StationaryMeasure("pointmass", point=v)
+        return StationaryMeasure("pointmass", point=v, discrete=discrete)
     if current:
         batches.append(current)
     post_events = events_seen - burn_events
@@ -569,10 +591,12 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0,
         raise NonErgodicSuspected(
             f"only {post_events} post-burn-in events (threshold {mc.ess_threshold})")
     return StationaryMeasure("empirical", batches=batches, ess=post_events,
-                             n_events=events_seen, dim=fast_system.dim)
+                             n_events=events_seen, dim=fast_system.dim,
+                             discrete=discrete)
 
 
-def _pointmass_from_flow(fast_system: HybridSystem, v0, mc: McConfig) -> StationaryMeasure:
+def _pointmass_from_flow(fast_system: HybridSystem, v0, mc: McConfig,
+                         discrete) -> StationaryMeasure:
     """Integrate a pure-flow fast subsystem to its fixed point."""
     v = np.asarray(v0, dtype=float).copy()
     cfg = mc.ode or OdeConfig()
@@ -582,13 +606,15 @@ def _pointmass_from_flow(fast_system: HybridSystem, v0, mc: McConfig) -> Station
         v_new = traj.final_state
         drift = fast_system.drift(np.maximum(v_new, 0.0))
         if np.linalg.norm(drift) <= 1e-9 * (1.0 + np.linalg.norm(v_new)):
-            return StationaryMeasure("pointmass", point=np.maximum(v_new, 0.0))
+            return StationaryMeasure("pointmass", point=np.maximum(v_new, 0.0),
+                                     discrete=discrete)
         v = v_new
         horizon = min(horizon * 2.0, 1e6)
     raise NonErgodicSuspected("flow did not settle to a fixed point")
 
 
-def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig) -> StationaryMeasure:
+def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
+                           discrete) -> StationaryMeasure:
     """Grid-sampled time average for mixed jump/flow fast subsystems."""
     rng = rng_mod.stream(mc.seed)
     n_samples = min(int(mc.budget), 20_000)
@@ -609,7 +635,7 @@ def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig) -> Stati
         batches.append(batch)
     return StationaryMeasure("empirical", batches=batches, ess=len(keep),
                              n_events=int(traj.event_counts.sum()),
-                             dim=fast_system.dim)
+                             dim=fast_system.dim, discrete=discrete)
 
 
 def constrained_start(basis: ConservedBasis, conserved_values, n_vars,
@@ -634,65 +660,86 @@ def constrained_start(basis: ConservedBasis, conserved_values, n_vars,
     return v
 
 
+
+
+# ---------------------------------------------------------------------------
+# the fast-tier stationary law: closed form, else Monte Carlo
+
+
+def closed_form_measure(structs, discrete, conserved: ConservedBasis | None = None,
+                        conserved_values=None) -> StationaryMeasure | None:
+    """Closed-form stationary law of a fast tier, or None: an independent
+    linear birth-death family without a conserved basis, closed
+    unary-conversion blocks (multinomial laws of ``conserved_values``)
+    with one. ``structs`` is None for a tier with an expression law."""
+    if structs is None:
+        return None
+    if conserved is None or conserved.empty:
+        comps = detect_birth_death(structs, discrete)
+        return None if comps is None else StationaryMeasure("product",
+                                                            components=tuple(comps))
+    blocks = detect_conversion_blocks(structs, conserved.vectors, conserved_values,
+                                      discrete)
+    if blocks is None:
+        return None
+    comps = tuple(StationaryComponent("poisson" if d else "dirac", 0.0) for d in discrete)
+    return StationaryMeasure("product", components=comps, blocks=blocks)
+
+
+def montecarlo_measure(system: HybridSystem, v0, mc: McConfig,
+                       discrete) -> StationaryMeasure:
+    """Monte Carlo stationary law of a fast system started at ``v0``: a
+    time average of a jump path, the fixed point of a flow, or a
+    grid-sampled average of a hybrid path. A system with no active
+    reaction is its start point."""
+    if not system.flows:
+        return _empirical_from_jump_paths(system, v0, mc, discrete)
+    if not system.jumps:
+        return _pointmass_from_flow(system, v0, mc, discrete)
+    return _empirical_from_hybrid(system, v0, mc, discrete)
+
+
+def fast_stationary_law(structs, make_system, discrete, mode: str, mc: McConfig,
+                        conserved: ConservedBasis | None = None, conserved_values=None,
+                        v0=None) -> StationaryMeasure:
+    """Stationary law of one fast tier. Mode 'analytic' insists on the
+    closed form and raises AnalyticUnavailable otherwise; 'montecarlo'
+    always simulates ``make_system()`` from ``v0`` (default: on the
+    conservation surface, or the origin); 'auto' tries the closed form
+    first and falls back explicitly."""
+    if mode in ("auto", "analytic"):
+        measure = closed_form_measure(structs, discrete, conserved, conserved_values)
+        if measure is not None:
+            return measure
+        if mode == "analytic":
+            raise AnalyticUnavailable("no closed-form stationary law for the fast tier")
+    if v0 is None:
+        if conserved is not None and not conserved.empty:
+            v0 = constrained_start(conserved, conserved_values, len(discrete), discrete)
+        else:
+            v0 = np.zeros(len(discrete))
+    return montecarlo_measure(make_system(), v0, mc, discrete)
+
+
+def fast_discrete(classification: ScaleClassification) -> list[bool]:
+    network = classification.network
+    return [network.species[i].alpha == 0 for i in classification.fast.rows]
+
+
 def stationary_fast(classification: ScaleClassification, frozen, mode: str = "auto",
                     mc: McConfig | None = None, conserved: ConservedBasis | None = None,
                     conserved_values=None, v_f0=None) -> StationaryMeasure:
     """Stationary measure of the fast subsystem given frozen slower context.
 
-    mode 'analytic' insists on a closed form (independent linear
-    birth-death per fast species, or multinomially distributed closed
-    conversion blocks under conservation constraints) and raises
-    AnalyticUnavailable otherwise; 'montecarlo' always simulates;
-    'auto' tries the closed form first and falls back explicitly.
+    Modes as in :func:`fast_stationary_law`; the Monte Carlo path runs
+    ``pdmp.fast_subsystem`` at ``frozen``.
     """
-    mc = mc or McConfig()
-    network = classification.network
-    fast = classification.fast
-    discrete = [network.species[i].alpha == 0 for i in fast.rows]
-    constrained = conserved is not None and not conserved.empty
-    if constrained and conserved_values is None:
+    if conserved is not None and not conserved.empty and conserved_values is None:
         raise ModelError("conserved_values required with a conserved basis")
-
-    if mode in ("auto", "analytic"):
-        structs = fast_reaction_structs(classification, frozen)
-        if structs is not None:
-            if constrained:
-                blocks = detect_conversion_blocks(structs, conserved.vectors,
-                                                  conserved_values, discrete)
-                if blocks is not None:
-                    comps = tuple(StationaryComponent("poisson" if d else "dirac", 0.0)
-                                  for d in discrete)
-                    return StationaryMeasure("product", components=comps, blocks=blocks)
-            else:
-                comps = detect_birth_death(structs, discrete)
-                if comps is not None:
-                    return StationaryMeasure("product", components=tuple(comps))
-        if mode == "analytic":
-            raise AnalyticUnavailable(
-                "fast subsystem is not an independent linear birth-death system")
-
-    # Monte Carlo
-    system = _conditional_system(classification, frozen)
-    if v_f0 is None:
-        if constrained:
-            v_f0 = constrained_start(conserved, conserved_values, len(fast.rows), discrete)
-        else:
-            v_f0 = np.zeros(len(fast.rows))
-    if not system.jumps and not system.flows:
-        return StationaryMeasure("pointmass", point=v_f0)
-    if not system.flows:
-        measure = _empirical_from_jump_paths(system, v_f0, mc)
-    elif not system.jumps:
-        measure = _pointmass_from_flow(system, v_f0, mc)
-    else:
-        measure = _empirical_from_hybrid(system, v_f0, mc)
-    measure._discrete_mask = discrete
-    return measure
-
-
-def _conditional_system(classification, frozen) -> HybridSystem:
-    from .pdmp import fast_subsystem
-    return fast_subsystem(classification, frozen)
+    structs = None if mode == "montecarlo" else fast_reaction_structs(classification, frozen)
+    return fast_stationary_law(structs, lambda: fast_subsystem(classification, frozen),
+                               fast_discrete(classification), mode, mc or McConfig(),
+                               conserved, conserved_values, v_f0)
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +768,47 @@ class AveragedRate:
         return self.se(np.asarray(state, dtype=float))
 
 
-def _identity_rate(network: Network, k: int) -> AveragedRate:
+# A Runge-Kutta step meets six new states and a middle-tier path a few
+# dozen, so this holds every state still in use while bounding memory.
+MEMO_SIZE = 256
+
+
+class StateMemo:
+    """Least-recently-used memo of an evaluator, keyed by the state
+    rounded to 12 decimals and holding at most MEMO_SIZE states. The
+    evaluators it serves are seeded, so an evicted state recomputes the
+    same value."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.entries: OrderedDict = OrderedDict()
+
+    def __call__(self, state):
+        key = tuple(np.round(state, 12))
+        if key in self.entries:
+            self.entries.move_to_end(key)
+            return self.entries[key]
+        value = self.fn(state)
+        self.entries[key] = value
+        if len(self.entries) > MEMO_SIZE:
+            self.entries.popitem(last=False)
+        return value
+
+
+def memoized_rate(k: int, kind: str, evaluate) -> AveragedRate:
+    """AveragedRate over ``evaluate(state) -> (value, se)``; the value
+    and its standard error come from one evaluation."""
+    memo = StateMemo(lambda state: tuple(float(x) for x in evaluate(state)))
+    return AveragedRate(k, kind,
+                        fn=lambda v: memo(np.asarray(v, dtype=float))[0],
+                        se=lambda v: memo(np.asarray(v, dtype=float))[1])
+
+
+def _identity_rate(network: Network, k: int, frozen_of=None) -> AveragedRate:
+    """Reaction k's own rate law, of the full state or of ``frozen_of(v)``."""
     base = scaled_rate_function(network, k)
-    return AveragedRate(k, "analytic", fn=base, se=lambda v: 0.0,
+    fn = base if frozen_of is None else (lambda v: base(frozen_of(v)))
+    return AveragedRate(k, "analytic", fn=fn, se=lambda v: 0.0,
                         text=_mass_action_text(network, k))
 
 
@@ -733,136 +818,34 @@ def _mass_action_text(network: Network, k: int) -> str | None:
         return None
     factors = [f"k{k + 1}"]
     for i, n in reaction.reactants:
-        name = f"v{network.species[i].name}"
-        if network.species[i].alpha == 0:
-            factors.extend([name] if n == 1 else
-                           [name] + [f"({name}-{j})" for j in range(1, n)])
-        else:
-            factors.append(name if n == 1 else f"{name}^{n}")
+        factors.extend(_species_factor_texts(network, i, n))
     return "*".join(factors)
 
 
-class TwoScaleAverager:
-    """Closed-form averaged rates for a two-scale system whose fast tier
-    is an independent linear birth-death family.
-
-    The averaged rate of a slow mass-action reaction is its slow-factor
-    monomial times the product of fast stationary means raised to the
-    reactant orders (factorial moments collapse to plain powers).
-    """
-
-    def __init__(self, classification: ScaleClassification, base=None):
-        self.classification = classification
-        network = classification.network
-        self.network = network
-        self.fast_rows = classification.fast.rows
-        self.slow_rows = classification.slow.rows
-        self.base = (np.zeros(network.n_species) if base is None
-                     else np.asarray(base, dtype=float).copy())
-        self.discrete = [network.species[i].alpha == 0 for i in self.fast_rows]
-        # structural detection with coefficients kept symbolic in the slow state
-        probe = self.frozen_from_reduced(np.ones(len(self.slow_rows)))
-        structs = fast_reaction_structs(classification, probe)
-        if structs is None:
-            raise AnalyticUnavailable("fast tier contains expression rate laws")
-        if detect_birth_death(structs, self.discrete) is None:
-            raise AnalyticUnavailable(
-                "fast subsystem is not an independent linear birth-death system")
-
-    def frozen_from_reduced(self, reduced_state) -> np.ndarray:
-        frozen = self.base.copy()
-        reduced_state = np.asarray(reduced_state, dtype=float)
-        for pos, i in enumerate(self.slow_rows):
-            frozen[i] = reduced_state[pos]
-        return frozen
-
-    def measure(self, reduced_state) -> StationaryMeasure:
-        frozen = self.frozen_from_reduced(reduced_state)
-        structs = fast_reaction_structs(self.classification, frozen)
-        comps = detect_birth_death(structs, self.discrete)
-        if comps is None:
-            raise AnalyticUnavailable("birth-death structure lost at this state")
-        return StationaryMeasure("product", components=tuple(comps))
-
-    def averaged_rate(self, k: int) -> AveragedRate:
-        network = self.network
-        reaction = network.reactions[k]
-        if not isinstance(reaction.rate_law, MassAction):
-            return self._averaged_expression_rate(k)
-        row_pos = {i: j for j, i in enumerate(self.fast_rows)}
-        fast_orders = [0] * len(self.fast_rows)
-        slow_terms = []
-        for i, n in reaction.reactants:
-            if i in row_pos:
-                fast_orders[row_pos[i]] = n
-            else:
-                slow_terms.append((i, n))
-
-        def fn(reduced_state):
-            frozen = self.frozen_from_reduced(reduced_state)
-            coeff = reaction.rate_law.kappa
-            for i, n in slow_terms:
-                coeff *= _mixed_factor(frozen[i], n, network.species[i].alpha == 0)
-            measure = self.measure(reduced_state)
-            value, _ = measure.expect_mass_action(coeff, fast_orders)
-            return value
-
-        return AveragedRate(k, "analytic", fn=fn, se=lambda v: 0.0,
-                            text=self._rate_text(k, slow_terms, fast_orders))
-
-    def _averaged_expression_rate(self, k: int) -> AveragedRate:
-        from . import expressions
-        network = self.network
-        law = network.reactions[k].rate_law
-        fast_names = [network.species[i].name for i in self.fast_rows]
-
-        def fn(reduced_state):
-            frozen = self.frozen_from_reduced(reduced_state)
-            measure = self.measure(reduced_state)
-            env = {s.name: frozen[i] for i, s in enumerate(network.species)}
-            try:
-                poly = expressions.as_polynomial(law.ast, fast_names, env)
-            except expressions.PolynomialError:
-                raise AnalyticUnavailable(
-                    "expression rate is not polynomial in the fast species")
-            out = 0.0
-            for exponents, coeff in poly.items():
-                term = coeff
-                for j, n in enumerate(exponents):
-                    if n:
-                        term *= measure.components[j].raw_moment(n)
-                out += term
-            if out < 0:
-                raise RateEvaluationError(f"averaged rate is negative: {out}")
-            return out
-
-        return AveragedRate(k, "analytic", fn=fn, se=lambda v: 0.0, text=None)
-
-    def _rate_text(self, k, slow_terms, fast_orders) -> str | None:
-        """Printable closed form, e.g. ``k1*k2*vA/(k3+k1*vA)``."""
-        network = self.network
-        numerator = [f"k{k + 1}"]
-        denominators = []
-        for i, n in slow_terms:
-            numerator.extend(_species_factor_texts(network, i, n))
-        structs = fast_reaction_structs(
-            self.classification, self.frozen_from_reduced(np.zeros(len(self.slow_rows))))
-        birth_terms = [[] for _ in self.fast_rows]
-        death_terms = [[] for _ in self.fast_rows]
-        for fr in structs:
-            j = next(idx for idx, c in enumerate(fr.column) if c != 0)
-            term = _coeff_text(network, fr.k, set(self.fast_rows))
-            (birth_terms[j] if fr.column[j] == 1 else death_terms[j]).append(term)
-        for j, n in enumerate(fast_orders):
-            for _ in range(n):
-                birth = "+".join(sorted(birth_terms[j], key=_term_sort_key))
-                death = "+".join(sorted(death_terms[j], key=_term_sort_key))
-                numerator.append(birth if "+" not in birth else f"({birth})")
-                denominators.append(death)
-        text = "*".join(sorted(numerator, key=_symbol_sort_key))
-        for d in denominators:
-            text += f"/({d})"
-        return text
+def _rate_text(network: Network, structs, fast_rows, k, slow_terms,
+               fast_orders) -> str:
+    """Printable closed form over a birth-death fast tier, e.g.
+    ``k1*k2*vA/(k3+k1*vA)``; only the shape of ``structs`` is read."""
+    numerator = [f"k{k + 1}"]
+    denominators = []
+    for i, n in slow_terms:
+        numerator.extend(_species_factor_texts(network, i, n))
+    birth_terms = [[] for _ in fast_rows]
+    death_terms = [[] for _ in fast_rows]
+    for fr in structs:
+        j = next(idx for idx, c in enumerate(fr.column) if c != 0)
+        term = _coeff_text(network, fr.k, fast_rows)
+        (birth_terms[j] if fr.column[j] == 1 else death_terms[j]).append(term)
+    for j, n in enumerate(fast_orders):
+        for _ in range(n):
+            birth = "+".join(sorted(birth_terms[j], key=_term_sort_key))
+            death = "+".join(sorted(death_terms[j], key=_term_sort_key))
+            numerator.append(birth if "+" not in birth else f"({birth})")
+            denominators.append(death)
+    text = "*".join(sorted(numerator, key=_symbol_sort_key))
+    for d in denominators:
+        text += f"/({d})"
+    return text
 
 
 def _species_factor_texts(network: Network, i: int, n: int) -> list[str]:
@@ -872,13 +855,12 @@ def _species_factor_texts(network: Network, i: int, n: int) -> list[str]:
     return [name] if n == 1 else [f"{name}^{n}"]
 
 
-def _coeff_text(network: Network, k: int, fast_rows: set) -> str:
+def _coeff_text(network: Network, k: int, fast_rows) -> str:
     """kappa symbol times frozen reactant symbols, fast variables omitted
     (their order is carried by the birth-death variable itself)."""
     parts = [f"k{k + 1}"]
-    for i, n in network.reactions[k].reactants:
-        if i not in fast_rows:
-            parts.extend(_species_factor_texts(network, i, n))
+    for i, n in split_reactants(network, k, fast_rows)[1]:
+        parts.extend(_species_factor_texts(network, i, n))
     return "*".join(sorted(parts, key=_symbol_sort_key))
 
 
@@ -894,86 +876,118 @@ def _term_sort_key(term: str):
     return (term.count("*"), _symbol_sort_key(term.split("*")[0]), term)
 
 
+def fast_average(network: Network, k: int, measure: StationaryMeasure, frozen,
+                 fast_rows) -> tuple[float, float]:
+    """(E, se) of reaction k's rate over a fast stationary ``measure``,
+    slower species held at ``frozen``: factorial moments for mass action,
+    the compiled law on completed states otherwise."""
+    law = network.reactions[k].rate_law
+    if isinstance(law, MassAction):
+        orders, frozen_terms = split_reactants(network, k, fast_rows)
+        return measure.expect_mass_action(
+            mass_action_value(law.kappa, frozen_terms, network.alphas, frozen), orders)
+    rate_fn = scaled_rate_function(network, k)
+
+    def integrand(z):
+        full = frozen.copy()
+        full[fast_rows] = z
+        return rate_fn(full)
+
+    return measure.expect(integrand)
+
+
+def _polynomial_average(network: Network, k: int, measure: StationaryMeasure, frozen,
+                        fast_rows) -> float:
+    """Closed-form average of an expression law polynomial in the fast
+    species, through raw moments of a product measure's components."""
+    from . import expressions
+    fast_names = [network.species[i].name for i in fast_rows]
+    env = {s.name: frozen[i] for i, s in enumerate(network.species)}
+    try:
+        poly = expressions.as_polynomial(network.reactions[k].rate_law.ast, fast_names, env)
+    except expressions.PolynomialError:
+        raise AnalyticUnavailable("expression rate is not polynomial in the fast species")
+    out = 0.0
+    for exponents, coeff in poly.items():
+        term = coeff
+        for j, n in enumerate(exponents):
+            if n:
+                term *= measure.components[j].raw_moment(n)
+        out += term
+    if out < 0:
+        raise RateEvaluationError(f"averaged rate is negative: {out}")
+    return out
+
+
+def _freezer(network: Network, base, slow_rows):
+    """Map a reduced state to a full species vector: its leading entries
+    at ``slow_rows``, every other species at ``base`` (zeros by default)."""
+    base_vec = np.zeros(network.n_species) if base is None else np.asarray(base, dtype=float)
+    rows = list(slow_rows)
+
+    def frozen_of(reduced_state):
+        frozen = base_vec.copy()
+        frozen[rows] = reduced_state[:len(rows)]
+        return frozen
+
+    return frozen_of
+
+
 def averaged_rate_two_scale(classification: ScaleClassification, k: int,
                             mode: str = "auto", base=None,
                             mc: McConfig | None = None,
                             conserved: ConservedBasis | None = None) -> AveragedRate:
     """Averaged rate of slow (or conserved-driving) reaction k.
 
-    Closed form when the fast stationary law is analytic and the rate is
-    mass action or polynomial in the fast species; Monte Carlo with
-    reported standard errors otherwise. Never falls back silently: mode
-    'analytic' raises AnalyticUnavailable instead of simulating.
+    The evaluator takes the reduced state: slow species in row order,
+    then conserved totals when a basis is given. Closed form when the
+    fast stationary law has one (probed at the all-ones state) and the
+    rate is mass action or, without conserved quantities, polynomial in
+    the fast species; a closed form lost at some state raises
+    AnalyticUnavailable there. Monte Carlo with reported standard errors
+    otherwise. Never falls back silently: mode 'analytic' raises
+    AnalyticUnavailable instead of simulating.
     """
     mc = mc or McConfig()
     network = classification.network
-    constrained = conserved is not None and not conserved.empty
-    if mode in ("auto", "analytic") and not constrained:
-        try:
-            averager = TwoScaleAverager(classification, base=base)
-            return averager.averaged_rate(k)
-        except AnalyticUnavailable:
-            if mode == "analytic":
-                raise
-    if mode in ("auto", "analytic") and constrained:
-        rate = _constrained_analytic_rate(classification, k, conserved, base)
-        if rate is not None:
-            return rate
-        if mode == "analytic":
-            raise AnalyticUnavailable("no closed form for the constrained fast law")
-    return _montecarlo_rate(classification, k, base, mc, conserved)
+    fast_rows = list(classification.fast.rows)
+    n_slow = len(classification.slow.rows)
+    basis = conserved if conserved is not None and not conserved.empty else None
+    n_cons = 0 if basis is None else len(basis.vectors)
+    frozen_of = _freezer(network, base, classification.slow.rows)
+    discrete = fast_discrete(classification)
+    mass_action = isinstance(network.reactions[k].rate_law, MassAction)
 
+    kind = "montecarlo"
+    if mode in ("auto", "analytic"):
+        probe = fast_reaction_structs(classification, frozen_of(np.ones(n_slow)))
+        if (mass_action or basis is None) and closed_form_measure(
+                probe, discrete, basis, np.ones(n_cons)) is not None:
+            kind = "analytic"
+        elif mode == "analytic":
+            raise AnalyticUnavailable(f"reaction {k}: no closed form for the fast "
+                                      f"stationary law")
 
-def _constrained_analytic_rate(classification, k, conserved, base) -> AveragedRate | None:
-    network = classification.network
-    slow_rows = classification.slow.rows
-    fast_rows = classification.fast.rows
-    discrete = [network.species[i].alpha == 0 for i in fast_rows]
-    base_vec = np.zeros(network.n_species) if base is None else np.asarray(base, float)
-    n_slow = len(slow_rows)
-    reaction = network.reactions[k]
-    if not isinstance(reaction.rate_law, MassAction):
-        return None
-    row_pos = {i: j for j, i in enumerate(fast_rows)}
-    fast_orders = [0] * len(fast_rows)
-    slow_terms = []
-    for i, n in reaction.reactants:
-        if i in row_pos:
-            fast_orders[row_pos[i]] = n
-        else:
-            slow_terms.append((i, n))
+    def evaluate(reduced_state):
+        frozen = frozen_of(reduced_state)
+        values = reduced_state[n_slow:] if n_cons else None
+        if kind == "montecarlo":
+            measure = stationary_fast(classification, frozen, mode="montecarlo", mc=mc,
+                                      conserved=basis, conserved_values=values)
+            return fast_average(network, k, measure, frozen, fast_rows)
+        measure = closed_form_measure(fast_reaction_structs(classification, frozen),
+                                      discrete, basis, values)
+        if measure is None:
+            raise AnalyticUnavailable("closed-form stationary law lost at this state")
+        if not mass_action:
+            return _polynomial_average(network, k, measure, frozen, fast_rows), 0.0
+        return fast_average(network, k, measure, frozen, fast_rows)
 
-    def build_measure(reduced_state):
-        frozen = base_vec.copy()
-        for pos, i in enumerate(slow_rows):
-            frozen[i] = reduced_state[pos]
-        values = reduced_state[n_slow:]
-        structs = fast_reaction_structs(classification, frozen)
-        if structs is None:
-            return None
-        blocks = detect_conversion_blocks(structs, conserved.vectors, values, discrete)
-        if blocks is None:
-            return None
-        comps = tuple(StationaryComponent("poisson" if d else "dirac", 0.0)
-                      for d in discrete)
-        return StationaryMeasure("product", components=comps, blocks=blocks), frozen
-
-    probe = np.ones(n_slow + len(conserved.vectors))
-    if build_measure(probe) is None:
-        return None
-
-    def fn(reduced_state):
-        built = build_measure(np.asarray(reduced_state, dtype=float))
-        if built is None:
-            raise AnalyticUnavailable("constrained closed form lost at this state")
-        measure, frozen = built
-        coeff = reaction.rate_law.kappa
-        for i, n in slow_terms:
-            coeff *= _mixed_factor(frozen[i], n, network.species[i].alpha == 0)
-        value, _ = measure.expect_mass_action(coeff, fast_orders)
-        return value
-
-    return AveragedRate(k, "analytic", fn=fn, se=lambda v: 0.0, text=None)
+    rate = memoized_rate(k, kind, evaluate)
+    if kind == "analytic" and mass_action and basis is None:
+        orders, slow_terms = split_reactants(network, k, fast_rows)
+        rate.text = _rate_text(network, probe, fast_rows, k, slow_terms, orders)
+    return rate
 
 
 def averaged_rate_three_scale(classification: ScaleClassification, k: int,
@@ -982,13 +996,14 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
     """Doubly averaged rate for a three-scale system.
 
     The fastest tier is averaged first, given frozen middle and slow
-    coordinates (closed form when it is an independent linear
-    birth-death family, Monte Carlo otherwise); the result is then
-    averaged over the stationary law of the middle tier, estimated by a
-    time average along the middle path with the inner rates plugged in.
-    Standard errors from the two levels combine in quadrature. A middle
-    tier that is empty degenerates to the two-scale computation, and a
-    rate touching neither faster tier passes through unchanged.
+    coordinates, by :func:`stationary_fast` under ``mode`` (its Monte
+    Carlo runs at a tenth of the budget); the result is then averaged
+    over the stationary law of the middle tier, estimated by
+    :func:`montecarlo_measure` along the middle path with the inner rates
+    plugged in. Standard errors from the two levels combine in
+    quadrature. A middle tier that is empty degenerates to the two-scale
+    computation, and a rate touching neither faster tier passes through
+    unchanged.
     """
     mc = mc or McConfig()
     if classification.kind == "two":
@@ -999,180 +1014,41 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
     reaction = network.reactions[k]
     fast_rows = list(classification.fast.rows)
     middle_rows = list(classification.middle.rows)
-    slow_rows = classification.slow.rows
-    base_vec = np.zeros(network.n_species) if base is None else np.asarray(base, float)
+    frozen_of = _freezer(network, base, classification.slow.rows)
 
-    touches = set()
-    for i, _ in reaction.reactants:
-        touches.add(i)
+    touches = {i for i, _ in reaction.reactants}
     if isinstance(reaction.rate_law, Expression):
         from . import expressions
         touches |= {network.index[name]
                     for name in expressions.variables(reaction.rate_law.ast)}
     if not (touches & set(fast_rows)) and not (touches & set(middle_rows)):
-        return _identity_passthrough(classification, k, base_vec)
+        return _identity_rate(network, k, frozen_of)
 
-    inner_cache: dict[tuple, StationaryMeasure] = {}
-
-    def inner_measure(frozen):
-        key = tuple(np.round(frozen, 12))
-        if key in inner_cache:
-            return inner_cache[key]
-        structs = fast_reaction_structs(classification, frozen)
-        measure = None
-        if structs is not None and mode in ("auto", "analytic"):
-            discrete = [network.species[i].alpha == 0 for i in fast_rows]
-            comps = detect_birth_death(structs, discrete)
-            if comps is not None:
-                measure = StationaryMeasure("product", components=tuple(comps))
-        if measure is None:
-            if mode == "analytic":
-                raise AnalyticUnavailable("fastest tier has no closed form")
-            inner_mc = McConfig(budget=max(mc.budget // 10, 2000),
-                                burn_in_frac=mc.burn_in_frac, seed=mc.seed + 13,
-                                ess_threshold=min(mc.ess_threshold, 50))
-            measure = stationary_fast(classification, frozen, mode="montecarlo",
-                                      mc=inner_mc)
-        inner_cache[key] = measure
-        return measure
-
-    def tilde_rate(kk, frozen):
-        """Fast-tier average of reaction kk at frozen (middle, slow)."""
-        rr = network.reactions[kk]
-        if isinstance(rr.rate_law, MassAction):
-            coeff = rr.rate_law.kappa
-            orders = [0] * len(fast_rows)
-            pos = {i: j for j, i in enumerate(fast_rows)}
-            for i, n in rr.reactants:
-                if i in pos:
-                    orders[pos[i]] = n
-                else:
-                    coeff *= _mixed_factor(frozen[i], n, network.species[i].alpha == 0)
-            return inner_measure(frozen).expect_mass_action(coeff, orders)
-        rate_fn = scaled_rate_function(network, kk)
-
-        def integrand(z):
-            full = frozen.copy()
-            full[fast_rows] = z
-            return rate_fn(full)
-
-        return inner_measure(frozen).expect(integrand)
-
-    cache: dict[tuple, tuple[float, float]] = {}
+    inner_mc = McConfig(budget=max(mc.budget // 10, 2000), burn_in_frac=mc.burn_in_frac,
+                        seed=mc.seed + 13, ess_threshold=min(mc.ess_threshold, 50))
+    inner = StateMemo(lambda frozen: stationary_fast(classification, frozen, mode=mode,
+                                                     mc=inner_mc))
+    middle_discrete = [network.species[i].alpha == 0 for i in middle_rows]
+    labels = tuple(network.species[i].name for i in middle_rows)
 
     def evaluate(reduced_state):
-        reduced_state = np.asarray(reduced_state, dtype=float)
-        key = tuple(np.round(reduced_state, 12))
-        if key in cache:
-            return cache[key]
-        frozen = base_vec.copy()
-        for pos, i in enumerate(slow_rows):
-            frozen[i] = reduced_state[pos]
+        frozen = frozen_of(reduced_state)
+
+        def tilde_rate(kk, v_m):
+            """Fast-tier average of reaction kk at middle state v_m."""
+            full = frozen.copy()
+            full[middle_rows] = v_m
+            return fast_average(network, kk, inner(full), full, fast_rows)
 
         # middle-tier path with fast-averaged rates
-        middle_tier = classification.middle
-        circ = classification.k_sets["middle_circ"]
-        jumps = []
-        flows = []
-        for kk in sorted(classification.k_sets["middle"]):
-            def rate(v_m, kk=kk):
-                full = frozen.copy()
-                full[middle_rows] = v_m
-                return tilde_rate(kk, full)[0]
-            column = middle_tier.column(kk)
-            if kk in circ:
-                jumps.append((rate, column.astype(np.int64)))
-            else:
-                flows.append((rate, column.astype(float)))
-        labels = tuple(network.species[i].name for i in middle_rows)
-        system = HybridSystem(labels, tuple(jumps), tuple(flows))
-
-        middle_mc = McConfig(budget=mc.budget, burn_in_frac=mc.burn_in_frac,
-                             n_batches=mc.n_batches, seed=mc.seed,
-                             ess_threshold=mc.ess_threshold, ode=mc.ode)
-        v0 = np.zeros(len(middle_rows))
-        if not system.flows:
-            outer = _empirical_from_jump_paths(system, v0, middle_mc)
-        elif not system.jumps:
-            outer = _pointmass_from_flow(system, v0, middle_mc)
-        else:
-            outer = _empirical_from_hybrid(system, v0, middle_mc)
-
-        def outer_integrand(v_m):
-            full = frozen.copy()
-            full[middle_rows] = v_m
-            return tilde_rate(k, full)[0]
-
-        value, se_outer = outer.expect(outer_integrand)
-
-        def inner_se(v_m):
-            full = frozen.copy()
-            full[middle_rows] = v_m
-            return tilde_rate(k, full)[1]
-
-        se_inner, _ = outer.expect(inner_se)
-        out = (float(value), float(math.hypot(np.max(se_outer), np.max(se_inner))))
-        cache[key] = out
-        return out
+        system = tier_system(labels, classification.middle, classification.k_sets["middle"],
+                             classification.k_sets["middle_circ"],
+                             lambda kk: lambda v_m: tilde_rate(kk, v_m)[0])
+        outer = montecarlo_measure(system, np.zeros(len(middle_rows)), mc, middle_discrete)
+        value, se_outer = outer.expect(lambda v_m: tilde_rate(k, v_m)[0])
+        se_inner, _ = outer.expect(lambda v_m: tilde_rate(k, v_m)[1])
+        return value, math.hypot(np.max(se_outer), np.max(se_inner))
 
     # the outer middle-tier average is a time average even when the
     # fastest tier has a closed form, so the estimate always carries noise
-    return AveragedRate(k, "montecarlo",
-                        fn=lambda v: evaluate(v)[0],
-                        se=lambda v: evaluate(v)[1],
-                        text=None)
-
-
-def _identity_passthrough(classification, k, base_vec) -> AveragedRate:
-    network = classification.network
-    rate_fn = scaled_rate_function(network, k)
-    slow_rows = classification.slow.rows
-
-    def fn(reduced_state):
-        frozen = base_vec.copy()
-        for pos, i in enumerate(slow_rows):
-            frozen[i] = np.asarray(reduced_state, dtype=float)[pos]
-        return rate_fn(frozen)
-
-    return AveragedRate(k, "analytic", fn=fn, se=lambda v: 0.0,
-                        text=_mass_action_text(network, k))
-
-
-def _montecarlo_rate(classification, k, base, mc: McConfig,
-                     conserved: ConservedBasis | None) -> AveragedRate:
-    network = classification.network
-    slow_rows = classification.slow.rows
-    fast_rows = list(classification.fast.rows)
-    n_slow = len(slow_rows)
-    base_vec = np.zeros(network.n_species) if base is None else np.asarray(base, float)
-    rate_fn = scaled_rate_function(network, k)
-    constrained = conserved is not None and not conserved.empty
-    cache: dict[tuple, tuple[float, float]] = {}
-
-    def evaluate(reduced_state):
-        reduced_state = np.asarray(reduced_state, dtype=float)
-        key = tuple(np.round(reduced_state, 12))
-        if key in cache:
-            return cache[key]
-        frozen = base_vec.copy()
-        for pos, i in enumerate(slow_rows):
-            frozen[i] = reduced_state[pos]
-        conserved_values = reduced_state[n_slow:] if constrained else None
-        measure = stationary_fast(classification, frozen, mode="montecarlo", mc=mc,
-                                  conserved=conserved if constrained else None,
-                                  conserved_values=conserved_values)
-
-        def integrand(z):
-            full = frozen.copy()
-            full[fast_rows] = z
-            return rate_fn(full)
-
-        value, se = measure.expect(integrand)
-        out = (float(value), float(se))
-        cache[key] = out
-        return out
-
-    return AveragedRate(k, "montecarlo",
-                        fn=lambda v: evaluate(v)[0],
-                        se=lambda v: evaluate(v)[1],
-                        text=None)
+    return memoized_rate(k, "montecarlo", evaluate)

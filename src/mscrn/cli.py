@@ -26,7 +26,6 @@ from .reduce import build_reduced_model, serialize_reduced
 from .ssa import SimulationConfig, run_ensemble, simulate, simulate_spatial
 from .verify import verify_convergence
 
-USAGE_ERRORS = (err.ModelError,)
 MODEL_ERRORS = (err.ParseError, err.ValidationError, err.UnclassifiableError,
                 err.MixedAlphaError, err.TimescaleViolation, err.OverlapError,
                 err.DegenerateEtaError, err.HeterogeneousEtaError, err.ModelError)
@@ -35,6 +34,23 @@ NUMERICAL_ERRORS = (err.RateEvaluationError, err.ReducibleChainError,
                     err.AnalyticUnavailable, err.NonErgodicSuspected,
                     err.MissingRates, err.CaseUnavailable, err.EventCapExceeded,
                     err.OdeStepFailure, err.NegativeRate)
+
+
+def _numbers(text: str) -> list[float]:
+    """argparse type for comma-separated numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _assignments(text: str) -> list[tuple[str, float]]:
+    """argparse type for comma-separated name=value pairs."""
+    pairs = [part.partition("=") for part in text.split(",")]
+    try:
+        return [(name, float(value)) for name, _, value in pairs]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected name=value pairs, got {text!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,7 +82,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--engine", choices=["ssa", "pdmp"], default="ssa")
     p.add_argument("--N", type=float, default=100.0, help="scaling parameter (ssa)")
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--grid", default=None,
+    p.add_argument("--grid", type=_numbers, default=None,
                    help="comma-separated sample times (default: 20 points)")
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--observables", default=None,
@@ -83,18 +99,19 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("avg-rates", help="tabulate averaged rates on a state grid")
     common(p)
     p.add_argument("--var", required=True, help="reduced coordinate to sweep")
-    p.add_argument("--values", required=True, help="comma-separated grid values")
-    p.add_argument("--fix", default=None,
+    p.add_argument("--values", type=_numbers, required=True,
+                   help="comma-separated grid values")
+    p.add_argument("--fix", type=_assignments, default=None,
                    help="other coordinates, e.g. 'B=1,c1=3' (default 0)")
     p.add_argument("--mode", choices=["auto", "analytic", "montecarlo"], default="auto")
     p.add_argument("--case", type=int, default=None)
 
     p = sub.add_parser("verify", help="convergence of finite-N ensembles to the limit")
     common(p)
-    p.add_argument("--N", required=True, help="comma-separated N ladder")
+    p.add_argument("--N", type=_numbers, required=True, help="comma-separated N ladder")
     p.add_argument("--replicas", type=int, default=2000)
     p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", type=_numbers, default=None)
     p.add_argument("--mode", choices=["auto", "analytic", "montecarlo"], default="auto")
     p.add_argument("--case", type=int, default=None)
     p.add_argument("--threshold", type=float, default=0.05)
@@ -114,10 +131,10 @@ def _load(path: str):
         return parse_document(fh.read())
 
 
-def _parse_grid(text, t_end):
-    if text is None:
+def _parse_grid(grid, t_end):
+    if grid is None:
         return np.linspace(t_end / 20.0, t_end, 20)
-    return np.array([float(x) for x in text.split(",")])
+    return np.array(grid)
 
 
 def _initial_or_fail(doc):
@@ -218,16 +235,13 @@ def _cmd_avg_rates(args) -> int:
     if args.var not in labels:
         raise err.ModelError(f"unknown coordinate {args.var!r}; have {labels}")
     fixed = np.zeros(len(labels))
-    if args.fix:
-        for part in args.fix.split(","):
-            name, value = part.split("=")
-            if name not in labels:
-                raise err.ModelError(f"unknown coordinate {name!r}")
-            fixed[labels.index(name)] = float(value)
-    values = [float(x) for x in args.values.split(",")]
+    for name, value in args.fix or ():
+        if name not in labels:
+            raise err.ModelError(f"unknown coordinate {name!r}")
+        fixed[labels.index(name)] = value
     sweep_idx = labels.index(args.var)
     rows = []
-    for value in values:
+    for value in args.values:
         state = fixed.copy()
         state[sweep_idx] = value
         for k, rate in sorted(reduced.rates.items()):
@@ -246,11 +260,10 @@ def _cmd_avg_rates(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = _load(args.model)
-    n_grid = [float(x) for x in args.N.split(",")]
     grid = _parse_grid(args.grid, args.t_end) if args.grid else \
         np.linspace(args.t_end / 4, args.t_end, 4)
     mc = McConfig(budget=args.budget, seed=args.seed)
-    report = verify_convergence(doc.model, doc.scaling, n_grid, args.replicas,
+    report = verify_convergence(doc.model, doc.scaling, args.N, args.replicas,
                                 grid, _initial_or_fail(doc), seed=args.seed,
                                 mode=args.mode, mc=mc, threshold=args.threshold,
                                 case=args.case)

@@ -289,7 +289,10 @@ class ScalingSpec:
     gamma: Fraction = Fraction(0)
 
 
-def _mass_action_value(kappa: float, reactants, alphas, values) -> float:
+def mass_action_value(kappa: float, reactants, alphas, values) -> float:
+    """``kappa`` times each (species i, multiplicity n) reactant at
+    ``values[i]``: a falling factorial for discrete species (alpha 0), a
+    power for continuous ones."""
     out = kappa
     for i, n in reactants:
         if alphas[i] == 0:
@@ -340,7 +343,7 @@ def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = 
     reaction = network.reactions[k]
     if isinstance(law, MassAction):
         if state.scaled:
-            out = _mass_action_value(law.kappa, reaction.reactants, network.alphas, values)
+            out = mass_action_value(law.kappa, reaction.reactants, network.alphas, values)
         else:
             out = _raw_mass_action_value(law.kappa, reaction.reactants, values)
     else:

@@ -473,11 +473,3 @@ def _laws_equal(x, y) -> bool:
     if isinstance(x, Expression) and isinstance(y, Expression):
         return x.source == y.source
     return False
-
-
-def serialize_reduced(reduced) -> str:
-    """Emit a reduced model produced by the averaging machinery (see
-    :func:`mscrn.reduce.serialize_reduced`, re-exported here alongside
-    the other serializers)."""
-    from .reduce import serialize_reduced as _impl
-    return _impl(reduced)

@@ -316,60 +316,78 @@ def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
             grid_pos += 1
 
 
-def build_limit_system(classification, rates, conserved=None) -> HybridSystem:
-    """Assemble the limit process for a classification.
+def limit_stoichiometry(classification, conserved=None) -> tuple[tuple, tuple, tuple]:
+    """Coordinates and change columns of the limit process.
 
-    ``rates`` maps reaction index -> rate function of the reduced state
-    (slow species in row order, then conserved quantities). Single-scale
-    classifications use the full species set with the balanced-entry
-    matrix; multi-scale ones use the slow tier plus, when a conserved
-    basis is given, the conserved coordinates.
-
-    Raises MissingRates when a required reaction has no evaluator.
+    Returns (labels, jumps, flows), where jumps and flows are
+    (reaction, column) pairs: int64 columns for jumps, float for flows.
+    Single-scale classifications use the full species set with the
+    balanced-entry matrix; multi-scale ones use the slow tier plus, when
+    a conserved basis is given, the conserved coordinates.
     """
     network = classification.network
-
-    def need(k):
-        if k not in rates:
-            raise MissingRates(f"no rate evaluator for reaction {k}")
-        return rates[k]
-
-    jumps = []
-    flows = []
     if classification.kind == "single":
-        tier = classification.star
+        matrix = classification.star.matrix
         labels = tuple(s.name for s in network.species)
-        for k in sorted(classification.k_sets["star_circ"]):
-            jumps.append((need(k), tier.matrix[:, k].astype(np.int64)))
-        for k in sorted(classification.k_sets["star_bullet"]):
-            flows.append((need(k), tier.matrix[:, k].astype(float)))
-        return HybridSystem(labels, tuple(jumps), tuple(flows))
+        return (labels,
+                tuple((k, matrix[:, k].astype(np.int64))
+                      for k in sorted(classification.k_sets["star_circ"])),
+                tuple((k, matrix[:, k].astype(float))
+                      for k in sorted(classification.k_sets["star_bullet"])))
 
     slow = classification.slow
     n_slow = len(slow.rows)
     n_cons = 0 if conserved is None or conserved.empty else len(conserved.vectors)
     labels = tuple(network.species[i].name for i in slow.rows)
-    if n_cons:
-        labels = labels + tuple(f"c{j + 1}" for j in range(n_cons))
+    labels += tuple(f"c{j + 1}" for j in range(n_cons))
 
-    def slow_delta(k):
-        out = np.zeros(n_slow + n_cons)
-        out[:n_slow] = slow.column(k)
-        return out
+    def slow_column(k):
+        column = np.zeros(n_slow + n_cons)
+        column[:n_slow] = slow.column(k)
+        return column
 
-    for k in sorted(classification.k_sets["slow_circ"]):
-        jumps.append((need(k), slow_delta(k).astype(np.int64)))
-    for k in sorted(classification.k_sets["slow_bullet"]):
-        flows.append((need(k), slow_delta(k)))
-    if n_cons:
-        for k in sorted(conserved.k_c):
-            delta = np.zeros(n_slow + n_cons)
-            delta[n_slow:] = conserved.zeta_c[:, conserved.cols.index(k)]
-            if k in conserved.k_c_circ:
-                jumps.append((need(k), delta.astype(np.int64)))
-            else:
-                flows.append((need(k), delta))
-    return HybridSystem(labels, tuple(jumps), tuple(flows))
+    jumps = [(k, slow_column(k).astype(np.int64))
+             for k in sorted(classification.k_sets["slow_circ"])]
+    flows = [(k, slow_column(k)) for k in sorted(classification.k_sets["slow_bullet"])]
+    for k in sorted(conserved.k_c) if n_cons else ():
+        column = np.zeros(n_slow + n_cons)
+        column[n_slow:] = conserved.zeta_c[:, conserved.cols.index(k)]
+        if k in conserved.k_c_circ:
+            jumps.append((k, column.astype(np.int64)))
+        else:
+            flows.append((k, column))
+    return labels, tuple(jumps), tuple(flows)
+
+
+def build_limit_system(classification, rates, conserved=None) -> HybridSystem:
+    """Assemble the limit process for a classification.
+
+    ``rates`` maps reaction index -> rate function of the reduced state
+    (slow species in row order, then conserved quantities); coordinates
+    and columns come from :func:`limit_stoichiometry`.
+
+    Raises MissingRates when a required reaction has no evaluator.
+    """
+    def need(k):
+        if k not in rates:
+            raise MissingRates(f"no rate evaluator for reaction {k}")
+        return rates[k]
+
+    labels, jumps, flows = limit_stoichiometry(classification, conserved)
+    return HybridSystem(labels, tuple((need(k), column) for k, column in jumps),
+                        tuple((need(k), column) for k, column in flows))
+
+
+def tier_system(labels, tier, ks, circ, rate_of) -> HybridSystem:
+    """HybridSystem of reactions ``ks`` on ``tier``'s change columns:
+    integer jumps for those in ``circ``, float flows for the rest, each
+    with the rate function ``rate_of(k)``."""
+    ks = sorted(ks)
+    return HybridSystem(labels,
+                        tuple((rate_of(k), tier.column(k).astype(np.int64))
+                              for k in ks if k in circ),
+                        tuple((rate_of(k), tier.column(k).astype(float))
+                              for k in ks if k not in circ))
 
 
 def fast_subsystem(classification, frozen) -> HybridSystem:
@@ -385,12 +403,11 @@ def fast_subsystem(classification, frozen) -> HybridSystem:
     if classification.kind == "single":
         raise ModelError("conditional fast dynamics requires a multi-scale classification")
     fast = classification.fast
-    rows = fast.rows
     frozen = np.asarray(frozen, dtype=float)
     if frozen.shape != (network.n_species,):
         raise ModelError("frozen context must be a full-length species vector")
 
-    row_list = list(rows)
+    row_list = list(fast.rows)
 
     def make_rate(k):
         base = scaled_rate_function(network, k)
@@ -402,14 +419,9 @@ def fast_subsystem(classification, frozen) -> HybridSystem:
 
         return rate
 
-    jumps = []
-    flows = []
-    for k in sorted(classification.k_sets["fast_circ"]):
-        jumps.append((make_rate(k), fast.column(k).astype(np.int64)))
-    for k in sorted(classification.k_sets["fast_bullet"]):
-        flows.append((make_rate(k), fast.column(k).astype(float)))
-    labels = tuple(network.species[i].name for i in rows)
-    return HybridSystem(labels, tuple(jumps), tuple(flows))
+    circ = classification.k_sets["fast_circ"]
+    return tier_system(tuple(network.species[i].name for i in fast.rows), fast,
+                       circ | classification.k_sets["fast_bullet"], circ, make_rate)
 
 
 def simulate_conditional_fast(classification, frozen, v_f0, t_end: float,
@@ -438,8 +450,4 @@ def run_ensemble_pdmp(system: HybridSystem, v0, t_end: float, seed: int,
         traj = simulate_pdmp(system, v0, t_end, ode_config=ode_config,
                              record=grid, rng=rng_mod.stream(seed, r))
         samples[r] = weights @ traj.states.T
-    mean = samples.mean(axis=0)
-    variance = samples.var(axis=0, ddof=1) if replicas > 1 else np.zeros_like(mean)
-    qs = {q: np.quantile(samples, q, axis=0) for q in quantiles}
-    return EnsembleStats(grid=grid, observables=tuple(labels), mean=mean,
-                         variance=variance, quantiles=qs, replicas=replicas)
+    return EnsembleStats.from_samples(grid, labels, samples, quantiles)

@@ -17,7 +17,7 @@ from .averaging import (AveragedRate, McConfig, _identity_rate,
 from .classify import ConservedBasis, ScaleClassification, classify, conserved_basis
 from .errors import CaseUnavailable
 from .model import Model, ScalingSpec
-from .pdmp import HybridSystem, build_limit_system
+from .pdmp import HybridSystem, limit_stoichiometry
 
 
 @dataclass
@@ -44,9 +44,10 @@ class ReducedModel:
         return len(self.state_labels)
 
     def to_hybrid(self) -> HybridSystem:
-        evaluators = {k: rate.fn for k, rate in self.rates.items()}
-        return build_limit_system(self.classification, evaluators,
-                                  conserved=self.conserved)
+        return HybridSystem(
+            self.state_labels,
+            tuple((self.rates[k].fn, column) for k, column in self.jump_reactions),
+            tuple((self.rates[k].fn, column) for k, column in self.flow_reactions))
 
     def initial_state(self, full_scaled: np.ndarray) -> np.ndarray:
         """Project a full scaled state (vector, or species x compartments)
@@ -113,16 +114,14 @@ def build_reduced_model(model: Model, scaling: ScalingSpec | None = None,
 
     if classification.kind == "single":
         if not spatial:
-            labels = tuple(s.name for s in network.species)
             rates = {k: _identity_rate(network, k)
                      for k in sorted(classification.k_sets["star"])}
-            return _assemble(classification, "identity", labels, rates, None)
+            return _assemble(classification, "identity", rates, None)
         from .spatial_cases import averaged_rate_single_scale
-        labels = tuple(s.name for s in network.species)
         rates = {k: averaged_rate_single_scale(model, scaling or ScalingSpec(), k,
                                                mode=mode, mc=mc)
                  for k in sorted(classification.k_sets["star"])}
-        return _assemble(classification, "single-spatial", labels, rates, None)
+        return _assemble(classification, "single-spatial", rates, None)
 
     if classification.kind == "three":
         if spatial:
@@ -132,28 +131,21 @@ def build_reduced_model(model: Model, scaling: ScalingSpec | None = None,
         if not basis.empty:
             raise CaseUnavailable("conserved quantities with three timescales "
                                   "are not supported")
-        labels = tuple(network.species[i].name for i in classification.slow.rows)
         rates = {k: averaged_rate_three_scale(classification, k, mode=mode,
                                               base=base, mc=mc)
                  for k in sorted(classification.k_sets["slow"])}
-        return _assemble(classification, "three", labels, rates, None)
+        return _assemble(classification, "three", rates, None)
 
     # two-scale
     basis = conserved_basis(classification)
     has_conserved = not basis.empty
-    slow_labels = tuple(network.species[i].name for i in classification.slow.rows)
-    labels = slow_labels
-    if has_conserved:
-        labels = labels + tuple(f"c{j + 1}" for j in range(len(basis.vectors)))
-
     needed = sorted(classification.k_sets["slow"] | (basis.k_c if has_conserved else set()))
     if not spatial:
         rates = {k: averaged_rate_two_scale(classification, k, mode=mode, base=base,
                                             mc=mc, conserved=basis if has_conserved else None)
                  for k in needed}
         kind = "two-conserved" if has_conserved else "two"
-        return _assemble(classification, kind, labels, rates,
-                         basis if has_conserved else None)
+        return _assemble(classification, kind, rates, basis if has_conserved else None)
 
     from .spatial_cases import averaged_rate_spatial
     if case is None:
@@ -166,43 +158,12 @@ def build_reduced_model(model: Model, scaling: ScalingSpec | None = None,
                                       mode=mode, mc=mc)
              for k in needed}
     kind = "spatial-two-conserved" if has_conserved else "spatial-two"
-    return _assemble(classification, kind, labels, rates,
-                     basis if has_conserved else None)
+    return _assemble(classification, kind, rates, basis if has_conserved else None)
 
 
-def _assemble(classification, kind, labels, rates, basis) -> ReducedModel:
-    if kind in ("identity", "single-spatial"):
-        tier = classification.star
-        jump_ks = sorted(classification.k_sets["star_circ"])
-        flow_ks = sorted(classification.k_sets["star_bullet"])
-        jumps = tuple((k, tier.matrix[:, k].copy()) for k in jump_ks)
-        flows = tuple((k, tier.matrix[:, k].astype(float)) for k in flow_ks)
-    else:
-        slow = classification.slow
-        n_slow = len(slow.rows)
-        n_cons = 0 if basis is None else len(basis.vectors)
-        jumps = []
-        flows = []
-        for k in sorted(classification.k_sets["slow_circ"]):
-            vec = np.zeros(n_slow + n_cons)
-            vec[:n_slow] = slow.column(k)
-            jumps.append((k, vec))
-        for k in sorted(classification.k_sets["slow_bullet"]):
-            vec = np.zeros(n_slow + n_cons)
-            vec[:n_slow] = slow.column(k)
-            flows.append((k, vec))
-        if basis is not None:
-            for k in sorted(basis.k_c):
-                vec = np.zeros(n_slow + n_cons)
-                vec[n_slow:] = basis.zeta_c[:, basis.cols.index(k)]
-                if k in basis.k_c_circ:
-                    jumps.append((k, vec))
-                else:
-                    flows.append((k, vec))
-        jumps = tuple(jumps)
-        flows = tuple(flows)
-    return ReducedModel(classification, kind, tuple(labels), jumps, flows,
-                        rates, basis)
+def _assemble(classification, kind, rates, basis) -> ReducedModel:
+    labels, jumps, flows = limit_stoichiometry(classification, basis)
+    return ReducedModel(classification, kind, labels, jumps, flows, rates, basis)
 
 
 def serialize_reduced(reduced: ReducedModel) -> str:

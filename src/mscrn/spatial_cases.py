@@ -19,6 +19,11 @@ equilibria:
   case 4 (both move slower): per-compartment fast subsystems at actual
       slow positions, averaged afterwards.
 
+Each fast stationary law, at sum level or per compartment, comes from
+the averaging pipeline (``averaging.fast_stationary_law``): closed form
+first, then the Monte Carlo estimator the fast system's shape calls for,
+run on the system built here from the case's fast reactions.
+
 With conserved fast combinations, stationary laws are constrained to
 the conservation surface, and in cases 3/4 the per-compartment conserved
 amounts themselves equilibrate by movement; that equilibrium is found by
@@ -29,22 +34,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import rng as rng_mod
-from .averaging import (AveragedRate, FastReaction, McConfig, ProductMeasure,
-                        StationaryComponent, StationaryMeasure,
-                        _empirical_from_jump_paths, _mixed_factor,
-                        all_movement_equilibria, detect_birth_death,
-                        detect_conversion_blocks, movement_equilibrium,
-                        product_measure)
+from .averaging import (AveragedRate, FastReaction, McConfig, all_movement_equilibria,
+                        closed_form_measure, fast_discrete, fast_stationary_law,
+                        mass_action_term, memoized_rate, product_measure,
+                        split_reactants)
 from .classify import ConservedBasis, ScaleClassification
-from .errors import (AnalyticUnavailable, CaseUnavailable, ModelError,
-                     NotMassAction)
+from .errors import AnalyticUnavailable, CaseUnavailable, ModelError, NotMassAction
 from .model import (MassAction, ScalingSpec, SpatialModel, falling_factorial,
-                    scaled_rate_function_spatial)
-from .pdmp import HybridSystem
+                    mass_action_value, scaled_rate_function_spatial)
+from .pdmp import tier_system
 
 
 def mass_action_avg_kappa(spatial_model: SpatialModel, k: int,
@@ -67,6 +69,19 @@ def mass_action_avg_kappa(spatial_model: SpatialModel, k: int,
     return out
 
 
+def totals_factor(network, pis, terms, totals, d: int, coeff: float = 1.0) -> float:
+    """``coeff`` times each (species i, multiplicity n) term of compartment
+    d at movement equilibrium given species totals: a falling factorial
+    of the total times pi^n for discrete species, (pi * total)^n for
+    continuous ones."""
+    for i, n in terms:
+        if network.species[i].alpha == 0:
+            coeff *= falling_factorial(totals[i], n) * pis[i][d] ** n
+        else:
+            coeff *= (pis[i][d] * totals[i]) ** n
+    return coeff
+
+
 def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec,
                                k: int, mode: str = "auto",
                                mc: McConfig | None = None,
@@ -83,7 +98,6 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
     reaction = network.reactions[k]
     pis = equilibria or all_movement_equilibria(spatial_model)
     pi_arr = [p.as_floats() for p in pis]
-    alphas = [s.alpha for s in network.species]
     mass_action = all(isinstance(spatial_model.rate_law(k, d), MassAction)
                       for d in range(spatial_model.n_compartments))
 
@@ -92,13 +106,8 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
             s = np.asarray(s, dtype=float)
             out = 0.0
             for d in range(spatial_model.n_compartments):
-                term = spatial_model.rate_law(k, d).kappa
-                for i, n in reaction.reactants:
-                    if alphas[i] == 0:
-                        term *= falling_factorial(s[i], n) * pi_arr[i][d] ** n
-                    else:
-                        term *= (pi_arr[i][d] * s[i]) ** n
-                out += term
+                out += totals_factor(network, pi_arr, reaction.reactants, s, d,
+                                     spatial_model.rate_law(k, d).kappa)
             return out
 
         return AveragedRate(k, "analytic", fn=fn, se=lambda s: 0.0)
@@ -108,35 +117,15 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
 
     compiled = [scaled_rate_function_spatial(spatial_model, k, d)
                 for d in range(spatial_model.n_compartments)]
-    cache: dict[tuple, tuple[float, float]] = {}
 
     def evaluate(s):
-        s = np.asarray(s, dtype=float)
-        key = tuple(np.round(s, 12))
-        if key in cache:
-            return cache[key]
         measure = product_measure(spatial_model, s, equilibria=pis)
-        support = measure.support()
-        if support is not None:
-            value = 0.0
-            for positions, prob in support:
-                value += prob * sum(compiled[d](positions[:, d])
-                                    for d in range(spatial_model.n_compartments))
-            out = (value, 0.0)
-        else:
-            rng = rng_mod.stream(mc.seed)
-            draws = 4096
-            values = np.empty(draws)
-            for r in range(draws):
-                positions = measure.sample(rng)
-                values[r] = sum(compiled[d](positions[:, d])
-                                for d in range(spatial_model.n_compartments))
-            out = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(draws)))
-        cache[key] = out
-        return out
+        return measure.expect(
+            lambda positions: (sum(compiled[d](positions[:, d])
+                                   for d in range(spatial_model.n_compartments)), 0.0),
+            mc.seed, 4096)
 
-    return AveragedRate(k, "montecarlo", fn=lambda s: evaluate(s)[0],
-                        se=lambda s: evaluate(s)[1])
+    return memoized_rate(k, "montecarlo", evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +136,15 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
 class _SpatialContext:
     classification: ScaleClassification
     model: SpatialModel
-    pis: list[np.ndarray]           # per species, movement equilibrium
+    equilibria: list                # per species, movement equilibrium
+    pis: list[np.ndarray]           # the same as float arrays
     fast_rows: tuple[int, ...]
     slow_rows: tuple[int, ...]
     discrete_fast: list[bool]
-    discrete_slow: list[bool]
+    splits: dict                    # reaction -> (fast orders, slow terms)
 
     @classmethod
-    def build(cls, classification: ScaleClassification) -> "_SpatialContext":
+    def build(cls, classification: ScaleClassification, ks) -> "_SpatialContext":
         model = classification.model
         if not model.is_spatial:
             raise ModelError("spatial averaging requires a spatial model")
@@ -162,13 +152,14 @@ class _SpatialContext:
             raise CaseUnavailable(
                 "spatial case formulas cover two chemical timescales only")
         network = model.network
-        pis = [movement_equilibrium(model, i).as_floats()
-               for i in range(network.n_species)]
+        equilibria = all_movement_equilibria(model)
         fast_rows = classification.fast.rows
-        slow_rows = classification.slow.rows
-        return cls(classification, model, pis, fast_rows, slow_rows,
-                   [network.species[i].alpha == 0 for i in fast_rows],
-                   [network.species[i].alpha == 0 for i in slow_rows])
+        ctx = cls(classification, model, equilibria, [eq.as_floats() for eq in equilibria],
+                  fast_rows, classification.slow.rows,
+                  fast_discrete(classification),
+                  {k: split_reactants(network, k, fast_rows) for k in ks})
+        ctx.require_mass_action(ks)
+        return ctx
 
     def require_mass_action(self, ks):
         tiers = set(self.fast_rows) | set(self.slow_rows)
@@ -185,170 +176,57 @@ class _SpatialContext:
                         f"reaction {k} consumes {name}, which sits on neither "
                         f"the fast nor the slow tier")
 
-    # -- coefficient builders ------------------------------------------------
+    # -- slow factors: species-indexed totals or positions --------------------
 
-    def slow_sum_factor(self, k: int, d: int, s_slow) -> float:
-        """Movement-averaged slow-reactant factor at totals s_slow."""
+    def totals_form(self, totals):
+        """Slow factor averaged over slow positions at species totals."""
         network = self.model.network
-        slow_pos = {i: j for j, i in enumerate(self.slow_rows)}
-        out = 1.0
-        for i, n in network.reactions[k].reactants:
-            if i in slow_pos:
-                j = slow_pos[i]
-                if self.discrete_slow[j]:
-                    out *= falling_factorial(s_slow[j], n) * self.pis[i][d] ** n
-                else:
-                    out *= (self.pis[i][d] * s_slow[j]) ** n
-        return out
+        return lambda k, d: totals_factor(network, self.pis, self.splits[k][1], totals, d)
 
-    def slow_position_factor(self, k: int, d: int, v_slow_matrix) -> float:
-        """Slow-reactant factor at actual positions (slow rows x D)."""
+    def positions_form(self, positions):
+        """Slow factor at actual positions (species x compartments)."""
         network = self.model.network
-        slow_pos = {i: j for j, i in enumerate(self.slow_rows)}
-        out = 1.0
-        for i, n in network.reactions[k].reactants:
-            if i in slow_pos:
-                j = slow_pos[i]
-                out *= _mixed_factor(v_slow_matrix[j, d], n, self.discrete_slow[j])
-        return out
+        return lambda k, d: mass_action_value(1.0, self.splits[k][1], network.alphas,
+                                              positions[:, d])
 
     def fast_pi_factor(self, k: int, d: int) -> float:
-        network = self.model.network
-        fast_pos = {i: j for j, i in enumerate(self.fast_rows)}
         out = 1.0
-        for i, n in network.reactions[k].reactants:
-            if i in fast_pos:
-                out *= self.pis[i][d] ** n
+        for j, n in enumerate(self.splits[k][0]):
+            if n:
+                out *= self.pis[self.fast_rows[j]][d] ** n
         return out
 
-    def fast_orders(self, k: int) -> tuple[int, ...]:
-        network = self.model.network
-        fast_pos = {i: j for j, i in enumerate(self.fast_rows)}
-        orders = [0] * len(self.fast_rows)
-        for i, n in network.reactions[k].reactants:
-            if i in fast_pos:
-                orders[fast_pos[i]] = n
-        return tuple(orders)
+    def coefficient(self, k: int, slow_factor, d: int | None) -> float:
+        """Rate constant of reaction k seen by the fast variables: summed
+        over compartments with fast-pi factors (d None, cases 1/2), or of
+        compartment d (cases 3/4)."""
+        if d is None:
+            return sum(self.model.rate_law(k, dd).kappa * self.fast_pi_factor(k, dd)
+                       * slow_factor(k, dd) for dd in range(self.model.n_compartments))
+        return self.model.rate_law(k, d).kappa * slow_factor(k, d)
 
-    def kappa(self, k: int, d: int) -> float:
-        return self.model.rate_law(k, d).kappa
+    # -- the fast tier --------------------------------------------------------
 
-    # -- fast-system structs per case ---------------------------------------
+    def structs(self, slow_factor, d: int | None) -> list[FastReaction]:
+        """The fast reactions at sum level (d None) or in compartment d."""
+        fast = self.classification.fast
+        return [FastReaction(k, self.coefficient(k, slow_factor, d), self.splits[k][0],
+                             tuple(fast.column(k)))
+                for k in sorted(self.classification.k_sets["fast"])]
 
-    def sum_level_structs(self, slow_factor) -> list[FastReaction]:
-        """Cases 1/2: one system over fast totals; the coefficient of each
-        fast reaction sums the per-compartment constants times fast-pi
-        factors times the supplied slow factor (sum- or position-form)."""
-        classification = self.classification
-        out = []
-        for k in sorted(classification.k_sets["fast"]):
-            coeff = 0.0
-            for d in range(self.model.n_compartments):
-                coeff += self.kappa(k, d) * self.fast_pi_factor(k, d) * slow_factor(k, d)
-            out.append(FastReaction(k, coeff, self.fast_orders(k),
-                                    tuple(classification.fast.column(k))))
-        return out
+    def law(self, structs, mode: str, mc: McConfig, conserved=None, values=None):
+        """Stationary law of the fast reactions ``structs``; Monte Carlo
+        simulates them as a mass-action system of the fast variables."""
+        def make_system():
+            rates = {fr.k: partial(mass_action_term, fr.coeff, fr.orders, self.discrete_fast)
+                     for fr in structs}
+            network = self.model.network
+            return tier_system(tuple(network.species[i].name for i in self.fast_rows),
+                               self.classification.fast, rates,
+                               self.classification.k_sets["fast_circ"], rates.get)
 
-    def compartment_structs(self, d: int, slow_factor) -> list[FastReaction]:
-        """Cases 3/4: an independent system per compartment."""
-        classification = self.classification
-        out = []
-        for k in sorted(classification.k_sets["fast"]):
-            coeff = self.kappa(k, d) * slow_factor(k, d)
-            out.append(FastReaction(k, coeff, self.fast_orders(k),
-                                    tuple(classification.fast.column(k))))
-        return out
-
-    # -- stationary measures --------------------------------------------------
-
-    def stationary_from_structs(self, structs, mode: str, mc: McConfig,
-                                conserved: ConservedBasis | None = None,
-                                conserved_values=None) -> StationaryMeasure:
-        constrained = conserved is not None and not conserved.empty
-        if mode in ("auto", "analytic"):
-            if constrained:
-                blocks = detect_conversion_blocks(structs, conserved.vectors,
-                                                  conserved_values, self.discrete_fast)
-                if blocks is not None:
-                    comps = tuple(StationaryComponent("poisson" if dd else "dirac", 0.0)
-                                  for dd in self.discrete_fast)
-                    return StationaryMeasure("product", components=comps, blocks=blocks)
-            else:
-                comps = detect_birth_death(structs, self.discrete_fast)
-                if comps is not None:
-                    return StationaryMeasure("product", components=tuple(comps))
-            if mode == "analytic":
-                raise AnalyticUnavailable(
-                    "no closed-form stationary law for this spatial case")
-        system = self._system_from_structs(structs)
-        if constrained:
-            from .averaging import constrained_start
-            v0 = constrained_start(conserved, conserved_values,
-                                   len(self.fast_rows), self.discrete_fast)
-        else:
-            v0 = np.zeros(len(self.fast_rows))
-        if not system.flows:
-            measure = _empirical_from_jump_paths(system, v0, mc)
-        else:
-            from .averaging import _empirical_from_hybrid, _pointmass_from_flow
-            measure = (_pointmass_from_flow(system, v0, mc) if not system.jumps
-                       else _empirical_from_hybrid(system, v0, mc))
-        measure._discrete_mask = self.discrete_fast
-        return measure
-
-    def _system_from_structs(self, structs) -> HybridSystem:
-        jumps = []
-        flows = []
-        circ = self.classification.k_sets["fast_circ"]
-        for fr in structs:
-            column = np.array(fr.column)
-
-            def rate(v, coeff=fr.coeff, orders=fr.orders):
-                out = coeff
-                for j, n in enumerate(orders):
-                    if n:
-                        out *= _mixed_factor(v[j], n, self.discrete_fast[j])
-                return out
-
-            if fr.k in circ:
-                jumps.append((rate, column.astype(np.int64)))
-            else:
-                flows.append((rate, column.astype(float)))
-        labels = tuple(self.model.network.species[i].name for i in self.fast_rows)
-        return HybridSystem(labels, tuple(jumps), tuple(flows))
-
-    # -- outer slow-position averaging ----------------------------------------
-
-    def slow_position_measure(self, s_slow) -> ProductMeasure:
-        return ProductMeasure(self.slow_rows, s_slow,
-                              [self.pis[i] for i in self.slow_rows],
-                              [self.model.network.species[i].alpha
-                               for i in self.slow_rows])
-
-    def average_over_slow_positions(self, s_slow, g, mc: McConfig,
-                                    support_cap: float = 1_000_000.0):
-        """E over the slow-position product measure of g(v_slow_matrix);
-        g returns (value, se). Exact summation under the support cap."""
-        measure = self.slow_position_measure(s_slow)
-        support = measure.support(cap=support_cap)
-        if support is not None:
-            value = 0.0
-            var = 0.0
-            for positions, prob in support:
-                val, se = g(positions)
-                value += prob * val
-                var += (prob * se) ** 2
-            return value, math.sqrt(var)
-        rng = rng_mod.stream(mc.seed + 7)
-        draws = 2048
-        vals = np.empty(draws)
-        ses = np.empty(draws)
-        for r in range(draws):
-            val, se = g(measure.sample(rng))
-            vals[r] = val
-            ses[r] = se
-        se_outer = vals.std(ddof=1) / math.sqrt(draws)
-        return float(vals.mean()), float(math.hypot(se_outer, ses.mean()))
+        return fast_stationary_law(structs, make_system, self.discrete_fast, mode, mc,
+                                   conserved, values)
 
 
 def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int,
@@ -366,110 +244,68 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
     if case not in (1, 2, 3, 4):
         raise ModelError(f"case must be 1..4, got {case}")
     mc = mc or McConfig()
-    ctx = _SpatialContext.build(classification)
-    constrained = conserved is not None and not conserved.empty
-    ks_needed = sorted(classification.k_sets["fast"] | {k})
-    ctx.require_mass_action(ks_needed)
+    ctx = _SpatialContext.build(classification,
+                                sorted(classification.k_sets["fast"] | {k}))
+    basis = conserved if conserved is not None and not conserved.empty else None
     n_slow = len(ctx.slow_rows)
-    orders_k = ctx.fast_orders(k)
+    n_species = ctx.model.network.n_species
+    nd = ctx.model.n_compartments
+    orders_k = ctx.splits[k][0]
+    sum_level = case in (1, 2)
+
+    def species_indexed(slow_values):
+        out = np.zeros((n_species,) + np.shape(slow_values)[1:])
+        out[list(ctx.slow_rows)] = slow_values
+        return out
+
     kind = "montecarlo"
     if mode in ("auto", "analytic"):
-        # structural probe: closed form available iff detection succeeds
-        probe_slow = np.full(n_slow, 3.0)
-        probe_structs = (ctx.sum_level_structs(
-            lambda kk, d: ctx.slow_sum_factor(kk, d, probe_slow)) if case in (1, 2)
-            else ctx.compartment_structs(
-                0, lambda kk, d: ctx.slow_sum_factor(kk, d, probe_slow)))
-        if constrained:
-            probe_ok = detect_conversion_blocks(
-                probe_structs, conserved.vectors,
-                np.ones(len(conserved.vectors)), ctx.discrete_fast) is not None
-        else:
-            probe_ok = detect_birth_death(probe_structs, ctx.discrete_fast) is not None
-        if probe_ok:
+        probe = ctx.structs(ctx.totals_form(species_indexed(np.full(n_slow, 3.0))),
+                            None if sum_level else 0)
+        n_cons = 0 if basis is None else len(basis.vectors)
+        if closed_form_measure(probe, ctx.discrete_fast, basis,
+                               np.ones(n_cons)) is not None:
             kind = "analytic"
         elif mode == "analytic":
             raise AnalyticUnavailable(
                 f"case {case}: no closed-form stationary law for this fast tier")
-    cache: dict[tuple, tuple[float, float]] = {}
 
-    def coeff_sum_form(kk, s_slow):
-        return sum(ctx.kappa(kk, d) * ctx.fast_pi_factor(kk, d)
-                   * ctx.slow_sum_factor(kk, d, s_slow)
-                   for d in range(ctx.model.n_compartments))
-
-    def conserved_args(reduced):
-        if not constrained:
-            return None, None
-        return conserved, np.asarray(reduced[n_slow:], dtype=float)
+    def fast_average(slow_factor, values):
+        """(E, se) of reaction k over the fast stationary law(s) given the
+        slow factor."""
+        if sum_level:
+            measure = ctx.law(ctx.structs(slow_factor, None), mode, mc, basis, values)
+            return measure.expect_mass_action(ctx.coefficient(k, slow_factor, None),
+                                              orders_k)
+        if basis is None:
+            measures = [ctx.law(ctx.structs(slow_factor, d), mode, mc) for d in range(nd)]
+        else:
+            measures = _case34_conserved(ctx, slow_factor, basis, values)
+        value = 0.0
+        var = 0.0
+        for d, measure in enumerate(measures):
+            val, se = measure.expect_mass_action(ctx.coefficient(k, slow_factor, d),
+                                                 orders_k)
+            value += val
+            var += se ** 2
+        return value, math.sqrt(var)
 
     def evaluate(reduced):
-        reduced = np.asarray(reduced, dtype=float)
-        key = (case, tuple(np.round(reduced, 12)))
-        if key in cache:
-            return cache[key]
         s_slow = reduced[:n_slow]
-        basis, values = conserved_args(reduced)
+        values = None if basis is None else reduced[n_slow:]
+        if case in (1, 3):
+            return fast_average(ctx.totals_form(species_indexed(s_slow)), values)
+        positions = product_measure(ctx.model, s_slow, species=ctx.slow_rows,
+                                    equilibria=[ctx.equilibria[i] for i in ctx.slow_rows])
+        return positions.expect(
+            lambda v_slow: fast_average(ctx.positions_form(species_indexed(v_slow)), values),
+            mc.seed + 7, 2048)
 
-        if case == 1:
-            structs = ctx.sum_level_structs(lambda kk, d: ctx.slow_sum_factor(kk, d, s_slow))
-            measure = ctx.stationary_from_structs(structs, mode, mc, basis, values)
-            out = measure.expect_mass_action(coeff_sum_form(k, s_slow), orders_k)
-        elif case == 2:
-            def g(v_slow_matrix):
-                structs = ctx.sum_level_structs(
-                    lambda kk, d: ctx.slow_position_factor(kk, d, v_slow_matrix))
-                measure = ctx.stationary_from_structs(structs, mode, mc, basis, values)
-                coeff = sum(ctx.kappa(k, d) * ctx.fast_pi_factor(k, d)
-                            * ctx.slow_position_factor(k, d, v_slow_matrix)
-                            for d in range(ctx.model.n_compartments))
-                return measure.expect_mass_action(coeff, orders_k)
-            out = ctx.average_over_slow_positions(s_slow, g, mc)
-        elif case == 3:
-            if constrained:
-                out = _case34_conserved(ctx, k, orders_k, s_slow, None, basis, values,
-                                        mode, mc)
-            else:
-                value = 0.0
-                var = 0.0
-                for d in range(ctx.model.n_compartments):
-                    structs = ctx.compartment_structs(
-                        d, lambda kk, dd: ctx.slow_sum_factor(kk, dd, s_slow))
-                    measure = ctx.stationary_from_structs(structs, mode, mc)
-                    coeff = ctx.kappa(k, d) * ctx.slow_sum_factor(k, d, s_slow)
-                    val, se = measure.expect_mass_action(coeff, orders_k)
-                    value += val
-                    var += se ** 2
-                out = (value, math.sqrt(var))
-        else:  # case 4
-            def g(v_slow_matrix):
-                if constrained:
-                    return _case34_conserved(ctx, k, orders_k, s_slow, v_slow_matrix,
-                                             basis, values, mode, mc)
-                value = 0.0
-                var = 0.0
-                for d in range(ctx.model.n_compartments):
-                    structs = ctx.compartment_structs(
-                        d, lambda kk, dd: ctx.slow_position_factor(kk, dd, v_slow_matrix))
-                    measure = ctx.stationary_from_structs(structs, mode, mc)
-                    coeff = ctx.kappa(k, d) * ctx.slow_position_factor(k, d, v_slow_matrix)
-                    val, se = measure.expect_mass_action(coeff, orders_k)
-                    value += val
-                    var += se ** 2
-                return value, math.sqrt(var)
-            out = ctx.average_over_slow_positions(s_slow, g, mc)
-
-        out = (float(out[0]), float(out[1]))
-        cache[key] = out
-        return out
-
-    return AveragedRate(k, kind, fn=lambda v: evaluate(v)[0],
-                        se=lambda v: evaluate(v)[1], text=None)
+    return memoized_rate(k, kind, evaluate)
 
 
-def _case34_conserved(ctx: _SpatialContext, k, orders_k, s_slow, v_slow_matrix,
-                      basis: ConservedBasis, s_c, mode, mc: McConfig):
-    """Cases 3/4 with conserved fast combinations.
+def _case34_conserved(ctx: _SpatialContext, slow_factor, basis: ConservedBasis, s_c):
+    """Per-compartment fast laws of cases 3/4 with conserved fast combinations.
 
     The per-compartment conserved amounts equilibrate by movement of the
     fast species; their equilibrium is found by alternating (a) the
@@ -481,25 +317,16 @@ def _case34_conserved(ctx: _SpatialContext, k, orders_k, s_slow, v_slow_matrix,
     """
     model = ctx.model
     nd = model.n_compartments
-    n_theta = len(basis.vectors)
     theta = np.array(basis.vectors, dtype=float)
 
-    def slow_factor(kk, d):
-        if v_slow_matrix is None:
-            return ctx.slow_sum_factor(kk, d, s_slow)
-        return ctx.slow_position_factor(kk, d, v_slow_matrix)
-
     def constrained_measure(d, v_c_col):
-        structs = ctx.compartment_structs(d, slow_factor)
-        blocks = detect_conversion_blocks(structs, basis.vectors, v_c_col,
-                                          ctx.discrete_fast)
-        if blocks is None:
+        measure = closed_form_measure(ctx.structs(slow_factor, d), ctx.discrete_fast,
+                                      basis, v_c_col)
+        if measure is None:
             raise CaseUnavailable(
                 "conserved spatial cases 3/4 need the constrained closed form "
                 "(closed unary-conversion blocks)")
-        comps = tuple(StationaryComponent("poisson" if dd else "dirac", 0.0)
-                      for dd in ctx.discrete_fast)
-        return StationaryMeasure("product", components=comps, blocks=blocks)
+        return measure
 
     # fixed point on the (theta x compartment) matrix of conserved amounts
     v_c = np.outer(np.asarray(s_c, dtype=float), np.full(nd, 1.0 / nd))
@@ -522,13 +349,4 @@ def _case34_conserved(ctx: _SpatialContext, k, orders_k, s_slow, v_slow_matrix,
             break
     if not converged:
         raise CaseUnavailable("conserved-movement fixed point did not converge")
-
-    value = 0.0
-    var = 0.0
-    for d in range(nd):
-        measure = constrained_measure(d, v_c[:, d])
-        coeff = ctx.kappa(k, d) * slow_factor(k, d)
-        val, se = measure.expect_mass_action(coeff, orders_k)
-        value += val
-        var += se ** 2
-    return value, math.sqrt(var)
+    return [constrained_measure(d, v_c[:, d]) for d in range(nd)]

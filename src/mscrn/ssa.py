@@ -322,6 +322,17 @@ class EnsembleStats:
     quantiles: dict        # q -> (n_obs, n_grid)
     replicas: int
 
+    @classmethod
+    def from_samples(cls, grid, observables, samples: np.ndarray,
+                     quantiles=(0.1, 0.5, 0.9)) -> "EnsembleStats":
+        """Summarize ``samples`` of shape (replicas, observables, grid)."""
+        replicas = samples.shape[0]
+        mean = samples.mean(axis=0)
+        variance = samples.var(axis=0, ddof=1) if replicas > 1 else np.zeros_like(mean)
+        qs = {q: np.quantile(samples, q, axis=0) for q in quantiles}
+        return cls(grid=grid, observables=tuple(observables), mean=mean,
+                   variance=variance, quantiles=qs, replicas=replicas)
+
     def standard_error(self) -> np.ndarray:
         return np.sqrt(self.variance / self.replicas)
 
@@ -389,9 +400,4 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
             traj = simulator(cfg, stream)
         flat = traj.states.reshape(len(traj.times), -1)
         samples[r] = weights @ flat.T
-
-    mean = samples.mean(axis=0)
-    variance = samples.var(axis=0, ddof=1) if replicas > 1 else np.zeros_like(mean)
-    qs = {q: np.quantile(samples, q, axis=0) for q in quantiles}
-    return EnsembleStats(grid=grid, observables=labels, mean=mean,
-                         variance=variance, quantiles=qs, replicas=replicas)
+    return EnsembleStats.from_samples(grid, labels, samples, quantiles)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from mscrn.averaging import (McConfig, StationaryComponent, averaged_rate_three_scale,
-                             averaged_rate_two_scale, movement_equilibrium,
-                             product_measure, stationary_fast)
+from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryComponent,
+                             averaged_rate_three_scale, averaged_rate_two_scale,
+                             movement_equilibrium, product_measure, stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import (AnalyticUnavailable, NonErgodicSuspected,
                           ReducibleChainError)
@@ -290,3 +290,38 @@ def test_three_scale_middle_empty_delegates(ab_doc):
     c = classify(ab_doc.model, ab_doc.scaling)
     rate = averaged_rate_three_scale(c, 0)
     assert rate([1.0]) == pytest.approx(0.5)
+
+
+def test_state_memo_bounded_and_stable():
+    calls = []
+
+    def fn(state):
+        calls.append(float(state[0]))
+        return float(state[0]) ** 2
+
+    memo = StateMemo(fn)
+    for x in range(MEMO_SIZE + 40):
+        assert memo(np.array([float(x)])) == float(x) ** 2
+    assert len(memo.entries) == MEMO_SIZE
+    # the oldest state was evicted and is recomputed to the same value
+    assert memo(np.array([0.0])) == 0.0
+    assert calls.count(0.0) == 2
+    assert len(memo.entries) == MEMO_SIZE
+
+
+def test_rate_and_se_share_one_estimate(ab_doc, monkeypatch):
+    from mscrn import averaging
+    runs = []
+    original = averaging.montecarlo_measure
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "montecarlo_measure", counted)
+    c = classify(ab_doc.model, ab_doc.scaling)
+    rate = averaged_rate_two_scale(c, 0, mode="montecarlo",
+                                   mc=McConfig(budget=1000, seed=2))
+    rate([0.7])
+    rate.standard_error([0.7])
+    assert len(runs) == 1

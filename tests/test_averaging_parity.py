@@ -1,0 +1,160 @@
+"""Averaged rates, their standard errors and reduced-model texts pinned
+to values recorded before the fast stationary law had one home.
+
+Every averaging path is covered at two or three reduced states with
+small fixed Monte Carlo budgets: two-scale closed form and Monte Carlo,
+constrained closed form and Monte Carlo, three scales, the four spatial
+cases in both modes, the conserved spatial cases, the single-scale
+spatial path for expression laws (exact sum and sampled), and the
+``serialize_reduced`` text of every fixture that reduces. The recorded
+values in ``averaging_parity.json`` were produced at commit 00010b5 by
+
+    PYTHONPATH=src python tests/test_averaging_parity.py > tests/averaging_parity.json
+
+and every value and standard error must still match to 1e-12 relative.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mscrn.averaging import McConfig, averaged_rate_three_scale, averaged_rate_two_scale
+from mscrn.classify import classify, conserved_basis
+from mscrn.errors import MscrnError
+from mscrn.parser import parse_document
+from mscrn.reduce import build_reduced_model, serialize_reduced
+from mscrn.spatial_cases import averaged_rate_single_scale, averaged_rate_spatial
+
+sys.path.insert(0, str(Path(__file__).parent))
+import conftest as fx  # noqa: E402
+
+RECORD = Path(__file__).with_name("averaging_parity.json")
+REL = 1e-12
+
+# Expression law on two discrete species over two compartments: the
+# position support is small at totals (3, 4) and summed exactly, and
+# beyond the 1e6 cap at (1500, 1500), where it is sampled.
+SPATIAL_EXPR_TEXT = """\
+species A alpha=0 eta=1
+species B alpha=0 eta=1
+compartments d1 d2
+reaction A + B -> 0 @ expr 0.3*A*B + A^2 beta=0
+move A from d1 to d2 rate 1
+move A from d2 to d1 rate 2
+move B from d1 to d2 rate 1
+move B from d2 to d1 rate 1
+"""
+
+FIXTURES = {
+    "gene": fx.GENE_TEXT, "ab": fx.AB_TEXT, "spatial_ab": fx.SPATIAL_AB_TEXT,
+    "spatial_ab_homog": fx.SPATIAL_AB_HOMOGENEOUS_TEXT,
+    "conserved": fx.CONSERVED_TEXT, "three_scale": fx.THREE_SCALE_TEXT,
+    "movement": fx.MOVEMENT_TEXT, "spatial_conserved": fx.SPATIAL_CONSERVED_TEXT,
+    "spatial_gene": fx.SPATIAL_GENE_TEXT,
+}
+
+
+def _classified(text):
+    doc = parse_document(text)
+    return doc, classify(doc.model, doc.scaling)
+
+
+def _record(out, label, rate, states):
+    for state in states:
+        out[f"{label}@{state}"] = [float(rate(state)), float(rate.standard_error(state))]
+
+
+def compute() -> dict:
+    out = {}
+
+    _, ab = _classified(fx.AB_TEXT)
+    _record(out, "ab.analytic", averaged_rate_two_scale(ab, 0), ([0.3], [1.0], [2.5]))
+    _record(out, "ab.montecarlo",
+            averaged_rate_two_scale(ab, 0, mode="montecarlo",
+                                    mc=McConfig(budget=2000, seed=3)),
+            ([0.5], [2.0]))
+
+    _, cons = _classified(fx.CONSERVED_TEXT)
+    basis = conserved_basis(cons)
+    for k in (2, 3, 4):
+        _record(out, f"conserved.analytic.k{k}",
+                averaged_rate_two_scale(cons, k, conserved=basis),
+                ([0.0, 3.0], [1.0, 5.0]))
+        _record(out, f"conserved.montecarlo.k{k}",
+                averaged_rate_two_scale(cons, k, mode="montecarlo", conserved=basis,
+                                        mc=McConfig(budget=2000, seed=5)),
+                ([0.0, 3.0], [1.0, 5.0]))
+
+    _, three = _classified(fx.THREE_SCALE_TEXT)
+    _record(out, "three.auto",
+            averaged_rate_three_scale(three, 4, mc=McConfig(budget=3000, seed=5)),
+            ([1.0], [2.0]))
+    _record(out, "three.montecarlo",
+            averaged_rate_three_scale(three, 4, mode="montecarlo",
+                                      mc=McConfig(budget=400, seed=5)),
+            ([1.0],))
+
+    _, sab = _classified(fx.SPATIAL_AB_TEXT)
+    for case in (1, 2, 3, 4):
+        _record(out, f"spatial_ab.case{case}.analytic",
+                averaged_rate_spatial(sab, case, 0, mode="analytic"), ([0.5], [2.0]))
+        _record(out, f"spatial_ab.case{case}.montecarlo",
+                averaged_rate_spatial(sab, case, 0, mode="montecarlo",
+                                      mc=McConfig(budget=1500, seed=11)),
+                ([0.5], [2.0]))
+
+    _, scons = _classified(fx.SPATIAL_CONSERVED_TEXT)
+    sbasis = conserved_basis(scons)
+    for case in (1, 2, 3, 4):
+        for k in (2, 3, 4):
+            _record(out, f"spatial_conserved.case{case}.k{k}",
+                    averaged_rate_spatial(scons, case, k, conserved=sbasis),
+                    ([0.0, 3.0], [2.0, 4.0]))
+    for case in (1, 3):
+        _record(out, f"spatial_conserved.case{case}.montecarlo",
+                averaged_rate_spatial(scons, case, 4, conserved=sbasis, mode="montecarlo",
+                                      mc=McConfig(budget=1500, seed=13)),
+                ([0.0, 3.0], [2.0, 4.0]))
+
+    expr = parse_document(SPATIAL_EXPR_TEXT)
+    _record(out, "single_scale.expression",
+            averaged_rate_single_scale(expr.model, expr.scaling, 0, mc=McConfig(seed=17)),
+            ([3.0, 4.0], [1500.0, 1500.0]))
+
+    for name, text in FIXTURES.items():
+        doc = parse_document(text)
+        init = doc.initial_scaled()
+        base = None if init is None else (init.sum(axis=1) if init.ndim == 2 else init)
+        for mode in ("auto", "montecarlo"):
+            try:
+                reduced = build_reduced_model(doc.model, doc.scaling, mode=mode, base=base)
+                out[f"reduce.{name}.{mode}"] = serialize_reduced(reduced)
+            except MscrnError as exc:
+                out[f"reduce.{name}.{mode}"] = f"error {type(exc).__name__}"
+    return out
+
+
+def _mismatch(got, want) -> bool:
+    if isinstance(want, str):
+        return got != want
+    return any(g != w if math.isinf(w) else g != pytest.approx(w, rel=REL, abs=0.0)
+               for g, w in zip(got, want))
+
+
+def test_every_path_matches_record():
+    with open(RECORD) as fh:
+        recorded = json.load(fh)
+    computed = compute()
+    assert sorted(computed) == sorted(recorded)
+    bad = {key: (computed[key], want) for key, want in recorded.items()
+           if _mismatch(computed[key], want)}
+    assert not bad
+
+
+if __name__ == "__main__":
+    json.dump(compute(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -126,3 +126,14 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
                     "reaction B -> 0 @ mass-action kappa=1 beta=1\n"
                     "init A 1\n")
     assert cli(["reduce", str(path), "--mode", "analytic"]) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["avg-rates", "--var", "A", "--values", "x"],
+    ["avg-rates", "--var", "A", "--values", "1", "--fix", "B"],
+    ["simulate", "--t-end", "1", "--grid", "0.5,a"],
+    ["verify", "--N", "10,x"],
+])
+def test_malformed_list_argument_exit_1(model_file, args, capsys):
+    assert cli([args[0], model_file] + args[1:]) == 1
+    assert "Traceback" not in capsys.readouterr().err
