@@ -9,6 +9,7 @@ checked at evaluation time, not statically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ParseError, RateEvaluationError
@@ -166,35 +167,60 @@ def variables(node: Node) -> set[str]:
     return variables(node.left) | variables(node.right)
 
 
-def evaluate(node: Node, env) -> float:
-    """Evaluate; raises RateEvaluationError on a non-finite subresult."""
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": operator.pow}
+
+
+def compile_expression(node: Node, reader):
+    """Compile ``node`` once into a function of a state.
+
+    ``reader(name)`` returns the function that reads symbol ``name``
+    from the state, or None for an unknown symbol (which raises
+    RateEvaluationError when evaluated). Each binary operation raises
+    RateEvaluationError on failure or on a non-finite result. Operands
+    are evaluated left then right, so the values equal those of a walk
+    over the tree bit for bit.
+    """
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda state: value
     if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise RateEvaluationError(f"unknown symbol {node.name!r}")
+        read = reader(node.name)
+        if read is None:
+            name = node.name
+
+            def unknown(state):
+                raise RateEvaluationError(f"unknown symbol {name!r}")
+            return unknown
+        return read
     if isinstance(node, Neg):
-        return -evaluate(node.operand, env)
-    left = evaluate(node.left, env)
-    right = evaluate(node.right, env)
-    try:
-        if node.op == "+":
-            out = left + right
-        elif node.op == "-":
-            out = left - right
-        elif node.op == "*":
-            out = left * right
-        elif node.op == "/":
-            out = left / right
-        else:
-            out = left ** right
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise RateEvaluationError(f"expression failed: {exc}")
-    if isinstance(out, complex) or not math.isfinite(out):
-        raise RateEvaluationError("expression produced a non-finite value")
-    return out
+        operand = compile_expression(node.operand, reader)
+        return lambda state: -operand(state)
+    left = compile_expression(node.left, reader)
+    right = compile_expression(node.right, reader)
+    op = _OPS[node.op]
+
+    def binop(state):
+        a = left(state)
+        b = right(state)
+        try:
+            out = op(a, b)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise RateEvaluationError(f"expression failed: {exc}")
+        if isinstance(out, complex) or not math.isfinite(out):
+            raise RateEvaluationError("expression produced a non-finite value")
+        return out
+
+    return binop
+
+
+def evaluate(node: Node, env) -> float:
+    """Evaluate over a name -> value mapping; raises RateEvaluationError
+    on an unknown symbol or a non-finite subresult."""
+    def reader(name):
+        return (lambda state: state[name]) if name in env else None
+
+    return compile_expression(node, reader)(env)
 
 
 def to_text(node: Node) -> str:

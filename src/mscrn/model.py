@@ -391,12 +391,18 @@ def _compile_law(network: Network, reaction: Reaction, law: RateLaw):
 
         return rate
 
-    names = [s.name for s in network.species]
-    ast = law.ast
+    index = network.index
 
-    def rate(values, names=names, ast=ast):
-        env = {name: values[i] for i, name in enumerate(names)}
-        out = expressions.evaluate(ast, env)
+    def reader(name):
+        if name not in index:
+            return None
+        i = index[name]
+        return lambda values: values[i]
+
+    law_fn = expressions.compile_expression(law.ast, reader)
+
+    def rate(values):
+        out = law_fn(values)
         if out < 0:
             raise RateEvaluationError(f"expression rate is negative: {out}")
         return out

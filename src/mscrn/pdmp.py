@@ -6,6 +6,9 @@ drift with an embedded Cash-Karp 5(4) pair while accumulating the
 integrated jump hazard as an extra coordinate; a jump fires when the
 hazard crosses an Exp(1) threshold, located by bisection over the step.
 This avoids thinning bounds, which unbounded rates cannot supply.
+Without flows the rates are constant between jumps, and the exact
+direct method of the stochastic engine (:func:`ssa.direct_method`) runs
+instead.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import (EventCapExceeded, MissingRates, ModelError, NegativeRate,
                      OdeStepFailure)
-from .ssa import EnsembleStats, Trajectory
+from .ssa import EnsembleStats, Trajectory, direct_method
 
 # Cash-Karp tableau
 _C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -136,51 +139,32 @@ def simulate_pdmp(system: HybridSystem, v0, t_end: float, seed: int = 0,
 
 def _simulate_pure_jump(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
                         max_events):
-    """Rates are constant between jumps, so the direct method is exact."""
-    rand = rng_mod.Buffered(rng)
-    t = 0.0
-    grid_pos = 0
-    n_events = 0
-    while True:
+    """Rates are constant between jumps, so the direct method is exact.
+    The rate functions are opaque, so every jump refreshes every rate."""
+    rate_fns = [rate_fn for rate_fn, _ in system.jumps]
+    # nonzero entries of each jump; the state starts nonnegative, so only
+    # a decreasing coordinate can leave the orthant
+    changes = [[(i, c) for i, c in enumerate(np.asarray(vec).tolist()) if c]
+               for _, vec in system.jumps]
+    prop = []
+
+    def refresh(_chosen=None):
         state_view = _eval_state(v, cfg.abs_tol)
-        rates = [rate_fn(state_view) for rate_fn, _ in system.jumps]
+        rates = [rate_fn(state_view) for rate_fn in rate_fns]
         for i, r in enumerate(rates):
             if r < 0 or not math.isfinite(r):
                 raise NegativeRate(f"jump rate {i} evaluated to {r}")
-        total = sum(rates)
-        if total <= 0.0:
-            break
-        dt = rand.exponential() / total
-        t_next = t + dt
-        if t_next > t_end:
-            break
-        if grid is not None:
-            while grid_pos < len(grid) and grid[grid_pos] <= t_next:
-                snapshot(float(grid[grid_pos]))
-                grid_pos += 1
-        t = t_next
-        u = rand.uniform() * total
-        acc = 0.0
-        chosen = len(rates) - 1
-        for i, r in enumerate(rates):
-            acc += r
-            if u < acc:
-                chosen = i
-                break
-        v += system.jumps[chosen][1]
-        if v.min() < 0:
-            raise NegativeRate("jump left the nonnegative orthant")
-        counts[chosen] += 1
-        n_events += 1
-        if log is not None:
-            snapshot(t)
-            log.append((t, chosen))
-        if n_events >= max_events:
-            raise EventCapExceeded(f"exceeded {max_events} jump events at t={t}")
-    if grid is not None:
-        while grid_pos < len(grid):
-            snapshot(float(grid[grid_pos]))
-            grid_pos += 1
+        prop[:] = rates
+
+    def fire(chosen):
+        for i, c in changes[chosen]:
+            v[i] += c
+            if c < 0 and v[i] < 0:
+                raise NegativeRate("jump left the nonnegative orthant")
+
+    refresh()
+    counts[:] = direct_method(prop, fire, refresh, rng_mod.Buffered(rng), t_end, grid,
+                              snapshot, log, max_events)
 
 
 def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,

@@ -6,16 +6,29 @@ per reaction (plus N^(eta_i+gamma) lambda_M x for movement events), and
 draws events with the direct method: exponential waiting time at the
 total rate, then a proportional channel choice. Scaled views are
 produced on output, so no drift accumulates in N^-alpha arithmetic.
+
+The propensities live in a list kept current through a dependency graph
+(Gibson & Bruck 2000; the optimized direct method of Cao, Li & Petzold
+2004): each channel reads a set of raw counts, and after channel c fires
+only the channels whose read set meets c's state change are recomputed.
+A spatial event changes at most two compartments, so an event costs a
+handful of propensity evaluations however many compartments there are.
+The running total and the channel choice come from a left-to-right
+cumulative sum, so the output equals a full recompute bit for bit.
+:func:`direct_method` is the one event loop; the pure-jump hybrid engine
+runs on it too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from . import expressions
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, RateEvaluationError
 from .model import (MassAction, Model, Network, ScalingSpec, SpatialModel,
@@ -70,25 +83,38 @@ class Trajectory:
         return self.states
 
 
-class _CompiledChannel:
-    """One event channel: a propensity function of the raw count vector
-    and an integer state delta."""
+class _Channel:
+    """One event channel: a propensity function of the raw count vector,
+    the flat indices it reads, and its integer state delta."""
 
-    __slots__ = ("kind", "ident", "prefactor", "terms", "expr_fn", "delta")
+    __slots__ = ("kind", "ident", "propensity", "reads", "delta")
 
-    def __init__(self, kind, ident, prefactor, terms, expr_fn, delta):
+    def __init__(self, kind, ident, propensity, reads, delta):
         self.kind = kind              # 'reaction' | 'movement'
         self.ident = ident            # (k, d) or (i, d1, d2); d is None nonspatially
-        self.prefactor = prefactor
-        self.terms = terms            # ((flat_index, order, discrete), ...)
-        self.expr_fn = expr_fn
+        self.propensity = propensity
+        self.reads = reads            # flat indices of the counts read
         self.delta = delta            # ((flat_index, change), ...)
 
-    def propensity(self, x) -> float:
-        if self.expr_fn is not None:
-            return self.expr_fn(x)
-        out = self.prefactor
-        for idx, order, discrete in self.terms:
+
+def _mass_action(prefactor, terms):
+    """Propensity of ``prefactor`` times each (flat index, order,
+    discrete) term: a falling factorial of a discrete count (zero below
+    the order), a power of a continuous one. Unit orders, the common
+    case, multiply the counts directly: the falling factorial of order 1
+    is the count itself, and a zero count gives zero either way."""
+    if all(order == 1 for _, order, _ in terms) and len(terms) <= 2:
+        if not terms:
+            return lambda x: prefactor
+        if len(terms) == 1:
+            (i, _, _), = terms
+            return lambda x: prefactor * x[i]
+        (i, _, _), (j, _, _) = terms
+        return lambda x: prefactor * x[i] * x[j]
+
+    def propensity(x):
+        out = prefactor
+        for idx, order, discrete in terms:
             value = x[idx]
             if discrete:
                 if value < order:
@@ -102,14 +128,37 @@ class _CompiledChannel:
                     out *= value ** order
         return out
 
+    return propensity
 
-def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_CompiledChannel]:
+
+def _expression(ast, scale, nd, d, index, time_factor):
+    """Propensity of an expression law in compartment d, compiled once
+    over the raw counts: symbol i reads ``scale[i] * x[i * nd + d]``."""
+    def reader(name):
+        if name not in index:
+            return None
+        flat, factor = index[name] * nd + d, scale[index[name]]
+        return lambda x: factor * x[flat]
+
+    law = expressions.compile_expression(ast, reader)
+
+    def propensity(x):
+        value = law(x)
+        if value < 0:
+            raise RateEvaluationError(f"negative expression rate {value}")
+        return time_factor * value
+
+    return propensity
+
+
+def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Channel]:
     spatial = isinstance(model, SpatialModel)
     network = model.network if spatial else model
     nd = model.n_compartments if spatial else 1
     gamma = scaling.gamma
     alphas = network.alphas
-    channels: list[_CompiledChannel] = []
+    scale = [float(N) ** float(-alphas[i]) for i in range(network.n_species)]
+    channels: list[_Channel] = []
 
     def flat(i, d):
         return i * nd + d
@@ -138,23 +187,16 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Com
                     else:
                         prefactor *= float(N) ** float(-alphas[i] * n)
                         terms.append((flat(i, d), n, False))
-                channels.append(_CompiledChannel("reaction", ident, prefactor,
-                                                 tuple(terms), None, delta))
+                channels.append(_Channel("reaction", ident, _mass_action(prefactor, tuple(terms)),
+                                         tuple(idx for idx, _, _ in terms), delta))
             else:
-                from . import expressions
-                scale = [float(N) ** float(-alphas[i]) for i in range(network.n_species)]
-                names = [s.name for s in network.species]
-                ast = law.ast
-
-                def expr_fn(x, scale=scale, names=names, ast=ast, d=d,
-                            tf=time_factor, nd=nd, ns=network.n_species):
-                    env = {names[i]: scale[i] * x[i * nd + d] for i in range(ns)}
-                    value = expressions.evaluate(ast, env)
-                    if value < 0:
-                        raise RateEvaluationError(f"negative expression rate {value}")
-                    return tf * value
-
-                channels.append(_CompiledChannel("reaction", ident, 0.0, (), expr_fn, delta))
+                reads = tuple(sorted(flat(network.index[name], d)
+                                     for name in expressions.variables(law.ast)
+                                     if name in network.index))
+                channels.append(_Channel("reaction", ident,
+                                         _expression(law.ast, scale, nd, d, network.index,
+                                                     time_factor),
+                                         reads, delta))
 
     if spatial:
         for i, s in enumerate(network.species):
@@ -169,10 +211,85 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Com
                             f"species {s.name} moves but has no movement exponent eta")
                     prefactor = float(N) ** float(eta + gamma) * rate
                     delta = ((flat(i, d1), -1), (flat(i, d2), 1))
-                    terms = ((flat(i, d1), 1, True),)
-                    channels.append(_CompiledChannel("movement", (i, d1, d2),
-                                                     prefactor, terms, None, delta))
+                    channels.append(_Channel("movement", (i, d1, d2),
+                                             _mass_action(prefactor, ((flat(i, d1), 1, True),)),
+                                             (flat(i, d1),), delta))
     return channels
+
+
+class _Compiled:
+    """The event channels of one (model, scaling, N) and their
+    dependency graph, built once and shared by every replica.
+
+    ``dependents[c]`` lists, in channel order, the channels whose read
+    set meets the state change of channel c: the only propensities an
+    event of c can move.
+    """
+
+    def __init__(self, model: Model, scaling: ScalingSpec, N: float):
+        channels = _compile_channels(model, scaling, N)
+        readers: dict[int, list[int]] = {}
+        for c, channel in enumerate(channels):
+            for idx in channel.reads:
+                readers.setdefault(idx, []).append(c)
+        self.propensities = [c.propensity for c in channels]
+        self.deltas = [c.delta for c in channels]
+        self.dependents = [tuple(sorted({r for idx, _ in c.delta for r in readers.get(idx, ())}))
+                           for c in channels]
+        self.ids = tuple((c.kind, c.ident) for c in channels)
+
+
+def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: float,
+                  grid, snapshot, log: list | None, max_events: int) -> list[int]:
+    """The direct-method event loop (Gillespie 1977) from t = 0 to
+    ``t_end``; returns the number of events per channel.
+
+    ``prop`` holds every channel's current propensity (nonnegative).
+    Each event draws an exponential waiting time at the total rate and a
+    uniform channel choice from the left-to-right cumulative sum. After
+    channel c is chosen, ``fire(c)`` applies its state change; once the
+    event is recorded and counted, ``refresh(c)`` rewrites the entries of
+    ``prop`` the change can move. ``snapshot(t)`` records the state at
+    each ``grid`` time passed and, when ``log`` is a list, after every
+    event, whose (time, channel) pair is appended to ``log``. Raises
+    EventCapExceeded at ``max_events`` events.
+    """
+    last = len(prop) - 1
+    counts = [0] * len(prop)
+    grid = [] if grid is None else np.asarray(grid, dtype=float).tolist()
+    n_grid = len(grid)
+    grid_pos = 0
+    n_events = 0
+    t = 0.0
+    while prop:
+        cum = list(accumulate(prop))
+        total = cum[-1]
+        if total <= 0.0:
+            break
+        t_next = t + rand.exponential() / total
+        if t_next > t_end:
+            break
+        # record grid points passed before this event fires
+        while grid_pos < n_grid and grid[grid_pos] <= t_next:
+            snapshot(grid[grid_pos])
+            grid_pos += 1
+        t = t_next
+        chosen = bisect_right(cum, rand.uniform() * total)
+        if chosen > last:
+            chosen = last
+        fire(chosen)
+        counts[chosen] += 1
+        n_events += 1
+        if log is not None:
+            snapshot(t)
+            log.append((t, chosen))
+        if n_events >= max_events:
+            raise EventCapExceeded(f"exceeded {max_events} events at t={t}")
+        refresh(chosen)
+    while grid_pos < n_grid:
+        snapshot(grid[grid_pos])
+        grid_pos += 1
+    return counts
 
 
 def _raw_initial(model: Model, scaling: ScalingSpec, config: SimulationConfig,
@@ -215,16 +332,16 @@ def simulate_spatial(model: SpatialModel, scaling: ScalingSpec, config: Simulati
 
 
 def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
-              x0: State, rng: np.random.Generator | None = None) -> Trajectory:
+              x0: State, rng: np.random.Generator | None = None,
+              compiled: _Compiled | None = None) -> Trajectory:
     if x0 is None:
         raise ModelError("simulation needs an initial state")
     spatial = isinstance(model, SpatialModel)
     network = model.network if spatial else model
     nd = model.n_compartments if spatial else 1
-    channels = _compile_channels(model, scaling, config.N)
+    if compiled is None:
+        compiled = _Compiled(model, scaling, config.N)
     x = _raw_initial(model, scaling, config, x0).tolist()
-    n_channels = len(channels)
-    counts = [0] * n_channels
     rand = rng_mod.Buffered(rng if rng is not None else rng_mod.stream(config.seed))
     alpha_pow = config.N ** np.array([float(a) for a in network.alphas])
     divisor = alpha_pow[:, None] if nd > 1 else alpha_pow
@@ -251,61 +368,30 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
             values = values.reshape(len(alpha_pow), nd)
         states.append(values / divisor)
 
-    grid_pos = 0
     if event_mode:
         snapshot(0.0)
 
-    t = 0.0
-    prop = [0.0] * n_channels
-    n_events = 0
-    while True:
-        total = 0.0
-        for c in range(n_channels):
-            p = channels[c].propensity(x)
-            prop[c] = p
-            total += p
-        if total <= 0.0:
-            break
-        dt = rand.exponential() / total
-        t_next = t + dt
-        if t_next > config.t_end:
-            break
-        # record grid points passed before this event fires
-        if grid is not None:
-            while grid_pos < len(grid) and grid[grid_pos] <= t_next:
-                snapshot(float(grid[grid_pos]))
-                grid_pos += 1
-        t = t_next
-        u = rand.uniform() * total
-        acc = 0.0
-        chosen = n_channels - 1
-        for c in range(n_channels):
-            acc += prop[c]
-            if u < acc:
-                chosen = c
-                break
-        for idx, change in channels[chosen].delta:
-            x[idx] += change
-        counts[chosen] += 1
-        n_events += 1
-        if event_mode:
-            snapshot(t)
-            log.append((t, chosen))
-        if n_events >= config.max_events:
-            raise EventCapExceeded(f"exceeded {config.max_events} events at t={t}")
+    propensities, deltas, dependents = (compiled.propensities, compiled.deltas,
+                                        compiled.dependents)
+    prop = [p(x) for p in propensities]
 
-    if grid is not None:
-        while grid_pos < len(grid):
-            snapshot(float(grid[grid_pos]))
-            grid_pos += 1
+    def fire(c):
+        for idx, change in deltas[c]:
+            x[idx] += change
+
+    def refresh(c):
+        for j in dependents[c]:
+            prop[j] = propensities[j](x)
+
+    counts = direct_method(prop, fire, refresh, rand, config.t_end, grid, snapshot, log,
+                           config.max_events)
     if not times:
         snapshot(0.0)
 
-    channel_ids = tuple((c.kind, c.ident) for c in channels)
     return Trajectory(times=np.array(times),
                       states=np.array(states),
                       event_counts=np.array(counts, dtype=np.int64),
-                      channels=channel_ids,
+                      channels=compiled.ids,
                       t_end=config.t_end,
                       final_state=_scaled_view(network, nd, config.N, np.array(x, dtype=float)),
                       event_log=log)
@@ -373,7 +459,8 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     """Replicated simulation with deterministic stream splitting.
 
     Replica r draws from the stream derived from (seed, r); identical
-    inputs give bit-identical statistics regardless of scheduling.
+    inputs give bit-identical statistics regardless of scheduling. The
+    channels and their dependency graph are built once for all replicas.
     ``observables`` is either a list of observable specs (see
     :func:`observable_weights`) or a precomputed (labels, weights) pair.
     """
@@ -391,11 +478,12 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
         labels, weights = observable_weights(model, observables)
 
     samples = np.empty((replicas, len(labels), len(grid)))
+    compiled = _Compiled(model, scaling, config.N) if simulator is None else None
     for r in range(replicas):
         cfg = SimulationConfig(config.N, config.t_end, config.seed, grid, config.max_events)
         stream = rng_mod.stream(config.seed, r)
         if simulator is None:
-            traj = _simulate(model, scaling, cfg, x0, rng=stream)
+            traj = _simulate(model, scaling, cfg, x0, rng=stream, compiled=compiled)
         else:
             traj = simulator(cfg, stream)
         flat = traj.states.reshape(len(traj.times), -1)

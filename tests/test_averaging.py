@@ -10,12 +10,13 @@ import pytest
 from scipy import stats as sps
 
 from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryComponent,
-                             averaged_rate_three_scale, averaged_rate_two_scale,
-                             movement_equilibrium, product_measure, stationary_fast)
+                             StationaryMeasure, averaged_rate_three_scale,
+                             averaged_rate_two_scale, mass_action_term, stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import (AnalyticUnavailable, NonErgodicSuspected,
                           ReducibleChainError)
 from mscrn.parser import parse_document, parse_model
+from mscrn.spatial_cases import movement_equilibrium, product_measure
 
 
 def test_movement_equilibrium_two_state(movement_doc):
@@ -325,3 +326,27 @@ def test_rate_and_se_share_one_estimate(ab_doc, monkeypatch):
     rate([0.7])
     rate.standard_error([0.7])
     assert len(runs) == 1
+
+
+def test_empirical_mass_action_matches_per_state_loop():
+    # the array form of expect_mass_action over stored samples equals the
+    # per-state loop bit for bit: falling factorials of discrete
+    # variables (zero below the order), powers of continuous ones, empty
+    # and uneven batches
+    rng = np.random.default_rng(4)
+    batches = []
+    for size in (7, 0, 12, 1, 30):
+        states = zip(rng.integers(0, 5, size).astype(float), rng.random(size) * 3,
+                     rng.integers(0, 3, size).astype(float))
+        batches.append({tuple(z): float(w) for z, w in zip(states, rng.random(size))})
+    measure = StationaryMeasure("empirical", batches=batches, ess=50, dim=3,
+                                discrete=[True, False, True])
+    for coeff, orders in ((1.7, [2, 2, 1]), (0.3, [0, 3, 0]), (2.0, [0, 0, 0]),
+                          (1.0, [1, 1, 4])):
+        value, se = measure.expect_mass_action(coeff, orders)
+        want, want_se = measure.expect(
+            lambda z: mass_action_term(coeff, np.asarray(orders), measure.discrete, z))
+        assert (value, se) == (want, want_se)
+    with pytest.raises(NonErgodicSuspected):
+        StationaryMeasure("empirical", batches=[{}, {}], ess=0, dim=1,
+                          discrete=[True]).expect_mass_action(1.0, [1])

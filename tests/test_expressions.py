@@ -63,3 +63,25 @@ def test_polynomial_rejects_division_by_variable():
     # but division by a bound symbol is fine
     node = parse_expression("x/k")
     assert as_polynomial(node, ["x"], {"k": 2.0}) == {(1,): 0.5}
+
+
+def test_compiled_matches_python_arithmetic_bit_for_bit():
+    # the compiled closure reads symbols from a vector; its values equal
+    # Python's own evaluation of the same source exactly
+    index = {"a": 0, "b": 1, "c": 2}
+    x = [0.7, 3.0, 1e-3]
+
+    def reader(name):
+        return (lambda v, i=index[name]: v[i]) if name in index else None
+
+    for src in ["2*a/(1+a) - -b", "a^2^0.5 + c/b", "-a^2*b - c", "0.1+0.2+a*3.3",
+                "(a + b) * (a - c) / (b ^ 3)"]:
+        fn = expressions.compile_expression(parse_expression(src), reader)
+        want = eval(src.replace("^", "**"), {}, dict(zip(index, x)))
+        assert fn(x) == want, src
+    unknown = expressions.compile_expression(parse_expression("a + z"), reader)
+    with pytest.raises(RateEvaluationError, match="unknown symbol 'z'"):
+        unknown(x)
+    for bad in ["a/(b-3)", "(0-a)^0.5", "b^1e4"]:
+        with pytest.raises(RateEvaluationError):
+            expressions.compile_expression(parse_expression(bad), reader)(x)

@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as sps
 
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import MissingRates, NegativeRate
+from mscrn.errors import EventCapExceeded, MissingRates, NegativeRate
 from mscrn.model import State
 from mscrn.pdmp import (HybridSystem, OdeConfig, build_limit_system,
                         simulate_conditional_fast, simulate_pdmp)
@@ -88,6 +88,18 @@ def test_negative_rate_aborts():
     system = HybridSystem(("X",), (), ((lambda v: 1.0, np.array([-1.0])),))
     with pytest.raises(NegativeRate):
         simulate_pdmp(system, [0.05], t_end=10.0, seed=0)
+
+
+@pytest.mark.parametrize("rate, jump, error", [
+    (lambda v: 1.0, -1, NegativeRate),              # leaves the orthant
+    (lambda v: -1.0, 1, NegativeRate),              # negative rate
+    (lambda v: float("nan"), 1, NegativeRate),      # non-finite rate
+    (lambda v: 1e6, 1, EventCapExceeded),           # event cap
+])
+def test_pure_jump_checks(rate, jump, error):
+    system = HybridSystem(("X",), ((rate, np.array([jump], dtype=np.int64)),), ())
+    with pytest.raises(error):
+        simulate_pdmp(system, [2.0], t_end=10.0, seed=0, max_events=100)
 
 
 def test_conditional_fast_birth_death_mean(ab_doc):

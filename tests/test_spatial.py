@@ -9,12 +9,13 @@ sums of local laws for the slow-movement regime.
 import numpy as np
 import pytest
 
-from mscrn.averaging import McConfig, movement_equilibrium
+from mscrn.averaging import McConfig
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import CaseUnavailable, NotMassAction
+from mscrn.errors import AnalyticUnavailable, CaseUnavailable, NotMassAction
 from mscrn.parser import parse_document, parse_model
+from mscrn.averaging import averaged_rate_two_scale
 from mscrn.spatial_cases import (averaged_rate_single_scale, averaged_rate_spatial,
-                                 mass_action_avg_kappa)
+                                 mass_action_avg_kappa, movement_equilibrium)
 
 import conftest as fx
 
@@ -257,3 +258,25 @@ def test_single_scale_spatial_expression_exact_sum():
         assert r_expr([s]) == pytest.approx(r_mass([s]), rel=1e-12)
     assert r_expr.kind == "montecarlo"   # exact summation path, no closed form
     assert r_expr.standard_error([4.0]) == 0.0
+
+
+def test_lost_closed_form_raises_in_both_paths():
+    # fast birth and the fast death A + B -> A (A slow): at A = 0 B only
+    # grows, so the closed form of the slow A + B -> B is lost there. A
+    # rate of kind 'analytic' raises there, spatial or not, instead of
+    # running Monte Carlo unannounced.
+    reactions = ("reaction 0 -> B @ mass-action kappa=1 beta=1\n"
+                 "reaction A + B -> A @ mass-action kappa=1 beta=1\n"
+                 "reaction A + B -> B @ mass-action kappa=1 beta=1\n")
+    flat = parse_document("species A alpha=1\nspecies B alpha=0\n" + reactions)
+    spatial = parse_document(
+        "species A alpha=1 eta=2\nspecies B alpha=0 eta=1/2\ncompartments d1 d2\n"
+        + reactions + "".join(f"move {s} from {a} to {b} rate 1\n" for s in "AB"
+                              for a, b in (("d1", "d2"), ("d2", "d1"))))
+    rates = [averaged_rate_two_scale(classify(flat.model, flat.scaling), 2),
+             averaged_rate_spatial(classify(spatial.model, spatial.scaling), 3, 2)]
+    for rate in rates:
+        assert rate.kind == "analytic"
+        assert rate([1.0]) > 0
+        with pytest.raises(AnalyticUnavailable):
+            rate([0.0])
