@@ -1,10 +1,10 @@
 """Equilibrium measures and averaged rates.
 
-Reduction replaces every faster tier by its equilibrium: fast
-subsystems by stationary measures, and molecule positions by movement
-equilibria and their product measures (in :mod:`spatial_cases`).
-Slow-reaction rates are then integrated against those measures, always
-with a reported standard error.
+Reduction replaces every faster tier by its equilibrium: molecule
+positions by movement equilibria and their multinomial/point-mass
+product measures, fast subsystems by stationary measures. Slow-reaction
+rates are then integrated against those measures, always with a
+reported standard error.
 
 Every averaged rate finds a fast tier's stationary law in one order:
 ``split_reactants`` splits each reaction into fast orders and a frozen
@@ -35,9 +35,156 @@ from .classify import ScaleClassification, ConservedBasis
 from .errors import (AnalyticUnavailable, IsolatedSpeciesError, ModelError,
                      NonErgodicSuspected, RateEvaluationError)
 from .exact import stationary_distribution
-from .model import (Expression, MassAction, Network, falling_factorial,
-                    mass_action_value, scaled_rate_function)
+from .model import (Expression, MassAction, Network, SpatialModel,
+                    falling_factorial, mass_action_value, scaled_rate_function)
 from .pdmp import HybridSystem, OdeConfig, fast_subsystem, simulate_pdmp, tier_system
+
+
+# ---------------------------------------------------------------------------
+# movement equilibria and product measures
+
+
+@dataclass(frozen=True)
+class MovementEquilibrium:
+    """Stationary law of one molecule's compartment-hopping chain."""
+
+    species: int
+    pi: tuple[Fraction, ...]
+
+    def as_floats(self) -> np.ndarray:
+        return np.array([float(p) for p in self.pi])
+
+
+def movement_equilibrium(spatial_model: SpatialModel, species: int) -> MovementEquilibrium:
+    """Solve pi Q = 0, sum pi = 1 exactly for the species' movement rates."""
+    nd = spatial_model.n_compartments
+    if nd == 1:
+        return MovementEquilibrium(species, (Fraction(1),))
+    rates = spatial_model.movement[species]
+    pi = stationary_distribution([[rates[i][j] for j in range(nd)] for i in range(nd)])
+    return MovementEquilibrium(species, tuple(pi))
+
+
+def all_movement_equilibria(spatial_model: SpatialModel) -> list[MovementEquilibrium]:
+    return [movement_equilibrium(spatial_model, i)
+            for i in range(spatial_model.network.n_species)]
+
+
+class ProductMeasure:
+    """Joint equilibrium of molecule positions given species totals.
+
+    Discrete species (alpha = 0) spread multinomially over compartments,
+    continuous species sit deterministically at pi-proportional shares.
+    Exposes a sampler and, for small supports, an exact summation
+    iterator over (positions, probability) pairs.
+    """
+
+    def __init__(self, species: tuple[int, ...], totals, pis, alphas):
+        self.species = tuple(species)
+        self.totals = np.asarray(totals, dtype=float)
+        self.pis = [np.asarray(p, dtype=float) for p in pis]
+        self.alphas = tuple(alphas)
+        if len(self.species) != len(self.totals) or len(self.pis) != len(self.totals):
+            raise ModelError("product measure needs totals and equilibria per species")
+        for j, a in enumerate(self.alphas):
+            if a == 0 and self.totals[j] != round(self.totals[j]):
+                raise ModelError("discrete totals must be integers")
+
+    @property
+    def n_compartments(self) -> int:
+        return len(self.pis[0])
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty((len(self.species), self.n_compartments))
+        for j, a in enumerate(self.alphas):
+            if a == 0:
+                out[j] = rng.multinomial(int(self.totals[j]), self.pis[j])
+            else:
+                out[j] = self.totals[j] * self.pis[j]
+        return out
+
+    def support_size(self) -> float:
+        size = 1.0
+        nd = self.n_compartments
+        for j, a in enumerate(self.alphas):
+            if a == 0:
+                size *= math.comb(int(self.totals[j]) + nd - 1, nd - 1)
+        return size
+
+    def support(self, cap: float = 1_000_000.0):
+        """Iterate (positions matrix, probability); None when too large."""
+        if self.support_size() > cap:
+            return None
+        nd = self.n_compartments
+        return self._support_rec(0, np.zeros((len(self.species), nd)), 1.0)
+
+    def _support_rec(self, j, matrix, prob):
+        if j == len(self.species):
+            yield matrix.copy(), prob
+            return
+        if self.alphas[j] != 0:
+            matrix[j] = self.totals[j] * self.pis[j]
+            yield from self._support_rec(j + 1, matrix, prob)
+            return
+        total = int(self.totals[j])
+        pj = self.pis[j]
+        for combo, p in _multinomial_support(total, pj):
+            matrix[j] = combo
+            yield from self._support_rec(j + 1, matrix, prob * p)
+
+    def expect(self, g, seed: int, draws: int, cap: float = 1_000_000.0):
+        """(E[g], standard error) over positions; ``g`` maps a positions
+        matrix to (value, se). Exact summation while the support is under
+        ``cap``, otherwise ``draws`` samples from the stream of ``seed``."""
+        support = self.support(cap=cap)
+        if support is not None:
+            value = 0.0
+            var = 0.0
+            for positions, prob in support:
+                val, se = g(positions)
+                value += prob * val
+                var += (prob * se) ** 2
+            return value, math.sqrt(var)
+        rng = rng_mod.stream(seed)
+        vals = np.empty(draws)
+        ses = np.empty(draws)
+        for r in range(draws):
+            vals[r], ses[r] = g(self.sample(rng))
+        se_outer = vals.std(ddof=1) / math.sqrt(draws)
+        return float(vals.mean()), float(math.hypot(se_outer, ses.mean()))
+
+
+def _multinomial_support(total: int, probs: np.ndarray):
+    nd = len(probs)
+
+    def rec(pos, remaining, combo, coeff):
+        if pos == nd - 1:
+            combo[pos] = remaining
+            p = coeff * math.comb(sum(combo[:pos]) + remaining, remaining) \
+                * probs[pos] ** remaining
+            yield list(combo), p
+            return
+        for n in range(remaining + 1):
+            combo[pos] = n
+            yield from rec(pos + 1, remaining - n, combo,
+                           coeff * math.comb(sum(combo[:pos + 1]), n) * probs[pos] ** n)
+
+    # probability of a composition (n_1..n_D): total!/(prod n_d!) prod p^n;
+    # built incrementally through binomial factors
+    yield from rec(0, total, [0] * nd, 1.0)
+
+
+def product_measure(spatial_model: SpatialModel, totals,
+                    species: tuple[int, ...] | None = None,
+                    equilibria: list[MovementEquilibrium] | None = None) -> ProductMeasure:
+    network = spatial_model.network
+    if species is None:
+        species = tuple(range(network.n_species))
+    if equilibria is None:
+        equilibria = [movement_equilibrium(spatial_model, i) for i in species]
+    pis = [eq.as_floats() for eq in equilibria]
+    alphas = [network.species[i].alpha for i in species]
+    return ProductMeasure(species, totals, pis, alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -100,18 +100,10 @@ class _Channel:
 def _mass_action(prefactor, terms):
     """Propensity of ``prefactor`` times each (flat index, order,
     discrete) term: a falling factorial of a discrete count (zero below
-    the order), a power of a continuous one. Unit orders, the common
-    case, multiply the counts directly: the falling factorial of order 1
-    is the count itself, and a zero count gives zero either way."""
-    if all(order == 1 for _, order, _ in terms) and len(terms) <= 2:
-        if not terms:
-            return lambda x: prefactor
-        if len(terms) == 1:
-            (i, _, _), = terms
-            return lambda x: prefactor * x[i]
-        (i, _, _), (j, _, _) = terms
-        return lambda x: prefactor * x[i] * x[j]
-
+    the order), a power of a continuous one. A continuous count below
+    zero can make the product negative; that raises, as a negative
+    expression rate does, because a negative propensity has no meaning
+    in the channel choice."""
     def propensity(x):
         out = prefactor
         for idx, order, discrete in terms:
@@ -126,6 +118,8 @@ def _mass_action(prefactor, terms):
                     out *= value
                 else:
                     out *= value ** order
+        if out < 0:
+            raise RateEvaluationError(f"negative mass-action propensity {out}")
         return out
 
     return propensity

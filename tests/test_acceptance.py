@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from mscrn.averaging import McConfig, averaged_rate_two_scale
+from mscrn.averaging import McConfig, averaged_rate_two_scale, product_measure
 from mscrn.classify import classify, conserved_basis
 from mscrn.model import State
 from mscrn.parser import parse_document
 from mscrn.pdmp import HybridSystem, OdeConfig, simulate_conditional_fast, simulate_pdmp
-from mscrn.spatial_cases import averaged_rate_spatial, product_measure
+from mscrn.spatial_cases import averaged_rate_spatial
 from mscrn.ssa import SimulationConfig, simulate_spatial
 from mscrn.verify import verify_convergence
 

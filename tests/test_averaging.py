@@ -11,12 +11,12 @@ from scipy import stats as sps
 
 from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryComponent,
                              StationaryMeasure, averaged_rate_three_scale,
-                             averaged_rate_two_scale, mass_action_term, stationary_fast)
+                             averaged_rate_two_scale, mass_action_term,
+                             movement_equilibrium, product_measure, stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import (AnalyticUnavailable, NonErgodicSuspected,
                           ReducibleChainError)
 from mscrn.parser import parse_document, parse_model
-from mscrn.spatial_cases import movement_equilibrium, product_measure
 
 
 def test_movement_equilibrium_two_state(movement_doc):

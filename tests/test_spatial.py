@@ -9,13 +9,12 @@ sums of local laws for the slow-movement regime.
 import numpy as np
 import pytest
 
-from mscrn.averaging import McConfig
+from mscrn.averaging import McConfig, averaged_rate_two_scale, movement_equilibrium
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import AnalyticUnavailable, CaseUnavailable, NotMassAction
 from mscrn.parser import parse_document, parse_model
-from mscrn.averaging import averaged_rate_two_scale
 from mscrn.spatial_cases import (averaged_rate_single_scale, averaged_rate_spatial,
-                                 mass_action_avg_kappa, movement_equilibrium)
+                                 mass_action_avg_kappa)
 
 import conftest as fx
 

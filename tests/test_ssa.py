@@ -7,7 +7,7 @@ Statistical oracles are closed-form moments of first-order networks
 import numpy as np
 import pytest
 
-from mscrn.errors import EventCapExceeded, ModelError
+from mscrn.errors import EventCapExceeded, ModelError, RateEvaluationError
 from mscrn.model import ScalingSpec, State
 from mscrn.parser import parse_document, parse_model
 from mscrn.ssa import (SimulationConfig, observable_weights, run_ensemble,
@@ -267,3 +267,15 @@ def test_expression_law_simulation():
     stats = run_ensemble(model, scaling, cfg, 4000, ["A"], x0=State(np.array([100.0])))
     se = stats.standard_error()[0, 0]
     assert abs(stats.mean[0, 0] - 100.0 * np.exp(-1)) < 3 * se
+
+
+def test_negative_mass_action_propensity_raises():
+    # the expression law fires whatever the count, so the continuous A is
+    # drawn below zero; the mass-action rate of A -> B then turns negative
+    # and the run stops instead of choosing among negative propensities
+    model, scaling = parse_model("species A alpha=1\nspecies B alpha=0\n"
+                                 "reaction A -> 0 @ expr 1 beta=1\n"
+                                 "reaction A -> B @ mass-action kappa=1 beta=0\n")
+    cfg = SimulationConfig(N=2, t_end=10.0, seed=0)
+    with pytest.raises(RateEvaluationError, match="negative mass-action"):
+        simulate(model, scaling, cfg, State(np.array([1.0, 0.0])))

@@ -3,7 +3,8 @@ loop kept a dependency graph, plus an event-by-event comparison with a
 full-recompute reference on random spatial networks.
 
 Every fixture with an initial state, a generated ring of eight
-compartments and a spatial model with expression laws run at N = 10 and
+compartments, a spatial model with expression laws and one whose
+expression law draws a count below zero run at N = 10 and
 100 and seeds 0-2 with ``record="events"``; the SHA-256 digests of
 ``times``, ``states``, ``event_counts`` and ``event_log`` must match
 bit for bit (a run that hits the event cap records its exception). The
@@ -22,11 +23,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from mscrn import expressions
 from mscrn import rng as rng_mod
 from mscrn.classify import classify
-from mscrn.errors import EventCapExceeded, MscrnError
-from mscrn.model import State
+from mscrn.errors import EventCapExceeded, MscrnError, RateEvaluationError
+from mscrn.model import MassAction, State
 from mscrn.parser import parse_document
 from mscrn.pdmp import fast_subsystem, simulate_pdmp
 from mscrn.ssa import SimulationConfig, _simulate, run_ensemble
@@ -64,6 +67,21 @@ init A @ d1 1
 init C @ d2 2
 """
 
+# A discrete species drawn below zero: the expression law fires whatever
+# the count, and once A is negative its moves and the unit-order
+# reaction reading it have propensity zero.
+OVERDRAW_TEXT = """\
+species A alpha=0 eta=1/2
+species B alpha=0 eta=1/2
+compartments d1 d2
+reaction A -> 0 @ expr 1 beta=1/2
+reaction A -> A + B @ mass-action kappa=1 beta=0
+move A from d1 to d2 rate 1
+move A from d2 to d1 rate 2
+move B from d1 to d2 rate 1
+init A @ d1 2
+"""
+
 
 def ring_text(n_comp: int = 8, move_rate: float = 4.0) -> str:
     """AB titration in every compartment of a ring, kappa_1 varying by
@@ -88,7 +106,7 @@ FIXTURES = {
     "spatial_ab_homog": fx.SPATIAL_AB_HOMOGENEOUS_TEXT,
     "conserved": fx.CONSERVED_TEXT, "three_scale": fx.THREE_SCALE_TEXT,
     "spatial_gene": fx.SPATIAL_GENE_TEXT, "ring8": ring_text(),
-    "spatial_expr": SPATIAL_EXPR_TEXT,
+    "spatial_expr": SPATIAL_EXPR_TEXT, "overdraw": OVERDRAW_TEXT,
 }
 
 
@@ -158,11 +176,12 @@ def test_every_run_matches_record():
 # -- event-by-event comparison with a full-recompute reference -------------
 
 
-def _reference(model, scaling, config, x0, rng):
+def _reference(model, scaling, config, x0, rng, log):
     """The direct method recomputing every propensity at every event,
-    written from the model independently of the engine's channels."""
-    from mscrn.model import MassAction, evaluate_rate
-
+    written from the model independently of the engine's channels; each
+    (time, channel) pair is appended to ``log``. A discrete count below
+    a term's order gives zero (movement included), and a negative
+    propensity raises."""
     network, nd, N = model.network, model.n_compartments, config.N
     scale = N ** np.array([float(a) for a in network.alphas])
     x = np.rint(x0.counts * scale[:, None])
@@ -180,22 +199,26 @@ def _reference(model, scaling, config, x0, rng):
                             else math.prod(max(x[i, d] - j, 0.0) for j in range(n))
                     return out
             else:
-                def rate(x, k=k, d=d, time=time):
-                    return time * evaluate_rate(model, k, State(x / scale[:, None], True), d)
+                def rate(x, d=d, time=time, ast=law.ast):
+                    env = {s.name: float(x[i, d] / scale[i])
+                           for i, s in enumerate(network.species)}
+                    return time * expressions.evaluate(ast, env)
             chans.append((rate, delta))
     for i, s in enumerate(network.species):
         for d1, d2 in zip(*np.nonzero(model.movement[i])):
             delta = np.zeros_like(x)
             delta[i, d1], delta[i, d2] = -1, 1
             m = N ** float(s.eta + scaling.gamma) * model.movement[i, d1, d2]
-            chans.append((lambda x, i=i, d1=d1, m=m: m * x[i, d1], delta))
-    rand, t, log = rng_mod.Buffered(rng), 0.0, []
+            chans.append((lambda x, i=i, d1=d1, m=m: m * max(x[i, d1], 0.0), delta))
+    rand, t = rng_mod.Buffered(rng), 0.0
     while len(log) < config.max_events:
         prop = [rate(x) for rate, _ in chans]
+        if min(prop) < 0:
+            raise RateEvaluationError(f"negative propensity in {prop}")
         total = sum(prop)
         dt = rand.exponential() / total if total > 0 else math.inf
         if t + dt > config.t_end:
-            return log
+            return
         t += dt
         u, acc, chosen = rand.uniform() * total, 0.0, len(chans) - 1
         for c, p in enumerate(prop):
@@ -254,13 +277,31 @@ def test_matches_full_recompute_on_random_spatial_networks():
                         for _ in range(ns)], dtype=float)
         x0 = State(raw / (N ** alphas)[:, None], scaled=True)
         seed = data.draw(st.integers(0, 999))
-        cfg = SimulationConfig(N=N, t_end=1.0, seed=seed, record="events",
-                               max_events=3000)
+
+        def config(t_end):
+            return SimulationConfig(N=N, t_end=t_end, seed=seed, record="events",
+                                    max_events=3000)
+
+        # expression laws fire at zero reactants, so counts can go below
+        # zero and a later rate can raise: then both raise the same error,
+        # and the engine run to just before the reference's last event
+        # reproduces the reference's log up to there
+        want = []
         try:
-            want = _reference(doc.model, doc.scaling, cfg, x0, rng_mod.stream(seed))
-        except (EventCapExceeded, MscrnError):
-            return
-        got = _simulate(doc.model, doc.scaling, cfg, x0).event_log
+            _reference(doc.model, doc.scaling, config(1.0), x0, rng_mod.stream(seed), want)
+            want_error, t_end = None, 1.0
+        except MscrnError as exc:
+            want_error = type(exc).__name__
+            if not want:
+                with pytest.raises(MscrnError):
+                    _simulate(doc.model, doc.scaling, config(1.0), x0)
+                return
+            t_end = (want[-1][0] + (want[-2][0] if len(want) > 1 else 0.0)) / 2
+            want.pop()
+            with pytest.raises(MscrnError) as raised:
+                _simulate(doc.model, doc.scaling, config(1.0), x0)
+            assert type(raised.value).__name__ == want_error
+        got = _simulate(doc.model, doc.scaling, config(t_end), x0).event_log
         # the reference multiplies in another order, so times agree to
         # rounding and the channel sequence exactly
         assert [c for _, c in got] == [c for _, c in want]
