@@ -239,7 +239,9 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
     1/2 average the fast species at the level of their totals; cases 3/4
     keep per-compartment fast subsystems. Slow positions are frozen and
     averaged afterwards in cases 2/4 (a no-op for continuous species,
-    whose position measure is a point mass).
+    whose position measure is a point mass). With a conserved basis,
+    cases 3/4 have only the constrained closed form, so mode
+    ``montecarlo`` raises CaseUnavailable for them.
     """
     if case not in (1, 2, 3, 4):
         raise ModelError(f"case must be 1..4, got {case}")
@@ -247,6 +249,9 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
     ctx = _SpatialContext.build(classification,
                                 sorted(classification.k_sets["fast"] | {k}))
     basis = conserved if conserved is not None and not conserved.empty else None
+    if basis is not None and case in (3, 4) and mode == "montecarlo":
+        raise CaseUnavailable("conserved spatial cases 3/4 have no Monte Carlo path; "
+                              "they need the constrained closed form")
     n_slow = len(ctx.slow_rows)
     n_species = ctx.model.network.n_species
     nd = ctx.model.n_compartments

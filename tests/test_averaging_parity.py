@@ -12,6 +12,10 @@ values in ``averaging_parity.json`` were produced at commit 00010b5 by
     PYTHONPATH=src python tests/test_averaging_parity.py > tests/averaging_parity.json
 
 and every value and standard error must still match to 1e-12 relative.
+Three entries were re-recorded since, when conserved spatial cases 3/4
+stopped returning their closed form in mode ``montecarlo`` and began to
+raise ``CaseUnavailable``: ``spatial_conserved.case3.montecarlo`` at both
+states and ``reduce.spatial_conserved.montecarlo``.
 """
 
 import json
@@ -115,10 +119,15 @@ def compute() -> dict:
                     averaged_rate_spatial(scons, case, k, conserved=sbasis),
                     ([0.0, 3.0], [2.0, 4.0]))
     for case in (1, 3):
-        _record(out, f"spatial_conserved.case{case}.montecarlo",
-                averaged_rate_spatial(scons, case, 4, conserved=sbasis, mode="montecarlo",
-                                      mc=McConfig(budget=1500, seed=13)),
-                ([0.0, 3.0], [2.0, 4.0]))
+        label, states = f"spatial_conserved.case{case}.montecarlo", ([0.0, 3.0], [2.0, 4.0])
+        try:
+            rate = averaged_rate_spatial(scons, case, 4, conserved=sbasis, mode="montecarlo",
+                                         mc=McConfig(budget=1500, seed=13))
+        except MscrnError as exc:
+            # conserved cases 3/4 have no Monte Carlo path
+            out.update({f"{label}@{state}": f"error {type(exc).__name__}" for state in states})
+            continue
+        _record(out, label, rate, states)
 
     expr = parse_document(SPATIAL_EXPR_TEXT)
     _record(out, "single_scale.expression",

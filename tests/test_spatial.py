@@ -130,6 +130,19 @@ def test_spatial_conserved_case3(spatial_conserved_doc):
     assert r3([0.0, 3.0]) == pytest.approx(0.85, rel=1e-10)
 
 
+def test_spatial_conserved_case34_has_no_montecarlo(spatial_conserved_doc):
+    # the conserved cases 3/4 only have the constrained closed form; in
+    # mode montecarlo they raise instead of returning it as a Monte Carlo
+    # rate with standard error 0
+    c = classify(spatial_conserved_doc.model, spatial_conserved_doc.scaling)
+    basis = conserved_basis(c)
+    for case in (3, 4):
+        with pytest.raises(CaseUnavailable, match="no Monte Carlo path"):
+            averaged_rate_spatial(c, case, 4, conserved=basis, mode="montecarlo")
+    assert averaged_rate_spatial(c, 1, 4, conserved=basis, mode="montecarlo").kind \
+        == "montecarlo"
+
+
 def test_spatial_conserved_depends_on_fast_movement(spatial_conserved_doc):
     # unlike the unconserved slow-movement cases, conserved totals are
     # carried between compartments by the fast species, so their

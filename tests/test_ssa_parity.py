@@ -10,8 +10,8 @@ expression law draws a count below zero run at N = 10 and
 bit for bit (a run that hits the event cap records its exception). The
 ``run_ensemble`` means and variances on AB and on the ring, and the
 pure-jump hybrid engine on the fast subsystems of AB and CONSERVED, are
-pinned the same way. The record ``ssa_parity.json`` was produced at
-commit 12bd14d by
+pinned the same way; the AB ensemble (40 replicas) runs in lockstep.
+The record ``ssa_parity.json`` was produced at commit 12bd14d by
 
     PYTHONPATH=src python tests/test_ssa_parity.py > tests/ssa_parity.json
 """
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscrn import expressions
+from mscrn import expressions, ssa
 from mscrn import rng as rng_mod
 from mscrn.classify import classify
 from mscrn.errors import EventCapExceeded, MscrnError, RateEvaluationError
@@ -163,10 +163,15 @@ def compute() -> dict:
     return out
 
 
-def test_every_run_matches_record():
+def test_every_run_matches_record(monkeypatch):
     with open(RECORD) as fh:
         recorded = json.load(fh)
+    lockstep, replicas = ssa._lockstep, []
+    monkeypatch.setattr(ssa, "_lockstep",
+                        lambda *args: replicas.append(args[4]) or lockstep(*args))
     computed = json.loads(json.dumps(compute()))
+    # the 40-replica AB ensemble ran in lockstep
+    assert 40 in replicas
     assert sorted(computed) == sorted(recorded)
     bad = {key: (computed[key], want) for key, want in recorded.items()
            if computed[key] != want}
