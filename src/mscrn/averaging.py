@@ -231,33 +231,37 @@ class StationaryMeasure:
     variant 'product': independent per-variable components (Poisson for
     discrete, point mass for continuous), optionally with multinomial
     blocks for conserved unary-conversion groups. variant 'pointmass':
-    a single state. variant 'empirical': time-averaged weighted samples
-    with batch structure for standard errors. ``discrete`` marks the
-    variables of a point mass or empirical law whose mass-action orders
-    enter as falling factorials.
+    a single state. variant 'empirical': a time average split into
+    batches for standard errors, held as three arrays built by
+    :func:`_occupation`: ``states`` lists each batch's distinct states in
+    first-visit order, ``weights`` each state's summed time weight and
+    ``batch`` each row's batch index. ``discrete`` marks the variables
+    of a point mass or empirical law whose mass-action orders enter as
+    falling factorials.
     """
 
     def __init__(self, variant: str, *, components=None, blocks=None, point=None,
-                 batches=None, ess=None, n_events=None, dim=None, discrete=None):
+                 states=None, weights=None, batch=None, ess=None, n_events=None,
+                 discrete=None):
         self.variant = variant
         self.components: tuple[StationaryComponent, ...] | None = components
         self.blocks: tuple[MultinomialBlock, ...] = tuple(blocks or ())
         self.point = None if point is None else np.asarray(point, dtype=float)
-        self.batches = batches   # list[dict[state tuple -> time weight]]
+        self.states = states
+        self.weights = weights
+        self.batch = batch
         self.ess = ess
         self.n_events = n_events
-        self._dim = dim
         self.discrete = discrete
-        self._padded = None
 
     @property
     def dim(self) -> int:
-        if self._dim is not None:
-            return self._dim
         if self.components is not None:
             return len(self.components)
         if self.point is not None:
             return len(self.point)
+        if self.states is not None:
+            return self.states.shape[1]
         raise ModelError("measure has no dimension")
 
     # -- expectations ------------------------------------------------------
@@ -277,7 +281,7 @@ class StationaryMeasure:
         if self.variant == "pointmass":
             return fn(self.point), 0.0
         if self.variant == "empirical":
-            return self._expect_empirical(fn)
+            return self._batch_means([fn(state) for state in self.states])
         return self._expect_product_sampling(fn)
 
     def expect_mass_action(self, coeff: float, orders) -> tuple[float, float]:
@@ -311,69 +315,39 @@ class StationaryMeasure:
                     out *= p ** n
             return out, 0.0
         if self.variant == "empirical":
-            return self._expect_mass_action_empirical(coeff, orders)
+            # mass_action_term at every stored state at once, with the same
+            # operations in the same order
+            out = np.full(len(self.states), coeff, dtype=float)
+            for j, n in enumerate(orders):
+                if not n:
+                    continue
+                z = self.states[:, j]
+                if self.discrete[j]:
+                    factor = z.copy()
+                    for i in range(1, n):
+                        factor *= z - i
+                    factor[z < n] = 0.0
+                else:
+                    factor = np.array([value ** n for value in z])
+                out *= factor
+            return self._batch_means(out)
         return self.expect(lambda z: mass_action_term(coeff, orders, self.discrete, z))
 
-    def _expect_mass_action_empirical(self, coeff, orders):
-        """:func:`mass_action_term` over every stored state at once, with
-        the same operations in the same order, each batch summed left to
-        right (``np.cumsum`` along a row padded with zero weights), so the
-        result equals the per-state loop of :meth:`_expect_empirical` bit
-        for bit."""
-        states, w, wsum = self._padded_batches()
-        out = np.full(w.shape, coeff)
-        for j, n in enumerate(orders):
-            if not n:
-                continue
-            z = states[:, :, j]
-            if self.discrete[j]:
-                factor = z.copy()
-                for i in range(1, n):
-                    factor *= z - i
-                factor[z < n] = 0.0
-            else:
-                factor = np.array([value ** n for value in z.ravel()]).reshape(z.shape)
-            out *= factor
+    def _batch_means(self, values):
+        """Time-weighted mean of the per-batch means of ``values`` (one
+        per stored state, scalar or array) and its batch-means standard
+        error. Each batch is summed left to right: ``np.bincount`` adds
+        in input order."""
+        wsum = np.bincount(self.batch, weights=self.weights)
         keep = wsum > 0
-        return self._batch_summary(np.cumsum(out * w, axis=1)[keep, -1] / wsum[keep],
-                                   wsum[keep])
-
-    def _padded_batches(self):
-        """(states, weights, per-batch weight sums) of the stored samples,
-        one row per batch, built once per measure."""
-        if self._padded is None:
-            width = max([1] + [len(batch) for batch in self.batches])
-            states = np.zeros((len(self.batches), width, len(self.discrete)))
-            w = np.zeros((len(self.batches), width))
-            for row, batch in enumerate(self.batches):
-                if batch:
-                    states[row, :len(batch)] = list(batch)
-                    w[row, :len(batch)] = list(batch.values())
-            self._padded = (states, w, np.cumsum(w, axis=1)[:, -1])
-        return self._padded
-
-    def _expect_empirical(self, fn):
-        means = []
-        weights = []
-        for batch in self.batches:
-            wsum = 0.0
-            acc = None
-            for state, w in batch.items():
-                value = fn(np.asarray(state, dtype=float))
-                acc = value * w if acc is None else acc + value * w
-                wsum += w
-            if wsum > 0:
-                means.append(acc / wsum)
-                weights.append(wsum)
-        return self._batch_summary(means, weights)
-
-    @staticmethod
-    def _batch_summary(means, weights):
-        """Weighted mean of per-batch means and its batch-means SE."""
-        if not len(means):
+        if not keep.any():
             raise NonErgodicSuspected("no post-burn-in samples")
-        means = np.asarray(means, dtype=float)
-        weights = np.asarray(weights)
+        values = np.asarray(values, dtype=float)
+        flat = values.reshape(len(values), -1) * self.weights[:, None]
+        sums = np.column_stack([np.bincount(self.batch, weights=column, minlength=len(wsum))
+                                for column in flat.T])
+        weights = wsum[keep]
+        means = (sums[keep] / weights[:, None]).reshape((-1,) + values.shape[1:])
         value = np.tensordot(weights, means, axes=(0, 0)) / weights.sum()
         if len(means) > 1:
             se = means.std(axis=0, ddof=1) / math.sqrt(len(means))
@@ -578,13 +552,35 @@ class McConfig:
     ode: OdeConfig | None = None
 
 
+def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (states, weights, batch) arrays of an empirical law.
+
+    ``batches`` yields each batch's raw visits as (states, time weights)
+    arrays. A batch is reduced as it is read: every distinct state once,
+    in first-visit order, with its weights summed in visit order
+    (``np.bincount`` adds left to right), so no more than one batch of
+    raw visits is held at a time.
+    """
+    states, weights, batch = [np.empty((0, dim))], [np.empty(0)], [np.empty(0, dtype=np.intp)]
+    for b, (rows, w) in enumerate(batches):
+        first_visit: dict[tuple, int] = {}   # state -> its row in the reduced batch
+        label = [first_visit.setdefault(state, len(first_visit))
+                 for state in map(tuple, rows.tolist())]
+        states.append(np.array(list(first_visit), dtype=float).reshape(-1, dim))
+        weights.append(np.bincount(label, weights=w, minlength=len(first_visit)))
+        batch.append(np.full(len(first_visit), b))
+    return np.concatenate(states), np.concatenate(weights), np.concatenate(batch)
+
+
 def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
                                discrete) -> StationaryMeasure:
     """Chunked time-average of a pure-jump fast path.
 
     The budget counts events burn-in inclusive; the first
-    ``burn_in_frac`` of them are discarded and the rest aggregated as
-    (state -> time weight) maps per batch for batch-means errors.
+    ``burn_in_frac`` of them are discarded. Each later visit of positive
+    duration weights its state by that duration, and every
+    ``(budget - burn-in) / n_batches`` visits make a batch for
+    batch-means errors.
     """
     rng = rng_mod.stream(mc.seed)
     budget = int(mc.budget)
@@ -595,50 +591,42 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
         return StationaryMeasure("pointmass", point=v, discrete=discrete)
     chunk_events = max(200, budget // (4 * mc.n_batches))
     batch_quota = max(1, (budget - burn_events) // mc.n_batches)
-    batches: list[dict] = []
-    current: dict[tuple, float] = {}
     events_seen = 0
-    states_in_batch = 0
-    absorbed = False
-    while events_seen < budget and not absorbed:
-        t_chunk = chunk_events / max(total_rate, 1e-12) * 1.2
-        traj = simulate_pdmp(fast_system, v, t_chunk, record="events", rng=rng,
-                             ode_config=mc.ode)
-        n_ev = len(traj.event_log)
-        if n_ev == 0:
+
+    def batches():
+        """Raw visits, one batch at a time, until the budget is spent or
+        the chain is absorbed (total rate 0)."""
+        nonlocal v, total_rate, events_seen
+        rows, durations = np.empty((0, len(v))), np.empty(0)
+        while events_seen < budget and total_rate > 0:
+            traj = simulate_pdmp(fast_system, v, chunk_events / max(total_rate, 1e-12) * 1.2,
+                                 record="events", rng=rng, ode_config=mc.ode)
+            n_ev = len(traj.event_log)
+            if n_ev:   # a chunk without events adds no visits
+                times = np.array([0.0] + [time for time, _ in traj.event_log] + [traj.t_end])
+                dt = np.diff(times)
+                keep = (dt > 0) & (np.arange(events_seen, events_seen + n_ev + 1)
+                                   >= burn_events)
+                rows = np.concatenate([rows, traj.states[keep]])
+                durations = np.concatenate([durations, dt[keep]])
+                while len(durations) >= batch_quota:
+                    yield rows[:batch_quota], durations[:batch_quota]
+                    rows, durations = rows[batch_quota:], durations[batch_quota:]
+                events_seen += n_ev
             v = traj.final_state
-            if fast_system.jump_rates(v).sum() <= 0:
-                absorbed = True
-            continue
-        ts = [0.0] + [time for time, _ in traj.event_log] + [traj.t_end]
-        for j in range(len(traj.states)):
-            duration = ts[j + 1] - ts[j]
-            if duration <= 0 or events_seen + j < burn_events:
-                continue
-            key = tuple(traj.states[j])
-            current[key] = current.get(key, 0.0) + duration
-            states_in_batch += 1
-            if states_in_batch >= batch_quota:
-                batches.append(current)
-                current = {}
-                states_in_batch = 0
-        events_seen += n_ev
-        v = traj.final_state.copy()
-        total_rate = float(fast_system.jump_rates(v).sum())
-        if total_rate <= 0:
-            absorbed = True
-    if absorbed:
+            total_rate = float(fast_system.jump_rates(v).sum())
+        yield rows, durations
+
+    states, weights, batch = _occupation(batches(), len(v))
+    if total_rate <= 0:
         # time average of an absorbed chain is the absorbing state
         return StationaryMeasure("pointmass", point=v, discrete=discrete)
-    if current:
-        batches.append(current)
     post_events = events_seen - burn_events
     if post_events < mc.ess_threshold:
         raise NonErgodicSuspected(
             f"only {post_events} post-burn-in events (threshold {mc.ess_threshold})")
-    return StationaryMeasure("empirical", batches=batches, ess=post_events,
-                             n_events=events_seen, dim=fast_system.dim,
-                             discrete=discrete)
+    return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
+                             ess=post_events, n_events=events_seen, discrete=discrete)
 
 
 def _pointmass_from_flow(fast_system: HybridSystem, v0, mc: McConfig,
@@ -672,16 +660,12 @@ def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
     traj = simulate_pdmp(fast_system, v0, t_end, record=grid, rng=rng,
                          ode_config=mc.ode)
     keep = traj.states[burn:]
-    batches = []
-    for chunk in np.array_split(keep, mc.n_batches):
-        batch = {}
-        for row in chunk:
-            key = tuple(row)
-            batch[key] = batch.get(key, 0.0) + 1.0
-        batches.append(batch)
-    return StationaryMeasure("empirical", batches=batches, ess=len(keep),
-                             n_events=int(traj.event_counts.sum()),
-                             dim=fast_system.dim, discrete=discrete)
+    chunks = np.array_split(keep, mc.n_batches)
+    states, weights, batch = _occupation(((rows, np.ones(len(rows))) for rows in chunks),
+                                        fast_system.dim)
+    return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
+                             ess=len(keep), n_events=int(traj.event_counts.sum()),
+                             discrete=discrete)
 
 
 def constrained_start(basis: ConservedBasis, conserved_values, n_vars,

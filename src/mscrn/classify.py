@@ -184,21 +184,26 @@ def classify(model: Model, scaling: ScalingSpec | None = None) -> ScaleClassific
     k_sets: dict[str, frozenset[int]] = {}
     star = fast = middle = slow = None
 
-    def tier(indices, offset):
+    def tier(name, indices, offset):
+        """Record tier ``name``'s reaction set and its split by the kind
+        of species (discrete or continuous) each reaction belongs to."""
         per_species = {i: frozenset(k for k in k_of[i] if betas_n[k] == alphas_n[i] + offset)
                        for i in indices}
-        union = frozenset().union(*per_species.values()) if per_species else frozenset()
-        return per_species, union
+
+        def union(species):
+            return frozenset().union(*(per_species[i] for i in species))
+
+        k_sets[name] = union(indices)
+        k_sets[f"{name}_circ"] = union(i_circ.intersection(indices))
+        k_sets[f"{name}_bullet"] = union(i_bullet.intersection(indices))
+        return k_sets[name]
 
     if len(distinct) == 1:
         kind = "single"
         i_fast = frozenset()
         i_middle = frozenset()
         i_slow = frozenset(active)
-        per_species, k_star = tier(active, Fraction(0))
-        k_sets["star"] = k_star
-        k_sets["star_circ"] = frozenset().union(*(per_species[i] for i in i_circ)) if i_circ else frozenset()
-        k_sets["star_bullet"] = frozenset().union(*(per_species[i] for i in i_bullet)) if i_bullet else frozenset()
+        tier("star", active, Fraction(0))
         full_rows = tuple(range(network.n_species))
         star = _tier_matrix(zeta, full_rows, range(network.n_reactions),
                             alphas_n, betas_n, Fraction(0))
@@ -210,30 +215,13 @@ def classify(model: Model, scaling: ScalingSpec | None = None) -> ScaleClassific
         if not i_slow:
             raise UnclassifiableError("no species changes on the slow timescale dt")
 
-        per_fast, k_fast = tier(i_fast, Fraction(1))
-        k_sets["fast"] = k_fast
-        k_sets["fast_circ"] = frozenset().union(
-            *(per_fast[i] for i in i_fast & i_circ)) if i_fast & i_circ else frozenset()
-        k_sets["fast_bullet"] = frozenset().union(
-            *(per_fast[i] for i in i_fast & i_bullet)) if i_fast & i_bullet else frozenset()
-        fast = _tier_matrix(zeta, i_fast, k_fast, alphas_n, betas_n, Fraction(1))
-
-        per_slow, k_slow = tier(i_slow, Fraction(0))
-        k_sets["slow"] = k_slow
-        k_sets["slow_circ"] = frozenset().union(
-            *(per_slow[i] for i in i_slow & i_circ)) if i_slow & i_circ else frozenset()
-        k_sets["slow_bullet"] = frozenset().union(
-            *(per_slow[i] for i in i_slow & i_bullet)) if i_slow & i_bullet else frozenset()
-        slow = _tier_matrix(zeta, i_slow, k_slow, alphas_n, betas_n, Fraction(0))
-
+        fast = _tier_matrix(zeta, i_fast, tier("fast", i_fast, Fraction(1)),
+                            alphas_n, betas_n, Fraction(1))
+        slow = _tier_matrix(zeta, i_slow, tier("slow", i_slow, Fraction(0)),
+                            alphas_n, betas_n, Fraction(0))
         if i_middle:
-            per_middle, k_middle = tier(i_middle, eps1)
-            k_sets["middle"] = k_middle
-            k_sets["middle_circ"] = frozenset().union(
-                *(per_middle[i] for i in i_middle & i_circ)) if i_middle & i_circ else frozenset()
-            k_sets["middle_bullet"] = frozenset().union(
-                *(per_middle[i] for i in i_middle & i_bullet)) if i_middle & i_bullet else frozenset()
-            middle = _tier_matrix(zeta, i_middle, k_middle, alphas_n, betas_n, eps1)
+            middle = _tier_matrix(zeta, i_middle, tier("middle", i_middle, eps1),
+                                  alphas_n, betas_n, eps1)
 
     spatial_case = None
     eta_norm = None

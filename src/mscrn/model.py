@@ -304,15 +304,6 @@ def mass_action_value(kappa: float, reactants, alphas, values) -> float:
     return out
 
 
-def _raw_mass_action_value(kappa: float, reactants, values) -> float:
-    out = kappa
-    for i, n in reactants:
-        out *= falling_factorial(values[i], n)
-        if out == 0.0:
-            return 0.0
-    return out
-
-
 def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = None) -> float:
     """Rate of reaction k in the given state.
 
@@ -342,10 +333,9 @@ def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = 
         values = counts
     reaction = network.reactions[k]
     if isinstance(law, MassAction):
-        if state.scaled:
-            out = mass_action_value(law.kappa, reaction.reactants, network.alphas, values)
-        else:
-            out = _raw_mass_action_value(law.kappa, reaction.reactants, values)
+        # raw counts enter every reactant as a falling factorial
+        alphas = network.alphas if state.scaled else (0,) * network.n_species
+        out = mass_action_value(law.kappa, reaction.reactants, alphas, values)
     else:
         if not state.scaled:
             raise ModelError("expression rate laws evaluate on scaled states")

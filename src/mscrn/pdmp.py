@@ -21,7 +21,7 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import (EventCapExceeded, MissingRates, ModelError, NegativeRate,
                      OdeStepFailure)
-from .ssa import EnsembleStats, Trajectory, direct_method
+from .ssa import EnsembleStats, Trajectory, checked_grid, direct_method, ensemble_grid
 
 # Cash-Karp tableau
 _C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -103,12 +103,7 @@ def simulate_pdmp(system: HybridSystem, v0, t_end: float, seed: int = 0,
         raise ModelError("v0 must be nonnegative")
 
     event_mode = isinstance(record, str) and record == "events"
-    grid = None
-    if record is not None and not event_mode:
-        grid = np.asarray(record, dtype=float)
-        if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid < 0) \
-                or (len(grid) and grid[-1] > t_end + 1e-12):
-            raise ModelError("record grid must be increasing within [0, t_end]")
+    grid = None if record is None or event_mode else checked_grid(record, t_end)
 
     times: list[float] = []
     states: list[np.ndarray] = []
@@ -210,10 +205,16 @@ def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
         h = min(h, t_end - t, cfg.max_step)
         if grid is not None and grid_pos < len(grid):
             h = min(h, max(grid[grid_pos] - t, cfg.min_step))
-        # adaptive step
+        # adaptive step; a trial step whose stages leave the orthant is
+        # rejected like an inaccurate one until the step is at its minimum
         while True:
-            y_new, err = ck_step(y, h)
-            norm = error_norm(y, y_new, err)
+            try:
+                y_new, err = ck_step(y, h)
+                norm = error_norm(y, y_new, err)
+            except NegativeRate:
+                if h <= cfg.min_step:
+                    raise
+                norm = math.inf
             if norm <= 1.0 or h <= cfg.min_step:
                 break
             h = max(cfg.min_step, h * max(0.2, 0.9 * norm ** -0.2))
@@ -425,7 +426,7 @@ def run_ensemble_pdmp(system: HybridSystem, v0, t_end: float, seed: int,
                       quantiles=(0.1, 0.5, 0.9)) -> EnsembleStats:
     """Replicated PDMP runs with the same stream-splitting contract as
     the stochastic engine."""
-    grid = np.asarray(grid, dtype=float)
+    grid = ensemble_grid(grid, replicas, t_end)
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
     if labels is None:
         labels = tuple(f"obs{i}" for i in range(weights.shape[0]))

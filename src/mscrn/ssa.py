@@ -385,10 +385,24 @@ def _raw_initial(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     return raw.reshape(-1).astype(np.int64)
 
 
-def _checked_grid(record, t_end: float) -> np.ndarray:
+def checked_grid(record, t_end: float) -> np.ndarray:
+    """``record`` as a sample-time grid: one-dimensional, increasing and
+    within [0, t_end]; it may be empty."""
     grid = np.asarray(record, dtype=float)
-    if np.any(np.diff(grid) <= 0) or np.any(grid < 0) or grid[-1] > t_end + 1e-12:
+    if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid < 0) \
+            or (len(grid) and grid[-1] > t_end + 1e-12):
         raise ModelError("record grid must be increasing within [0, t_end]")
+    return grid
+
+
+def ensemble_grid(grid, replicas: int, t_end: float) -> np.ndarray:
+    """The checked sample grid of an ensemble run; an ensemble needs at
+    least one replica and one sample time."""
+    if replicas < 1:
+        raise ModelError("replicas must be >= 1")
+    grid = checked_grid(grid, t_end)
+    if not len(grid):
+        raise ModelError("an ensemble needs at least one sample time")
     return grid
 
 
@@ -435,7 +449,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
             raise ModelError(f"unknown record mode {config.record!r}")
         event_mode = True
     elif config.record is not None:
-        grid = _checked_grid(config.record, config.t_end)
+        grid = checked_grid(config.record, config.t_end)
 
     times = []
     states = []
@@ -564,7 +578,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     replica: the one a replica-by-replica run meets first.
     """
     x_init = _raw_initial(model, scaling, config, x0)
-    grid = _checked_grid(config.record, config.t_end)
+    grid = checked_grid(config.record, config.t_end)
     network = model.network if isinstance(model, SpatialModel) else model
     nd = model.n_compartments if isinstance(model, SpatialModel) else 1
     alpha_pow = config.N ** np.array([float(a) for a in network.alphas])
@@ -653,13 +667,11 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     ``observables`` is either a list of observable specs (see
     :func:`observable_weights`) or a precomputed (labels, weights) pair.
     """
-    if replicas < 1:
-        raise ModelError("replicas must be >= 1")
     if grid is None:
         if config.record is None or isinstance(config.record, str):
             raise ModelError("run_ensemble needs a sample grid")
-        grid = np.asarray(config.record, dtype=float)
-    grid = np.asarray(grid, dtype=float)
+        grid = config.record
+    grid = ensemble_grid(grid, replicas, config.t_end)
     if isinstance(observables, tuple) and len(observables) == 2 \
             and isinstance(observables[1], np.ndarray):
         labels, weights = observables

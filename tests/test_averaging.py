@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as sps
 
 from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryComponent,
-                             StationaryMeasure, averaged_rate_three_scale,
+                             StationaryMeasure, _occupation, averaged_rate_three_scale,
                              averaged_rate_two_scale, mass_action_term,
                              movement_equilibrium, product_measure, stationary_fast)
 from mscrn.classify import classify, conserved_basis
@@ -174,9 +174,8 @@ def test_constrained_samples_on_surface(conserved_doc):
                               mc=McConfig(budget=20_000, seed=6),
                               conserved=basis, conserved_values=[4.0])
     assert measure.variant == "empirical"
-    for batch in measure.batches:
-        for state in batch:
-            assert state[0] + state[1] == 4.0
+    for state in measure.states:
+        assert state[0] + state[1] == 4.0
 
 
 def test_constrained_analytic_binomial(conserved_doc):
@@ -328,19 +327,38 @@ def test_rate_and_se_share_one_estimate(ab_doc, monkeypatch):
     assert len(runs) == 1
 
 
+def test_occupation_matches_per_visit_dicts():
+    # each batch keeps its distinct states in first-visit order, with the
+    # weights summed in visit order, exactly as a dict keyed by state
+    # tuples accumulates them; an empty batch leaves no rows
+    rng = np.random.default_rng(7)
+    batches = [(rng.integers(0, 4, (n, 2)).astype(float), rng.random(n))
+               for n in (40, 0, 1, 25)]
+    states, weights, batch = _occupation(iter(batches), 2)
+    for b, (rows, w) in enumerate(batches):
+        want = {}
+        for row, x in zip(rows, w):
+            want[tuple(row)] = want.get(tuple(row), 0.0) + x
+        mine = batch == b
+        assert [tuple(state) for state in states[mine]] == list(want)
+        assert weights[mine].tolist() == list(want.values())
+    assert _occupation(iter([]), 3)[0].shape == (0, 3)
+
+
 def test_empirical_mass_action_matches_per_state_loop():
     # the array form of expect_mass_action over stored samples equals the
-    # per-state loop bit for bit: falling factorials of discrete
+    # per-state path of expect bit for bit: falling factorials of discrete
     # variables (zero below the order), powers of continuous ones, empty
     # and uneven batches
     rng = np.random.default_rng(4)
-    batches = []
-    for size in (7, 0, 12, 1, 30):
-        states = zip(rng.integers(0, 5, size).astype(float), rng.random(size) * 3,
-                     rng.integers(0, 3, size).astype(float))
-        batches.append({tuple(z): float(w) for z, w in zip(states, rng.random(size))})
-    measure = StationaryMeasure("empirical", batches=batches, ess=50, dim=3,
+    sizes = (7, 0, 12, 1, 30)
+    states = np.column_stack([rng.integers(0, 5, sum(sizes)).astype(float),
+                              rng.random(sum(sizes)) * 3,
+                              rng.integers(0, 3, sum(sizes)).astype(float)])
+    measure = StationaryMeasure("empirical", states=states, weights=rng.random(sum(sizes)),
+                                batch=np.repeat(np.arange(len(sizes)), sizes), ess=50,
                                 discrete=[True, False, True])
+    assert measure.dim == 3
     for coeff, orders in ((1.7, [2, 2, 1]), (0.3, [0, 3, 0]), (2.0, [0, 0, 0]),
                           (1.0, [1, 1, 4])):
         value, se = measure.expect_mass_action(coeff, orders)
@@ -348,5 +366,6 @@ def test_empirical_mass_action_matches_per_state_loop():
             lambda z: mass_action_term(coeff, np.asarray(orders), measure.discrete, z))
         assert (value, se) == (want, want_se)
     with pytest.raises(NonErgodicSuspected):
-        StationaryMeasure("empirical", batches=[{}, {}], ess=0, dim=1,
+        StationaryMeasure("empirical", states=np.empty((0, 1)), weights=np.empty(0),
+                          batch=np.empty(0, dtype=int), ess=0,
                           discrete=[True]).expect_mass_action(1.0, [1])

@@ -128,6 +128,13 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert cli(["reduce", str(path), "--mode", "analytic"]) == 3
 
 
+@pytest.mark.parametrize("engine", ["ssa", "pdmp"])
+def test_simulate_zero_replicas_exit_2(gene_file, engine, capsys):
+    assert cli(["simulate", gene_file, "--engine", engine, "--t-end", "1",
+                "--replicas", "0"]) == 2
+    assert "model error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["avg-rates", "--var", "A", "--values", "x"],
     ["avg-rates", "--var", "A", "--values", "1", "--fix", "B"],

@@ -90,6 +90,16 @@ def test_negative_rate_aborts():
         simulate_pdmp(system, [0.05], t_end=10.0, seed=0)
 
 
+def test_stiff_flow_rejects_steps_that_leave_orthant():
+    # dv/dt = -400 v^2 from v = 3 has v(t) = 1/(1/3 + 400 t) > 0; the
+    # first trial step's stages overshoot below zero and must shrink the
+    # step rather than abort the run
+    system = HybridSystem(("C",), (), ((lambda v: 200.0 * v[0] ** 2, np.array([-2.0])),))
+    grid = np.linspace(0.1, 0.5, 5)
+    traj = simulate_pdmp(system, [3.0], t_end=0.5, seed=0, record=grid)
+    assert traj.states[:, 0] == pytest.approx(1 / (1 / 3 + 400 * grid), rel=1e-5)
+
+
 @pytest.mark.parametrize("rate, jump, error", [
     (lambda v: 1.0, -1, NegativeRate),              # leaves the orthant
     (lambda v: -1.0, 1, NegativeRate),              # negative rate
@@ -210,3 +220,129 @@ def test_gene_limit_flow_between_jumps(gene_doc):
     system = build_limit_system(c, rates)
     traj = simulate_pdmp(system, [0.0, 1.0, 0.0], t_end=1.0, seed=0)
     assert traj.final_state[2] == pytest.approx(2 * (1 - np.exp(-1)), rel=1e-5)
+
+
+# -- properties over hypothesis-drawn hybrid systems ------------------------
+
+def _draw_hybrid(data):
+    """A hybrid system with mass-action rates: integer jumps on one or two
+    discrete coordinates, drifts on one or two continuous ones. A reaction
+    lowers a coordinate only by what its reactants hold there, so exact
+    paths stay in the nonnegative orthant; a flow that raises a continuous
+    coordinate is at most linear in the continuous ones, so no flow blows
+    up in finite time."""
+    from hypothesis import strategies as st
+    from mscrn.model import mass_action_value
+
+    n_disc = data.draw(st.integers(1, 2))
+    n_cont = data.draw(st.integers(1, 2))
+    dim = n_disc + n_cont
+    alphas = (0,) * n_disc + (1,) * n_cont
+    orders = st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+
+    def reaction(first, last):
+        reactants = data.draw(orders)
+        products = data.draw(orders)
+        column = np.zeros(dim, dtype=np.int64)
+        column[first:last] = np.subtract(products, reactants)[first:last]
+        if not column.any():
+            column[first] = 1
+        terms = tuple((i, n) for i, n in enumerate(reactants) if n)
+        kappa = data.draw(st.floats(0.1, 2.0))
+        return terms, column, lambda v: mass_action_value(kappa, terms, alphas, v)
+
+    jumps = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        _, column, rate = reaction(0, n_disc)
+        jumps.append((rate, column))
+    flows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        terms, column, rate = reaction(n_disc, dim)
+        if (column > 0).any() and sum(n for i, n in terms if i >= n_disc) > 1:
+            column = np.minimum(column, 0)
+            if not column.any():
+                continue
+        flows.append((rate, column.astype(float)))
+    if not flows:
+        flows.append((lambda v: 1.0, np.eye(dim)[n_disc]))
+    v0 = [float(data.draw(st.integers(0, 4))) for _ in range(n_disc)] \
+        + [data.draw(st.floats(0.0, 3.0)) for _ in range(n_cont)]
+    labels = tuple(f"x{i}" for i in range(dim))
+    return HybridSystem(labels, tuple(jumps), tuple(flows)), v0, n_disc
+
+
+def _property(check, max_examples=25):
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+    return settings(max_examples=max_examples, deadline=None, derandomize=True,
+                    database=None, suppress_health_check=[HealthCheck.too_slow])(
+        given(data=st.data())(check))
+
+
+def test_hybrid_paths_stay_in_orthant():
+    # every recorded state of a hybrid path is nonnegative up to the
+    # engine's rounding tolerance, and discrete coordinates stay integers
+    tol = 10 * OdeConfig().abs_tol
+
+    def check(data):
+        from hypothesis import strategies as st
+        system, v0, n_disc = _draw_hybrid(data)
+        seed = data.draw(st.integers(0, 999))
+        for record in ("events", np.linspace(0.1, 0.5, 5)):
+            try:
+                traj = simulate_pdmp(system, v0, t_end=0.5, seed=seed, record=record,
+                                     max_events=2000)
+            except EventCapExceeded:
+                return
+            states = np.vstack([traj.states, traj.final_state])
+            assert states.min() >= -tol
+            assert np.array_equal(states[:, :n_disc], np.rint(states[:, :n_disc]))
+
+    _property(check)()
+
+
+def test_hybrid_replay_identical():
+    # the same system, start and seed give the same jumps, times and states
+    def check(data):
+        from hypothesis import strategies as st
+        system, v0, _ = _draw_hybrid(data)
+        seed = data.draw(st.integers(0, 999))
+        runs = []
+        for _ in range(2):
+            try:
+                runs.append(simulate_pdmp(system, v0, t_end=0.5, seed=seed,
+                                          record="events", max_events=2000))
+            except EventCapExceeded:
+                return
+        first, second = runs
+        assert first.event_log == second.event_log
+        assert np.array_equal(first.states, second.states)
+        assert np.array_equal(first.final_state, second.final_state)
+        assert np.array_equal(first.event_counts, second.event_counts)
+
+    _property(check)()
+
+
+def test_conserved_coordinates_move_only_through_conserved_reactions(conserved_doc):
+    # CONSERVED reduced to (S, c1 = E + Ea): along every path, c1 changes
+    # only when a reaction of the conserved set fires, and each jump moves
+    # the state by its reaction's column
+    from mscrn.reduce import build_reduced_model
+    reduced = build_reduced_model(conserved_doc.model, conserved_doc.scaling)
+    system = reduced.to_hybrid()
+    n_slow = len(reduced.classification.slow.rows)
+    k_c = reduced.conserved.k_c
+
+    def check(data):
+        from hypothesis import strategies as st
+        v0 = [float(data.draw(st.integers(0, 5))), float(data.draw(st.integers(0, 8)))]
+        traj = simulate_pdmp(system, v0, t_end=data.draw(st.floats(0.5, 3.0)),
+                             seed=data.draw(st.integers(0, 999)), record="events")
+        for step, (_, channel) in enumerate(traj.event_log):
+            k, column = reduced.jump_reactions[channel]
+            delta = traj.states[step + 1] - traj.states[step]
+            assert np.array_equal(delta, column)
+            if k not in k_c:
+                assert not delta[n_slow:].any()
+
+    _property(check, max_examples=30)()

@@ -10,6 +10,7 @@ import pytest
 from mscrn.errors import EventCapExceeded, ModelError, RateEvaluationError
 from mscrn.model import ScalingSpec, State
 from mscrn.parser import parse_document, parse_model
+from mscrn.pdmp import HybridSystem, run_ensemble_pdmp, simulate_pdmp
 from mscrn.ssa import (SimulationConfig, observable_weights, run_ensemble,
                        simulate, simulate_spatial)
 
@@ -221,6 +222,46 @@ def test_throughput_smoke_benchmark(ab_doc, capsys):
         print(f"\n[benchmark] N=1000 titration: {events} events, "
               f"{rate:,.0f} events/s")
     assert rate > 2e4   # loose floor; the target is 1e5 on desk hardware
+
+
+# DEATH_TEXT as a hybrid system
+DEATH_SYSTEM = HybridSystem(("A",), ((lambda v: v[0], np.array([-1], dtype=np.int64)),), ())
+
+
+def _simulate_both(engine, record):
+    """Simulate the death chain from A = 3 to t = 1 on either engine with
+    the given ``record``."""
+    if engine == "ssa":
+        model, scaling = parse_model(DEATH_TEXT)
+        cfg = SimulationConfig(N=1, t_end=1.0, seed=0, record=record)
+        return simulate(model, scaling, cfg, State(np.array([3.0])))
+    return simulate_pdmp(DEATH_SYSTEM, [3.0], t_end=1.0, seed=0, record=record)
+
+
+@pytest.mark.parametrize("engine", ["ssa", "pdmp"])
+def test_record_grid_rules_shared_by_both_engines(engine):
+    # an empty grid records one snapshot, as no grid does; a grid that is
+    # not one-dimensional is a model error
+    traj = _simulate_both(engine, [])
+    assert list(traj.times) == [0.0]
+    assert traj.states.shape == (1, 1)
+    with pytest.raises(ModelError):
+        _simulate_both(engine, [[0.5, 1.0]])
+
+
+@pytest.mark.parametrize("ensemble", ["ssa", "pdmp"])
+@pytest.mark.parametrize("replicas, grid", [(0, [0.5, 1.0]), (2, [])])
+def test_ensembles_reject_no_replicas_or_no_grid(ensemble, replicas, grid):
+    if ensemble == "ssa":
+        model, scaling = parse_model(DEATH_TEXT)
+        cfg = SimulationConfig(N=1, t_end=1.0, seed=0)
+        run = lambda: run_ensemble(model, scaling, cfg, replicas, ["A"], grid=grid,
+                                   x0=State(np.array([3.0])))
+    else:
+        run = lambda: run_ensemble_pdmp(DEATH_SYSTEM, [3.0], 1.0, 0, replicas, grid,
+                                        np.eye(1))
+    with pytest.raises(ModelError):
+        run()
 
 
 def test_replay_identity_random_networks():
