@@ -379,6 +379,11 @@ def _compile_law(network: Network, reaction: Reaction, law: RateLaw):
                     out *= value if n == 1 else value ** n
             return out
 
+        # continuous powers round through the C library's pow, which
+        # numpy's array power does not reproduce (not even the square, on
+        # about one random state in a thousand): no row form for them
+        if all(discrete or n == 1 for _, n, discrete in terms):
+            rate.row_terms = (kappa, terms)
         return rate
 
     index = network.index
@@ -398,6 +403,64 @@ def _compile_law(network: Network, reaction: Reaction, law: RateLaw):
         return out
 
     return rate
+
+
+class MassActionRows:
+    """Mass-action closures of :func:`_compile_law` over the rows of a
+    (rows, species) array, all at once. ``laws`` lists the closures'
+    ``row_terms``, ``(kappa, ((species, order, discrete), ...))``; a call
+    returns the (rows, laws) rates, law c in column ``columns[c]``.
+
+    Each rate is ``kappa`` times its factors in the closure's order: a
+    discrete term of order n gives the n factors ``value - j``, a
+    continuous one ``value``. The rate is zero wherever one of its
+    discrete values is below its order, where the closure returns early.
+    The columns hold the laws by decreasing number of factors, so factor
+    slot s is a block of the first ``reach[s]`` columns, gathered at
+    ``offset[s]`` of ``index``; a discrete check slot pads a law with
+    fewer checks with order -inf, which no value is below.
+    """
+
+    def __init__(self, laws):
+        factors = [[(i, j) for i, n, discrete in terms
+                    for j in (range(n) if discrete else (0,))] for _, terms in laws]
+        order = sorted(range(len(laws)), key=lambda c: -len(factors[c]))
+        self.columns = [order.index(c) for c in range(len(laws))]
+        factors = [factors[c] for c in order]
+        checks = [[(i, n) for i, n, discrete in laws[c][1] if discrete] for c in order]
+        self.kappa = np.array([laws[c][0] for c in order], dtype=float)
+        slots = [[f[s] for f in factors if len(f) > s] for s in range(len(factors[0]))]
+        self.reach = [len(slot) for slot in slots]
+        self.offset = np.cumsum([0] + self.reach).tolist()
+        flat = [factor for slot in slots for factor in slot]
+        self.index = np.array([i for i, _ in flat], dtype=np.intp)
+        shift = np.array([j for _, j in flat], dtype=float)
+        self.shift = shift if shift.any() else None
+        self.depth = max(len(c) for c in checks)
+        pad = (0, -math.inf)
+        flat = [c[s] if s < len(c) else pad for s in range(self.depth) for c in checks]
+        self.checks = np.array([i for i, _ in flat], dtype=np.intp)
+        self.orders = np.array([n for _, n in flat], dtype=float)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        factors = values.take(self.index, axis=1)
+        if self.shift is not None:
+            factors -= self.shift
+        first = self.reach[0] if self.reach else 0
+        if first == len(self.kappa):
+            out = self.kappa * factors[:, :first]
+        else:   # laws without reactants are their kappa
+            out = np.full((len(values), len(self.kappa)), self.kappa)
+            out[:, :first] *= factors[:, :first]
+        for s in range(1, len(self.reach)):
+            out[:, :self.reach[s]] *= factors[:, self.offset[s]:self.offset[s + 1]]
+        if self.depth:
+            below = values.take(self.checks, axis=1) < self.orders
+            if self.depth > 1:
+                below = np.logical_or.reduce(below.reshape(len(values), self.depth, -1),
+                                             axis=1)
+            np.putmask(out, below, 0.0)
+        return out
 
 
 def check_state(model: Model, state: State) -> None:

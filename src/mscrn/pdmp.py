@@ -4,11 +4,21 @@ Limit processes mix Poisson-driven integer jumps (discrete species) with
 ODE flow (continuous species). Between jumps the engine integrates the
 drift with an embedded Cash-Karp 5(4) pair while accumulating the
 integrated jump hazard as an extra coordinate; a jump fires when the
-hazard crosses an Exp(1) threshold, located by bisection over the step.
-This avoids thinning bounds, which unbounded rates cannot supply.
+hazard crosses an Exp(1) threshold, located by false position over the
+step. This avoids thinning bounds, which unbounded rates cannot supply.
 Without flows the rates are constant between jumps, and the exact
 direct method of the stochastic engine (:func:`ssa.direct_method`) runs
 instead.
+
+Runs with flows go through one kernel (:func:`_run_rows`) that advances
+any number of runs at once, one row each: a single run is one row, an
+ensemble one row per replica. Each row keeps its own step size, hazard
+search, grid snapshots, jumps and random stream (:func:`_row`), and on
+every pass asks for one Cash-Karp step; the steps of all rows are taken
+by one batched evaluation (:func:`_ck_rows`). Mass-action rates
+evaluate over the rows through one table, other rates one row at a
+time. Every row does the arithmetic of a lone run in the same order, so
+an ensemble equals its replicas run one after another bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +31,9 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import (EventCapExceeded, MissingRates, ModelError, NegativeRate,
                      OdeStepFailure)
-from .ssa import EnsembleStats, Trajectory, checked_grid, direct_method, ensemble_grid
+from .model import MassActionRows
+from .ssa import (EnsembleStats, Trajectory, check_t_end, checked_grid, direct_method,
+                  ensemble_grid)
 
 # Cash-Karp tableau
 _C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -36,6 +48,12 @@ _A = (
 _B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _ERR = (-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 7084)
 
+# Jump cap of a run whose caller sets none.
+_MAX_EVENTS = 10_000_000
+# Uniforms an ensemble row takes from its stream at a time: a row draws a
+# few per jump, and a replica's stream gives the same values in any blocks.
+_ROW_DRAWS = 64
+
 
 @dataclass
 class OdeConfig:
@@ -47,7 +65,7 @@ class OdeConfig:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_step", "hazard_tol", "min_step"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:   # NaN fails too
                 raise ModelError(f"{name} must be > 0")
 
 
@@ -85,57 +103,69 @@ def _eval_state(v: np.ndarray, abs_tol: float) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
+def _initial_state(system: HybridSystem, v0, t_end: float) -> np.ndarray:
+    """A checked copy of ``v0``, after checking ``t_end``."""
+    check_t_end(t_end)
+    v = np.asarray(v0, dtype=float).copy()
+    if v.shape != (system.dim,):
+        raise ModelError(f"v0 has shape {v.shape}, system dimension is {system.dim}")
+    if not np.all(np.isfinite(v)):
+        raise ModelError("v0 must be finite")
+    if np.any(v < 0):
+        raise ModelError("v0 must be nonnegative")
+    return v
+
+
+class _Path:
+    """The record of one run: its live state ``v``, the snapshots, the
+    jumps per channel and, in event mode, the (time, channel) log. A run
+    without a sample grid starts with a snapshot of its initial state."""
+
+    __slots__ = ("v", "times", "states", "counts", "log")
+
+    def __init__(self, v: np.ndarray, n_jumps: int, grid, event_mode: bool):
+        self.v = v
+        self.times: list[float] = []
+        self.states: list[np.ndarray] = []
+        self.counts = np.zeros(n_jumps, dtype=np.int64)
+        self.log = [] if event_mode else None
+        if grid is None or not len(grid):
+            self.snapshot(0.0)
+
+    def snapshot(self, t):
+        self.times.append(t)
+        self.states.append(self.v.copy())
+
+
 def simulate_pdmp(system: HybridSystem, v0, t_end: float, seed: int = 0,
                   ode_config: OdeConfig | None = None, record=None,
                   rng: np.random.Generator | None = None,
-                  max_events: int = 10_000_000) -> Trajectory:
+                  max_events: int = _MAX_EVENTS) -> Trajectory:
     """Simulate the hybrid process from ``v0`` up to ``t_end``.
 
     ``record`` follows the stochastic engine: a sample-time grid,
     ``'events'`` for a jump log, or None (initial snapshot only).
     """
     cfg = ode_config or OdeConfig()
-    rng = rng if rng is not None else rng_mod.stream(seed)
-    v = np.asarray(v0, dtype=float).copy()
-    if v.shape != (system.dim,):
-        raise ModelError(f"v0 has shape {v.shape}, system dimension is {system.dim}")
-    if np.any(v < 0):
-        raise ModelError("v0 must be nonnegative")
-
+    v = _initial_state(system, v0, t_end)
     event_mode = isinstance(record, str) and record == "events"
     grid = None if record is None or event_mode else checked_grid(record, t_end)
-
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    log = [] if event_mode else None
-    counts = np.zeros(len(system.jumps), dtype=np.int64)
-
-    def snapshot(t):
-        times.append(t)
-        states.append(v.copy())
-
-    if event_mode:
-        snapshot(0.0)
-
-    if not system.flows:
-        _simulate_pure_jump(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
-                            max_events)
+    path = _Path(v, len(system.jumps), grid, event_mode)
+    rng = rng if rng is not None else rng_mod.stream(seed)
+    if system.flows:
+        _run_rows(system, [path], t_end, [rng_mod.Buffered(rng)], cfg, grid, max_events)
     else:
-        _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
-                         max_events)
-
-    if not times:
-        snapshot(0.0)
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      event_counts=counts,
+        _simulate_pure_jump(system, path, t_end, rng, cfg, grid, max_events)
+    return Trajectory(times=np.array(path.times), states=np.array(path.states),
+                      event_counts=path.counts,
                       channels=tuple(("jump", i) for i in range(len(system.jumps))),
-                      t_end=t_end, final_state=v.copy(), event_log=log)
+                      t_end=t_end, final_state=path.v.copy(), event_log=path.log)
 
 
-def _simulate_pure_jump(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
-                        max_events):
+def _simulate_pure_jump(system, path, t_end, rng, cfg, grid, max_events):
     """Rates are constant between jumps, so the direct method is exact.
     The rate functions are opaque, so every jump refreshes every rate."""
+    v = path.v
     rate_fns = [rate_fn for rate_fn, _ in system.jumps]
     # nonzero entries of each jump; the state starts nonnegative, so only
     # a decreasing coordinate can leave the orthant
@@ -158,46 +188,71 @@ def _simulate_pure_jump(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
                 raise NegativeRate("jump left the nonnegative orthant")
 
     refresh()
-    counts[:] = direct_method(prop, fire, refresh, rng_mod.Buffered(rng), t_end, grid,
-                              snapshot, log, max_events)
+    path.counts[:] = direct_method(prop, fire, refresh, rng_mod.Buffered(rng), t_end, grid,
+                                   path.snapshot, path.log, max_events)
 
 
-def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
-                     max_events):
-    dim = system.dim
+def _run_rows(system, paths, t_end, draws, cfg, grid, max_events):
+    """Run the hybrid process along every path of ``paths`` at once,
+    path r on the uniforms of ``draws[r]``.
 
-    def rhs(y):
-        state = _eval_state(y[:dim], cfg.abs_tol)
-        out = np.empty(dim + 1)
-        out[:dim] = system.drift(state)
-        hazard = 0.0
-        for rate_fn, _ in system.jumps:
-            r = rate_fn(state)
-            if r < 0 or not math.isfinite(r):
-                raise NegativeRate(f"jump rate evaluated to {r}")
-            hazard += r
-        out[dim] = hazard
-        return out
-
-    def ck_step(y, h):
-        """One Cash-Karp step: returns (y_new, error_estimate)."""
-        k = [rhs(y)]
-        for stage in range(1, 6):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[stage]))
-            k.append(rhs(yi))
-        y_new = y + h * sum(b * ki for b, ki in zip(_B5, k))
-        err = h * sum(e * ki for e, ki in zip(_ERR, k))
-        return y_new, err
-
-    def error_norm(y, y_new, err):
+    Each path is one :func:`_row`, which yields the Cash-Karp steps
+    ``(y, h)`` it needs one at a time. On each pass the steps of every
+    live row go through one :func:`_ck_rows` call and one error norm
+    over the rows, and each row gets back its ``(y_new, norm)``, or has
+    the error its stages raised thrown in. A row that fails is dropped
+    with every higher-numbered row, and the error raised at the end is
+    that of the lowest-numbered failing row: the one a run of the rows
+    one after another meets first.
+    """
+    rates = _Rates(system)
+    rows = [_row(system, path, t_end, rand, cfg, grid, max_events)
+            for path, rand in zip(paths, draws)]
+    replies = dict.fromkeys(range(len(rows)))
+    error = None
+    while replies:
+        steps = {}
+        # rows in increasing order; a row that raises ends the pass, so
+        # the rows after it are dropped and a later error is a lower row's
+        for r, reply in replies.items():
+            try:
+                if isinstance(reply, Exception):
+                    steps[r] = rows[r].throw(reply)
+                else:
+                    steps[r] = rows[r].send(reply)
+            except StopIteration:
+                pass
+            except Exception as exc:   # the row's own error, raised once the lower rows end
+                error = exc
+                break
+        if not steps:
+            break
+        ids = list(steps)
+        y = np.array([steps[r][0] for r in ids])
+        h = np.array([steps[r][1] for r in ids])
+        live, y, y_new, err, errors = _ck_rows(rates, y, h, cfg.abs_tol)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        return float(np.sqrt(np.mean((err / scale) ** 2)))
+        norms = np.sqrt(np.mean((err / scale) ** 2, axis=1)).tolist()
+        results = [errors.get(i) for i in range(len(ids))]
+        for i, y_i, norm in zip(live.tolist(), y_new, norms):
+            results[i] = (y_i, norm)
+        replies = dict(zip(ids, results))
+    if error is not None:
+        raise error
 
+
+def _row(system, path, t_end, rand, cfg, grid, max_events):
+    """One path of the hybrid kernel, as a generator: each Cash-Karp step
+    it needs is yielded as ``(y, h)`` and answered with ``(y_new, error
+    norm)``, or with the error the step's stages raised, thrown in at the
+    yield. Between jumps an adaptive step integrates the drift and the
+    hazard; a jump fires where the hazard crosses an Exp(1) threshold."""
+    dim = system.dim
+    v, counts, log, snapshot = path.v, path.counts, path.log, path.snapshot
     t = 0.0
     grid_pos = 0
     n_events = 0
-    threshold = rng_mod.Buffered(rng)
-    exp_threshold = threshold.exponential()
+    exp_threshold = rand.exponential()
     y = np.concatenate([v, [0.0]])
     h = min(cfg.max_step, max(t_end / 100.0, 10 * cfg.min_step))
 
@@ -209,8 +264,7 @@ def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
         # rejected like an inaccurate one until the step is at its minimum
         while True:
             try:
-                y_new, err = ck_step(y, h)
-                norm = error_norm(y, y_new, err)
+                y_new, norm = yield y, h
             except NegativeRate:
                 if h <= cfg.min_step:
                     raise
@@ -236,7 +290,7 @@ def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
                 mid = hi - g_hi * (hi - lo) / denom if denom != 0 else 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     mid = 0.5 * (lo + hi)
-                y_mid, _ = ck_step(y, mid)
+                y_mid, _ = yield y, mid
                 g_mid = y_mid[dim] - exp_threshold
                 if g_mid >= 0:
                     hi, g_hi, y_hi = mid, g_mid, y_mid
@@ -252,7 +306,7 @@ def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
             t_jump = t + tau
             if grid is not None:
                 while grid_pos < len(grid) and grid[grid_pos] <= t_jump:
-                    y_grid, _ = ck_step(y, max(grid[grid_pos] - t, 0.0))
+                    y_grid, _ = yield y, max(grid[grid_pos] - t, 0.0)
                     v[:] = y_grid[:dim]
                     snapshot(float(grid[grid_pos]))
                     grid_pos += 1
@@ -263,9 +317,9 @@ def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
             if total <= 0:
                 # hazard crossed on a vanishing rate: numerical corner, re-arm
                 y = np.concatenate([v, [0.0]])
-                exp_threshold = threshold.exponential()
+                exp_threshold = rand.exponential()
                 continue
-            u = threshold.uniform() * total
+            u = rand.uniform() * total
             chosen = int(np.searchsorted(np.cumsum(rates), u))
             chosen = min(chosen, len(rates) - 1)
             v += system.jumps[chosen][1]
@@ -279,7 +333,7 @@ def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
             if n_events >= max_events:
                 raise EventCapExceeded(f"exceeded {max_events} jump events at t={t}")
             y = np.concatenate([v, [0.0]])
-            exp_threshold = threshold.exponential()
+            exp_threshold = rand.exponential()
             h = min(cfg.max_step, max(h, 10 * cfg.min_step))
         else:
             t += h
@@ -299,6 +353,126 @@ def _simulate_hybrid(system, v, t_end, rng, cfg, grid, snapshot, counts, log,
         while grid_pos < len(grid):
             snapshot(float(grid[grid_pos]))
             grid_pos += 1
+
+
+def _ck_rows(rates, y, h, abs_tol):
+    """One Cash-Karp step of every row of ``y`` by its size in ``h``.
+
+    The stage sums, including the zero weights, are those of a single
+    step, so each row rounds as it would alone. A row whose stage raises
+    is not evaluated further. Returns ``(live, y, y_new, err, errors)``:
+    the positions of the rows whose stages all evaluated, with their
+    start states, new states and error estimates, and a map from each
+    other position to the error its stage raised.
+    """
+    live = np.arange(len(y))
+    errors = {}
+    h = h[:, None]
+    k = []
+    for stage in range(6):
+        if not len(y):
+            return live, y, y, y, errors
+        yi = y + h * sum(a * k[j] for j, a in enumerate(_A[stage])) if stage else y
+        ki, failed = rates.rhs(yi, abs_tol)
+        if failed:
+            for i, exc in failed.items():
+                errors[int(live[i])] = exc
+            keep = np.ones(len(y), dtype=bool)
+            keep[list(failed)] = False
+            live, y, h, ki = live[keep], y[keep], h[keep], ki[keep]
+            k = [kj[keep] for kj in k]
+        k.append(ki)
+    y_new = y + h * sum(b * ki for b, ki in zip(_B5, k))
+    err = h * sum(e * ki for e, ki in zip(_ERR, k))
+    return live, y, y_new, err, errors
+
+
+class _Rates:
+    """A system's rate functions over rows, flows then jumps: the
+    mass-action ones that carry ``row_terms`` through one
+    :class:`MassActionRows` table, every other one called row by row."""
+
+    def __init__(self, system: HybridSystem):
+        fns = [rate_fn for rate_fn, _ in system.flows + system.jumps]
+        laws = [getattr(rate_fn, "row_terms", None) for rate_fn in fns]
+        tabled = [c for c, law in enumerate(laws) if law is not None]
+        self.table = MassActionRows([laws[c] for c in tabled]) if tabled else None
+        column = {c: self.table.columns[j] for j, c in enumerate(tabled)}
+        plan = [(column.get(c), rate_fn) for c, rate_fn in enumerate(fns)]
+        self.flows = [(col, rate_fn, vec) for (col, rate_fn), (_, vec)
+                      in zip(plan, system.flows)]
+        self.jumps = plan[len(system.flows):]
+
+    def rhs(self, y: np.ndarray, abs_tol: float):
+        """The drift of every row of ``y`` followed by its total jump
+        rate, summed in channel order; returns the array and a map from
+        each row whose evaluation raised to its error. A row's state is
+        read as :func:`_eval_state` reads it, and its rates come in the
+        order of a single run, each jump rate checked as it comes; a row
+        that fails is not evaluated further.
+
+        A tabled rate of a row whose state passed is a product of
+        nonnegative factors, so it can fail the check only by not being
+        finite; the tabled jump rates are inspected one by one only when
+        the table's sum is not finite.
+        """
+        dim = y.shape[1] - 1
+        v = y[:, :dim]
+        errors = {}
+        # the minimum is NaN if any coordinate is, so NaN rows are clipped too
+        state = v if np.minimum.reduce(v, axis=None) >= 0 else _clipped(v, abs_tol, errors)
+        tabled = finite = None
+        if self.table is not None:
+            tabled = self.table(state)
+            finite = math.isfinite(np.add.reduce(tabled, axis=None))
+        out = np.zeros(y.shape)
+        drift, hazard = out[:, :dim], out[:, dim]
+        for col, rate_fn, vec in self.flows:
+            if col is None:
+                drift += _called(rate_fn, state, errors, False)[:, None] * vec
+            else:
+                drift += tabled[:, col, None] * vec
+        for col, rate_fn in self.jumps:
+            if col is None:
+                hazard += _called(rate_fn, state, errors, True)
+                continue
+            rates = tabled[:, col]
+            if not finite:
+                for i in np.flatnonzero((rates < 0) | ~np.isfinite(rates)).tolist():
+                    errors.setdefault(i, NegativeRate(f"jump rate evaluated to {rates[i]}"))
+            hazard += rates
+        return out, errors
+
+
+def _clipped(v, abs_tol, errors):
+    """``v`` with each row that has a coordinate below zero (or not a
+    number) replaced by its :func:`_eval_state` view; a row that left
+    the orthant joins ``errors``."""
+    state = v.copy()
+    for i in np.flatnonzero(~(v >= 0).all(axis=1)).tolist():
+        try:
+            state[i] = _eval_state(v[i], abs_tol)
+        except NegativeRate as exc:
+            errors[i] = exc
+    return state
+
+
+def _called(rate_fn, state, errors, jump):
+    """``rate_fn`` called on each row of ``state`` not in ``errors``; a
+    row whose call raises, or whose jump rate is negative or not
+    finite, joins ``errors``."""
+    out = np.zeros(len(state))
+    for i in range(len(state)):
+        if i in errors:
+            continue
+        try:
+            r = rate_fn(state[i])
+            if jump and (r < 0 or not math.isfinite(r)):
+                raise NegativeRate(f"jump rate evaluated to {r}")
+            out[i] = r
+        except Exception as exc:
+            errors[i] = exc
+    return out
 
 
 def limit_stoichiometry(classification, conserved=None) -> tuple[tuple, tuple, tuple]:
@@ -412,7 +586,7 @@ def fast_subsystem(classification, frozen) -> HybridSystem:
 def simulate_conditional_fast(classification, frozen, v_f0, t_end: float,
                               seed: int = 0, ode_config: OdeConfig | None = None,
                               record=None, rng=None,
-                              max_events: int = 10_000_000) -> Trajectory:
+                              max_events: int = _MAX_EVENTS) -> Trajectory:
     """Simulate the fast species conditional on frozen slow coordinates;
     conserved combinations of the fast tier stay exactly constant."""
     system = fast_subsystem(classification, frozen)
@@ -425,14 +599,32 @@ def run_ensemble_pdmp(system: HybridSystem, v0, t_end: float, seed: int,
                       labels=None, ode_config: OdeConfig | None = None,
                       quantiles=(0.1, 0.5, 0.9)) -> EnsembleStats:
     """Replicated PDMP runs with the same stream-splitting contract as
-    the stochastic engine."""
+    the stochastic engine: replica r draws from ``SeedSequence([seed,
+    r])``. With flows every replica is one row of the hybrid kernel, all
+    run at once; without, the replicas take the direct method one after
+    another. Either way the statistics equal those of the replicas run
+    one by one with :func:`simulate_pdmp`, bit for bit. ``weights`` maps
+    the state to the observables, one row per observable.
+    """
+    cfg = ode_config or OdeConfig()
+    v = _initial_state(system, v0, t_end)
     grid = ensemble_grid(grid, replicas, t_end)
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    if weights.ndim != 2 or weights.shape[1] != system.dim:
+        raise ModelError(f"weights have shape {weights.shape}, "
+                         f"expected (observables, {system.dim})")
     if labels is None:
         labels = tuple(f"obs{i}" for i in range(weights.shape[0]))
+    paths = [_Path(v.copy(), len(system.jumps), grid, False) for _ in range(replicas)]
+    if system.flows:
+        _run_rows(system, paths, t_end,
+                  [rng_mod.Buffered(rng_mod.stream(seed, r), _ROW_DRAWS)
+                   for r in range(replicas)], cfg, grid, _MAX_EVENTS)
+    else:
+        for r, path in enumerate(paths):
+            _simulate_pure_jump(system, path, t_end, rng_mod.stream(seed, r), cfg, grid,
+                                _MAX_EVENTS)
     samples = np.empty((replicas, weights.shape[0], len(grid)))
-    for r in range(replicas):
-        traj = simulate_pdmp(system, v0, t_end, ode_config=ode_config,
-                             record=grid, rng=rng_mod.stream(seed, r))
-        samples[r] = weights @ traj.states.T
+    for r, path in enumerate(paths):
+        samples[r] = weights @ np.array(path.states).T
     return EnsembleStats.from_samples(grid, labels, samples, quantiles)

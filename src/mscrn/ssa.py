@@ -69,8 +69,13 @@ class SimulationConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ModelError("N must be >= 1")
-        if not math.isfinite(self.t_end) or self.t_end < 0:
-            raise ModelError("t_end must be finite and >= 0")
+        check_t_end(self.t_end)
+
+
+def check_t_end(t_end: float) -> None:
+    """A run ends at a finite time t_end >= 0."""
+    if not math.isfinite(t_end) or t_end < 0:
+        raise ModelError("t_end must be finite and >= 0")
 
 
 @dataclass
@@ -462,7 +467,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
             values = values.reshape(len(alpha_pow), nd)
         states.append(values / divisor)
 
-    if event_mode:
+    if grid is None or not len(grid):
         snapshot(0.0)
 
     propensities, deltas, dependents = (compiled.propensities, compiled.deltas,
@@ -479,8 +484,6 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
 
     counts = direct_method(prop, fire, refresh, rand, config.t_end, grid, snapshot, log,
                            config.max_events)
-    if not times:
-        snapshot(0.0)
 
     return Trajectory(times=np.array(times),
                       states=np.array(states),

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mscrn.errors import ModelError, RateEvaluationError, ValidationError
-from mscrn.model import (Expression, MassAction, Network, Reaction, Species,
-                         State, evaluate_rate, falling_factorial,
+from mscrn.model import (Expression, MassAction, MassActionRows, Network, Reaction,
+                         Species, State, evaluate_rate, falling_factorial,
                          scaled_rate_function)
 
 from conftest import state_of
@@ -145,3 +145,45 @@ def test_scaled_rate_function_matches_evaluate(gene_doc):
         fn = scaled_rate_function(net, k)
         assert fn(v) == pytest.approx(
             evaluate_rate(net, k, State(v.copy(), scaled=True)))
+
+
+# -- the row form of mass-action closures ----------------------------------
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mass_action_rows_equal_closures(data):
+    # one table over several laws gives each closure's value bit for bit,
+    # at random states, at zero, at -0.0 and just below zero (roundoff the
+    # orthant clip lets through), with discrete orders up to 3 and every
+    # continuous order up to 3 (those above 1 must have no row form: the
+    # closure's value ** n rounds through the C library's pow, which
+    # numpy's array power does not reproduce)
+    n_species = data.draw(st.integers(1, 4))
+    species = [Species(f"S{i}", data.draw(st.sampled_from([0, 1]))) for i in range(n_species)]
+    laws = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        reactants = {data.draw(st.integers(0, n_species - 1)): data.draw(st.integers(1, 3))
+                     for _ in range(data.draw(st.integers(0, 3)))}
+        laws.append(Reaction(tuple(sorted(reactants.items())), ((0, 1),),
+                             rate_law=MassAction(data.draw(st.floats(0.0, 5.0)))))
+    net = Network(species, laws)
+    closures = [scaled_rate_function(net, k) for k in range(len(laws))]
+    for law, fn in zip(laws, closures):
+        powered = any(n > 1 and species[i].alpha != 0 for i, n in law.reactants)
+        assert (getattr(fn, "row_terms", None) is None) == powered
+    tabled = [fn for fn in closures if getattr(fn, "row_terms", None) is not None]
+    if not tabled:
+        return
+    special = st.sampled_from([0.0, -0.0, -1e-9, -9.9e-9, 1.0, 2.0, 3.0])
+    value = st.one_of(special, st.integers(0, 6).map(float), st.floats(0.0, 8.0))
+    rows = np.array([[data.draw(value) for _ in range(n_species)]
+                     for _ in range(data.draw(st.integers(1, 6)))])
+    table = MassActionRows([fn.row_terms for fn in tabled])
+    got = table(rows)
+    for c, fn in enumerate(tabled):
+        want = [fn(row) for row in rows]
+        assert _bits(got[:, table.columns[c]]) == _bits(want)

@@ -10,10 +10,11 @@ import pytest
 from scipy import stats as sps
 
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import EventCapExceeded, MissingRates, NegativeRate
+from mscrn.errors import EventCapExceeded, MissingRates, ModelError, NegativeRate
 from mscrn.model import State
-from mscrn.pdmp import (HybridSystem, OdeConfig, build_limit_system,
+from mscrn.pdmp import (HybridSystem, OdeConfig, build_limit_system, run_ensemble_pdmp,
                         simulate_conditional_fast, simulate_pdmp)
+from mscrn.ssa import SimulationConfig
 
 
 def test_jump_free_linear_ode():
@@ -220,6 +221,62 @@ def test_gene_limit_flow_between_jumps(gene_doc):
     system = build_limit_system(c, rates)
     traj = simulate_pdmp(system, [0.0, 1.0, 0.0], t_end=1.0, seed=0)
     assert traj.final_state[2] == pytest.approx(2 * (1 - np.exp(-1)), rel=1e-5)
+
+
+# -- inputs rejected before any work -----------------------------------------
+
+def _counted_system(calls):
+    """dv/dt = 1 with jump rate 1; every rate evaluation is counted."""
+    def rate(v):
+        calls.append(1)
+        return 1.0
+    return HybridSystem(("X", "V"), ((rate, np.array([1, 0], dtype=np.int64)),),
+                        ((rate, np.array([0.0, 1.0])),))
+
+
+@pytest.mark.parametrize("t_end", [float("inf"), float("nan"), -1.0])
+def test_t_end_must_be_finite_and_nonnegative(t_end):
+    # an infinite horizon never returned, even under an event cap, and NaN
+    # or negative ones returned the initial state; the stochastic engine's
+    # configuration applies the same rule
+    calls = []
+    system = _counted_system(calls)
+    with pytest.raises(ModelError, match="t_end"):
+        simulate_pdmp(system, [0.0, 1.0], t_end, max_events=50)
+    with pytest.raises(ModelError, match="t_end"):
+        run_ensemble_pdmp(system, [0.0, 1.0], t_end, 0, 3, [1.0], np.eye(2))
+    with pytest.raises(ModelError, match="t_end"):
+        SimulationConfig(N=1, t_end=t_end)
+    assert not calls
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_v0_must_be_finite(bad):
+    # a NaN coordinate passed the sign check and the run never returned
+    calls = []
+    system = _counted_system(calls)
+    with pytest.raises(ModelError, match="finite"):
+        simulate_pdmp(system, [0.0, bad], 1.0)
+    with pytest.raises(ModelError, match="finite"):
+        run_ensemble_pdmp(system, [0.0, bad], 1.0, 0, 3, [1.0], np.eye(2))
+    assert not calls
+
+
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_step", "hazard_tol",
+                                   "min_step"])
+def test_ode_config_rejects_nan(field):
+    with pytest.raises(ModelError, match=field):
+        OdeConfig(**{field: float("nan")})
+    OdeConfig(max_step=float("inf"))
+
+
+@pytest.mark.parametrize("weights", [np.eye(3), np.ones(3), np.ones((1, 2, 2)), []])
+def test_ensemble_weights_must_match_the_state(weights):
+    # a wrong shape raised numpy's ValueError after every replica had run
+    calls = []
+    with pytest.raises(ModelError, match="weights"):
+        run_ensemble_pdmp(_counted_system(calls), [0.0, 1.0], 1.0, 0, 3, [1.0], weights)
+    assert not calls
 
 
 # -- properties over hypothesis-drawn hybrid systems ------------------------

@@ -240,11 +240,14 @@ def _simulate_both(engine, record):
 
 @pytest.mark.parametrize("engine", ["ssa", "pdmp"])
 def test_record_grid_rules_shared_by_both_engines(engine):
-    # an empty grid records one snapshot, as no grid does; a grid that is
-    # not one-dimensional is a model error
-    traj = _simulate_both(engine, [])
-    assert list(traj.times) == [0.0]
-    assert traj.states.shape == (1, 1)
+    # an empty grid records one snapshot, of the initial state at t = 0,
+    # as no grid does; a grid that is not one-dimensional is a model error
+    for record in ([], None):
+        traj = _simulate_both(engine, record)
+        assert list(traj.times) == [0.0]
+        assert traj.states.shape == (1, 1)
+        assert traj.states[0] == [3.0]
+        assert traj.final_state[0] < 3.0
     with pytest.raises(ModelError):
         _simulate_both(engine, [[0.5, 1.0]])
 
