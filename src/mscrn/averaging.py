@@ -14,6 +14,15 @@ fast system (``fast_stationary_law`` chains the two under a mode).
 Nonspatial two-scale rates, both tiers of the three-scale average and
 the spatial cases 1-4 all use it.
 
+A jump-only fast system is time-averaged along one path of
+``pdmp.JumpChain``: the direct method of the stochastic engine over a
+Python list state, where after each jump only the rates that read a
+changed coordinate are recomputed. Mass-action rates evaluate on the
+list; expression laws and the three-scale middle tier are opaque and are
+recomputed after every jump. Each visit goes straight to the
+estimator's (state, duration) lists, which ``_occupation`` reduces one
+batch at a time into the arrays of the empirical law.
+
 The closed forms rest on two factorial-moment identities: a Poisson
 variable with mean m has E[x(x-1)...(x-n+1)] = m^n, and a Binomial(s, p)
 count has E[x(x-1)...(x-n+1)] = s(s-1)...(s-n+1) p^n. Both mesh exactly
@@ -37,7 +46,8 @@ from .errors import (AnalyticUnavailable, IsolatedSpeciesError, ModelError,
 from .exact import stationary_distribution
 from .model import (Expression, MassAction, Network, SpatialModel,
                     falling_factorial, mass_action_value, scaled_rate_function)
-from .pdmp import HybridSystem, OdeConfig, fast_subsystem, simulate_pdmp, tier_system
+from .pdmp import (HybridSystem, JumpChain, OdeConfig, fast_subsystem, simulate_pdmp,
+                   tier_system)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +565,9 @@ class McConfig:
 def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (states, weights, batch) arrays of an empirical law.
 
-    ``batches`` yields each batch's raw visits as (states, time weights)
-    arrays. A batch is reduced as it is read: every distinct state once,
+    ``batches`` yields each batch's raw visits as (states, time weights),
+    the states as rows of an array or sequences. A batch is reduced as it
+    is read: every distinct state once,
     in first-visit order, with its weights summed in visit order
     (``np.bincount`` adds left to right), so no more than one batch of
     raw visits is held at a time.
@@ -565,7 +576,7 @@ def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for b, (rows, w) in enumerate(batches):
         first_visit: dict[tuple, int] = {}   # state -> its row in the reduced batch
         label = [first_visit.setdefault(state, len(first_visit))
-                 for state in map(tuple, rows.tolist())]
+                 for state in map(tuple, rows)]
         states.append(np.array(list(first_visit), dtype=float).reshape(-1, dim))
         weights.append(np.bincount(label, weights=w, minlength=len(first_visit)))
         batch.append(np.full(len(first_visit), b))
@@ -576,51 +587,61 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
                                discrete) -> StationaryMeasure:
     """Chunked time-average of a pure-jump fast path.
 
-    The budget counts events burn-in inclusive; the first
-    ``burn_in_frac`` of them are discarded. Each later visit of positive
-    duration weights its state by that duration, and every
+    The path runs on one :class:`pdmp.JumpChain` in chunks, each on a
+    fresh block of uniforms from the one stream of ``mc.seed``, with a
+    horizon of 1.2 times ``chunk_events`` mean waits at the chunk's
+    starting total rate. The budget counts events burn-in inclusive; the
+    first ``burn_in_frac`` of them are discarded. Each later visit of
+    positive duration weights its state by that duration, and every
     ``(budget - burn-in) / n_batches`` visits make a batch for
-    batch-means errors.
+    batch-means errors. A chunk splits the visit it ends in two, and a
+    chunk without an event adds no visit.
     """
     rng = rng_mod.stream(mc.seed)
     budget = int(mc.budget)
     burn_events = int(budget * mc.burn_in_frac)
-    v = np.asarray(v0, dtype=float).copy()
-    total_rate = float(fast_system.jump_rates(v).sum())
+    chain = JumpChain(fast_system, v0)
+    total_rate = float(np.array(chain.rates()).sum())
     if total_rate <= 0:
-        return StationaryMeasure("pointmass", point=v, discrete=discrete)
+        return StationaryMeasure("pointmass", point=chain.state(), discrete=discrete)
     chunk_events = max(200, budget // (4 * mc.n_batches))
     batch_quota = max(1, (budget - burn_events) // mc.n_batches)
     events_seen = 0
+    rows, durations = [], []   # the kept visits not yet in a batch
+    # the open visit: its start time, its index among all visits, its state
+    start, index, state = 0.0, 0, None
+
+    def on_event(t, _chosen):
+        """End the open visit at time ``t``, keeping it if it is past the
+        burn-in and lasted; the next visit starts in the state now."""
+        nonlocal start, index, state
+        duration = t - start
+        if duration > 0 and index >= burn_events:
+            rows.append(state)
+            durations.append(duration)
+        start, index, state = t, index + 1, chain.state()
 
     def batches():
         """Raw visits, one batch at a time, until the budget is spent or
         the chain is absorbed (total rate 0)."""
-        nonlocal v, total_rate, events_seen
-        rows, durations = np.empty((0, len(v))), np.empty(0)
+        nonlocal total_rate, events_seen, start, index, state
         while events_seen < budget and total_rate > 0:
-            traj = simulate_pdmp(fast_system, v, chunk_events / max(total_rate, 1e-12) * 1.2,
-                                 record="events", rng=rng, ode_config=mc.ode)
-            n_ev = len(traj.event_log)
-            if n_ev:   # a chunk without events adds no visits
-                times = np.array([0.0] + [time for time, _ in traj.event_log] + [traj.t_end])
-                dt = np.diff(times)
-                keep = (dt > 0) & (np.arange(events_seen, events_seen + n_ev + 1)
-                                   >= burn_events)
-                rows = np.concatenate([rows, traj.states[keep]])
-                durations = np.concatenate([durations, dt[keep]])
+            horizon = chunk_events / max(total_rate, 1e-12) * 1.2
+            start, index, state = 0.0, events_seen, chain.state()
+            chain.run(horizon, rng_mod.Buffered(rng), on_event=on_event)
+            if index > events_seen:
+                events_seen = index
+                on_event(horizon, None)   # the chunk's last visit ends at its horizon
                 while len(durations) >= batch_quota:
                     yield rows[:batch_quota], durations[:batch_quota]
-                    rows, durations = rows[batch_quota:], durations[batch_quota:]
-                events_seen += n_ev
-            v = traj.final_state
-            total_rate = float(fast_system.jump_rates(v).sum())
+                    del rows[:batch_quota], durations[:batch_quota]
+            total_rate = float(np.array(chain.rates()).sum())
         yield rows, durations
 
-    states, weights, batch = _occupation(batches(), len(v))
+    states, weights, batch = _occupation(batches(), fast_system.dim)
     if total_rate <= 0:
         # time average of an absorbed chain is the absorbing state
-        return StationaryMeasure("pointmass", point=v, discrete=discrete)
+        return StationaryMeasure("pointmass", point=chain.state(), discrete=discrete)
     post_events = events_seen - burn_events
     if post_events < mc.ess_threshold:
         raise NonErgodicSuspected(
@@ -661,8 +682,8 @@ def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
                          ode_config=mc.ode)
     keep = traj.states[burn:]
     chunks = np.array_split(keep, mc.n_batches)
-    states, weights, batch = _occupation(((rows, np.ones(len(rows))) for rows in chunks),
-                                        fast_system.dim)
+    states, weights, batch = _occupation(((rows.tolist(), np.ones(len(rows)))
+                                         for rows in chunks), fast_system.dim)
     return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
                              ess=len(keep), n_events=int(traj.event_counts.sum()),
                              discrete=discrete)
@@ -670,20 +691,27 @@ def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
 
 def constrained_start(basis: ConservedBasis, conserved_values, n_vars,
                       discrete) -> np.ndarray:
-    """A nonnegative fast state on the constraint surface."""
+    """A nonnegative fast state on the constraint surface; integer when
+    every fast variable is discrete."""
     theta = np.array(basis.vectors, dtype=float)
     target = np.asarray(conserved_values, dtype=float)
     v, *_ = np.linalg.lstsq(theta, target, rcond=None)
     v = np.maximum(v, 0.0)
     if all(discrete):
         v = np.rint(v)
-        # greedy repair for rounding drift, one vector at a time
+        # greedy repair for rounding drift, one vector at a time: the gap
+        # goes to the first support variable whose coefficient divides it
+        # and which stays nonnegative
         for j, vec in enumerate(basis.vectors):
             gap = target[j] - float(np.dot(vec, v))
             if gap != 0:
-                support = [i for i, x in enumerate(vec) if x != 0]
-                v[support[0]] += gap / vec[support[0]]
-        v = np.maximum(v, 0.0)
+                fit = next((i for i, x in enumerate(vec) if x != 0 and (gap / x).is_integer()
+                            and v[i] + gap / x >= 0), None)
+                if fit is None:
+                    raise ModelError(f"no integer fast state with conserved value "
+                                     f"{target[j]:g} found by rounding; supply v_f0 "
+                                     f"explicitly")
+                v[fit] += gap / vec[fit]
     if not np.allclose(theta @ v, target, atol=1e-9) or np.any(v < 0):
         raise ModelError("could not construct a state on the constraint surface; "
                          "supply v_f0 explicitly")

@@ -8,7 +8,9 @@ hazard crosses an Exp(1) threshold, located by false position over the
 step. This avoids thinning bounds, which unbounded rates cannot supply.
 Without flows the rates are constant between jumps, and the exact
 direct method of the stochastic engine (:func:`ssa.direct_method`) runs
-instead.
+instead, over a Python list state (:class:`JumpChain`): each jump
+refreshes only the rates that read a coordinate it changed. The Monte
+Carlo fast-tier chains of the averaging layer run on the same class.
 
 Runs with flows go through one kernel (:func:`_run_rows`) that advances
 any number of runs at once, one row each: a single run is one row, an
@@ -33,7 +35,7 @@ from .errors import (EventCapExceeded, MissingRates, ModelError, NegativeRate,
                      OdeStepFailure)
 from .model import MassActionRows
 from .ssa import (EnsembleStats, Trajectory, check_t_end, checked_grid, direct_method,
-                  ensemble_grid)
+                  ensemble_grid, log_events)
 
 # Cash-Karp tableau
 _C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -72,11 +74,21 @@ class OdeConfig:
 @dataclass
 class HybridSystem:
     """Jump reactions carry integer state changes, flow reactions real
-    drift vectors; rates are functions of the current state vector."""
+    drift vectors; rates are functions of the current state vector.
+
+    A jump rate may also have a list form, ``rate_fn.on_list = (fn,
+    reads)``: ``fn`` gives the same rate, bit for bit, on the list state
+    of a :class:`JumpChain` and reads only the list positions ``reads``.
+    That list holds coordinate j at position j, or, when ``frame`` is
+    ``(values, positions)``, is a copy of ``values`` (say, a full-length
+    species vector with the frozen slower species) with coordinate j at
+    ``positions[j]``.
+    """
 
     labels: tuple[str, ...]
     jumps: tuple        # ((rate_fn, int delta vector), ...)
     flows: tuple        # ((rate_fn, float drift vector), ...)
+    frame: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -106,6 +118,11 @@ def _eval_state(v: np.ndarray, abs_tol: float) -> np.ndarray:
 def _initial_state(system: HybridSystem, v0, t_end: float) -> np.ndarray:
     """A checked copy of ``v0``, after checking ``t_end``."""
     check_t_end(t_end)
+    return _checked_state(system, v0)
+
+
+def _checked_state(system: HybridSystem, v0) -> np.ndarray:
+    """A copy of ``v0``: of the system's dimension, finite, nonnegative."""
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != (system.dim,):
         raise ModelError(f"v0 has shape {v.shape}, system dimension is {system.dim}")
@@ -155,41 +172,104 @@ def simulate_pdmp(system: HybridSystem, v0, t_end: float, seed: int = 0,
     if system.flows:
         _run_rows(system, [path], t_end, [rng_mod.Buffered(rng)], cfg, grid, max_events)
     else:
-        _simulate_pure_jump(system, path, t_end, rng, cfg, grid, max_events)
+        _simulate_pure_jump(system, path, t_end, rng_mod.Buffered(rng), grid, max_events)
     return Trajectory(times=np.array(path.times), states=np.array(path.states),
                       event_counts=path.counts,
                       channels=tuple(("jump", i) for i in range(len(system.jumps))),
                       t_end=t_end, final_state=path.v.copy(), event_log=path.log)
 
 
-def _simulate_pure_jump(system, path, t_end, rng, cfg, grid, max_events):
-    """Rates are constant between jumps, so the direct method is exact.
-    The rate functions are opaque, so every jump refreshes every rate."""
-    v = path.v
-    rate_fns = [rate_fn for rate_fn, _ in system.jumps]
-    # nonzero entries of each jump; the state starts nonnegative, so only
-    # a decreasing coordinate can leave the orthant
-    changes = [[(i, c) for i, c in enumerate(np.asarray(vec).tolist()) if c]
-               for _, vec in system.jumps]
-    prop = []
+def _simulate_pure_jump(system, path, t_end, rand, grid, max_events):
+    """Run a pure-jump system along ``path`` on a :class:`JumpChain`."""
+    chain = JumpChain(system, path.v)
 
-    def refresh(_chosen=None):
-        state_view = _eval_state(v, cfg.abs_tol)
-        rates = [rate_fn(state_view) for rate_fn in rate_fns]
-        for i, r in enumerate(rates):
-            if r < 0 or not math.isfinite(r):
-                raise NegativeRate(f"jump rate {i} evaluated to {r}")
-        prop[:] = rates
+    def snapshot(t):
+        path.times.append(t)
+        path.states.append(np.array(chain.state()))
 
-    def fire(chosen):
-        for i, c in changes[chosen]:
-            v[i] += c
-            if c < 0 and v[i] < 0:
-                raise NegativeRate("jump left the nonnegative orthant")
+    on_event = None if path.log is None else log_events(snapshot, path.log)
+    path.counts[:] = chain.run(t_end, rand, grid, snapshot, on_event, max_events)
+    path.v[:] = chain.state()
 
-    refresh()
-    path.counts[:] = direct_method(prop, fire, refresh, rng_mod.Buffered(rng), t_end, grid,
-                                   path.snapshot, path.log, max_events)
+
+class JumpChain:
+    """A pure-jump system on :func:`ssa.direct_method` over a Python list
+    state, started at ``v0``. The rates are constant between jumps, so
+    the direct method is exact.
+
+    A rate with a list form (see :class:`HybridSystem`) is evaluated on
+    the list and reads its ``reads``; any other rate is opaque: it is
+    called on the coordinates as an array and reads all of them. After
+    channel c fires only the rates that read a coordinate c changes are
+    refreshed, in channel order: the others are unchanged functions of
+    unchanged values. So a run equals one that refreshes every rate
+    after every jump. The state starts in the nonnegative orthant; a
+    jump that leaves it, or a rate that is negative or not finite,
+    raises NegativeRate.
+    """
+
+    def __init__(self, system: HybridSystem, v0):
+        values, coords = system.frame or ([0.0] * system.dim, range(system.dim))
+        self.work = list(values)
+        self.coords = list(coords)
+        for p, x in zip(self.coords, _checked_state(system, v0).tolist()):
+            self.work[p] = x
+        self.fns, reads = [], []
+        for rate_fn, _ in system.jumps:
+            fn, read = getattr(rate_fn, "on_list", None) or (self._opaque(rate_fn),
+                                                             self.coords)
+            self.fns.append(fn)
+            reads.append(set(read))
+        self.changes = [[(self.coords[i], c) for i, c in enumerate(np.asarray(vec).tolist())
+                         if c] for _, vec in system.jumps]
+        self.dependents = [[(j, self.fns[j]) for j, read in enumerate(reads)
+                            if any(p in read for p, _ in change)] for change in self.changes]
+
+    def _opaque(self, rate_fn):
+        coords = self.coords
+        return lambda work: rate_fn(np.array([work[p] for p in coords]))
+
+    def state(self) -> tuple:
+        """The coordinates now."""
+        return tuple(map(self.work.__getitem__, self.coords))
+
+    def rates(self) -> list:
+        """Every rate at the current state, unchecked."""
+        return [fn(self.work) for fn in self.fns]
+
+    def run(self, t_end: float, rand: rng_mod.Buffered, grid=None, snapshot=None,
+            on_event=None, max_events: int = _MAX_EVENTS) -> list[int]:
+        """Run the chain from its current state for ``t_end`` on the
+        uniforms of ``rand``, with the recording callbacks of
+        :func:`ssa.direct_method`; returns the events per channel. The
+        chain then holds the final state, from which a later run goes on."""
+        check_t_end(t_end)
+        work, changes, dependents = self.work, self.changes, self.dependents
+        prop = self.rates()
+        for j, r in enumerate(prop):
+            if not 0.0 <= r < math.inf:
+                raise NegativeRate(f"jump rate {j} evaluated to {r}")
+
+        def fire(chosen):
+            # the state is nonnegative, so only a decrease can leave the orthant
+            for p, c in changes[chosen]:
+                work[p] += c
+                if c < 0 and work[p] < 0:
+                    raise NegativeRate("jump left the nonnegative orthant")
+
+        def refresh(chosen):
+            # every dependent is evaluated before the first bad rate raises,
+            # so a later rate's own error wins, as in a full refresh
+            bad = None
+            for j, fn in dependents[chosen]:
+                r = prop[j] = fn(work)
+                if not 0.0 <= r < math.inf and bad is None:
+                    bad = j
+            if bad is not None:
+                raise NegativeRate(f"jump rate {bad} evaluated to {prop[bad]}")
+
+        return direct_method(prop, fire, refresh, rand, t_end, grid, snapshot, on_event,
+                             max_events)
 
 
 def _run_rows(system, paths, t_end, draws, cfg, grid, max_events):
@@ -537,16 +617,17 @@ def build_limit_system(classification, rates, conserved=None) -> HybridSystem:
                         tuple((need(k), column) for k, column in flows))
 
 
-def tier_system(labels, tier, ks, circ, rate_of) -> HybridSystem:
+def tier_system(labels, tier, ks, circ, rate_of, frame=None) -> HybridSystem:
     """HybridSystem of reactions ``ks`` on ``tier``'s change columns:
     integer jumps for those in ``circ``, float flows for the rest, each
-    with the rate function ``rate_of(k)``."""
+    with the rate function ``rate_of(k)``; ``frame`` as in
+    :class:`HybridSystem`."""
     ks = sorted(ks)
     return HybridSystem(labels,
                         tuple((rate_of(k), tier.column(k).astype(np.int64))
                               for k in ks if k in circ),
                         tuple((rate_of(k), tier.column(k).astype(float))
-                              for k in ks if k not in circ))
+                              for k in ks if k not in circ), frame)
 
 
 def fast_subsystem(classification, frozen) -> HybridSystem:
@@ -555,6 +636,9 @@ def fast_subsystem(classification, frozen) -> HybridSystem:
 
     ``frozen`` is a full-length scaled state vector; its fast entries are
     ignored (overwritten by the simulation state on each evaluation).
+    The system's list state is ``frozen`` as a list with the fast
+    coordinates at their rows; on it, a mass-action rate without a
+    continuous power is the compiled law itself, reading its reactants.
     """
     from .model import scaled_rate_function
 
@@ -576,11 +660,17 @@ def fast_subsystem(classification, frozen) -> HybridSystem:
             buffer[row_list] = v_fast
             return base(buffer)
 
+        # a mass-action law with a row form has no continuous power, so on
+        # Python floats it rounds as on numpy ones (a power that overflows
+        # gives inf in numpy but raises OverflowError on a float)
+        if hasattr(base, "row_terms"):
+            rate.on_list = (base, [i for i, _ in network.reactions[k].reactants])
         return rate
 
     circ = classification.k_sets["fast_circ"]
     return tier_system(tuple(network.species[i].name for i in fast.rows), fast,
-                       circ | classification.k_sets["fast_bullet"], circ, make_rate)
+                       circ | classification.k_sets["fast_bullet"], circ, make_rate,
+                       (frozen.tolist(), row_list))
 
 
 def simulate_conditional_fast(classification, frozen, v_f0, t_end: float,
@@ -622,8 +712,8 @@ def run_ensemble_pdmp(system: HybridSystem, v0, t_end: float, seed: int,
                    for r in range(replicas)], cfg, grid, _MAX_EVENTS)
     else:
         for r, path in enumerate(paths):
-            _simulate_pure_jump(system, path, t_end, rng_mod.stream(seed, r), cfg, grid,
-                                _MAX_EVENTS)
+            _simulate_pure_jump(system, path, t_end, rng_mod.Buffered(rng_mod.stream(seed, r)),
+                                grid, _MAX_EVENTS)
     samples = np.empty((replicas, weights.shape[0], len(grid)))
     for r, path in enumerate(paths):
         samples[r] = weights @ np.array(path.states).T

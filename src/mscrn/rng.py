@@ -4,6 +4,12 @@ Replica r of an ensemble draws from ``numpy.random.SeedSequence([seed, r])``
 so runs are reproducible across platforms and independent of scheduling
 order. The buffered wrapper amortizes generator call overhead in the
 event loops.
+
+``SeedSequence`` drops trailing zero words of its entropy, so
+``stream(seed, 0)`` draws the same numbers as ``stream(seed)``: replica 0
+of an ensemble shares its stream with a single run at ``seed`` and with a
+Monte Carlo estimate built with ``McConfig(seed=seed)``. The streams are
+left as they are, since every recorded result depends on them.
 """
 
 from __future__ import annotations

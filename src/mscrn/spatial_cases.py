@@ -218,8 +218,7 @@ class _SpatialContext:
         """Stationary law of the fast reactions ``structs``; Monte Carlo
         simulates them as a mass-action system of the fast variables."""
         def make_system():
-            rates = {fr.k: partial(mass_action_term, fr.coeff, fr.orders, self.discrete_fast)
-                     for fr in structs}
+            rates = {fr.k: _fast_rate(fr, self.discrete_fast) for fr in structs}
             network = self.model.network
             return tier_system(tuple(network.species[i].name for i in self.fast_rows),
                                self.classification.fast, rates,
@@ -227,6 +226,15 @@ class _SpatialContext:
 
         return fast_stationary_law(structs, make_system, self.discrete_fast, mode, mc,
                                    conserved, values)
+
+
+def _fast_rate(fr: FastReaction, discrete):
+    """Rate of the fast reaction ``fr`` as a function of the fast
+    variables, an array or a :class:`pdmp.JumpChain`'s list; on the list
+    it reads only the variables of its reactants."""
+    rate = partial(mass_action_term, fr.coeff, fr.orders, discrete)
+    rate.on_list = (rate, [j for j, n in enumerate(fr.orders) if n])
+    return rate
 
 
 def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int,

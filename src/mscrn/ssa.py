@@ -15,8 +15,9 @@ A spatial event changes at most two compartments, so an event costs a
 handful of propensity evaluations however many compartments there are.
 The running total and the channel choice come from a left-to-right
 cumulative sum, so the output equals a full recompute bit for bit.
-:func:`direct_method` is the one event loop of single runs; the
-pure-jump hybrid engine runs on it too.
+:func:`direct_method` is the one event loop of single runs; pure-jump
+hybrid systems (:class:`pdmp.JumpChain`), among them the Monte Carlo
+fast-tier chains, run on it too.
 
 An ensemble of ``LOCKSTEP_REPLICAS`` or more replicas of a model whose
 channels are all mass-action or movement runs in lockstep instead
@@ -320,7 +321,7 @@ class _Table:
 
 
 def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: float,
-                  grid, snapshot, log: list | None, max_events: int) -> list[int]:
+                  grid, snapshot, on_event, max_events: int) -> list[int]:
     """The direct-method event loop (Gillespie 1977) from t = 0 to
     ``t_end``; returns the number of events per channel.
 
@@ -328,11 +329,11 @@ def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: floa
     Each event draws an exponential waiting time at the total rate and a
     uniform channel choice from the left-to-right cumulative sum. After
     channel c is chosen, ``fire(c)`` applies its state change; once the
-    event is recorded and counted, ``refresh(c)`` rewrites the entries of
-    ``prop`` the change can move. ``snapshot(t)`` records the state at
-    each ``grid`` time passed and, when ``log`` is a list, after every
-    event, whose (time, channel) pair is appended to ``log``. Raises
-    EventCapExceeded at ``max_events`` events.
+    event is counted and, when ``on_event`` is given, reported as
+    ``on_event(t, c)``, ``refresh(c)`` rewrites the entries of ``prop``
+    the change can move. ``snapshot(t)`` records the state at each
+    ``grid`` time passed. Raises EventCapExceeded at ``max_events``
+    events.
     """
     last = len(prop) - 1
     counts = [0] * len(prop)
@@ -360,9 +361,8 @@ def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: floa
         fire(chosen)
         counts[chosen] += 1
         n_events += 1
-        if log is not None:
-            snapshot(t)
-            log.append((t, chosen))
+        if on_event is not None:
+            on_event(t, chosen)
         if n_events >= max_events:
             raise EventCapExceeded(f"exceeded {max_events} events at t={t}")
         refresh(chosen)
@@ -370,6 +370,16 @@ def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: floa
         snapshot(grid[grid_pos])
         grid_pos += 1
     return counts
+
+
+def log_events(snapshot, log: list):
+    """The ``on_event`` of an event-log run: a snapshot after every event,
+    whose (time, channel) pair joins ``log``."""
+    def on_event(t, chosen):
+        snapshot(t)
+        log.append((t, chosen))
+
+    return on_event
 
 
 def _raw_initial(model: Model, scaling: ScalingSpec, config: SimulationConfig,
@@ -482,7 +492,8 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
         for j in dependents[c]:
             prop[j] = propensities[j](x)
 
-    counts = direct_method(prop, fire, refresh, rand, config.t_end, grid, snapshot, log,
+    on_event = None if log is None else log_events(snapshot, log)
+    counts = direct_method(prop, fire, refresh, rand, config.t_end, grid, snapshot, on_event,
                            config.max_events)
 
     return Trajectory(times=np.array(times),

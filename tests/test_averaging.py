@@ -11,10 +11,10 @@ from scipy import stats as sps
 
 from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryComponent,
                              StationaryMeasure, _occupation, averaged_rate_three_scale,
-                             averaged_rate_two_scale, mass_action_term,
+                             averaged_rate_two_scale, constrained_start, mass_action_term,
                              movement_equilibrium, product_measure, stationary_fast)
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import (AnalyticUnavailable, NonErgodicSuspected,
+from mscrn.errors import (AnalyticUnavailable, ModelError, NonErgodicSuspected,
                           ReducibleChainError)
 from mscrn.parser import parse_document, parse_model
 
@@ -176,6 +176,45 @@ def test_constrained_samples_on_surface(conserved_doc):
     assert measure.variant == "empirical"
     for state in measure.states:
         assert state[0] + state[1] == 4.0
+
+
+DIMER_TEXT = """\
+species D alpha=0
+species M alpha=0
+species S alpha=0
+reaction D -> M + M @ mass-action kappa=1 beta=1
+reaction M + M -> D @ mass-action kappa=1 beta=1
+reaction M -> M + S @ mass-action kappa=1 beta=0
+"""
+
+
+def test_constrained_start_integer_for_nonunit_basis():
+    # the dimer's fast tier conserves 2D + M. At total n the chain moves
+    # between the states with D = (n - M)/2, so E[M] is 1 at n = 1 (the
+    # only state, absorbing), 2/3 at n = 2 (D = 1 at rate 1, M = 2 at rate
+    # 2 * 1) and 9/7 at n = 3 (M = 1 at rate 1 against M = 3 at rate 6).
+    # A start of D = 1/2 at n = 1 left every fast rate at 0 and read 0.
+    doc = parse_document(DIMER_TEXT)
+    c = classify(doc.model, doc.scaling)
+    basis = conserved_basis(c)
+    assert basis.vectors == ((2, 1),)
+    for n, start in ((1, [0, 1]), (2, [1, 0]), (3, [1, 1]), (4, [2, 0]), (5, [2, 1])):
+        assert constrained_start(basis, [n], 2, [True, True]).tolist() == start
+    rate = averaged_rate_two_scale(c, 2, mode="montecarlo", mc=McConfig(budget=5000),
+                                   conserved=basis)
+    assert rate([0.0, 1.0]) == 1.0 and rate.standard_error([0.0, 1.0]) == 0.0
+    for n, exact in ((2, 2 / 3), (3, 9 / 7)):
+        state = [0.0, float(n)]
+        assert abs(rate(state) - exact) <= 3 * rate.standard_error(state)
+
+
+def test_constrained_start_without_integer_repair_raises():
+    # 2x + 3y = 1 (the law of 3X -> 2Y) has no nonnegative integer solution
+    class Basis:
+        vectors = ((2, 3),)
+
+    with pytest.raises(ModelError, match="supply v_f0"):
+        constrained_start(Basis, [1.0], 2, [True, True])
 
 
 def test_constrained_analytic_binomial(conserved_doc):

@@ -1,0 +1,431 @@
+"""The Monte Carlo fast-tier estimator on ``pdmp.JumpChain`` against a
+copy of the estimator it replaced, which ran each chunk of the fast path
+through ``simulate_pdmp(record="events")``: a numpy state, every rate
+called on it after every jump, and the visits read back from the event
+log.
+
+Both consume the stream of ``mc.seed`` in the same blocks, so the
+stationary laws must be equal (``==``) in every stored state, weight and
+batch index, in the ESS and the event count; a point mass must sit at
+the same state; a failure must raise the same error type and message.
+Covered: the fast tier of every fixture that has one, hypothesis-drawn
+mass-action tiers with frozen continuous reactants and discrete order-2
+reactants, the systems a spatial case-1 rate, an expression-law tier and
+the THREE_SCALE middle tier hand to the estimator, absorbed chains, a
+budget below the ESS threshold, and failing rates and jumps.
+"""
+
+import math
+import sys
+import warnings
+from bisect import bisect_right
+from itertools import accumulate
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mscrn import averaging
+from mscrn import rng as rng_mod
+from mscrn.averaging import (McConfig, StationaryMeasure, _empirical_from_jump_paths,
+                             _occupation, averaged_rate_three_scale, constrained_start,
+                             fast_discrete, stationary_fast)
+from mscrn.classify import classify, conserved_basis
+from mscrn.errors import MscrnError, NegativeRate, RateEvaluationError
+from mscrn.parser import parse_document
+from mscrn.pdmp import HybridSystem, OdeConfig, _eval_state, _initial_state, fast_subsystem
+from mscrn.spatial_cases import averaged_rate_spatial
+
+sys.path.insert(0, str(Path(__file__).parent))
+import conftest as fx  # noqa: E402
+
+
+# ---------------------------------------------------------------------------
+# the replaced estimator, kept here as the reference
+
+
+def _reference_path(system, v0, t_end, rng):
+    """``simulate_pdmp(system, v0, t_end, record="events", rng=rng)`` of a
+    pure-jump system as it ran before the list-state chain; returns the
+    event times, the states from the start on and the final state."""
+    v = _initial_state(system, v0, t_end)
+    rand = rng_mod.Buffered(rng)
+    abs_tol = OdeConfig().abs_tol
+    changes = [np.asarray(vec).tolist() for _, vec in system.jumps]
+
+    def rates():
+        view = _eval_state(v, abs_tol)
+        out = [rate_fn(view) for rate_fn, _ in system.jumps]
+        for i, r in enumerate(out):
+            if r < 0 or not math.isfinite(r):
+                raise NegativeRate(f"jump rate {i} evaluated to {r}")
+        return out
+
+    times, states = [0.0], [v.copy()]
+    prop, t = rates(), 0.0
+    while prop:
+        cum = list(accumulate(prop))
+        total = cum[-1]
+        if total <= 0.0:
+            break
+        t_next = t + rand.exponential() / total
+        if t_next > t_end:
+            break
+        t = t_next
+        chosen = min(bisect_right(cum, rand.uniform() * total), len(prop) - 1)
+        for i, c in enumerate(changes[chosen]):
+            if c:
+                v[i] += c
+                if c < 0 and v[i] < 0:
+                    raise NegativeRate("jump left the nonnegative orthant")
+        times.append(t)
+        states.append(v.copy())
+        prop = rates()
+    return np.array(times), np.array(states), v
+
+
+def _reference_estimator(fast_system, v0, mc, discrete):
+    """The chunked time average as it ran on ``simulate_pdmp``."""
+    rng = rng_mod.stream(mc.seed)
+    budget = int(mc.budget)
+    burn_events = int(budget * mc.burn_in_frac)
+    v = np.asarray(v0, dtype=float).copy()
+    total_rate = float(fast_system.jump_rates(v).sum())
+    if total_rate <= 0:
+        return StationaryMeasure("pointmass", point=v, discrete=discrete)
+    chunk_events = max(200, budget // (4 * mc.n_batches))
+    batch_quota = max(1, (budget - burn_events) // mc.n_batches)
+    events_seen = 0
+
+    def batches():
+        nonlocal v, total_rate, events_seen
+        rows, durations = np.empty((0, len(v))), np.empty(0)
+        while events_seen < budget and total_rate > 0:
+            horizon = chunk_events / max(total_rate, 1e-12) * 1.2
+            times, states, v = _reference_path(fast_system, v, horizon, rng)
+            n_ev = len(times) - 1
+            if n_ev:
+                dt = np.diff(np.append(times, horizon))
+                keep = (dt > 0) & (np.arange(events_seen, events_seen + n_ev + 1)
+                                   >= burn_events)
+                rows = np.concatenate([rows, states[keep]])
+                durations = np.concatenate([durations, dt[keep]])
+                while len(durations) >= batch_quota:
+                    yield rows[:batch_quota].tolist(), durations[:batch_quota]
+                    rows, durations = rows[batch_quota:], durations[batch_quota:]
+                events_seen += n_ev
+            total_rate = float(fast_system.jump_rates(v).sum())
+        yield rows.tolist(), durations
+
+    states, weights, batch = _occupation(batches(), len(v))
+    if total_rate <= 0:
+        return StationaryMeasure("pointmass", point=v, discrete=discrete)
+    post_events = events_seen - burn_events
+    if post_events < mc.ess_threshold:
+        raise averaging.NonErgodicSuspected(
+            f"only {post_events} post-burn-in events (threshold {mc.ess_threshold})")
+    return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
+                             ess=post_events, n_events=events_seen, discrete=discrete)
+
+
+def _outcome(estimator, system, v0, mc, discrete):
+    try:
+        m = estimator(system, v0, mc, discrete)
+    except MscrnError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    if m.variant == "pointmass":
+        return ("pointmass", m.point.tolist())
+    return ("empirical", m.states.shape, m.states.tolist(), m.weights.tolist(),
+            m.batch.tolist(), m.ess, m.n_events)
+
+
+def _assert_same(system, v0, mc, discrete):
+    """The chain estimator equals the reference; returns the outcome."""
+    want = _outcome(_reference_estimator, system, v0, mc, discrete)
+    got = _outcome(_empirical_from_jump_paths, system, v0, mc, discrete)
+    assert got == want
+    return got
+
+
+# ---------------------------------------------------------------------------
+# fixtures' fast tiers
+
+
+FAST_TIER_FIXTURES = {
+    "ab": fx.AB_TEXT, "spatial_ab": fx.SPATIAL_AB_TEXT,
+    "spatial_ab_homog": fx.SPATIAL_AB_HOMOGENEOUS_TEXT, "conserved": fx.CONSERVED_TEXT,
+    "spatial_conserved": fx.SPATIAL_CONSERVED_TEXT, "three_scale": fx.THREE_SCALE_TEXT,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_TIER_FIXTURES))
+def test_fixture_fast_tiers_match_reference(name):
+    doc = parse_document(FAST_TIER_FIXTURES[name])
+    cl = classify(doc.model, doc.scaling)
+    network = cl.network
+    discrete = fast_discrete(cl)
+    basis = conserved_basis(cl)
+    for frozen_level, seed, budget in ((0.7, 0, 1500), (2.0, 3, 4000)):
+        frozen = np.array([frozen_level if s.alpha else 2.0 for s in network.species])
+        system = fast_subsystem(cl, frozen)
+        assert system.frame is not None and not system.flows
+        if basis.empty:
+            v0 = np.zeros(len(discrete))
+        else:
+            v0 = constrained_start(basis, [3.0] * len(basis.vectors), len(discrete), discrete)
+        out = _assert_same(system, v0, McConfig(budget=budget, seed=seed), discrete)
+        assert out[0] == "empirical"
+
+
+# ---------------------------------------------------------------------------
+# drawn mass-action tiers
+
+
+def _draw_tier(data):
+    """A network whose fast tier is mass action on 1-3 discrete species
+    F*, with 1-2 continuous species C* frozen on the fast timescale: each
+    fast reaction may carry a C catalyst (order 1 or 2, written before or
+    after the fast reactants), and fast reactants have order 0-2. Only
+    a reaction without fast reactants adds fast molecules, so no path
+    grows faster than linearly in time. The species are declared in a
+    drawn order, so frozen species sit both before and after the fast
+    ones."""
+    from hypothesis import strategies as st
+
+    n_fast = data.draw(st.integers(1, 3))
+    n_cont = data.draw(st.integers(1, 2))
+    fast = [f"F{i}" for i in range(n_fast)]
+    cont = [f"C{i}" for i in range(n_cont)]
+    lines = [f"species {name} alpha={0 if name in fast else 1}"
+             for name in data.draw(st.permutations(fast + cont))]
+
+    def side(names_orders):
+        terms = [name for name, n in names_orders for _ in range(n)]
+        return " + ".join(terms) or "0"
+
+    for _ in range(data.draw(st.integers(1, 5))):
+        source = data.draw(st.sampled_from(fast))
+        order = data.draw(st.integers(0, 2))
+        target = data.draw(st.sampled_from(fast))
+        if order:
+            count = data.draw(st.integers(0, order - (source == target)))
+        else:
+            count = data.draw(st.integers(1, 2))
+        left = [(source, order)]
+        right = [(target, count)]
+        if data.draw(st.booleans()):
+            catalyst = (data.draw(st.sampled_from(cont)), data.draw(st.integers(1, 2)))
+            before = data.draw(st.booleans())
+            left = [catalyst] + left if before else left + [catalyst]
+            right = right + [catalyst]
+        kappa = data.draw(st.floats(0.2, 3.0))
+        lines.append(f"reaction {side(left)} -> {side(right)} "
+                     f"@ mass-action kappa={kappa!r} beta=1")
+    for name in cont:
+        lines.append(f"reaction {name} -> 0 @ mass-action kappa=1 beta=1")
+    return "\n".join(lines) + "\n"
+
+
+def test_drawn_mass_action_tiers_match_reference():
+    from hypothesis import HealthCheck, assume, given, settings
+    from hypothesis import strategies as st
+
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def check(data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            doc = parse_document(_draw_tier(data))
+            try:
+                cl = classify(doc.model, doc.scaling)
+            except MscrnError:
+                assume(False)
+        assume(cl.kind == "two")
+        network = cl.network
+        frozen = np.array([data.draw(st.floats(0.05, 4.0)) if s.alpha else 0.0
+                           for s in network.species])
+        system = fast_subsystem(cl, frozen)
+        assume(not system.flows)
+        v0 = [float(data.draw(st.integers(0, 4))) for _ in cl.fast.rows]
+        mc = McConfig(budget=data.draw(st.integers(300, 2000)),
+                      seed=data.draw(st.integers(0, 999)))
+        seen.add(_assert_same(system, v0, mc, fast_discrete(cl))[0])
+
+    check()
+    # the draws reach the empirical law and at least one other outcome
+    assert "empirical" in seen and len(seen) > 1
+
+
+# ---------------------------------------------------------------------------
+# systems handed over by the rate builders
+
+
+def _captured(monkeypatch, evaluate):
+    """The pure-jump (system, v0, mc, discrete) calls that ``evaluate()``
+    makes to ``averaging.montecarlo_measure``."""
+    calls = []
+    real = averaging.montecarlo_measure
+
+    def spy(system, v0, mc, discrete):
+        if not system.flows:
+            calls.append((system, np.array(v0, dtype=float), mc, discrete))
+        return real(system, v0, mc, discrete)
+
+    with monkeypatch.context() as m:
+        m.setattr(averaging, "montecarlo_measure", spy)
+        evaluate()
+    assert calls
+    return calls
+
+
+def test_spatial_case1_tier_matches_reference(monkeypatch):
+    doc = parse_document(fx.SPATIAL_AB_TEXT)
+    cl = classify(doc.model, doc.scaling)
+    rate = averaged_rate_spatial(cl, 1, 0, mode="montecarlo", mc=McConfig(budget=3000, seed=2))
+    for system, v0, mc, discrete in _captured(monkeypatch, lambda: rate([0.6])):
+        assert all(hasattr(rate_fn, "on_list") for rate_fn, _ in system.jumps)
+        assert _assert_same(system, v0, mc, discrete)[0] == "empirical"
+
+
+EXPR_TIER_TEXT = """\
+species A alpha=1
+species B alpha=0
+reaction A + B -> 0 @ mass-action kappa=1 beta=1
+reaction 0 -> B @ expr 1 + A*A/(1 + B) beta=1
+reaction B -> 0 @ mass-action kappa=1 beta=1
+"""
+
+
+def test_expression_tier_matches_reference(monkeypatch):
+    doc = parse_document(EXPR_TIER_TEXT)
+    cl = classify(doc.model, doc.scaling)
+    frozen = np.array([0.8, 0.0])
+
+    def evaluate():
+        stationary_fast(cl, frozen, mode="montecarlo", mc=McConfig(budget=3000, seed=4))
+
+    calls = _captured(monkeypatch, evaluate)
+    for system, v0, mc, discrete in calls:
+        # the expression law is opaque, the mass-action ones have list forms
+        assert [hasattr(rate_fn, "on_list") for rate_fn, _ in system.jumps] == [
+            True, False, True]
+        assert _assert_same(system, v0, mc, discrete)[0] == "empirical"
+
+
+def test_three_scale_middle_tier_matches_reference(monkeypatch):
+    doc = parse_document(fx.THREE_SCALE_TEXT)
+    cl = classify(doc.model, doc.scaling)
+    rate = averaged_rate_three_scale(cl, 4, mc=McConfig(budget=600, seed=1))
+    calls = _captured(monkeypatch, lambda: rate([1.0]))
+    middle = [c for c in calls if c[0].frame is None]
+    assert len(middle) == 1
+    assert _assert_same(*middle[0])[0] == "empirical"
+
+
+# ---------------------------------------------------------------------------
+# absorbed chains, budgets, failures
+
+
+def _listed(rate_fn, reads):
+    """``rate_fn`` with a list form that is itself."""
+    rate_fn.on_list = (rate_fn, reads)
+    return rate_fn
+
+
+def _death(listed):
+    """x -> x - 1 at rate 1.5 x; the opaque rate needs an array."""
+    if listed:
+        rate = _listed(lambda v: 1.5 * v[0], [0])
+    else:
+        def rate(v):
+            return 1.5 * v.sum()
+    return HybridSystem(("x",), ((rate, np.array([-1])),), ())
+
+
+@pytest.mark.parametrize("listed", [False, True])
+def test_absorbed_chains_match_reference(listed):
+    system = _death(listed)
+    # absorbed after three jumps, and absorbed from the start
+    assert _assert_same(system, [3.0], McConfig(budget=500), [True]) == ("pointmass", [0.0])
+    assert _assert_same(system, [0.0], McConfig(budget=500), [True]) == ("pointmass", [0.0])
+
+
+def test_budget_below_ess_threshold_matches_reference():
+    doc = parse_document(fx.AB_TEXT)
+    cl = classify(doc.model, doc.scaling)
+    system = fast_subsystem(cl, np.array([0.5, 0.0]))
+    out = _assert_same(system, [0.0], McConfig(budget=400, ess_threshold=10**6), [True])
+    assert out[:2] == ("error", "NonErgodicSuspected")
+
+
+def _failing_tier(death_law):
+    return f"""\
+species A alpha=1
+species B alpha=0
+reaction A -> 0 @ mass-action kappa=1 beta=1
+reaction A + B -> A @ mass-action kappa=0.1 beta=1
+reaction 0 -> B @ mass-action kappa=5 beta=1
+reaction B -> 0 @ expr {death_law} beta=1
+"""
+
+
+@pytest.mark.parametrize("death_law, error", [
+    ("B*(4 - B)", "RateEvaluationError"),   # negative once births carry B past 4
+    ("B/(3 - B)", "RateEvaluationError"),   # not finite at B = 3
+    ("4", "NegativeRate"),                  # fires at B = 0 and leaves the orthant
+])
+def test_failing_expression_tiers_raise_as_before(death_law, error):
+    doc = parse_document(_failing_tier(death_law))
+    cl = classify(doc.model, doc.scaling)
+    system = fast_subsystem(cl, np.array([1.0, 0.0]))
+    with np.errstate(all="ignore"):
+        out = _assert_same(system, [0.0], McConfig(budget=2000), [True])
+    assert out[:2] == ("error", error)
+
+
+def test_overflowing_frozen_power_raises_as_before():
+    # C^2 overflows at C = 1e160: the numpy power gives an infinite rate,
+    # reported as a non-finite rate, where a float power would raise
+    # OverflowError
+    doc = parse_document("species C alpha=1\nspecies B alpha=0\n"
+                         "reaction C -> 0 @ mass-action kappa=1 beta=1\n"
+                         "reaction C + C + B -> C + C @ mass-action kappa=1 beta=1\n"
+                         "reaction 0 -> B @ mass-action kappa=1 beta=1\n")
+    cl = classify(doc.model, doc.scaling)
+    system = fast_subsystem(cl, np.array([1e160, 0.0]))
+    with np.errstate(all="ignore"):
+        out = _assert_same(system, [1.0], McConfig(budget=500), [True])
+    assert out == ("error", "NegativeRate", "jump rate 0 evaluated to inf")
+
+
+@pytest.mark.parametrize("listed", [False, True])
+def test_failing_jumps_and_rates_raise_as_before(listed):
+    def wrap(rate, reads):
+        return _listed(rate, reads) if listed else rate
+
+    # a jump of -1 fires at x = 0
+    leaves = HybridSystem(("x",), ((wrap(lambda v: 1.0, []), np.array([-1])),), ())
+    assert _assert_same(leaves, [0.0], McConfig(budget=500), [True]) == (
+        "error", "NegativeRate", "jump left the nonnegative orthant")
+    # channel 1's rate turns negative, then not a number, as x grows
+    for bad in (lambda v: 2.0 - v[0], lambda v: math.nan if v[0] > 2 else 1.0):
+        system = HybridSystem(("x",), ((wrap(lambda v: 1.0, []), np.array([1])),
+                                       (wrap(bad, [0]), np.array([0]))), ())
+        out = _assert_same(system, [0.0], McConfig(budget=500), [True])
+        assert out[:2] == ("error", "NegativeRate") and out[2].startswith("jump rate 1 ")
+
+    # at x = 3 channel 1 turns negative and channel 2 raises: every rate
+    # is evaluated before one is checked, so channel 2's error wins
+    def raises(v):
+        if v[0] >= 3:
+            raise RateEvaluationError(f"no rate at {v[0]}")
+        return 0.5
+
+    system = HybridSystem(("x",), ((wrap(lambda v: 1.0, []), np.array([1])),
+                                   (wrap(lambda v: 2.0 - v[0], [0]), np.array([0])),
+                                   (wrap(raises, [0]), np.array([0]))), ())
+    assert _assert_same(system, [0.0], McConfig(budget=500), [True]) == (
+        "error", "RateEvaluationError", "no rate at 3.0")
