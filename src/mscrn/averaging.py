@@ -41,7 +41,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .classify import ScaleClassification, ConservedBasis
-from .errors import (AnalyticUnavailable, IsolatedSpeciesError, ModelError,
+from .errors import (AnalyticUnavailable, EventCapExceeded, IsolatedSpeciesError, ModelError,
                      NonErgodicSuspected, RateEvaluationError)
 from .exact import stationary_distribution
 from .model import (Expression, MassAction, Network, SpatialModel,
@@ -590,12 +590,14 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
     The path runs on one :class:`pdmp.JumpChain` in chunks, each on a
     fresh block of uniforms from the one stream of ``mc.seed``, with a
     horizon of 1.2 times ``chunk_events`` mean waits at the chunk's
-    starting total rate. The budget counts events burn-in inclusive; the
-    first ``burn_in_frac`` of them are discarded. Each later visit of
-    positive duration weights its state by that duration, and every
-    ``(budget - burn-in) / n_batches`` visits make a batch for
-    batch-means errors. A chunk splits the visit it ends in two, and a
-    chunk without an event adds no visit.
+    starting total rate; a chunk that passes the larger of the budget
+    and ten times ``chunk_events`` raises NonErgodicSuspected, so a
+    rate that keeps growing holds bounded memory. The budget counts
+    events burn-in inclusive; the first ``burn_in_frac`` of them are
+    discarded. Each later visit of positive duration weights its state
+    by that duration, and every ``(budget - burn-in) / n_batches``
+    visits make a batch for batch-means errors. A chunk splits the
+    visit it ends in two, and a chunk without an event adds no visit.
     """
     rng = rng_mod.stream(mc.seed)
     budget = int(mc.budget)
@@ -605,6 +607,10 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
     if total_rate <= 0:
         return StationaryMeasure("pointmass", point=chain.state(), discrete=discrete)
     chunk_events = max(200, budget // (4 * mc.n_batches))
+    # a chunk's horizon comes from its starting rate, so a tier whose
+    # rate keeps growing would run on in one chunk; past this many
+    # events it has no stationary law worth the budget
+    chunk_cap = max(budget, 10 * chunk_events)
     batch_quota = max(1, (budget - burn_events) // mc.n_batches)
     events_seen = 0
     rows, durations = [], []   # the kept visits not yet in a batch
@@ -628,7 +634,14 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
         while events_seen < budget and total_rate > 0:
             horizon = chunk_events / max(total_rate, 1e-12) * 1.2
             start, index, state = 0.0, events_seen, chain.state()
-            chain.run(horizon, rng_mod.Buffered(rng), on_event=on_event)
+            try:
+                chain.run(horizon, rng_mod.Buffered(rng), on_event=on_event,
+                          max_events=chunk_cap)
+            except EventCapExceeded:
+                raise NonErgodicSuspected(
+                    f"a chunk of the fast path passed {chunk_cap} events, against about "
+                    f"{chunk_events} at its starting total rate {total_rate}: the rate "
+                    "grows without settling") from None
             if index > events_seen:
                 events_seen = index
                 on_event(horizon, None)   # the chunk's last visit ends at its horizon

@@ -161,6 +161,24 @@ move W from d2 to d1 rate 2
 """
 
 
+def ring_text(n_comp: int = 8, move_rate: float = 4.0) -> str:
+    """AB titration in every compartment of a ring, kappa_1 varying by
+    compartment, nearest-neighbour moves both ways for both species."""
+    kappa1 = ",".join(repr(1.0 + (d % 4) / 4) for d in range(n_comp))
+    lines = ["species A alpha=1 eta=1/2", "species B alpha=0 eta=1/2",
+             "compartments " + " ".join(f"d{d}" for d in range(n_comp)),
+             f"reaction A + B -> 0 @ mass-action kappa={kappa1} beta=1",
+             "reaction 0 -> B @ mass-action kappa=1 beta=1",
+             "reaction B -> 0 @ mass-action kappa=1 beta=1"]
+    for name in ("A", "B"):
+        for d in range(n_comp):
+            for step in (1, -1):
+                lines.append(f"move {name} from d{d} to d{(d + step) % n_comp} "
+                             f"rate {move_rate}")
+    lines.append("init A @ d0 1")
+    return "\n".join(lines) + "\n"
+
+
 def _doc(text):
     return parse_document(text)
 

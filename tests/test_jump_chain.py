@@ -17,6 +17,7 @@ budget below the ESS threshold, and failing rates and jumps.
 
 import math
 import sys
+import time
 import warnings
 from bisect import bisect_right
 from itertools import accumulate
@@ -31,7 +32,7 @@ from mscrn.averaging import (McConfig, StationaryMeasure, _empirical_from_jump_p
                              _occupation, averaged_rate_three_scale, constrained_start,
                              fast_discrete, stationary_fast)
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import MscrnError, NegativeRate, RateEvaluationError
+from mscrn.errors import MscrnError, NegativeRate, NonErgodicSuspected, RateEvaluationError
 from mscrn.parser import parse_document
 from mscrn.pdmp import HybridSystem, OdeConfig, _eval_state, _initial_state, fast_subsystem
 from mscrn.spatial_cases import averaged_rate_spatial
@@ -351,6 +352,17 @@ def test_absorbed_chains_match_reference(listed):
     # absorbed after three jumps, and absorbed from the start
     assert _assert_same(system, [3.0], McConfig(budget=500), [True]) == ("pointmass", [0.0])
     assert _assert_same(system, [0.0], McConfig(budget=500), [True]) == ("pointmass", [0.0])
+
+
+def test_growing_tier_raises_with_bounded_events():
+    # F -> F + F at rate F from F = 1: a chunk's horizon comes from its
+    # starting rate, and the Yule rate grows without bound, so the chunk
+    # runs on until it passes max(budget, 10 * 200) events
+    yule = HybridSystem(("F",), ((_listed(lambda v: v[0], [0]), np.array([1])),), ())
+    start = time.perf_counter()
+    with pytest.raises(NonErgodicSuspected, match="passed 2000 events"):
+        _empirical_from_jump_paths(yule, [1.0], McConfig(budget=1000), [True])
+    assert time.perf_counter() - start < 2.0
 
 
 def test_budget_below_ess_threshold_matches_reference():

@@ -28,12 +28,13 @@ import conftest as fx  # noqa: E402
 GRID = (0.25, 0.5, 1.0)
 MAX_EVENTS = 20_000
 
-# every mass-action fixture with an initial state
+# every mass-action fixture with an initial state, and a ring wide
+# enough for the blocked pass
 FIXTURES = {
     "gene": fx.GENE_TEXT, "ab": fx.AB_TEXT, "spatial_ab": fx.SPATIAL_AB_TEXT,
     "spatial_ab_homog": fx.SPATIAL_AB_HOMOGENEOUS_TEXT,
     "conserved": fx.CONSERVED_TEXT, "three_scale": fx.THREE_SCALE_TEXT,
-    "spatial_gene": fx.SPATIAL_GENE_TEXT,
+    "spatial_gene": fx.SPATIAL_GENE_TEXT, "ring16": fx.ring_text(16),
 }
 
 # continuous A at raw counts near 1e8, where x^2 > 2^53
@@ -89,6 +90,11 @@ def _compare(doc, config, replicas, x0, monkeypatch):
     assert ran and not ran_reference
     _assert_same(got, want)
     return got
+
+
+def test_wide_ring_takes_the_blocked_pass():
+    doc = parse_document(FIXTURES["ring16"])
+    assert ssa._Compiled(doc.model, doc.scaling, 10).blocks is not None
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -254,6 +260,44 @@ def test_ties_and_rounding_with_crafted_uniforms(monkeypatch):
     wait = exact[lower[0]]
     compare("species A alpha=0\nreaction 0 -> A @ mass-action kappa=1\n", [0.0],
             (wait,), 2 * wait, [u[lower[0]], 0.5])
+
+
+def test_residual_rounding_up_to_its_block_sum(monkeypatch):
+    # One species decays in every compartment; at the start only three
+    # channels are positive: a in block 0 and p1, p2 (p1 + p2 = s) at
+    # the head of block 1, whose last channel is zero. The largest
+    # uniform below 1 makes the target the float below a + s, and the
+    # residual target - a rounds up to s itself, past every partial sum
+    # of block 1: both paths must take p2's channel, never a zero one.
+    from mscrn import rng as rng_mod
+
+    a, p1, p2 = 0.20306690262920823, 1.0, 1.9002898339570775
+    s = p1 + p2
+    u = math.nextafter(1.0, 0.0)
+    assert u * (a + s) - a >= s
+
+    def text(kappa, ones):
+        lines = ["species A alpha=0",
+                 "compartments " + " ".join(f"d{d}" for d in range(len(kappa))),
+                 f"reaction A -> 0 @ mass-action kappa={','.join(map(repr, kappa))}"]
+        return "\n".join(lines + [f"init A @ d{d} 1" for d in ones]) + "\n"
+
+    kappa = [1.0] * ssa.BLOCKED_CHANNELS
+    probe = parse_document(text(kappa, [0]))
+    size = ssa._Compiled(probe.model, probe.scaling, 1).blocks[0]
+    assert size >= 3
+    kappa[0], kappa[size], kappa[size + 1] = a, p1, p2
+    doc = parse_document(text(kappa, [0, size, size + 1]))
+    x0 = State(doc.initial_scaled(), scaled=True)
+    pattern = [0.5, u]
+    log = ssa._simulate(doc.model, doc.scaling,
+                        ssa.SimulationConfig(N=1, t_end=10.0, record="events"), x0,
+                        rng=_Pattern(pattern)).event_log
+    # p2, then p1 (the target is again the float below the total), then a
+    assert [c for _, c in log] == [size + 1, size, 0]
+    monkeypatch.setattr(rng_mod, "stream", lambda seed, replica=None: _Pattern(pattern))
+    config = ssa.SimulationConfig(N=1, t_end=10.0, record=np.array([0.3, 1.0, 10.0]))
+    _compare(doc, config, ssa.LOCKSTEP_REPLICAS, x0, monkeypatch)
 
 
 FAILING_TEXT = """\

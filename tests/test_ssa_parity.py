@@ -1,5 +1,6 @@
 """Stochastic-engine output pinned to digests recorded before the event
-loop kept a dependency graph, plus an event-by-event comparison with a
+loop kept a dependency graph, the blocked pass of the direct method
+against the flat pass, and an event-by-event comparison with a
 full-recompute reference on random spatial networks.
 
 Every fixture with an initial state, a generated ring of eight
@@ -14,6 +15,9 @@ pinned the same way; the AB ensemble (40 replicas) runs in lockstep.
 The record ``ssa_parity.json`` was produced at commit 12bd14d by
 
     PYTHONPATH=src python tests/test_ssa_parity.py > tests/ssa_parity.json
+
+and ``python tests/test_ssa_parity.py KEY ...`` rewrites only the named
+keys of the record, leaving every other key as it is, byte for byte.
 """
 
 import hashlib
@@ -83,29 +87,11 @@ init A @ d1 2
 """
 
 
-def ring_text(n_comp: int = 8, move_rate: float = 4.0) -> str:
-    """AB titration in every compartment of a ring, kappa_1 varying by
-    compartment, nearest-neighbour moves both ways for both species."""
-    kappa1 = ",".join(repr(1.0 + (d % 4) / 4) for d in range(n_comp))
-    lines = ["species A alpha=1 eta=1/2", "species B alpha=0 eta=1/2",
-             "compartments " + " ".join(f"d{d}" for d in range(n_comp)),
-             f"reaction A + B -> 0 @ mass-action kappa={kappa1} beta=1",
-             "reaction 0 -> B @ mass-action kappa=1 beta=1",
-             "reaction B -> 0 @ mass-action kappa=1 beta=1"]
-    for name in ("A", "B"):
-        for d in range(n_comp):
-            for step in (1, -1):
-                lines.append(f"move {name} from d{d} to d{(d + step) % n_comp} "
-                             f"rate {move_rate}")
-    lines.append("init A @ d0 1")
-    return "\n".join(lines) + "\n"
-
-
 FIXTURES = {
     "gene": fx.GENE_TEXT, "ab": fx.AB_TEXT, "spatial_ab": fx.SPATIAL_AB_TEXT,
     "spatial_ab_homog": fx.SPATIAL_AB_HOMOGENEOUS_TEXT,
     "conserved": fx.CONSERVED_TEXT, "three_scale": fx.THREE_SCALE_TEXT,
-    "spatial_gene": fx.SPATIAL_GENE_TEXT, "ring8": ring_text(),
+    "spatial_gene": fx.SPATIAL_GENE_TEXT, "ring8": fx.ring_text(),
     "spatial_expr": SPATIAL_EXPR_TEXT, "overdraw": OVERDRAW_TEXT,
 }
 
@@ -178,6 +164,41 @@ def test_every_run_matches_record(monkeypatch):
     assert not bad
 
 
+def test_blocked_pass_keeps_the_flat_channel_sequence(monkeypatch):
+    # forced on every spatial fixture and on the 32-compartment ring, the
+    # blocked pass chooses the channels the flat pass chooses on the same
+    # stream; the totals add in another order, so the times agree to
+    # rounding. A run that reaches the event cap is compared on a
+    # twentieth of the horizon.
+    texts = dict(FIXTURES, ring32=fx.ring_text(32))
+    for name, text in texts.items():
+        doc = parse_document(text)
+        if not doc.model.is_spatial:
+            continue
+        x0 = State(doc.initial_scaled(), scaled=True)
+        for N in N_VALUES:
+            for seed in SEEDS:
+                for t_end in (T_END, T_END / 20):
+                    logs = []
+                    for threshold in (1, math.inf):
+                        monkeypatch.setattr(ssa, "BLOCKED_CHANNELS", threshold)
+                        cfg = SimulationConfig(N=N, t_end=t_end, seed=seed, record="events",
+                                               max_events=MAX_EVENTS)
+                        try:
+                            logs.append(_simulate(doc.model, doc.scaling, cfg, x0).event_log)
+                        except MscrnError as exc:
+                            logs.append(type(exc).__name__)
+                    if logs[1] != "EventCapExceeded":
+                        break
+                got, want = logs
+                if isinstance(want, str):
+                    assert got == want, (name, N, seed)
+                    continue
+                assert [c for _, c in got] == [c for _, c in want], (name, N, seed)
+                assert np.allclose([t for t, _ in got], [t for t, _ in want],
+                                   rtol=1e-12, atol=0), (name, N, seed)
+
+
 # -- event-by-event comparison with a full-recompute reference -------------
 
 
@@ -237,9 +258,11 @@ def _reference(model, scaling, config, x0, rng, log):
 
 
 def _random_spatial_model(data):
+    """A random spatial network of up to 10 compartments: from a few
+    channels to more than ``ssa.BLOCKED_CHANNELS``."""
     from hypothesis import strategies as st
 
-    nd = data.draw(st.integers(1, 3))
+    nd = data.draw(st.integers(1, 10))
     ns = data.draw(st.integers(1, 3))
     names = [f"S{i}" for i in range(ns)]
     lines = [f"species {n} alpha={data.draw(st.sampled_from(['0', '1']))} eta=1"
@@ -272,10 +295,13 @@ def test_matches_full_recompute_on_random_spatial_networks():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    @settings(max_examples=60, deadline=None)
+    blocked = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
     def run(data):
         doc, ns, nd = _random_spatial_model(data)
+        blocked.append(ssa._Compiled(doc.model, doc.scaling, 1.0).blocks is not None)
         N = data.draw(st.sampled_from([1.0, 4.0]))
         alphas = np.array([float(a) for a in doc.model.network.alphas])
         raw = np.array([[data.draw(st.integers(0, 5)) for _ in range(nd)]
@@ -313,8 +339,31 @@ def test_matches_full_recompute_on_random_spatial_networks():
         assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=1e-12, atol=0)
 
     run()
+    # the drawn models fall on both sides of the flat/blocked choice
+    assert set(blocked) == {False, True}
+
+
+def _write(record, fh):
+    json.dump(record, fh, indent=1, sort_keys=True)
+    fh.write("\n")
+
+
+def main(keys) -> None:
+    """Print the whole record, or with ``keys`` rewrite just those keys
+    of ``ssa_parity.json``."""
+    computed = compute()
+    if not keys:
+        _write(computed, sys.stdout)
+        return
+    unknown = sorted(set(keys) - set(computed))
+    if unknown:
+        sys.exit(f"unknown keys: {' '.join(unknown)}")
+    with open(RECORD) as fh:
+        record = json.load(fh)
+    record.update((key, computed[key]) for key in keys)
+    with open(RECORD, "w") as fh:
+        _write(record, fh)
 
 
 if __name__ == "__main__":
-    json.dump(compute(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    main(sys.argv[1:])
