@@ -23,7 +23,10 @@ recomputed after every jump. Each visit goes straight to the
 estimator's (state, duration) lists, which ``_occupation`` reduces one
 batch at a time into the arrays of the empirical law.
 
-The closed forms rest on two factorial-moment identities: a Poisson
+Every mass-action law here, from the frozen coefficient of a fast
+reaction to the expectation over an empirical law, is built by
+:func:`model.mass_action_rate`, the one mass-action formula. The closed
+forms rest on two factorial-moment identities: a Poisson
 variable with mean m has E[x(x-1)...(x-n+1)] = m^n, and a Binomial(s, p)
 count has E[x(x-1)...(x-n+1)] = s(s-1)...(s-n+1) p^n. Both mesh exactly
 with the mixed mass-action form, where discrete species enter through
@@ -44,8 +47,8 @@ from .classify import ScaleClassification, ConservedBasis
 from .errors import (AnalyticUnavailable, EventCapExceeded, IsolatedSpeciesError, ModelError,
                      NonErgodicSuspected, RateEvaluationError)
 from .exact import stationary_distribution
-from .model import (Expression, MassAction, Network, SpatialModel,
-                    falling_factorial, mass_action_value, scaled_rate_function)
+from .model import (Expression, MassAction, MassActionRows, Network, SpatialModel,
+                    falling_factorial, mass_action_rate, scaled_rate_function)
 from .pdmp import (HybridSystem, JumpChain, OdeConfig, fast_subsystem, simulate_pdmp,
                    tier_system)
 
@@ -295,11 +298,12 @@ class StationaryMeasure:
         return self._expect_product_sampling(fn)
 
     def expect_mass_action(self, coeff: float, orders) -> tuple[float, float]:
-        """Closed-form expectation of coeff * prod fall-fact/power terms.
-
-        ``orders[j]`` is the reactant multiplicity on fast variable j;
-        discrete variables contribute falling factorials and continuous
-        ones plain powers, matching the component kinds exactly.
+        """(E, se) of the mass-action law ``coeff`` times each fast
+        variable j at its reactant multiplicity ``orders[j]``: discrete
+        variables contribute falling factorials and continuous ones plain
+        powers, matching the component kinds exactly. A product law has
+        the closed form; any other evaluates the law of
+        :func:`model.mass_action_rate` at its states.
         """
         orders = np.asarray(orders, dtype=int)
         if self.variant == "product":
@@ -324,24 +328,14 @@ class StationaryMeasure:
                     p = block.probs[block.positions.index(j)]
                     out *= p ** n
             return out, 0.0
+        rate = mass_action_rate(coeff, [(j, int(n), bool(self.discrete[j]))
+                                        for j, n in enumerate(orders) if n])
         if self.variant == "empirical":
-            # mass_action_term at every stored state at once, with the same
-            # operations in the same order
-            out = np.full(len(self.states), coeff, dtype=float)
-            for j, n in enumerate(orders):
-                if not n:
-                    continue
-                z = self.states[:, j]
-                if self.discrete[j]:
-                    factor = z.copy()
-                    for i in range(1, n):
-                        factor *= z - i
-                    factor[z < n] = 0.0
-                else:
-                    factor = np.array([value ** n for value in z])
-                out *= factor
-            return self._batch_means(out)
-        return self.expect(lambda z: mass_action_term(coeff, orders, self.discrete, z))
+            # every stored state at once through the row form, if there is one
+            if hasattr(rate, "row_terms"):
+                return self._batch_means(MassActionRows([rate.row_terms])(self.states)[:, 0])
+            return self._batch_means([rate(state) for state in self.states])
+        return self.expect(rate)
 
     def _batch_means(self, values):
         """Time-weighted mean of the per-batch means of ``values`` (one
@@ -380,20 +374,6 @@ class StationaryMeasure:
                 samples[:, pos] = counts[:, idx]
         values = np.array([fn(s) for s in samples])
         return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(draws)
-
-
-def mass_action_term(coeff, orders, discrete, z) -> float:
-    """``coeff`` times each variable of ``z`` at its reactant order: a
-    falling factorial where ``discrete``, a power elsewhere."""
-    out = coeff
-    for j, n in enumerate(orders):
-        if not n:
-            continue
-        if discrete[j]:
-            out *= falling_factorial(z[j], n)
-        else:
-            out *= z[j] ** n
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +508,16 @@ def fast_reaction_structs(classification: ScaleClassification, frozen) -> list[F
         if not isinstance(law, MassAction):
             return None
         orders, frozen_terms = split_reactants(network, k, fast.rows)
-        coeff = mass_action_value(law.kappa, frozen_terms, network.alphas, frozen)
+        coeff = mass_action_rate(law.kappa, frozen_terms)(frozen)
         out.append(FastReaction(k, coeff, orders, tuple(fast.column(k))))
     return out
 
 
 def split_reactants(network: Network, k: int, fast_rows) -> tuple[tuple[int, ...], tuple]:
     """Split reaction k's reactants into orders on the fast variables (in
-    ``fast_rows`` order) and the remaining (species, multiplicity) terms,
-    which are frozen on the fast timescale."""
+    ``fast_rows`` order) and the remaining reactants, which are frozen on
+    the fast timescale, as row-form terms (species, multiplicity,
+    discrete) of :func:`model.mass_action_rate`."""
     position = {i: j for j, i in enumerate(fast_rows)}
     orders = [0] * len(fast_rows)
     frozen_terms = []
@@ -544,7 +525,7 @@ def split_reactants(network: Network, k: int, fast_rows) -> tuple[tuple[int, ...
         if i in position:
             orders[position[i]] = n
         else:
-            frozen_terms.append((i, n))
+            frozen_terms.append((i, n, network.species[i].alpha == 0))
     return tuple(orders), tuple(frozen_terms)
 
 
@@ -899,7 +880,7 @@ def _rate_text(network: Network, structs, fast_rows, k, slow_terms,
     ``k1*k2*vA/(k3+k1*vA)``; only the shape of ``structs`` is read."""
     numerator = [f"k{k + 1}"]
     denominators = []
-    for i, n in slow_terms:
+    for i, n, _ in slow_terms:
         numerator.extend(_species_factor_texts(network, i, n))
     birth_terms = [[] for _ in fast_rows]
     death_terms = [[] for _ in fast_rows]
@@ -930,7 +911,7 @@ def _coeff_text(network: Network, k: int, fast_rows) -> str:
     """kappa symbol times frozen reactant symbols, fast variables omitted
     (their order is carried by the birth-death variable itself)."""
     parts = [f"k{k + 1}"]
-    for i, n in split_reactants(network, k, fast_rows)[1]:
+    for i, n, _ in split_reactants(network, k, fast_rows)[1]:
         parts.extend(_species_factor_texts(network, i, n))
     return "*".join(sorted(parts, key=_symbol_sort_key))
 
@@ -955,8 +936,8 @@ def fast_average(network: Network, k: int, measure: StationaryMeasure, frozen,
     law = network.reactions[k].rate_law
     if isinstance(law, MassAction):
         orders, frozen_terms = split_reactants(network, k, fast_rows)
-        return measure.expect_mass_action(
-            mass_action_value(law.kappa, frozen_terms, network.alphas, frozen), orders)
+        return measure.expect_mass_action(mass_action_rate(law.kappa, frozen_terms)(frozen),
+                                          orders)
     rate_fn = scaled_rate_function(network, k)
 
     def integrand(z):

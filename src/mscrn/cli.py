@@ -86,7 +86,8 @@ def _build_parser() -> _Parser:
                    help="comma-separated sample times (default: 20 points)")
     p.add_argument("--replicas", type=int, default=1)
     p.add_argument("--observables", default=None,
-                   help="comma-separated species names (default: all)")
+                   help="comma-separated species or species@compartment "
+                        "(ssa engine; default: all species)")
     p.add_argument("--mode", choices=["auto", "analytic", "montecarlo"],
                    default="auto", help="reduction mode (pdmp engine)")
 
@@ -205,6 +206,9 @@ def _cmd_simulate(args) -> int:
         cfg = SimulationConfig(N=args.N, t_end=args.t_end, seed=args.seed, record=grid)
         stats = run_ensemble(doc.model, doc.scaling, cfg, args.replicas, names, x0=x0)
     else:
+        if args.observables is not None:
+            raise err.ModelError("--observables applies to the ssa engine; the pdmp "
+                                 "engine reports every reduced coordinate")
         reduced = build_reduced_model(doc.model, doc.scaling, mode=args.mode, mc=mc,
                                       base=_base_totals(doc))
         v0 = reduced.initial_state(_initial_or_fail(doc))

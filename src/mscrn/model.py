@@ -6,6 +6,11 @@ mass-action or expression rate laws). A :class:`SpatialModel` adds an
 ordered compartment set, per-compartment rate laws and movement rates.
 Model objects are immutable after construction and safe to share across
 simulation workers; :class:`State` objects are worker-local.
+
+This module is the only one that turns a rate law into a function of
+counts: :func:`mass_action_rate` from a row form, :func:`expression_rate`
+from an AST, a reader and a prefactor. Scaled rates, raw-count
+propensities and frozen coefficients all share their arithmetic.
 """
 
 from __future__ import annotations
@@ -289,21 +294,6 @@ class ScalingSpec:
     gamma: Fraction = Fraction(0)
 
 
-def mass_action_value(kappa: float, reactants, alphas, values) -> float:
-    """``kappa`` times each (species i, multiplicity n) reactant at
-    ``values[i]``: a falling factorial for discrete species (alpha 0), a
-    power for continuous ones."""
-    out = kappa
-    for i, n in reactants:
-        if alphas[i] == 0:
-            out *= falling_factorial(values[i], n)
-        else:
-            out *= values[i] ** n
-        if out == 0.0:
-            return 0.0
-    return out
-
-
 def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = None) -> float:
     """Rate of reaction k in the given state.
 
@@ -332,15 +322,14 @@ def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = 
         law = network.reactions[k].rate_law
         values = counts
     reaction = network.reactions[k]
-    if isinstance(law, MassAction):
+    if state.scaled:
+        rate = _compile_law(network, reaction, law)
+    elif isinstance(law, MassAction):
         # raw counts enter every reactant as a falling factorial
-        alphas = network.alphas if state.scaled else (0,) * network.n_species
-        out = mass_action_value(law.kappa, reaction.reactants, alphas, values)
+        rate = mass_action_rate(law.kappa, tuple((i, n, True) for i, n in reaction.reactants))
     else:
-        if not state.scaled:
-            raise ModelError("expression rate laws evaluate on scaled states")
-        env = {s.name: values[i] for i, s in enumerate(network.species)}
-        out = expressions.evaluate(law.ast, env)
+        raise ModelError("expression rate laws evaluate on scaled states")
+    out = rate(values)
     if out < 0 or not math.isfinite(out):
         raise RateEvaluationError(f"reaction {k}: rate {out} is negative or non-finite")
     return out
@@ -350,8 +339,7 @@ def scaled_rate_function(network: Network, k: int):
     """Compile reaction k's rate law into a function of a scaled species
     vector (mixed mass-action form, or the expression AST)."""
     reaction = network.reactions[k]
-    law = reaction.rate_law
-    return _compile_law(network, reaction, law)
+    return _compile_law(network, reaction, reaction.rate_law)
 
 
 def scaled_rate_function_spatial(model: SpatialModel, k: int, d: int):
@@ -363,29 +351,8 @@ def scaled_rate_function_spatial(model: SpatialModel, k: int, d: int):
 
 def _compile_law(network: Network, reaction: Reaction, law: RateLaw):
     if isinstance(law, MassAction):
-        kappa = law.kappa
-        terms = tuple((i, n, network.species[i].alpha == 0) for i, n in reaction.reactants)
-
-        def rate(values, kappa=kappa, terms=terms):
-            out = kappa
-            for i, n, discrete in terms:
-                value = values[i]
-                if discrete:
-                    if value < n:
-                        return 0.0
-                    for j in range(n):
-                        out *= value - j
-                else:
-                    out *= value if n == 1 else value ** n
-            return out
-
-        # continuous powers round through the C library's pow, which
-        # numpy's array power does not reproduce (not even the square, on
-        # about one random state in a thousand): no row form for them
-        if all(discrete or n == 1 for _, n, discrete in terms):
-            rate.row_terms = (kappa, terms)
-        return rate
-
+        return mass_action_rate(law.kappa, tuple((i, n, network.species[i].alpha == 0)
+                                                 for i, n in reaction.reactants))
     index = network.index
 
     def reader(name):
@@ -394,19 +361,61 @@ def _compile_law(network: Network, reaction: Reaction, law: RateLaw):
         i = index[name]
         return lambda values: values[i]
 
-    law_fn = expressions.compile_expression(law.ast, reader)
+    return expression_rate(law.ast, reader)
+
+
+def mass_action_rate(prefactor: float, terms):
+    """The mass-action law of the row form ``(prefactor, terms)``: a
+    function of a vector of values giving ``prefactor`` times each term
+    ``(position, order, discrete)`` in order. A discrete term is the
+    falling factorial of its value, multiplied in factor by factor, and
+    makes the rate exactly 0.0 below its order; a continuous term is the
+    power ``value ** order``. The sign is not checked. Without a
+    continuous power above one the function carries its row form as
+    ``row_terms``, for :class:`MassActionRows` (numpy's array power does
+    not reproduce the C library's pow that ``**`` rounds through, not
+    even for squares).
+    """
+    terms = tuple(terms)
 
     def rate(values):
-        out = law_fn(values)
-        if out < 0:
-            raise RateEvaluationError(f"expression rate is negative: {out}")
+        out = prefactor
+        for i, n, discrete in terms:
+            value = values[i]
+            if discrete and value < n:
+                return 0.0
+            if n == 1:
+                out *= value
+            elif discrete:
+                for j in range(n):
+                    out *= value - j
+            else:
+                out *= value ** n
         return out
+
+    if all(discrete or n == 1 for _, n, discrete in terms):
+        rate.row_terms = (prefactor, terms)
+    return rate
+
+
+def expression_rate(ast: expressions.Node, reader, prefactor: float = 1.0):
+    """The expression law ``ast`` as a function of a vector of values,
+    times ``prefactor``; ``reader(name)`` returns the function that reads
+    symbol ``name`` from the vector, or None for a name that is not a
+    species. A negative law raises RateEvaluationError."""
+    law = expressions.compile_expression(ast, reader)
+
+    def rate(values):
+        out = law(values)
+        if out < 0:
+            raise RateEvaluationError(f"negative expression rate {out}")
+        return prefactor * out
 
     return rate
 
 
 class MassActionRows:
-    """Mass-action closures of :func:`_compile_law` over the rows of a
+    """Mass-action laws of :func:`mass_action_rate` over the rows of a
     (rows, species) array, all at once. ``laws`` lists the closures'
     ``row_terms``, ``(kappa, ((species, order, discrete), ...))``; a call
     returns the (rows, laws) rates, law c in column ``columns[c]``.
@@ -457,8 +466,8 @@ class MassActionRows:
         if self.depth:
             below = values.take(self.checks, axis=1) < self.orders
             if self.depth > 1:
-                below = np.logical_or.reduce(below.reshape(len(values), self.depth, -1),
-                                             axis=1)
+                below = np.logical_or.reduce(
+                    below.reshape(len(values), self.depth, len(self.kappa)), axis=1)
             np.putmask(out, below, 0.0)
         return out
 

@@ -34,48 +34,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from .averaging import (AveragedRate, FastReaction, McConfig, all_movement_equilibria,
                         closed_form_measure, fast_discrete, fast_stationary_law,
-                        mass_action_term, memoized_rate, product_measure,
-                        split_reactants)
+                        memoized_rate, product_measure, split_reactants)
 from .classify import ConservedBasis, ScaleClassification
-from .errors import AnalyticUnavailable, CaseUnavailable, ModelError, NotMassAction
+from .errors import AnalyticUnavailable, CaseUnavailable, ModelError
 from .model import (MassAction, ScalingSpec, SpatialModel, falling_factorial,
-                    mass_action_value, scaled_rate_function_spatial)
+                    mass_action_rate, scaled_rate_function_spatial)
 from .pdmp import tier_system
 
 
-def mass_action_avg_kappa(spatial_model: SpatialModel, k: int,
-                          equilibria=None) -> float:
-    """Movement-averaged rate constant: sum over compartments of the
-    local constant times each reactant's equilibrium probability raised
-    to its multiplicity."""
-    network = spatial_model.network
-    reaction = network.reactions[k]
-    pis = equilibria or all_movement_equilibria(spatial_model)
-    out = 0.0
-    for d in range(spatial_model.n_compartments):
-        law = spatial_model.rate_law(k, d)
-        if not isinstance(law, MassAction):
-            raise NotMassAction(f"reaction {k} has a non-mass-action law")
-        term = law.kappa
-        for i, n in reaction.reactants:
-            term *= float(pis[i].as_floats()[d]) ** n
-        out += term
-    return out
-
-
-def totals_factor(network, pis, terms, totals, d: int, coeff: float = 1.0) -> float:
-    """``coeff`` times each (species i, multiplicity n) term of compartment
-    d at movement equilibrium given species totals: a falling factorial
-    of the total times pi^n for discrete species, (pi * total)^n for
-    continuous ones."""
-    for i, n in terms:
-        if network.species[i].alpha == 0:
+def totals_factor(pis, terms, totals, d: int, coeff: float = 1.0) -> float:
+    """``coeff`` times each (species i, multiplicity n, discrete) term of
+    compartment d at movement equilibrium given species totals: a falling
+    factorial of the total times pi^n for discrete species, (pi *
+    total)^n for continuous ones."""
+    for i, n, discrete in terms:
+        if discrete:
             coeff *= falling_factorial(totals[i], n) * pis[i][d] ** n
         else:
             coeff *= (pis[i][d] * totals[i]) ** n
@@ -95,7 +72,8 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
     """
     mc = mc or McConfig()
     network = spatial_model.network
-    reaction = network.reactions[k]
+    terms = tuple((i, n, network.species[i].alpha == 0)
+                  for i, n in network.reactions[k].reactants)
     pis = equilibria or all_movement_equilibria(spatial_model)
     pi_arr = [p.as_floats() for p in pis]
     mass_action = all(isinstance(spatial_model.rate_law(k, d), MassAction)
@@ -106,8 +84,7 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
             s = np.asarray(s, dtype=float)
             out = 0.0
             for d in range(spatial_model.n_compartments):
-                out += totals_factor(network, pi_arr, reaction.reactants, s, d,
-                                     spatial_model.rate_law(k, d).kappa)
+                out += totals_factor(pi_arr, terms, s, d, spatial_model.rate_law(k, d).kappa)
             return out
 
         return AveragedRate(k, "analytic", fn=fn, se=lambda s: 0.0)
@@ -180,14 +157,12 @@ class _SpatialContext:
 
     def totals_form(self, totals):
         """Slow factor averaged over slow positions at species totals."""
-        network = self.model.network
-        return lambda k, d: totals_factor(network, self.pis, self.splits[k][1], totals, d)
+        return lambda k, d: totals_factor(self.pis, self.splits[k][1], totals, d)
 
     def positions_form(self, positions):
         """Slow factor at actual positions (species x compartments)."""
-        network = self.model.network
-        return lambda k, d: mass_action_value(1.0, self.splits[k][1], network.alphas,
-                                              positions[:, d])
+        laws = {k: mass_action_rate(1.0, split[1]) for k, split in self.splits.items()}
+        return lambda k, d: laws[k](positions[:, d])
 
     def fast_pi_factor(self, k: int, d: int) -> float:
         out = 1.0
@@ -232,8 +207,9 @@ def _fast_rate(fr: FastReaction, discrete):
     """Rate of the fast reaction ``fr`` as a function of the fast
     variables, an array or a :class:`pdmp.JumpChain`'s list; on the list
     it reads only the variables of its reactants."""
-    rate = partial(mass_action_term, fr.coeff, fr.orders, discrete)
-    rate.on_list = (rate, [j for j, n in enumerate(fr.orders) if n])
+    reads = [j for j, n in enumerate(fr.orders) if n]
+    rate = mass_action_rate(fr.coeff, [(j, fr.orders[j], discrete[j]) for j in reads])
+    rate.on_list = (rate, reads)
     return rate
 
 

@@ -26,6 +26,11 @@ sequence as the flat pass, with times equal to rounding.
 hybrid systems (:class:`pdmp.JumpChain`), among them the Monte Carlo
 fast-tier chains, run on it too, always in the flat pass.
 
+The propensities come from :mod:`model`'s builders over raw counts:
+:func:`model.mass_action_rate` with the powers of N in the prefactor,
+:func:`model.expression_rate` with readers that scale the counts. The
+engine checks that every propensity it reads is nonnegative.
+
 An ensemble of ``LOCKSTEP_REPLICAS`` or more replicas of a model whose
 channels are all mass-action or movement runs in lockstep instead
 (:func:`_lockstep`): the raw counts of every live replica are the rows
@@ -51,7 +56,7 @@ from . import expressions
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, RateEvaluationError
 from .model import (MassAction, Model, Network, ScalingSpec, SpatialModel,
-                    State, check_state)
+                    State, check_state, expression_rate, mass_action_rate)
 
 
 # Ensembles of at least this many replicas of a model whose channels are
@@ -128,70 +133,22 @@ class Trajectory:
 class _Channel:
     """One event channel: a propensity function of the raw count vector,
     the flat indices it reads, and its integer state delta. A
-    mass-action or movement channel also carries its formula as a
-    ``prefactor`` and ``factors``, from which both the scalar closure
-    and the lockstep arrays are built; both are None for an expression
-    law."""
+    mass-action or movement channel also keeps its row form,
+    ``prefactor`` and ``terms`` (see :func:`model.mass_action_rate`),
+    from which both the scalar closure and the lockstep table are built;
+    both are None for an expression law."""
 
-    __slots__ = ("kind", "ident", "propensity", "reads", "delta", "prefactor", "factors")
+    __slots__ = ("kind", "ident", "propensity", "reads", "delta", "prefactor", "terms")
 
     def __init__(self, kind, ident, reads, delta, propensity=None, prefactor=None,
-                 factors=None):
+                 terms=None):
         self.kind = kind              # 'reaction' | 'movement'
         self.ident = ident            # (k, d) or (i, d1, d2); d is None nonspatially
         self.reads = reads            # flat indices of the counts read
         self.delta = delta            # ((flat_index, change), ...)
         self.prefactor = prefactor
-        self.factors = factors        # ((flat_index, shift, power, floor), ...)
-        self.propensity = propensity or _mass_action(prefactor, factors)
-
-
-def _mass_action(prefactor, factors):
-    """Propensity ``prefactor`` times each factor ``(x[idx] - shift) **
-    power``, in order; a floored factor at or below zero makes it zero (a
-    falling factorial below its order). A continuous count below zero
-    can make the product negative; that raises, as a negative expression
-    rate does, because a negative propensity has no meaning in the
-    channel choice."""
-    def propensity(x):
-        out = prefactor
-        for idx, shift, power, floor in factors:
-            value = x[idx] - shift
-            if floor and value <= 0:
-                return 0.0
-            if power == 1:
-                out *= value
-            else:
-                out *= value ** power
-        if out < 0:
-            raise RateEvaluationError(f"negative mass-action propensity {out}")
-        return out
-
-    return propensity
-
-
-# the zero channel that pads a blocked lockstep table to whole blocks
-_ZERO = _Channel("pad", None, (), (), prefactor=0.0, factors=())
-
-
-def _expression(ast, scale, nd, d, index, time_factor):
-    """Propensity of an expression law in compartment d, compiled once
-    over the raw counts: symbol i reads ``scale[i] * x[i * nd + d]``."""
-    def reader(name):
-        if name not in index:
-            return None
-        flat, factor = index[name] * nd + d, scale[index[name]]
-        return lambda x: factor * x[flat]
-
-    law = expressions.compile_expression(ast, reader)
-
-    def propensity(x):
-        value = law(x)
-        if value < 0:
-            raise RateEvaluationError(f"negative expression rate {value}")
-        return time_factor * value
-
-    return propensity
+        self.terms = terms            # ((flat_index, order, discrete), ...)
+        self.propensity = propensity or mass_action_rate(prefactor, terms)
 
 
 def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Channel]:
@@ -201,6 +158,7 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Cha
     gamma = scaling.gamma
     alphas = network.alphas
     scale = [float(N) ** float(-alphas[i]) for i in range(network.n_species)]
+    index = network.index
     channels: list[_Channel] = []
 
     def flat(i, d):
@@ -222,26 +180,29 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Cha
             delta = tuple((idx, ch) for idx, ch in delta if ch != 0)
             ident = (k, d if spatial else None)
             if isinstance(law, MassAction):
-                # a discrete count of order n gives the falling factorial's
-                # n factors x - j, floored at zero; a continuous one x ** n
+                # the terms read raw counts: the powers of N that scale
+                # the continuous ones fold into the prefactor
                 prefactor = time_factor * law.kappa
-                factors = []
                 for i, n in reaction.reactants:
-                    if alphas[i] == 0:
-                        factors += [(flat(i, d), j, 1, True) for j in range(n)]
-                    else:
+                    if alphas[i] != 0:
                         prefactor *= float(N) ** float(-alphas[i] * n)
-                        factors.append((flat(i, d), 0, n, False))
-                channels.append(_Channel("reaction", ident,
-                                         tuple(flat(i, d) for i, _ in reaction.reactants),
-                                         delta, prefactor=prefactor, factors=tuple(factors)))
+                terms = tuple((flat(i, d), n, alphas[i] == 0) for i, n in reaction.reactants)
+                channels.append(_Channel("reaction", ident, tuple(idx for idx, _, _ in terms),
+                                         delta, prefactor=prefactor, terms=terms))
             else:
-                reads = tuple(sorted(flat(network.index[name], d)
+                def reader(name, d=d):
+                    """Symbol ``name`` is ``scale[i] * x[i * nd + d]``."""
+                    if name not in index:
+                        return None
+                    at, factor = flat(index[name], d), scale[index[name]]
+                    return lambda x: factor * x[at]
+
+                reads = tuple(sorted(flat(index[name], d)
                                      for name in expressions.variables(law.ast)
-                                     if name in network.index))
+                                     if name in index))
                 channels.append(_Channel("reaction", ident, reads, delta,
-                                         propensity=_expression(law.ast, scale, nd, d,
-                                                                network.index, time_factor)))
+                                         propensity=expression_rate(law.ast, reader,
+                                                                    time_factor)))
 
     if spatial:
         for i, s in enumerate(network.species):
@@ -258,7 +219,7 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Cha
                     delta = ((flat(i, d1), -1), (flat(i, d2), 1))
                     channels.append(_Channel("movement", (i, d1, d2), (flat(i, d1),), delta,
                                              prefactor=prefactor,
-                                             factors=((flat(i, d1), 0, 1, True),)))
+                                             terms=((flat(i, d1), 1, True),)))
     return channels
 
 
@@ -299,7 +260,7 @@ class _Compiled:
                                   for deps in self.dependents])
             columns = -(-len(channels) // size) * size
         lockstep = channels and all(
-            c.factors is not None and all(power <= 2 for _, _, power, _ in c.factors)
+            c.terms is not None and all(discrete or n <= 2 for _, n, discrete in c.terms)
             for c in channels)
         self.table = _Table(channels, dim, columns) if lockstep else None
 
@@ -308,34 +269,40 @@ class _Table:
     """The mass-action and movement channels as arrays over a batch of
     raw states, one row per replica, with a last column of ones.
 
-    Factor slot s of channel c sits at ``s * channels + c`` of ``index``,
-    ``shift`` and ``floor``; a channel with fewer factors is padded with
-    the ones column, and multiplying by 1.0 is exact. Each propensity is
-    the prefactor times its factors in order, as in :func:`_mass_action`,
-    with a floored factor ``max(x - j, 0)``: zero below the order of a
-    falling factorial and the same value above it. A continuous square
-    is ``x * x``, the one rounding of the exact square that the scalar
-    closure takes; higher continuous powers would round twice, so a
-    model with one has no table. Row c of ``delta`` is channel c's state
-    change. ``shift`` and ``square`` are None where they would change
-    nothing. Columns past the last channel, up to ``columns``, are
-    channels of propensity zero that change nothing.
+    Each channel's row form expands into factor slots: a discrete term
+    of order n into the n factors ``max(x - j, 0)``, zero below the
+    order of the falling factorial and the same value above it, and a
+    continuous term into ``x``, or ``x * x`` for a square, the one
+    rounding of the exact square that the scalar closure takes; higher
+    continuous powers would round twice, so a model with one has no
+    table. Factor slot s of channel c sits at ``s * columns + c`` of
+    ``index``, ``shift`` and ``floor``; a channel with fewer factors is
+    padded with the ones column, and multiplying by 1.0 is exact. Each
+    propensity is the prefactor times its factors in order, as in
+    :func:`model.mass_action_rate`. Row c of ``delta`` is channel c's
+    state change. ``shift`` and ``square`` are None where they would
+    change nothing. Columns past the last channel, up to ``columns``,
+    are channels of propensity zero that change nothing.
     """
 
     def __init__(self, channels: list[_Channel], dim: int, columns: int):
-        one = (dim, 0, 1, False)
-        self.width = max(1, max(len(c.factors) for c in channels))
-        channels = channels + [_ZERO] * (columns - len(channels))
-        flat = [c.factors[s] if s < len(c.factors) else one
-                for s in range(self.width) for c in channels]
-        self.prefactor = np.array([c.prefactor for c in channels], dtype=float)
+        # (index, shift, floored, squared) of each factor, channel by channel
+        factors = [[slot for idx, n, discrete in c.terms
+                    for slot in ([(idx, j, True, False) for j in range(n)] if discrete
+                                 else [(idx, 0, False, n == 2)])]
+                   for c in channels] + [[]] * (columns - len(channels))
+        one = (dim, 0, False, False)
+        self.width = max(1, max(map(len, factors)))
+        flat = [f[s] if s < len(f) else one for s in range(self.width) for f in factors]
+        self.prefactor = np.zeros(columns)
+        self.prefactor[:len(channels)] = [c.prefactor for c in channels]
         self.index = np.array([idx for idx, _, _, _ in flat], dtype=np.intp)
         shift = np.array([shift for _, shift, _, _ in flat], dtype=float)
         self.shift = shift if shift.any() else None
-        self.floor = np.array([0.0 if floor else -np.inf for _, _, _, floor in flat])
-        square = np.array([power == 2 for _, _, power, _ in flat])
+        self.floor = np.array([0.0 if floor else -np.inf for _, _, floor, _ in flat])
+        square = np.array([squared for _, _, _, squared in flat])
         self.square = square if square.any() else None
-        self.delta = np.zeros((len(channels), dim + 1))
+        self.delta = np.zeros((columns, dim + 1))
         for c, channel in enumerate(channels):
             for idx, change in channel.delta:
                 self.delta[c, idx] = change
@@ -547,7 +514,12 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
 
     propensities, deltas, dependents = (compiled.propensities, compiled.deltas,
                                         compiled.dependents)
+    # a continuous count drawn below zero can make a mass-action
+    # propensity negative, which has no meaning in the channel choice
     prop = [p(x) for p in propensities]
+    for value in prop:
+        if value < 0:
+            raise RateEvaluationError(f"negative mass-action propensity {value}")
 
     def fire(c):
         for idx, change in deltas[c]:
@@ -555,7 +527,9 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
 
     def refresh(c):
         for j in dependents[c]:
-            prop[j] = propensities[j](x)
+            value = prop[j] = propensities[j](x)
+            if value < 0:
+                raise RateEvaluationError(f"negative mass-action propensity {value}")
 
     on_event = None if log is None else log_events(snapshot, log)
     counts = direct_method(prop, fire, refresh, rand, config.t_end, grid, snapshot, on_event,
@@ -600,8 +574,9 @@ def observable_weights(model: Model, names) -> tuple[tuple[str, ...], np.ndarray
     """Resolve observable specs to linear functionals over the flat state.
 
     Specs: a species name (its scaled count; total over compartments for
-    spatial models), ``name@compartment`` for one compartment, or
-    ``species:i``/plain names list. Returns (labels, weight matrix).
+    spatial models) or ``name@compartment`` for one compartment. Returns
+    (labels, weight matrix). An unknown species or compartment, or ``@``
+    on a model without compartments, raises ModelError naming the spec.
     """
     spatial = model.is_spatial
     network = model.network if spatial else model
@@ -611,13 +586,17 @@ def observable_weights(model: Model, names) -> tuple[tuple[str, ...], np.ndarray
     rows = []
     for spec in names:
         w = np.zeros(dim)
-        if "@" in spec:
-            name, comp = spec.split("@", 1)
-            i = network.index[name]
-            d = model.compartments.index(comp)
-            w[i * nd + d] = 1.0
+        name, at, comp = spec.partition("@")
+        if name not in network.index:
+            raise ModelError(f"observable {spec!r}: unknown species {name!r}")
+        i = network.index[name]
+        if at:
+            if not spatial:
+                raise ModelError(f"observable {spec!r}: the model has no compartments")
+            if comp not in model.compartments:
+                raise ModelError(f"observable {spec!r}: unknown compartment {comp!r}")
+            w[i * nd + model.compartments.index(comp)] = 1.0
         else:
-            i = network.index[spec]
             w[i * nd:(i + 1) * nd] = 1.0
         labels.append(spec)
         rows.append(w)

@@ -5,6 +5,9 @@ closed forms noted next to each fixture, independent of the code under
 test.
 """
 
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -226,6 +229,29 @@ def spatial_conserved_doc():
 @pytest.fixture(scope="session")
 def spatial_gene_doc():
     return _doc(SPATIAL_GENE_TEXT)
+
+
+def rewrite_record(record, compute, keys) -> None:
+    """The command line of a parity test: print the whole record that
+    ``compute()`` gives, or with ``keys`` rewrite just those keys of the
+    JSON file ``record``, leaving every other key as it is, byte for
+    byte."""
+    def write(entries, fh):
+        json.dump(entries, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+    computed = compute()
+    if not keys:
+        write(computed, sys.stdout)
+        return
+    unknown = sorted(set(keys) - set(computed))
+    if unknown:
+        sys.exit(f"unknown keys: {' '.join(unknown)}")
+    with open(record) as fh:
+        entries = json.load(fh)
+    entries.update((key, computed[key]) for key in keys)
+    with open(record, "w") as fh:
+        write(entries, fh)
 
 
 def state_of(model, values, scaled=True):

@@ -11,11 +11,12 @@ from scipy import stats as sps
 
 from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryComponent,
                              StationaryMeasure, _occupation, averaged_rate_three_scale,
-                             averaged_rate_two_scale, constrained_start, mass_action_term,
+                             averaged_rate_two_scale, constrained_start,
                              movement_equilibrium, product_measure, stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import (AnalyticUnavailable, ModelError, NonErgodicSuspected,
                           ReducibleChainError)
+from mscrn.model import mass_action_rate
 from mscrn.parser import parse_document, parse_model
 
 
@@ -385,10 +386,11 @@ def test_occupation_matches_per_visit_dicts():
 
 
 def test_empirical_mass_action_matches_per_state_loop():
-    # the array form of expect_mass_action over stored samples equals the
-    # per-state path of expect bit for bit: falling factorials of discrete
-    # variables (zero below the order), powers of continuous ones, empty
-    # and uneven batches
+    # the array form of expect_mass_action over stored samples (the row
+    # form, where the law has one) equals the per-state path of expect on
+    # the law of mass_action_rate bit for bit: falling factorials of
+    # discrete variables (zero below the order), powers of continuous
+    # ones, empty and uneven batches
     rng = np.random.default_rng(4)
     sizes = (7, 0, 12, 1, 30)
     states = np.column_stack([rng.integers(0, 5, sum(sizes)).astype(float),
@@ -399,12 +401,13 @@ def test_empirical_mass_action_matches_per_state_loop():
                                 discrete=[True, False, True])
     assert measure.dim == 3
     for coeff, orders in ((1.7, [2, 2, 1]), (0.3, [0, 3, 0]), (2.0, [0, 0, 0]),
-                          (1.0, [1, 1, 4])):
+                          (1.0, [1, 1, 4]), (1.3, [3, 1, 2])):
         value, se = measure.expect_mass_action(coeff, orders)
-        want, want_se = measure.expect(
-            lambda z: mass_action_term(coeff, np.asarray(orders), measure.discrete, z))
-        assert (value, se) == (want, want_se)
-    with pytest.raises(NonErgodicSuspected):
-        StationaryMeasure("empirical", states=np.empty((0, 1)), weights=np.empty(0),
-                          batch=np.empty(0, dtype=int), ess=0,
-                          discrete=[True]).expect_mass_action(1.0, [1])
+        law = mass_action_rate(coeff, [(j, n, measure.discrete[j])
+                                       for j, n in enumerate(orders) if n])
+        assert (value, se) == measure.expect(law)
+    for discrete in ([True], [True, True]):
+        with pytest.raises(NonErgodicSuspected):
+            StationaryMeasure("empirical", states=np.empty((0, len(discrete))),
+                              weights=np.empty(0), batch=np.empty(0, dtype=int), ess=0,
+                              discrete=discrete).expect_mass_action(1.0, [1] * len(discrete))

@@ -11,7 +11,10 @@ values in ``averaging_parity.json`` were produced at commit 00010b5 by
 
     PYTHONPATH=src python tests/test_averaging_parity.py > tests/averaging_parity.json
 
-and every value and standard error must still match to 1e-12 relative.
+and every value and standard error must still match to 1e-12 relative;
+``python tests/test_averaging_parity.py KEY ...`` rewrites only the
+named keys of the record, leaving every other key as it is, byte for
+byte.
 Three entries were re-recorded since, when conserved spatial cases 3/4
 stopped returning their closed form in mode ``montecarlo`` and began to
 raise ``CaseUnavailable``: ``spatial_conserved.case3.montecarlo`` at both
@@ -165,5 +168,4 @@ def test_every_path_matches_record():
 
 
 if __name__ == "__main__":
-    json.dump(compute(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    fx.rewrite_record(RECORD, compute, sys.argv[1:])

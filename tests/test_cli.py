@@ -144,3 +144,19 @@ def test_simulate_zero_replicas_exit_2(gene_file, engine, capsys):
 def test_malformed_list_argument_exit_1(model_file, args, capsys):
     assert cli([args[0], model_file] + args[1:]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, args, message", [
+    (fx.AB_TEXT, ["--observables", "Z"], "unknown species 'Z'"),
+    (fx.AB_TEXT, ["--observables", "A,A@d9"], "'A@d9': the model has no compartments"),
+    (fx.SPATIAL_AB_TEXT, ["--observables", "A@d9"], "unknown compartment 'd9'"),
+    (fx.SPATIAL_AB_TEXT, ["--observables", "Q@d1"], "unknown species 'Q'"),
+    (fx.AB_TEXT, ["--engine", "pdmp", "--observables", "A"], "applies to the ssa engine"),
+], ids=["unknown-species", "at-without-compartments", "unknown-compartment",
+        "unknown-spatial-species", "pdmp-engine"])
+def test_bad_observables_exit_2(tmp_path, text, args, message, capsys):
+    path = tmp_path / "model.mscrn"
+    path.write_text(text)
+    assert cli(["simulate", str(path), "--t-end", "0.1"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error") and message in err

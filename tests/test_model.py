@@ -147,6 +147,42 @@ def test_scaled_rate_function_matches_evaluate(gene_doc):
             evaluate_rate(net, k, State(v.copy(), scaled=True)))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_mass_action_formula(data):
+    # evaluate_rate on a scaled state and the compiled scaled law are one
+    # formula, equal bit for bit, with discrete orders up to 3 (values
+    # below the order included), continuous orders 1-3 and random states;
+    # so is the stochastic engine's propensity over integer counts at
+    # N = 1 with every exponent 0, where raw and scaled counts coincide
+    from fractions import Fraction
+
+    from mscrn import ssa
+    from mscrn.model import ScalingSpec
+
+    n_species = data.draw(st.integers(1, 3))
+    discrete = [data.draw(st.booleans()) for _ in range(n_species)]
+    species = [Species(f"S{i}", Fraction(0 if d else 1)) for i, d in enumerate(discrete)]
+    species.append(Species("P"))
+    reactants = {}
+    for i, d in enumerate(discrete):
+        order = data.draw(st.integers(0, 3))
+        if order:
+            reactants[i] = order
+    net = Network(species, [Reaction.make(reactants, {n_species: 1},
+                                          rate_law=MassAction(data.draw(st.floats(0.1, 10.0))))])
+    law = scaled_rate_function(net, 0)
+    propensity = ssa._Compiled(net, ScalingSpec(), 1.0).propensities[0]
+    for _ in range(5):
+        counts = [float(data.draw(st.integers(0, 6))) for _ in discrete]
+        values = [c if d else data.draw(st.floats(0.0, 10.0)) for c, d in zip(counts, discrete)]
+        for state in (values, counts):
+            state = np.array(state + [0.0])
+            assert _bits([evaluate_rate(net, 0, State(state, scaled=True))]) \
+                == _bits([law(state)])
+        assert _bits([propensity(counts + [0.0])]) == _bits([law(np.array(counts + [0.0]))])
+
+
 # -- the row form of mass-action closures ----------------------------------
 
 def _bits(values):

@@ -289,7 +289,7 @@ def _draw_hybrid(data):
     coordinate is at most linear in the continuous ones, so no flow blows
     up in finite time."""
     from hypothesis import strategies as st
-    from mscrn.model import mass_action_value
+    from mscrn.model import mass_action_rate
 
     n_disc = data.draw(st.integers(1, 2))
     n_cont = data.draw(st.integers(1, 2))
@@ -306,7 +306,7 @@ def _draw_hybrid(data):
             column[first] = 1
         terms = tuple((i, n) for i, n in enumerate(reactants) if n)
         kappa = data.draw(st.floats(0.1, 2.0))
-        return terms, column, lambda v: mass_action_value(kappa, terms, alphas, v)
+        return terms, column, mass_action_rate(kappa, [(i, n, alphas[i] == 0) for i, n in terms])
 
     jumps = []
     for _ in range(data.draw(st.integers(1, 3))):

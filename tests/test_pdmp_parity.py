@@ -14,6 +14,9 @@ and quantiles; failures pin the exception type and message. The record
 ``pdmp_parity.json`` was produced at commit 1723df2 by
 
     PYTHONPATH=src python tests/test_pdmp_parity.py > tests/pdmp_parity.json
+
+and ``python tests/test_pdmp_parity.py KEY ...`` rewrites only the named
+keys of the record, leaving every other key as it is, byte for byte.
 """
 
 import hashlib
@@ -260,5 +263,4 @@ def test_ensemble_equals_replicas_run_one_by_one():
 
 
 if __name__ == "__main__":
-    json.dump(compute(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    fx.rewrite_record(RECORD, compute, sys.argv[1:])

@@ -11,10 +11,9 @@ import pytest
 
 from mscrn.averaging import McConfig, averaged_rate_two_scale, movement_equilibrium
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import AnalyticUnavailable, CaseUnavailable, NotMassAction
+from mscrn.errors import AnalyticUnavailable, CaseUnavailable
 from mscrn.parser import parse_document, parse_model
-from mscrn.spatial_cases import (averaged_rate_single_scale, averaged_rate_spatial,
-                                 mass_action_avg_kappa)
+from mscrn.spatial_cases import averaged_rate_single_scale, averaged_rate_spatial
 
 import conftest as fx
 
@@ -190,37 +189,30 @@ def test_three_scale_spatial_unsupported():
 
 
 def test_avg_kappa_examples(spatial_ab_doc):
+    # at unit totals a mass-action rate averaged over movement equilibrium
+    # is its averaged constant, the sum over compartments of the local
+    # constant times each reactant's equilibrium probability
+    def at_unit_totals(text):
+        doc = parse_document(text)
+        rate = averaged_rate_single_scale(doc.model, doc.scaling, 0)
+        return rate(np.ones(doc.model.network.n_species))
+
     # A + B with both continuous, kappas (1, 2), uniform equilibria:
     # 1*(1/4) + 2*(1/4) = 3/4
-    text = ("species A alpha=1 eta=1\nspecies B alpha=1 eta=1\n"
-            "compartments d1 d2\n"
-            "reaction A + B -> 0 @ mass-action kappa=1,2 beta=1\n"
-            "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 1\n"
-            "move B from d1 to d2 rate 1\nmove B from d2 to d1 rate 1\n")
-    model, _ = parse_model(text)
-    assert mass_action_avg_kappa(model, 0) == pytest.approx(0.75)
-
+    assert at_unit_totals(
+        "species A alpha=1 eta=1\nspecies B alpha=1 eta=1\n"
+        "compartments d1 d2\n"
+        "reaction A + B -> 0 @ mass-action kappa=1,2 beta=1\n"
+        "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 1\n"
+        "move B from d1 to d2 rate 1\nmove B from d2 to d1 rate 1\n") == pytest.approx(0.75)
     # single compartment: kbar is the local constant
-    text1 = ("species A alpha=1 eta=1\ncompartments only\n"
-             "reaction A -> 0 @ mass-action kappa=1.7 beta=1\n")
-    model1, _ = parse_model(text1)
-    assert mass_action_avg_kappa(model1, 0) == pytest.approx(1.7)
-
+    assert at_unit_totals("species A alpha=1 eta=1\ncompartments only\n"
+                          "reaction A -> 0 @ mass-action kappa=1.7 beta=1\n"
+                          ) == pytest.approx(1.7)
     # equilibrium concentrated on compartment 1
-    text2 = ("species A alpha=0 eta=1\ncompartments d1 d2\n"
-             "reaction A -> 0 @ mass-action kappa=1.3,9.9 beta=0\n"
-             "move A from d2 to d1 rate 1\n")
-    model2, _ = parse_model(text2)
-    assert mass_action_avg_kappa(model2, 0) == pytest.approx(1.3)
-
-
-def test_avg_kappa_not_mass_action():
-    text = ("species A alpha=1 eta=1\ncompartments d1 d2\n"
-            "reaction A -> 0 @ expr A beta=1\n"
-            "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 1\n")
-    model, _ = parse_model(text)
-    with pytest.raises(NotMassAction):
-        mass_action_avg_kappa(model, 0)
+    assert at_unit_totals("species A alpha=0 eta=1\ncompartments d1 d2\n"
+                          "reaction A -> 0 @ mass-action kappa=1.3,9.9 beta=0\n"
+                          "move A from d2 to d1 rate 1\n") == pytest.approx(1.3)
 
 
 def test_single_scale_spatial_three_quarters():
@@ -247,11 +239,12 @@ def test_single_scale_spatial_zero_order():
 
 
 def test_single_scale_spatial_homogeneous_gene(spatial_gene_doc):
-    # homogeneity condition: averaged constants equal the single
-    # compartment ones (1, 1, 2, 1)
+    # homogeneity condition: averaged constants, the rates at unit
+    # totals, equal the single compartment ones (1, 1, 2, 1)
     model = spatial_gene_doc.model
     for k, want in ((0, 1.0), (1, 1.0), (2, 2.0), (3, 1.0)):
-        assert mass_action_avg_kappa(model, k) == pytest.approx(want, rel=1e-14)
+        rate = averaged_rate_single_scale(model, spatial_gene_doc.scaling, k)
+        assert rate([1.0, 1.0, 1.0]) == pytest.approx(want, rel=1e-14)
     rate = averaged_rate_single_scale(model, spatial_gene_doc.scaling, 0)
     # rate at totals (G, Ga, P) = (1, 0, 2): kappa * s_G * s_P = 2
     assert rate([1.0, 0.0, 2.0]) == pytest.approx(2.0, rel=1e-14)

@@ -343,27 +343,5 @@ def test_matches_full_recompute_on_random_spatial_networks():
     assert set(blocked) == {False, True}
 
 
-def _write(record, fh):
-    json.dump(record, fh, indent=1, sort_keys=True)
-    fh.write("\n")
-
-
-def main(keys) -> None:
-    """Print the whole record, or with ``keys`` rewrite just those keys
-    of ``ssa_parity.json``."""
-    computed = compute()
-    if not keys:
-        _write(computed, sys.stdout)
-        return
-    unknown = sorted(set(keys) - set(computed))
-    if unknown:
-        sys.exit(f"unknown keys: {' '.join(unknown)}")
-    with open(RECORD) as fh:
-        record = json.load(fh)
-    record.update((key, computed[key]) for key in keys)
-    with open(RECORD, "w") as fh:
-        _write(record, fh)
-
-
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    fx.rewrite_record(RECORD, compute, sys.argv[1:])
