@@ -17,11 +17,11 @@ the spatial cases 1-4 all use it.
 A jump-only fast system is time-averaged along one path of
 ``pdmp.JumpChain``: the direct method of the stochastic engine over a
 Python list state, where after each jump only the rates that read a
-changed coordinate are recomputed. Mass-action rates evaluate on the
-list; expression laws and the three-scale middle tier are opaque and are
-recomputed after every jump. Each visit goes straight to the
-estimator's (state, duration) lists, which ``_occupation`` reduces one
-batch at a time into the arrays of the empirical law.
+changed coordinate are recomputed, and none in a state met before.
+Mass-action rates evaluate on the list; expression laws and the
+three-scale middle tier are opaque and are recomputed after every jump
+to a new state. Each visit's duration is added to its state's weight as
+it ends (``_Occupation``), so only each batch's distinct states are held.
 
 Every mass-action law here, from the frozen coefficient of a fast
 reaction to the expectation over an empirical law, is built by
@@ -246,16 +246,17 @@ class StationaryMeasure:
     blocks for conserved unary-conversion groups. variant 'pointmass':
     a single state. variant 'empirical': a time average split into
     batches for standard errors, held as three arrays built by
-    :func:`_occupation`: ``states`` lists each batch's distinct states in
-    first-visit order, ``weights`` each state's summed time weight and
-    ``batch`` each row's batch index. ``discrete`` marks the variables
-    of a point mass or empirical law whose mass-action orders enter as
-    falling factorials.
+    :class:`_Occupation`: ``states`` lists each batch's distinct states
+    in first-visit order, ``weights`` each state's summed time weight and
+    ``batch`` each row's batch index; ``n_events`` counts its fast events
+    and, on a jump path, ``rate_evals`` the jumps that evaluated rates.
+    ``discrete`` marks the variables of a point mass or empirical law
+    whose mass-action orders enter as falling factorials.
     """
 
     def __init__(self, variant: str, *, components=None, blocks=None, point=None,
                  states=None, weights=None, batch=None, ess=None, n_events=None,
-                 discrete=None):
+                 rate_evals=None, discrete=None):
         self.variant = variant
         self.components: tuple[StationaryComponent, ...] | None = components
         self.blocks: tuple[MultinomialBlock, ...] = tuple(blocks or ())
@@ -265,6 +266,7 @@ class StationaryMeasure:
         self.batch = batch
         self.ess = ess
         self.n_events = n_events
+        self.rate_evals = rate_evals
         self.discrete = discrete
 
     @property
@@ -543,25 +545,42 @@ class McConfig:
     ode: OdeConfig | None = None
 
 
-def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (states, weights, batch) arrays of an empirical law.
+class _Occupation:
+    """Time weights of an empirical law, summed as the visits come: ``add``
+    puts a visit's weight on its state in the open batch, a dict (states
+    in first-visit order, weights summed in visit order); every ``quota``
+    visits, and ``close()``, open the next batch. No raw visit is held."""
 
-    ``batches`` yields each batch's raw visits as (states, time weights),
-    the states as rows of an array or sequences. A batch is reduced as it
-    is read: every distinct state once,
-    in first-visit order, with its weights summed in visit order
-    (``np.bincount`` adds left to right), so no more than one batch of
-    raw visits is held at a time.
-    """
-    states, weights, batch = [np.empty((0, dim))], [np.empty(0)], [np.empty(0, dtype=np.intp)]
-    for b, (rows, w) in enumerate(batches):
-        first_visit: dict[tuple, int] = {}   # state -> its row in the reduced batch
-        label = [first_visit.setdefault(state, len(first_visit))
-                 for state in map(tuple, rows)]
-        states.append(np.array(list(first_visit), dtype=float).reshape(-1, dim))
-        weights.append(np.bincount(label, weights=w, minlength=len(first_visit)))
-        batch.append(np.full(len(first_visit), b))
-    return np.concatenate(states), np.concatenate(weights), np.concatenate(batch)
+    def __init__(self, quota: int | None = None):
+        self.quota, self.batches, self.visits = quota, [{}], 0
+
+    def add(self, state: tuple, weight: float) -> None:
+        acc = self.batches[-1]
+        acc[state] = acc.get(state, 0.0) + weight
+        self.visits += 1
+        if self.visits == self.quota:
+            self.close()
+
+    def close(self) -> None:
+        self.batches.append({})
+        self.visits = 0
+
+    def arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (states, weights, batch) arrays of the law."""
+        sizes = [len(acc) for acc in self.batches]
+        return (np.array([x for acc in self.batches for x in acc], dtype=float).reshape(-1, dim),
+                np.array([w for acc in self.batches for w in acc.values()], dtype=float),
+                np.repeat(np.arange(len(sizes), dtype=np.intp), sizes))
+
+
+def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`_Occupation.arrays` over ``batches`` of raw (rows, weights) visits."""
+    occupation = _Occupation()
+    for rows, weights in batches:
+        for state, weight in zip(map(tuple, rows), weights):
+            occupation.add(state, weight)
+        occupation.close()
+    return occupation.arrays(dim)
 
 
 def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
@@ -586,15 +605,14 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
     chain = JumpChain(fast_system, v0)
     total_rate = float(np.array(chain.rates()).sum())
     if total_rate <= 0:
-        return StationaryMeasure("pointmass", point=chain.state(), discrete=discrete)
+        return StationaryMeasure("pointmass", point=chain.key, discrete=discrete)
     chunk_events = max(200, budget // (4 * mc.n_batches))
     # a chunk's horizon comes from its starting rate, so a tier whose
     # rate keeps growing would run on in one chunk; past this many
     # events it has no stationary law worth the budget
     chunk_cap = max(budget, 10 * chunk_events)
-    batch_quota = max(1, (budget - burn_events) // mc.n_batches)
+    occupation = _Occupation(max(1, (budget - burn_events) // mc.n_batches))
     events_seen = 0
-    rows, durations = [], []   # the kept visits not yet in a batch
     # the open visit: its start time, its index among all visits, its state
     start, index, state = 0.0, 0, None
 
@@ -604,44 +622,37 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
         nonlocal start, index, state
         duration = t - start
         if duration > 0 and index >= burn_events:
-            rows.append(state)
-            durations.append(duration)
-        start, index, state = t, index + 1, chain.state()
+            occupation.add(state, duration)
+        start, index, state = t, index + 1, chain.key
 
-    def batches():
-        """Raw visits, one batch at a time, until the budget is spent or
-        the chain is absorbed (total rate 0)."""
-        nonlocal total_rate, events_seen, start, index, state
-        while events_seen < budget and total_rate > 0:
-            horizon = chunk_events / max(total_rate, 1e-12) * 1.2
-            start, index, state = 0.0, events_seen, chain.state()
-            try:
-                chain.run(horizon, rng_mod.Buffered(rng), on_event=on_event,
-                          max_events=chunk_cap)
-            except EventCapExceeded:
-                raise NonErgodicSuspected(
-                    f"a chunk of the fast path passed {chunk_cap} events, against about "
-                    f"{chunk_events} at its starting total rate {total_rate}: the rate "
-                    "grows without settling") from None
-            if index > events_seen:
-                events_seen = index
-                on_event(horizon, None)   # the chunk's last visit ends at its horizon
-                while len(durations) >= batch_quota:
-                    yield rows[:batch_quota], durations[:batch_quota]
-                    del rows[:batch_quota], durations[:batch_quota]
-            total_rate = float(np.array(chain.rates()).sum())
-        yield rows, durations
+    # run until the budget is spent or the chain is absorbed (total rate 0)
+    while events_seen < budget and total_rate > 0:
+        horizon = chunk_events / max(total_rate, 1e-12) * 1.2
+        start, index, state = 0.0, events_seen, chain.key
+        try:
+            chain.run(horizon, rng_mod.Buffered(rng), on_event=on_event,
+                      max_events=chunk_cap)
+        except EventCapExceeded:
+            raise NonErgodicSuspected(
+                f"a chunk of the fast path passed {chunk_cap} events, against about "
+                f"{chunk_events} at its starting total rate {total_rate}: the rate "
+                "grows without settling") from None
+        if index > events_seen:
+            events_seen = index
+            on_event(horizon, None)   # the chunk's last visit ends at its horizon
+        total_rate = float(np.array(chain.rates()).sum())
 
-    states, weights, batch = _occupation(batches(), fast_system.dim)
     if total_rate <= 0:
         # time average of an absorbed chain is the absorbing state
-        return StationaryMeasure("pointmass", point=chain.state(), discrete=discrete)
+        return StationaryMeasure("pointmass", point=chain.key, discrete=discrete)
     post_events = events_seen - burn_events
     if post_events < mc.ess_threshold:
         raise NonErgodicSuspected(
             f"only {post_events} post-burn-in events (threshold {mc.ess_threshold})")
+    states, weights, batch = occupation.arrays(fast_system.dim)
     return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
-                             ess=post_events, n_events=events_seen, discrete=discrete)
+                             ess=post_events, n_events=events_seen,
+                             rate_evals=chain.misses, discrete=discrete)
 
 
 def _pointmass_from_flow(fast_system: HybridSystem, v0, mc: McConfig,
@@ -676,7 +687,7 @@ def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
                          ode_config=mc.ode)
     keep = traj.states[burn:]
     chunks = np.array_split(keep, mc.n_batches)
-    states, weights, batch = _occupation(((rows.tolist(), np.ones(len(rows)))
+    states, weights, batch = _occupation(((rows.tolist(), [1.0] * len(rows))
                                          for rows in chunks), fast_system.dim)
     return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
                              ess=len(keep), n_events=int(traj.event_counts.sum()),

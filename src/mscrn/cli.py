@@ -30,10 +30,9 @@ MODEL_ERRORS = (err.ParseError, err.ValidationError, err.UnclassifiableError,
                 err.MixedAlphaError, err.TimescaleViolation, err.OverlapError,
                 err.DegenerateEtaError, err.HeterogeneousEtaError, err.ModelError)
 NUMERICAL_ERRORS = (err.RateEvaluationError, err.ReducibleChainError,
-                    err.IsolatedSpeciesError, err.NotMassAction,
-                    err.AnalyticUnavailable, err.NonErgodicSuspected,
-                    err.MissingRates, err.CaseUnavailable, err.EventCapExceeded,
-                    err.OdeStepFailure, err.NegativeRate)
+                    err.IsolatedSpeciesError, err.AnalyticUnavailable,
+                    err.NonErgodicSuspected, err.MissingRates, err.CaseUnavailable,
+                    err.EventCapExceeded, err.OdeStepFailure, err.NegativeRate)
 
 
 def _numbers(text: str) -> list[float]:

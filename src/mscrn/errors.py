@@ -63,10 +63,6 @@ class IsolatedSpeciesError(MscrnError):
     """A species has no movement at all in a multi-compartment model."""
 
 
-class NotMassAction(MscrnError):
-    """Operation requires mass-action rate laws."""
-
-
 class AnalyticUnavailable(MscrnError):
     """No closed-form stationary measure was detected; fall back explicitly."""
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,9 +53,11 @@ _ERR = (-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 70
 
 # Jump cap of a run whose caller sets none.
 _MAX_EVENTS = 10_000_000
-# Uniforms an ensemble row takes from its stream at a time: a row draws a
-# few per jump, and a replica's stream gives the same values in any blocks.
-_ROW_DRAWS = 64
+# Rates a JumpChain's memo stores, over all its states.
+_MEMO_RATES = 1 << 16
+# Uniforms an ensemble row takes from its stream at a time, few since each
+# row holds them as floats; a stream gives the same values in any blocks.
+_ROW_DRAWS = 16
 
 
 @dataclass
@@ -185,11 +188,11 @@ def _simulate_pure_jump(system, path, t_end, rand, grid, max_events):
 
     def snapshot(t):
         path.times.append(t)
-        path.states.append(np.array(chain.state()))
+        path.states.append(np.array(chain.key))
 
     on_event = None if path.log is None else log_events(snapshot, path.log)
     path.counts[:] = chain.run(t_end, rand, grid, snapshot, on_event, max_events)
-    path.v[:] = chain.state()
+    path.v[:] = chain.key
 
 
 class JumpChain:
@@ -206,6 +209,11 @@ class JumpChain:
     after every jump. The state starts in the nonnegative orthant; a
     jump that leaves it, or a rate that is negative or not finite,
     raises NegativeRate.
+
+    The rates must be pure functions of the coordinates ``key`` (the
+    frame is fixed), so ``memo`` maps each state a jump enters to its
+    checked rates, and a jump into a stored state evaluates none;
+    ``misses`` counts those that do. It holds at most ``_MEMO_RATES`` rates.
     """
 
     def __init__(self, system: HybridSystem, v0):
@@ -214,6 +222,10 @@ class JumpChain:
         self.coords = list(coords)
         for p, x in zip(self.coords, _checked_state(system, v0).tolist()):
             self.work[p] = x
+        # the coordinates' tuple (itemgetter gives a tuple from two positions on)
+        self.key_of = (itemgetter(*self.coords) if len(self.coords) > 1 else
+                       lambda work, p=self.coords: (work[p[0]],) if p else ())
+        self.key = self.key_of(self.work)
         self.fns, reads = [], []
         for rate_fn, _ in system.jumps:
             fn, read = getattr(rate_fn, "on_list", None) or (self._opaque(rate_fn),
@@ -224,18 +236,16 @@ class JumpChain:
                          if c] for _, vec in system.jumps]
         self.dependents = [[(j, self.fns[j]) for j, read in enumerate(reads)
                             if any(p in read for p, _ in change)] for change in self.changes]
+        self.memo, self.misses = {}, 0
+        self.memo_cap = _MEMO_RATES // max(len(self.fns), 1)   # in states
 
     def _opaque(self, rate_fn):
         coords = self.coords
         return lambda work: rate_fn(np.array([work[p] for p in coords]))
 
-    def state(self) -> tuple:
-        """The coordinates now."""
-        return tuple(map(self.work.__getitem__, self.coords))
-
     def rates(self) -> list:
-        """Every rate at the current state, unchecked."""
-        return [fn(self.work) for fn in self.fns]
+        """Every rate at the current state, from the memo or evaluated (unchecked)."""
+        return list(self.memo.get(self.key) or [fn(self.work) for fn in self.fns])
 
     def run(self, t_end: float, rand: rng_mod.Buffered, grid=None, snapshot=None,
             on_event=None, max_events: int = _MAX_EVENTS) -> list[int]:
@@ -244,7 +254,8 @@ class JumpChain:
         :func:`ssa.direct_method`; returns the events per channel. The
         chain then holds the final state, from which a later run goes on."""
         check_t_end(t_end)
-        work, changes, dependents = self.work, self.changes, self.dependents
+        work, key_of, changes, dependents = self.work, self.key_of, self.changes, self.dependents
+        memo, cap = self.memo, self.memo_cap
         prop = self.rates()
         for j, r in enumerate(prop):
             if not 0.0 <= r < math.inf:
@@ -256,8 +267,12 @@ class JumpChain:
                 work[p] += c
                 if c < 0 and work[p] < 0:
                     raise NegativeRate("jump left the nonnegative orthant")
+            self.key = key_of(work)
 
         def refresh(chosen):
+            if (stored := memo.get(self.key)) is not None:
+                prop[:] = stored
+                return
             # every dependent is evaluated before the first bad rate raises,
             # so a later rate's own error wins, as in a full refresh
             bad = None
@@ -267,6 +282,9 @@ class JumpChain:
                     bad = j
             if bad is not None:
                 raise NegativeRate(f"jump rate {bad} evaluated to {prop[bad]}")
+            self.misses += 1
+            if len(memo) < cap:
+                memo[self.key] = prop.copy()
 
         return direct_method(prop, fire, refresh, rand, t_end, grid, snapshot, on_event,
                              max_events)

@@ -154,6 +154,32 @@ move P from d2 to d1 rate 1
 init Ga @ d1 1
 """
 
+# Mixed fast tier: B is birth-death at rate 1 (Poisson(1) law), C a fast
+# flow with dC/dt = B - C, and A + C -> 0 is slow. The stationary mean of
+# C is that of B, so the averaged rate of reaction 4 is v_A * E[C] = v_A.
+MIXED_TIER_TEXT = """\
+species A alpha=1
+species B alpha=0
+species C alpha=1
+reaction 0 -> B @ mass-action kappa=1 beta=1
+reaction B -> 0 @ mass-action kappa=1 beta=1
+reaction B -> B + C @ mass-action kappa=1 beta=2
+reaction C -> 0 @ mass-action kappa=1 beta=2
+reaction A + C -> 0 @ mass-action kappa=1 beta=1
+init A 1
+"""
+
+# Flow-only fast tier: dC/dt = 2 - C settles at the fixed point C = 2, so
+# the averaged rate of reaction 2 (A + C -> 0) is 2 v_A.
+FLOW_TIER_TEXT = """\
+species A alpha=1
+species C alpha=1
+reaction 0 -> C @ mass-action kappa=2 beta=2
+reaction C -> 0 @ mass-action kappa=1 beta=2
+reaction A + C -> 0 @ mass-action kappa=1 beta=1
+init A 1
+"""
+
 # Pure movement of one discrete species on two compartments;
 # stationary occupancy (2/3, 1/3).
 MOVEMENT_TEXT = """\

@@ -3,7 +3,9 @@ rates. Oracles: two-state balance equations, multinomial/binomial
 moments, the birth-death Poisson law, and hand-composed closed forms.
 """
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,10 @@ from mscrn.errors import (AnalyticUnavailable, ModelError, NonErgodicSuspected,
                           ReducibleChainError)
 from mscrn.model import mass_action_rate
 from mscrn.parser import parse_document, parse_model
+from mscrn.pdmp import OdeConfig
+
+sys.path.insert(0, str(Path(__file__).parent))
+import conftest as fx  # noqa: E402
 
 
 def test_movement_equilibrium_two_state(movement_doc):
@@ -259,6 +265,42 @@ def test_averaged_rate_mc_within_3se(ab_doc):
         want = analytic([v])
         got, se = mc([v]), mc.standard_error([v])
         assert abs(got - want) < 3 * se + 1e-3, f"v={v}"
+
+
+def test_mixed_fast_tier_within_3se():
+    # B birth-death at rate 1 with a fast flow dC/dt = B - C: the hybrid
+    # estimator samples the path on a grid 20 time units apart, far beyond
+    # the unit relaxation time, so its 16 kept samples (budget 20, burn-in
+    # 4) are nearly independent, one per batch. The stationary Var C is
+    # 1/2, so the SE of the mean is about sqrt(1/2) / 4 = 0.18. The
+    # averaged rate of A + C -> 0 built on it is pinned in
+    # averaging_parity.json
+    doc = parse_document(fx.MIXED_TIER_TEXT)
+    c = classify(doc.model, doc.scaling)
+    mc = McConfig(budget=20, seed=0)
+    measure = stationary_fast(c, np.array([1.0, 0.0, 0.0]), mode="montecarlo", mc=mc)
+    assert measure.variant == "empirical" and measure.ess == 16
+    assert len(set(measure.batch.tolist())) == 16 and measure.n_events > 0
+    value, se = measure.expect(lambda z: z[1])   # E[C] = E[B] = 1
+    assert 0.09 < se < 0.36
+    assert abs(value - 1.0) < 3 * se
+
+
+def test_flow_fast_tier_fixed_point():
+    # dC/dt = 2 - C integrated to its fixed point C = 2, where the drift
+    # is below 1e-9: exact up to that tolerance, with no standard error.
+    # The default rel_tol of 1e-6 leaves the drift near 1e-6, so the
+    # estimator would never settle; the test integrates at 1e-12
+    doc = parse_document(fx.FLOW_TIER_TEXT)
+    c = classify(doc.model, doc.scaling)
+    mc = McConfig(ode=OdeConfig(rel_tol=1e-12, abs_tol=1e-12))
+    measure = stationary_fast(c, np.array([1.0, 0.0]), mode="montecarlo", mc=mc)
+    assert measure.variant == "pointmass"
+    assert measure.point.tolist() == [pytest.approx(2.0, rel=1e-9)]
+    rate = averaged_rate_two_scale(c, 2, mode="montecarlo", mc=mc)
+    for v in (1.0, 1.5):
+        assert rate([v]) == pytest.approx(2.0 * v, rel=1e-9)
+        assert rate.standard_error([v]) == 0.0
 
 
 def test_averaged_rate_independent_of_fast_unchanged():

@@ -18,7 +18,9 @@ byte.
 Three entries were re-recorded since, when conserved spatial cases 3/4
 stopped returning their closed form in mode ``montecarlo`` and began to
 raise ``CaseUnavailable``: ``spatial_conserved.case3.montecarlo`` at both
-states and ``reduce.spatial_conserved.montecarlo``.
+states and ``reduce.spatial_conserved.montecarlo``. The ``mixed_tier`` and
+``flow_tier`` keys (the hybrid and flow-only estimators) were added later,
+recorded by the code as it was before their occupation code changed.
 """
 
 import json
@@ -33,6 +35,7 @@ from mscrn.averaging import McConfig, averaged_rate_three_scale, averaged_rate_t
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import MscrnError
 from mscrn.parser import parse_document
+from mscrn.pdmp import OdeConfig
 from mscrn.reduce import build_reduced_model, serialize_reduced
 from mscrn.spatial_cases import averaged_rate_single_scale, averaged_rate_spatial
 
@@ -55,6 +58,11 @@ move A from d2 to d1 rate 2
 move B from d1 to d2 rate 1
 move B from d2 to d1 rate 1
 """
+
+# The flow-only tier is integrated to its fixed point at tolerances below
+# the 1e-9 drift at which it counts as settled (at the default rel_tol of
+# 1e-6 it never settles).
+FLOW_MC = McConfig(ode=OdeConfig(rel_tol=1e-12, abs_tol=1e-12))
 
 FIXTURES = {
     "gene": fx.GENE_TEXT, "ab": fx.AB_TEXT, "spatial_ab": fx.SPATIAL_AB_TEXT,
@@ -104,6 +112,17 @@ def compute() -> dict:
             averaged_rate_three_scale(three, 4, mode="montecarlo",
                                       mc=McConfig(budget=400, seed=5)),
             ([1.0],))
+
+    # a fast tier of jumps and flows (grid-sampled hybrid path), and one of
+    # flows only (integrated to its fixed point)
+    _, mixed = _classified(fx.MIXED_TIER_TEXT)
+    _record(out, "mixed_tier.montecarlo",
+            averaged_rate_two_scale(mixed, 4, mode="montecarlo",
+                                    mc=McConfig(budget=20, seed=0)),
+            ([1.0],))
+    _, flow = _classified(fx.FLOW_TIER_TEXT)
+    _record(out, "flow_tier.montecarlo",
+            averaged_rate_two_scale(flow, 2, mode="montecarlo", mc=FLOW_MC), ([1.0], [1.5]))
 
     _, sab = _classified(fx.SPATIAL_AB_TEXT)
     for case in (1, 2, 3, 4):

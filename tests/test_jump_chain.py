@@ -13,6 +13,11 @@ mass-action tiers with frozen continuous reactants and discrete order-2
 reactants, the systems a spatial case-1 rate, an expression-law tier and
 the THREE_SCALE middle tier hand to the estimator, absorbed chains, a
 budget below the ESS threshold, and failing rates and jumps.
+
+The chain's per-state rate memo is checked on its own: with no room to
+store a rate, every fast tier above gives the same estimate bit for bit;
+a path through more states than the memo holds fills it to its cap and
+no further; hits and misses add up to the refreshed jumps.
 """
 
 import math
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mscrn import averaging
+from mscrn import averaging, pdmp
 from mscrn import rng as rng_mod
 from mscrn.averaging import (McConfig, StationaryMeasure, _empirical_from_jump_paths,
                              _occupation, averaged_rate_three_scale, constrained_start,
@@ -34,7 +39,8 @@ from mscrn.averaging import (McConfig, StationaryMeasure, _empirical_from_jump_p
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import MscrnError, NegativeRate, NonErgodicSuspected, RateEvaluationError
 from mscrn.parser import parse_document
-from mscrn.pdmp import HybridSystem, OdeConfig, _eval_state, _initial_state, fast_subsystem
+from mscrn.pdmp import (HybridSystem, JumpChain, OdeConfig, _eval_state, _initial_state,
+                        fast_subsystem)
 from mscrn.spatial_cases import averaged_rate_spatial
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -134,6 +140,10 @@ def _outcome(estimator, system, v0, mc, discrete):
         m = estimator(system, v0, mc, discrete)
     except MscrnError as exc:
         return ("error", type(exc).__name__, str(exc))
+    return _summary(m)
+
+
+def _summary(m):
     if m.variant == "pointmass":
         return ("pointmass", m.point.tolist())
     return ("empirical", m.states.shape, m.states.tolist(), m.weights.tolist(),
@@ -159,21 +169,27 @@ FAST_TIER_FIXTURES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FAST_TIER_FIXTURES))
-def test_fixture_fast_tiers_match_reference(name):
+def _fixture_tier(name, frozen_level):
+    """The (system, v0, discrete) of a fixture's fast tier, every slower
+    continuous species frozen at ``frozen_level``."""
     doc = parse_document(FAST_TIER_FIXTURES[name])
     cl = classify(doc.model, doc.scaling)
-    network = cl.network
     discrete = fast_discrete(cl)
     basis = conserved_basis(cl)
+    frozen = np.array([frozen_level if s.alpha else 2.0 for s in cl.network.species])
+    system = fast_subsystem(cl, frozen)
+    if basis.empty:
+        v0 = np.zeros(len(discrete))
+    else:
+        v0 = constrained_start(basis, [3.0] * len(basis.vectors), len(discrete), discrete)
+    return system, v0, discrete
+
+
+@pytest.mark.parametrize("name", sorted(FAST_TIER_FIXTURES))
+def test_fixture_fast_tiers_match_reference(name):
     for frozen_level, seed, budget in ((0.7, 0, 1500), (2.0, 3, 4000)):
-        frozen = np.array([frozen_level if s.alpha else 2.0 for s in network.species])
-        system = fast_subsystem(cl, frozen)
+        system, v0, discrete = _fixture_tier(name, frozen_level)
         assert system.frame is not None and not system.flows
-        if basis.empty:
-            v0 = np.zeros(len(discrete))
-        else:
-            v0 = constrained_start(basis, [3.0] * len(basis.vectors), len(discrete), discrete)
         out = _assert_same(system, v0, McConfig(budget=budget, seed=seed), discrete)
         assert out[0] == "empirical"
 
@@ -441,3 +457,92 @@ def test_failing_jumps_and_rates_raise_as_before(listed):
                                    (wrap(raises, [0]), np.array([0]))), ())
     assert _assert_same(system, [0.0], McConfig(budget=500), [True]) == (
         "error", "RateEvaluationError", "no rate at 3.0")
+
+
+# ---------------------------------------------------------------------------
+# the per-state rate memo
+
+
+@pytest.mark.parametrize("name", sorted(FAST_TIER_FIXTURES) + ["expression", "middle"])
+def test_memo_changes_no_output(monkeypatch, name):
+    # a chain that stores no rates evaluates them after every jump, as
+    # before the memo; its estimate is the same bit for bit, and its rate
+    # evaluations are its events
+    if name == "expression":
+        doc = parse_document(EXPR_TIER_TEXT)
+        cl = classify(doc.model, doc.scaling)
+        calls = _captured(monkeypatch, lambda: stationary_fast(
+            cl, np.array([0.8, 0.0]), mode="montecarlo", mc=McConfig(budget=3000, seed=4)))
+        system, v0, mc, discrete = calls[0]
+    elif name == "middle":
+        doc = parse_document(fx.THREE_SCALE_TEXT)
+        cl = classify(doc.model, doc.scaling)
+        rate = averaged_rate_three_scale(cl, 4, mc=McConfig(budget=600, seed=1))
+        calls = _captured(monkeypatch, lambda: rate([1.0]))
+        system, v0, mc, discrete = next(c for c in calls if c[0].frame is None)
+    else:
+        system, v0, discrete = _fixture_tier(name, 0.7)
+        mc = McConfig(budget=4000, seed=3)
+    with_memo = _empirical_from_jump_paths(system, v0, mc, discrete)
+    monkeypatch.setattr(pdmp, "_MEMO_RATES", 0)
+    without = _empirical_from_jump_paths(system, v0, mc, discrete)
+    assert _summary(with_memo) == _summary(without)
+    assert without.rate_evals == without.n_events
+    # the fast tiers revisit a handful of states
+    assert with_memo.rate_evals < without.n_events / 10
+
+
+def _birth(rate=1.0):
+    """x -> x + 1 at a constant rate, and x -> x at rate x (a rate that
+    reads x, so every jump refreshes it); both count their calls."""
+    calls = []
+
+    def constant(v):
+        calls.append(0)
+        return rate
+
+    def linear(v):
+        calls.append(1)
+        return v[0]
+
+    return HybridSystem(("x",), ((_listed(constant, []), np.array([1])),
+                                 (_listed(linear, [0]), np.array([0]))), ()), calls
+
+
+def test_memo_holds_at_most_its_cap(monkeypatch):
+    # a pure birth path meets a new state at every jump: with room for 10
+    # rates (10 states of one channel) the memo stops at 10 states while
+    # the path visits over 10 times as many, and the run equals one
+    # without memo
+    system = HybridSystem(("x",), ((_listed(lambda v: 1.0, []), np.array([1])),), ())
+    runs = {}
+    for cap in (10, 0):
+        monkeypatch.setattr(pdmp, "_MEMO_RATES", cap)
+        chain = JumpChain(system, [0.0])
+        counts = chain.run(150.0, rng_mod.Buffered(rng_mod.stream(2)))
+        runs[cap] = (counts, chain.key)
+        assert len(chain.memo) == cap
+    assert runs[10][0][0] >= 100 and runs[10] == runs[0]
+    monkeypatch.undo()
+    # the memo's room is counted in rates, over all channels
+    assert JumpChain(_birth()[0], [0.0]).memo_cap == pdmp._MEMO_RATES // 2
+
+
+def test_memo_hits_and_misses_count_the_refreshed_events():
+    # birth at rate 3 and x -> x at rate x: the second channel fires
+    # without moving, so the path revisits its states. A jump into a state
+    # an earlier jump entered is a memo hit and evaluates no rate; any
+    # other is a miss and evaluates the rates that read x, here one
+    system, calls = _birth(3.0)
+    chain = JumpChain(system, [0.0])
+    keys = []
+    counts = chain.run(20.0, rng_mod.Buffered(rng_mod.stream(5)),
+                       on_event=lambda t, c: keys.append(chain.key))
+    seen, hits = set(), 0
+    for key in keys:
+        hits += key in seen
+        seen.add(key)
+    assert sum(counts) == len(keys) and counts[1] > 10
+    assert hits + chain.misses == len(keys)
+    assert chain.misses == len(seen)
+    assert len(calls) == 2 + chain.misses
