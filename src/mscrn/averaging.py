@@ -6,22 +6,28 @@ product measures, fast subsystems by stationary measures. Slow-reaction
 rates are then integrated against those measures, always with a
 reported standard error.
 
-Every averaged rate finds a fast tier's stationary law in one order:
-``split_reactants`` splits each reaction into fast orders and a frozen
-factor, ``closed_form_measure`` tries the closed form, and otherwise
-``montecarlo_measure`` picks the estimator for a jump, flow or hybrid
-fast system (``fast_stationary_law`` chains the two under a mode).
-Nonspatial two-scale rates, both tiers of the three-scale average and
-the spatial cases 1-4 all use it.
+A fast tier at a frozen context is described once, as a list of
+``FastReaction``: a mass-action reaction by its coefficient (frozen
+factors folded in, by ``split_reactants``) and its fast orders, an
+expression law as an opaque rate. ``fast_stationary_law`` turns the list
+into a stationary law under a mode: ``closed_form_measure`` tries the
+closed form, and otherwise ``montecarlo_measure`` runs the estimator for
+the jump, flow or hybrid system that ``fast_tier_system`` builds from
+the same list. ``rate_kind`` decides once per rate whether it is a
+closed form, on the list read with every frozen factor 1. Nonspatial
+two-scale rates, the inner tier of the three-scale average and the
+spatial cases 1-4 all use it; the three-scale middle tier runs
+``montecarlo_measure`` on a system of its own.
 
 A jump-only fast system is time-averaged along one path of
 ``pdmp.JumpChain``: the direct method of the stochastic engine over a
-Python list state, where after each jump only the rates that read a
-changed coordinate are recomputed, and none in a state met before.
-Mass-action rates evaluate on the list; expression laws and the
-three-scale middle tier are opaque and are recomputed after every jump
-to a new state. Each visit's duration is added to its state's weight as
-it ends (``_Occupation``), so only each batch's distinct states are held.
+Python list of the coordinates, where after each jump only the rates
+that read a changed coordinate are recomputed, and none in a state met
+before. Mass-action rates with a row form evaluate on the list;
+expression laws and the three-scale middle tier are opaque and are
+recomputed after every jump to a new state. Each visit's duration is
+added to its state's weight as it ends (``_Occupation``), so only each
+batch's distinct states are held.
 
 Every mass-action law here, from the frozen coefficient of a fast
 reaction to the expectation over an empirical law, is built by
@@ -49,8 +55,7 @@ from .errors import (AnalyticUnavailable, EventCapExceeded, IsolatedSpeciesError
 from .exact import stationary_distribution
 from .model import (Expression, MassAction, MassActionRows, Network, SpatialModel,
                     falling_factorial, mass_action_rate, scaled_rate_function)
-from .pdmp import (HybridSystem, JumpChain, OdeConfig, fast_subsystem, simulate_pdmp,
-                   tier_system)
+from .pdmp import HybridSystem, JumpChain, OdeConfig, simulate_pdmp, tier_system
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +389,17 @@ class StationaryMeasure:
 
 @dataclass(frozen=True)
 class FastReaction:
-    """One fast reaction seen from the fast variables: a nonnegative
-    coefficient (everything frozen folded in), reactant orders on the
-    fast variables, and the effective change column."""
+    """One fast reaction seen from the fast variables at a frozen context:
+    a mass-action reaction carries a nonnegative coefficient (everything
+    frozen folded in) and its reactant orders on the fast variables, an
+    expression law its compiled law as an opaque ``rate`` of the fast
+    variables and no orders; ``column`` is the effective change column."""
 
     k: int
-    coeff: float
-    orders: tuple[int, ...]
+    coeff: float | None
+    orders: tuple[int, ...] | None
     column: tuple[int, ...]
+    rate: object = None
 
 
 def detect_birth_death(reactions, discrete) -> list[StationaryComponent] | None:
@@ -498,21 +506,39 @@ def detect_conversion_blocks(reactions, basis_vectors, totals, discrete):
     return blocks
 
 
-def fast_reaction_structs(classification: ScaleClassification, frozen) -> list[FastReaction] | None:
-    """Mass-action view of the fast tier with slower coordinates frozen;
-    None when any fast reaction has an expression law."""
+def fast_reaction_structs(classification: ScaleClassification, frozen) -> list[FastReaction]:
+    """The fast tier at the frozen context ``frozen``, a full-length
+    species vector whose fast entries are ignored; with ``frozen`` None
+    every frozen factor is 1 and an expression law is read over zeros,
+    which gives the tier's shape at no particular state."""
     network = classification.network
     fast = classification.fast
-    frozen = np.asarray(frozen, dtype=float)
+    rows = list(fast.rows)
+    context = np.zeros(network.n_species) if frozen is None else np.asarray(frozen, dtype=float)
     out = []
     for k in sorted(classification.k_sets["fast"]):
         law = network.reactions[k].rate_law
+        column = tuple(fast.column(k))
         if not isinstance(law, MassAction):
-            return None
-        orders, frozen_terms = split_reactants(network, k, fast.rows)
-        coeff = mass_action_rate(law.kappa, frozen_terms)(frozen)
-        out.append(FastReaction(k, coeff, orders, tuple(fast.column(k))))
+            out.append(FastReaction(k, None, None, column,
+                                    _frozen_law(scaled_rate_function(network, k), context, rows)))
+            continue
+        orders, frozen_terms = split_reactants(network, k, rows)
+        coeff = law.kappa if frozen is None else mass_action_rate(law.kappa, frozen_terms)(context)
+        out.append(FastReaction(k, float(coeff), orders, column))
     return out
+
+
+def _frozen_law(law, frozen: np.ndarray, rows):
+    """``law`` of a full species vector as a function of the fast
+    variables at ``rows``, every other species at ``frozen``."""
+    buffer = frozen.copy()
+
+    def rate(v_fast):
+        buffer[rows] = v_fast
+        return law(buffer)
+
+    return rate
 
 
 def split_reactants(network: Network, k: int, fast_rows) -> tuple[tuple[int, ...], tuple]:
@@ -657,20 +683,55 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
 
 def _pointmass_from_flow(fast_system: HybridSystem, v0, mc: McConfig,
                          discrete) -> StationaryMeasure:
-    """Integrate a pure-flow fast subsystem to its fixed point."""
+    """Integrate a pure-flow fast subsystem to its fixed point, doubling
+    the horizon, until the drift is at most 1e-9 (1 + |v|) or a round has
+    brought the path closer to a stable root that Newton's method finds
+    from it: the adaptive step holds a state only to about ``rel_tol``, and
+    a stiff tier follows a slow relaxation at the pace of its fast flows."""
     v = np.asarray(v0, dtype=float).copy()
     cfg = mc.ode or OdeConfig()
     horizon = 1.0
     for _ in range(60):
-        traj = simulate_pdmp(fast_system, v, horizon, ode_config=cfg)
-        v_new = traj.final_state
-        drift = fast_system.drift(np.maximum(v_new, 0.0))
-        if np.linalg.norm(drift) <= 1e-9 * (1.0 + np.linalg.norm(v_new)):
-            return StationaryMeasure("pointmass", point=np.maximum(v_new, 0.0),
-                                     discrete=discrete)
-        v = v_new
+        start = np.maximum(v, 0.0)
+        v = simulate_pdmp(fast_system, v, horizon, ode_config=cfg).final_state
+        point = np.maximum(v, 0.0)
+        tol = 1e-9 * (1.0 + np.linalg.norm(v))
+        if np.linalg.norm(fast_system.drift(point)) <= tol:
+            return StationaryMeasure("pointmass", point=point, discrete=discrete)
+        root = _stable_flow_root(fast_system, point, tol)
+        if root is not None and np.linalg.norm(point - root) < np.linalg.norm(start - root):
+            return StationaryMeasure("pointmass", point=root, discrete=discrete)
         horizon = min(horizon * 2.0, 1e6)
     raise NonErgodicSuspected("flow did not settle to a fixed point")
+
+
+def _stable_flow_root(system: HybridSystem, v: np.ndarray, tol: float):
+    """Newton's method for drift = 0 from ``v``, stepping in the span of the
+    flow vectors so that conserved combinations stay fixed: the root if it
+    is nonnegative, its drift is at most ``tol`` and it is stable on that
+    span; else None (also at a degenerate root)."""
+    basis, sv, _ = np.linalg.svd(np.array([vec for _, vec in system.flows]).T,
+                                 full_matrices=False)
+    span = basis[:, sv > 1e-12 * sv.max()]
+
+    def linearised(x):   # the drift and its Jacobian on the span, by forward differences
+        f, h = system.drift(x), 1e-7 * np.maximum(np.abs(x), 1.0)
+        jac = np.column_stack([(system.drift(x + h[i] * e) - f) / h[i]
+                               for i, e in enumerate(np.eye(len(x)))])
+        return f, span.T @ jac @ span
+
+    x = v
+    for _ in range(50):
+        f, jac = linearised(x)
+        step = span @ np.linalg.lstsq(jac, -(span.T @ f), rcond=None)[0]
+        if (x + step).min() < -tol:
+            return None
+        x = np.maximum(x + step, 0.0)
+        if np.linalg.norm(step) <= 1e-12 * (1.0 + np.linalg.norm(x)):
+            break
+    f, jac = linearised(x)
+    eig = np.linalg.eigvals(jac).real
+    return x if np.linalg.norm(f) <= tol and eig.max() < -1e-6 * np.abs(eig).max() else None
 
 
 def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
@@ -734,8 +795,8 @@ def closed_form_measure(structs, discrete, conserved: ConservedBasis | None = No
     """Closed-form stationary law of a fast tier, or None: an independent
     linear birth-death family without a conserved basis, closed
     unary-conversion blocks (multinomial laws of ``conserved_values``)
-    with one. ``structs`` is None for a tier with an expression law."""
-    if structs is None:
+    with one. A tier with an expression law has none."""
+    if any(fr.rate is not None for fr in structs):
         return None
     if conserved is None or conserved.empty:
         comps = detect_birth_death(structs, discrete)
@@ -762,14 +823,40 @@ def montecarlo_measure(system: HybridSystem, v0, mc: McConfig,
     return _empirical_from_hybrid(system, v0, mc, discrete)
 
 
-def fast_stationary_law(structs, make_system, discrete, mode: str, mc: McConfig,
-                        conserved: ConservedBasis | None = None, conserved_values=None,
-                        v0=None) -> StationaryMeasure:
-    """Stationary law of one fast tier. Mode 'analytic' insists on the
-    closed form and raises AnalyticUnavailable otherwise; 'montecarlo'
-    always simulates ``make_system()`` from ``v0`` (default: on the
-    conservation surface, or the origin); 'auto' tries the closed form
-    first and falls back explicitly."""
+def fast_tier_system(classification: ScaleClassification, structs) -> HybridSystem:
+    """The fast tier ``structs`` as a system of the fast variables: jumps
+    for the reactions in ``fast_circ``, flows for the rest. A mass-action
+    reaction's rate is :func:`model.mass_action_rate` of its coefficient
+    and fast orders, with a list form reading its reactants exactly when
+    that law has a row form (on Python floats such a law rounds as on
+    numpy ones); an expression law is its opaque rate."""
+    discrete = fast_discrete(classification)
+
+    def rate_of(fr):
+        if fr.rate is not None:
+            return fr.rate
+        reads = [j for j, n in enumerate(fr.orders) if n]
+        rate = mass_action_rate(fr.coeff, [(j, fr.orders[j], discrete[j]) for j in reads])
+        if hasattr(rate, "row_terms"):
+            rate.on_list = (rate, reads)
+        return rate
+
+    rates = {fr.k: rate_of(fr) for fr in structs}
+    network = classification.network
+    return tier_system(tuple(network.species[i].name for i in classification.fast.rows),
+                       classification.fast, rates, classification.k_sets["fast_circ"],
+                       rates.get)
+
+
+def fast_stationary_law(classification: ScaleClassification, structs, mode: str,
+                        mc: McConfig | None = None, conserved: ConservedBasis | None = None,
+                        conserved_values=None, v0=None) -> StationaryMeasure:
+    """Stationary law of the fast tier ``structs``. Mode 'analytic'
+    insists on the closed form and raises AnalyticUnavailable otherwise;
+    'montecarlo' always simulates :func:`fast_tier_system` from ``v0``
+    (default: on the conservation surface, or the origin); 'auto' tries
+    the closed form first and falls back explicitly."""
+    discrete = fast_discrete(classification)
     if mode in ("auto", "analytic"):
         measure = closed_form_measure(structs, discrete, conserved, conserved_values)
         if measure is not None:
@@ -781,7 +868,29 @@ def fast_stationary_law(structs, make_system, discrete, mode: str, mc: McConfig,
             v0 = constrained_start(conserved, conserved_values, len(discrete), discrete)
         else:
             v0 = np.zeros(len(discrete))
-    return montecarlo_measure(make_system(), v0, mc, discrete)
+    return montecarlo_measure(fast_tier_system(classification, structs), v0,
+                              mc or McConfig(), discrete)
+
+
+def rate_kind(classification: ScaleClassification, structs, mode: str,
+              conserved: ConservedBasis | None = None, closed: bool = True) -> str:
+    """Kind of an averaged rate over the fast tier ``structs``, read with
+    every frozen factor 1 so that no state zeroes a coefficient that is
+    positive elsewhere: 'analytic' when the tier has a closed-form law
+    (at unit conserved totals) and ``closed`` says the rate averages in
+    closed form over it, else 'montecarlo', which mode 'analytic' refuses
+    with AnalyticUnavailable."""
+    if mode != "montecarlo" and closed:
+        n_cons = 0 if conserved is None or conserved.empty else len(conserved.vectors)
+        try:
+            fast_stationary_law(classification, structs, "analytic", conserved=conserved,
+                                conserved_values=np.ones(n_cons))
+            return "analytic"
+        except AnalyticUnavailable:
+            pass
+    if mode == "analytic":
+        raise AnalyticUnavailable("no closed form for the fast stationary law")
+    return "montecarlo"
 
 
 def fast_discrete(classification: ScaleClassification) -> list[bool]:
@@ -792,17 +901,31 @@ def fast_discrete(classification: ScaleClassification) -> list[bool]:
 def stationary_fast(classification: ScaleClassification, frozen, mode: str = "auto",
                     mc: McConfig | None = None, conserved: ConservedBasis | None = None,
                     conserved_values=None, v_f0=None) -> StationaryMeasure:
-    """Stationary measure of the fast subsystem given frozen slower context.
-
-    Modes as in :func:`fast_stationary_law`; the Monte Carlo path runs
-    ``pdmp.fast_subsystem`` at ``frozen``.
-    """
+    """Stationary measure of the fast subsystem given frozen slower
+    context: :func:`fast_stationary_law` of the fast tier at ``frozen``."""
     if conserved is not None and not conserved.empty and conserved_values is None:
         raise ModelError("conserved_values required with a conserved basis")
-    structs = None if mode == "montecarlo" else fast_reaction_structs(classification, frozen)
-    return fast_stationary_law(structs, lambda: fast_subsystem(classification, frozen),
-                               fast_discrete(classification), mode, mc or McConfig(),
-                               conserved, conserved_values, v_f0)
+    return fast_stationary_law(classification, fast_reaction_structs(classification, frozen),
+                               mode, mc, conserved, conserved_values, v_f0)
+
+
+def fast_subsystem(classification: ScaleClassification, frozen) -> HybridSystem:
+    """Conditional fast dynamics: the fast species evolve by the effective
+    fast matrix while every slower coordinate is frozen at ``frozen``, a
+    full-length scaled state vector whose fast entries are ignored."""
+    if classification.kind == "single":
+        raise ModelError("conditional fast dynamics requires a multi-scale classification")
+    if np.shape(frozen) != (classification.network.n_species,):
+        raise ModelError("frozen context must be a full-length species vector")
+    return fast_tier_system(classification, fast_reaction_structs(classification, frozen))
+
+
+def simulate_conditional_fast(classification: ScaleClassification, frozen, v_f0,
+                              t_end: float, **options):
+    """Simulate the fast species conditional on frozen slow coordinates,
+    ``options`` as in :func:`pdmp.simulate_pdmp`; conserved combinations
+    of the fast tier stay exactly constant."""
+    return simulate_pdmp(fast_subsystem(classification, frozen), v_f0, t_end, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,52 +1127,36 @@ def averaged_rate_two_scale(classification: ScaleClassification, k: int,
 
     The evaluator takes the reduced state: slow species in row order,
     then conserved totals when a basis is given. Closed form when the
-    fast stationary law has one (probed at the all-ones state) and the
-    rate is mass action or, without conserved quantities, polynomial in
-    the fast species; a closed form lost at some state raises
-    AnalyticUnavailable there. Monte Carlo with reported standard errors
-    otherwise. Never falls back silently: mode 'analytic' raises
-    AnalyticUnavailable instead of simulating.
+    fast stationary law has one (by :func:`rate_kind`) and the rate is
+    mass action or, without conserved quantities, polynomial in the fast
+    species; a closed form lost at some state raises AnalyticUnavailable
+    there. Monte Carlo with reported standard errors otherwise. Never
+    falls back silently: mode 'analytic' raises AnalyticUnavailable
+    instead of simulating.
     """
     mc = mc or McConfig()
     network = classification.network
     fast_rows = list(classification.fast.rows)
     n_slow = len(classification.slow.rows)
     basis = conserved if conserved is not None and not conserved.empty else None
-    n_cons = 0 if basis is None else len(basis.vectors)
     frozen_of = _freezer(network, base, classification.slow.rows)
-    discrete = fast_discrete(classification)
     mass_action = isinstance(network.reactions[k].rate_law, MassAction)
-
-    kind = "montecarlo"
-    if mode in ("auto", "analytic"):
-        probe = fast_reaction_structs(classification, frozen_of(np.ones(n_slow)))
-        if (mass_action or basis is None) and closed_form_measure(
-                probe, discrete, basis, np.ones(n_cons)) is not None:
-            kind = "analytic"
-        elif mode == "analytic":
-            raise AnalyticUnavailable(f"reaction {k}: no closed form for the fast "
-                                      f"stationary law")
+    shape = fast_reaction_structs(classification, None)
+    kind = rate_kind(classification, shape, mode, basis, mass_action or basis is None)
 
     def evaluate(reduced_state):
         frozen = frozen_of(reduced_state)
-        values = reduced_state[n_slow:] if n_cons else None
-        if kind == "montecarlo":
-            measure = stationary_fast(classification, frozen, mode="montecarlo", mc=mc,
-                                      conserved=basis, conserved_values=values)
-            return fast_average(network, k, measure, frozen, fast_rows)
-        measure = closed_form_measure(fast_reaction_structs(classification, frozen),
-                                      discrete, basis, values)
-        if measure is None:
-            raise AnalyticUnavailable("closed-form stationary law lost at this state")
-        if not mass_action:
+        values = None if basis is None else reduced_state[n_slow:]
+        measure = stationary_fast(classification, frozen, mode=kind, mc=mc,
+                                  conserved=basis, conserved_values=values)
+        if not mass_action and kind == "analytic":
             return _polynomial_average(network, k, measure, frozen, fast_rows), 0.0
         return fast_average(network, k, measure, frozen, fast_rows)
 
     rate = memoized_rate(k, kind, evaluate)
     if kind == "analytic" and mass_action and basis is None:
         orders, slow_terms = split_reactants(network, k, fast_rows)
-        rate.text = _rate_text(network, probe, fast_rows, k, slow_terms, orders)
+        rate.text = _rate_text(network, shape, fast_rows, k, slow_terms, orders)
     return rate
 
 

@@ -31,8 +31,8 @@ MODEL_ERRORS = (err.ParseError, err.ValidationError, err.UnclassifiableError,
                 err.DegenerateEtaError, err.HeterogeneousEtaError, err.ModelError)
 NUMERICAL_ERRORS = (err.RateEvaluationError, err.ReducibleChainError,
                     err.IsolatedSpeciesError, err.AnalyticUnavailable,
-                    err.NonErgodicSuspected, err.MissingRates, err.CaseUnavailable,
-                    err.EventCapExceeded, err.OdeStepFailure, err.NegativeRate)
+                    err.NonErgodicSuspected, err.CaseUnavailable, err.EventCapExceeded,
+                    err.OdeStepFailure, err.NegativeRate)
 
 
 def _numbers(text: str) -> list[float]:

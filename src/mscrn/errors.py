@@ -71,10 +71,6 @@ class NonErgodicSuspected(MscrnError):
     """Monte Carlo stationary estimate has too small an effective sample."""
 
 
-class MissingRates(MscrnError):
-    """A reduced rate evaluator was not supplied for some reaction."""
-
-
 class CaseUnavailable(MscrnError):
     """A required stationary object could not be produced for this case."""
 

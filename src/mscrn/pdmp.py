@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import (EventCapExceeded, MissingRates, ModelError, NegativeRate,
-                     OdeStepFailure)
+from .errors import EventCapExceeded, ModelError, NegativeRate, OdeStepFailure
 from .model import MassActionRows
 from .ssa import (EnsembleStats, Trajectory, check_t_end, checked_grid, direct_method,
                   ensemble_grid, log_events)
@@ -81,17 +79,13 @@ class HybridSystem:
 
     A jump rate may also have a list form, ``rate_fn.on_list = (fn,
     reads)``: ``fn`` gives the same rate, bit for bit, on the list state
-    of a :class:`JumpChain` and reads only the list positions ``reads``.
-    That list holds coordinate j at position j, or, when ``frame`` is
-    ``(values, positions)``, is a copy of ``values`` (say, a full-length
-    species vector with the frozen slower species) with coordinate j at
-    ``positions[j]``.
+    of a :class:`JumpChain`, the coordinates as a Python list, and reads
+    only the coordinates ``reads``.
     """
 
     labels: tuple[str, ...]
     jumps: tuple        # ((rate_fn, int delta vector), ...)
     flows: tuple        # ((rate_fn, float drift vector), ...)
-    frame: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -210,38 +204,27 @@ class JumpChain:
     jump that leaves it, or a rate that is negative or not finite,
     raises NegativeRate.
 
-    The rates must be pure functions of the coordinates ``key`` (the
-    frame is fixed), so ``memo`` maps each state a jump enters to its
-    checked rates, and a jump into a stored state evaluates none;
+    The rates must be pure functions of the coordinates ``key``, the
+    list ``work`` as a tuple, so ``memo`` maps each state a jump enters
+    to its checked rates, and a jump into a stored state evaluates none;
     ``misses`` counts those that do. It holds at most ``_MEMO_RATES`` rates.
     """
 
     def __init__(self, system: HybridSystem, v0):
-        values, coords = system.frame or ([0.0] * system.dim, range(system.dim))
-        self.work = list(values)
-        self.coords = list(coords)
-        for p, x in zip(self.coords, _checked_state(system, v0).tolist()):
-            self.work[p] = x
-        # the coordinates' tuple (itemgetter gives a tuple from two positions on)
-        self.key_of = (itemgetter(*self.coords) if len(self.coords) > 1 else
-                       lambda work, p=self.coords: (work[p[0]],) if p else ())
-        self.key = self.key_of(self.work)
+        self.work = _checked_state(system, v0).tolist()
+        self.key = tuple(self.work)
         self.fns, reads = [], []
         for rate_fn, _ in system.jumps:
-            fn, read = getattr(rate_fn, "on_list", None) or (self._opaque(rate_fn),
-                                                             self.coords)
+            fn, read = getattr(rate_fn, "on_list", None) or (
+                lambda work, rate_fn=rate_fn: rate_fn(np.array(work)), range(system.dim))
             self.fns.append(fn)
             reads.append(set(read))
-        self.changes = [[(self.coords[i], c) for i, c in enumerate(np.asarray(vec).tolist())
-                         if c] for _, vec in system.jumps]
+        self.changes = [[(i, c) for i, c in enumerate(np.asarray(vec).tolist()) if c]
+                        for _, vec in system.jumps]
         self.dependents = [[(j, self.fns[j]) for j, read in enumerate(reads)
                             if any(p in read for p, _ in change)] for change in self.changes]
         self.memo, self.misses = {}, 0
         self.memo_cap = _MEMO_RATES // max(len(self.fns), 1)   # in states
-
-    def _opaque(self, rate_fn):
-        coords = self.coords
-        return lambda work: rate_fn(np.array([work[p] for p in coords]))
 
     def rates(self) -> list:
         """Every rate at the current state, from the memo or evaluated (unchecked)."""
@@ -254,7 +237,7 @@ class JumpChain:
         :func:`ssa.direct_method`; returns the events per channel. The
         chain then holds the final state, from which a later run goes on."""
         check_t_end(t_end)
-        work, key_of, changes, dependents = self.work, self.key_of, self.changes, self.dependents
+        work, changes, dependents = self.work, self.changes, self.dependents
         memo, cap = self.memo, self.memo_cap
         prop = self.rates()
         for j, r in enumerate(prop):
@@ -267,7 +250,7 @@ class JumpChain:
                 work[p] += c
                 if c < 0 and work[p] < 0:
                     raise NegativeRate("jump left the nonnegative orthant")
-            self.key = key_of(work)
+            self.key = tuple(work)
 
         def refresh(chosen):
             if (stored := memo.get(self.key)) is not None:
@@ -616,90 +599,16 @@ def limit_stoichiometry(classification, conserved=None) -> tuple[tuple, tuple, t
     return labels, tuple(jumps), tuple(flows)
 
 
-def build_limit_system(classification, rates, conserved=None) -> HybridSystem:
-    """Assemble the limit process for a classification.
-
-    ``rates`` maps reaction index -> rate function of the reduced state
-    (slow species in row order, then conserved quantities); coordinates
-    and columns come from :func:`limit_stoichiometry`.
-
-    Raises MissingRates when a required reaction has no evaluator.
-    """
-    def need(k):
-        if k not in rates:
-            raise MissingRates(f"no rate evaluator for reaction {k}")
-        return rates[k]
-
-    labels, jumps, flows = limit_stoichiometry(classification, conserved)
-    return HybridSystem(labels, tuple((need(k), column) for k, column in jumps),
-                        tuple((need(k), column) for k, column in flows))
-
-
-def tier_system(labels, tier, ks, circ, rate_of, frame=None) -> HybridSystem:
+def tier_system(labels, tier, ks, circ, rate_of) -> HybridSystem:
     """HybridSystem of reactions ``ks`` on ``tier``'s change columns:
     integer jumps for those in ``circ``, float flows for the rest, each
-    with the rate function ``rate_of(k)``; ``frame`` as in
-    :class:`HybridSystem`."""
+    with the rate function ``rate_of(k)``."""
     ks = sorted(ks)
     return HybridSystem(labels,
                         tuple((rate_of(k), tier.column(k).astype(np.int64))
                               for k in ks if k in circ),
                         tuple((rate_of(k), tier.column(k).astype(float))
-                              for k in ks if k not in circ), frame)
-
-
-def fast_subsystem(classification, frozen) -> HybridSystem:
-    """Conditional fast dynamics: fast species evolve by the effective
-    fast matrix while every slower coordinate is frozen.
-
-    ``frozen`` is a full-length scaled state vector; its fast entries are
-    ignored (overwritten by the simulation state on each evaluation).
-    The system's list state is ``frozen`` as a list with the fast
-    coordinates at their rows; on it, a mass-action rate without a
-    continuous power is the compiled law itself, reading its reactants.
-    """
-    from .model import scaled_rate_function
-
-    network = classification.network
-    if classification.kind == "single":
-        raise ModelError("conditional fast dynamics requires a multi-scale classification")
-    fast = classification.fast
-    frozen = np.asarray(frozen, dtype=float)
-    if frozen.shape != (network.n_species,):
-        raise ModelError("frozen context must be a full-length species vector")
-
-    row_list = list(fast.rows)
-
-    def make_rate(k):
-        base = scaled_rate_function(network, k)
-        buffer = frozen.copy()
-
-        def rate(v_fast, base=base, buffer=buffer):
-            buffer[row_list] = v_fast
-            return base(buffer)
-
-        # a mass-action law with a row form has no continuous power, so on
-        # Python floats it rounds as on numpy ones (a power that overflows
-        # gives inf in numpy but raises OverflowError on a float)
-        if hasattr(base, "row_terms"):
-            rate.on_list = (base, [i for i, _ in network.reactions[k].reactants])
-        return rate
-
-    circ = classification.k_sets["fast_circ"]
-    return tier_system(tuple(network.species[i].name for i in fast.rows), fast,
-                       circ | classification.k_sets["fast_bullet"], circ, make_rate,
-                       (frozen.tolist(), row_list))
-
-
-def simulate_conditional_fast(classification, frozen, v_f0, t_end: float,
-                              seed: int = 0, ode_config: OdeConfig | None = None,
-                              record=None, rng=None,
-                              max_events: int = _MAX_EVENTS) -> Trajectory:
-    """Simulate the fast species conditional on frozen slow coordinates;
-    conserved combinations of the fast tier stay exactly constant."""
-    system = fast_subsystem(classification, frozen)
-    return simulate_pdmp(system, v_f0, t_end, seed=seed, ode_config=ode_config,
-                         record=record, rng=rng, max_events=max_events)
+                              for k in ks if k not in circ))
 
 
 def run_ensemble_pdmp(system: HybridSystem, v0, t_end: float, seed: int,

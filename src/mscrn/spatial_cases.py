@@ -20,9 +20,9 @@ equilibria:
       slow positions, averaged afterwards.
 
 Each fast stationary law, at sum level or per compartment, comes from
-the averaging pipeline (``averaging.fast_stationary_law``): closed form
-first, then the Monte Carlo estimator the fast system's shape calls for,
-run on the system built here from the case's fast reactions.
+the averaging pipeline (``averaging.fast_stationary_law``) of the case's
+fast reactions: closed form first, then the Monte Carlo estimator the
+fast system's shape calls for, on the system the pipeline builds.
 
 With conserved fast combinations, stationary laws are constrained to
 the conservation surface, and in cases 3/4 the per-compartment conserved
@@ -37,13 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import (AveragedRate, FastReaction, McConfig, all_movement_equilibria,
-                        closed_form_measure, fast_discrete, fast_stationary_law,
-                        memoized_rate, product_measure, split_reactants)
+                        fast_stationary_law, memoized_rate, product_measure, rate_kind,
+                        split_reactants)
 from .classify import ConservedBasis, ScaleClassification
 from .errors import AnalyticUnavailable, CaseUnavailable, ModelError
 from .model import (MassAction, ScalingSpec, SpatialModel, falling_factorial,
                     mass_action_rate, scaled_rate_function_spatial)
-from .pdmp import tier_system
 
 
 def totals_factor(pis, terms, totals, d: int, coeff: float = 1.0) -> float:
@@ -117,7 +116,6 @@ class _SpatialContext:
     pis: list[np.ndarray]           # the same as float arrays
     fast_rows: tuple[int, ...]
     slow_rows: tuple[int, ...]
-    discrete_fast: list[bool]
     splits: dict                    # reaction -> (fast orders, slow terms)
 
     @classmethod
@@ -133,7 +131,6 @@ class _SpatialContext:
         fast_rows = classification.fast.rows
         ctx = cls(classification, model, equilibria, [eq.as_floats() for eq in equilibria],
                   fast_rows, classification.slow.rows,
-                  fast_discrete(classification),
                   {k: split_reactants(network, k, fast_rows) for k in ks})
         ctx.require_mass_action(ks)
         return ctx
@@ -189,29 +186,6 @@ class _SpatialContext:
                              tuple(fast.column(k)))
                 for k in sorted(self.classification.k_sets["fast"])]
 
-    def law(self, structs, mode: str, mc: McConfig, conserved=None, values=None):
-        """Stationary law of the fast reactions ``structs``; Monte Carlo
-        simulates them as a mass-action system of the fast variables."""
-        def make_system():
-            rates = {fr.k: _fast_rate(fr, self.discrete_fast) for fr in structs}
-            network = self.model.network
-            return tier_system(tuple(network.species[i].name for i in self.fast_rows),
-                               self.classification.fast, rates,
-                               self.classification.k_sets["fast_circ"], rates.get)
-
-        return fast_stationary_law(structs, make_system, self.discrete_fast, mode, mc,
-                                   conserved, values)
-
-
-def _fast_rate(fr: FastReaction, discrete):
-    """Rate of the fast reaction ``fr`` as a function of the fast
-    variables, an array or a :class:`pdmp.JumpChain`'s list; on the list
-    it reads only the variables of its reactants."""
-    reads = [j for j, n in enumerate(fr.orders) if n]
-    rate = mass_action_rate(fr.coeff, [(j, fr.orders[j], discrete[j]) for j in reads])
-    rate.on_list = (rate, reads)
-    return rate
-
 
 def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int,
                           conserved: ConservedBasis | None = None,
@@ -247,17 +221,8 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
         out[list(ctx.slow_rows)] = slow_values
         return out
 
-    kind = "montecarlo"
-    if mode in ("auto", "analytic"):
-        probe = ctx.structs(ctx.totals_form(species_indexed(np.full(n_slow, 3.0))),
-                            None if sum_level else 0)
-        n_cons = 0 if basis is None else len(basis.vectors)
-        if closed_form_measure(probe, ctx.discrete_fast, basis,
-                               np.ones(n_cons)) is not None:
-            kind = "analytic"
-        elif mode == "analytic":
-            raise AnalyticUnavailable(
-                f"case {case}: no closed-form stationary law for this fast tier")
+    kind = rate_kind(classification, ctx.structs(lambda kk, d: 1.0, None if sum_level else 0),
+                     mode, basis)
     # a rate of kind 'analytic' keeps to the closed form at every state:
     # where it is lost, the evaluation raises as the nonspatial rate does
     law_mode = "analytic" if kind == "analytic" else mode
@@ -266,11 +231,13 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
         """(E, se) of reaction k over the fast stationary law(s) given the
         slow factor."""
         if sum_level:
-            measure = ctx.law(ctx.structs(slow_factor, None), law_mode, mc, basis, values)
+            measure = fast_stationary_law(classification, ctx.structs(slow_factor, None),
+                                          law_mode, mc, basis, values)
             return measure.expect_mass_action(ctx.coefficient(k, slow_factor, None),
                                               orders_k)
         if basis is None:
-            measures = [ctx.law(ctx.structs(slow_factor, d), law_mode, mc) for d in range(nd)]
+            measures = [fast_stationary_law(classification, ctx.structs(slow_factor, d),
+                                            law_mode, mc) for d in range(nd)]
         else:
             measures = _case34_conserved(ctx, slow_factor, basis, values)
         value = 0.0
@@ -312,13 +279,13 @@ def _case34_conserved(ctx: _SpatialContext, slow_factor, basis: ConservedBasis, 
     theta = np.array(basis.vectors, dtype=float)
 
     def constrained_measure(d, v_c_col):
-        measure = closed_form_measure(ctx.structs(slow_factor, d), ctx.discrete_fast,
-                                      basis, v_c_col)
-        if measure is None:
+        try:
+            return fast_stationary_law(ctx.classification, ctx.structs(slow_factor, d),
+                                       "analytic", conserved=basis, conserved_values=v_c_col)
+        except AnalyticUnavailable:
             raise CaseUnavailable(
                 "conserved spatial cases 3/4 need the constrained closed form "
-                "(closed unary-conversion blocks)")
-        return measure
+                "(closed unary-conversion blocks)") from None
 
     # fixed point on the (theta x compartment) matrix of conserved amounts
     v_c = np.outer(np.asarray(s_c, dtype=float), np.full(nd, 1.0 / nd))

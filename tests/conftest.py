@@ -180,6 +180,16 @@ reaction A + C -> 0 @ mass-action kappa=1 beta=1
 init A 1
 """
 
+# Expression-law fast tier: B is born at rate 1 + A^2/(1 + B), a law with
+# no mass-action orders, and dies at rate B; A + B -> 0 is slow.
+EXPR_TIER_TEXT = """\
+species A alpha=1
+species B alpha=0
+reaction A + B -> 0 @ mass-action kappa=1 beta=1
+reaction 0 -> B @ expr 1 + A*A/(1 + B) beta=1
+reaction B -> 0 @ mass-action kappa=1 beta=1
+"""
+
 # Pure movement of one discrete species on two compartments;
 # stationary occupancy (2/3, 1/3).
 MOVEMENT_TEXT = """\

@@ -287,10 +287,8 @@ def test_mixed_fast_tier_within_3se():
 
 
 def test_flow_fast_tier_fixed_point():
-    # dC/dt = 2 - C integrated to its fixed point C = 2, where the drift
-    # is below 1e-9: exact up to that tolerance, with no standard error.
-    # The default rel_tol of 1e-6 leaves the drift near 1e-6, so the
-    # estimator would never settle; the test integrates at 1e-12
+    # dC/dt = 2 - C settled at its fixed point C = 2 at 1e-12
+    # tolerances: exact to about that, with no standard error
     doc = parse_document(fx.FLOW_TIER_TEXT)
     c = classify(doc.model, doc.scaling)
     mc = McConfig(ode=OdeConfig(rel_tol=1e-12, abs_tol=1e-12))
@@ -300,6 +298,82 @@ def test_flow_fast_tier_fixed_point():
     rate = averaged_rate_two_scale(c, 2, mode="montecarlo", mc=mc)
     for v in (1.0, 1.5):
         assert rate([v]) == pytest.approx(2.0 * v, rel=1e-9)
+        assert rate.standard_error([v]) == 0.0
+
+
+# Stiff flow-only tier: C and D exchange at rate 100 each way while C is
+# born and dies at rate 0.01, so the total S = C + D relaxes by
+# S' = 0.01 - 0.005 S, 20000 times slower than the exchange. An explicit
+# integration comes within 1e-5 of the fixed point C = D = 1 only after
+# about 2000 time units, and a drift bound relative to the flows' sizes
+# passes at C = 0.72.
+STIFF_FLOW_TIER_TEXT = """\
+species A alpha=1
+species C alpha=1
+species D alpha=1
+reaction 0 -> C @ mass-action kappa=0.01 beta=2
+reaction C -> 0 @ mass-action kappa=0.01 beta=2
+reaction C -> D @ mass-action kappa=100 beta=2
+reaction D -> C @ mass-action kappa=100 beta=2
+reaction A + C -> 0 @ mass-action kappa=1 beta=1
+init A 1
+"""
+
+# Bistable flow-only tier: dC/dt = -(C - 1)(C - 2)(C - 3), stable at 1
+# and 3 with the unstable fixed point 2 between them. Newton's method
+# from C near 2.5 lands on 1, while the path goes to 3.
+BISTABLE_FLOW_TIER_TEXT = """\
+species A alpha=1
+species C alpha=1
+reaction 0 -> C @ mass-action kappa=6 beta=2
+reaction C -> 0 @ mass-action kappa=11 beta=2
+reaction C + C -> C + C + C @ mass-action kappa=6 beta=2
+reaction C + C + C -> C + C @ mass-action kappa=1 beta=2
+reaction A + C -> 0 @ mass-action kappa=1 beta=1
+init A 1
+"""
+
+# The bistable C beside dD/dt = 1 - D: (2, 1) is a saddle, which a path
+# started at (2.01, 0) first comes closer to.
+SADDLE_FLOW_TIER_TEXT = BISTABLE_FLOW_TIER_TEXT.replace("init A 1\n", """\
+species D alpha=1
+reaction 0 -> D @ mass-action kappa=1 beta=2
+reaction D -> 0 @ mass-action kappa=1 beta=2
+init A 1
+""")
+
+
+@pytest.mark.parametrize("text,v_f0,point", [
+    (STIFF_FLOW_TIER_TEXT, None, [1.0, 1.0]),
+    # pure decay from a nonzero start settles at 0
+    ("species A alpha=1\nspecies C alpha=1\n"
+     "reaction C -> 0 @ mass-action kappa=1 beta=2\n"
+     "reaction A + C -> 0 @ mass-action kappa=1 beta=1\n", [5.0], [0.0]),
+    (BISTABLE_FLOW_TIER_TEXT, None, [1.0]),
+    (BISTABLE_FLOW_TIER_TEXT, [2.2], [3.0]),
+    (BISTABLE_FLOW_TIER_TEXT, [10.0], [3.0]),
+    (SADDLE_FLOW_TIER_TEXT, [2.01, 0.0], [3.0, 1.0]),
+], ids=["stiff", "decay", "bistable-0", "bistable-2.2", "bistable-10", "saddle"])
+def test_flow_fast_tier_reaches_its_fixed_point_at_default_tolerances(text, v_f0, point):
+    doc = parse_document(text)
+    c = classify(doc.model, doc.scaling)
+    measure = stationary_fast(c, np.ones(c.network.n_species), mode="montecarlo", v_f0=v_f0)
+    assert measure.variant == "pointmass"
+    assert measure.point.tolist() == pytest.approx(point, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("text,k,factor", [(fx.FLOW_TIER_TEXT, 2, 2.0),
+                                            (STIFF_FLOW_TIER_TEXT, 4, 1.0)],
+                         ids=["flow", "stiff"])
+def test_flow_fast_tier_settles_at_default_tolerances(text, k, factor):
+    # at the default rel_tol of 1e-6 the adaptive step holds the state
+    # only about 1e-6 from the fixed point, so the drift never falls to
+    # the 1e-9 bound; the fixed point is solved for from the integrated
+    # state. A + C -> 0 averages to v_A E[C], with E[C] = 2 and 1.
+    doc = parse_document(text)
+    rate = averaged_rate_two_scale(classify(doc.model, doc.scaling), k, mode="montecarlo")
+    for v in (1.0, 1.5):
+        assert rate([v]) == pytest.approx(factor * v, rel=1e-9)
         assert rate.standard_error([v]) == 0.0
 
 

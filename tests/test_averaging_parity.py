@@ -21,6 +21,10 @@ raise ``CaseUnavailable``: ``spatial_conserved.case3.montecarlo`` at both
 states and ``reduce.spatial_conserved.montecarlo``. The ``mixed_tier`` and
 ``flow_tier`` keys (the hybrid and flow-only estimators) were added later,
 recorded by the code as it was before their occupation code changed.
+The ``expr_tier`` and ``late_frozen`` keys (an expression-law fast tier,
+and a frozen reactant declared after its fast one) were recorded by the
+code as it was before the Monte Carlo fast systems were built from the
+fast reactions' list.
 """
 
 import json
@@ -59,9 +63,20 @@ move B from d1 to d2 rate 1
 move B from d2 to d1 rate 1
 """
 
-# The flow-only tier is integrated to its fixed point at tolerances below
-# the 1e-9 drift at which it counts as settled (at the default rel_tol of
-# 1e-6 it never settles).
+# Fast death B + A -> A whose frozen catalyst A is declared after the
+# fast B, so A's factor is the second reactant of the full law.
+LATE_FROZEN_TEXT = """\
+species B alpha=0
+species A alpha=1
+reaction 0 -> B @ mass-action kappa=1.3 beta=1
+reaction B + A -> A @ mass-action kappa=0.7 beta=1
+reaction A + B -> B @ mass-action kappa=1 beta=1
+"""
+
+# The flow-only tier is integrated to its fixed point at 1e-12
+# tolerances. The record holds the integrated state, about 1e-13 from
+# C = 2; the code now solves for the fixed point from an integrated state
+# and reads 2 exactly, within the record's tolerance.
 FLOW_MC = McConfig(ode=OdeConfig(rel_tol=1e-12, abs_tol=1e-12))
 
 FIXTURES = {
@@ -123,6 +138,18 @@ def compute() -> dict:
     _, flow = _classified(fx.FLOW_TIER_TEXT)
     _record(out, "flow_tier.montecarlo",
             averaged_rate_two_scale(flow, 2, mode="montecarlo", mc=FLOW_MC), ([1.0], [1.5]))
+
+    # an expression-law fast tier, and a frozen reactant declared after
+    # the fast one
+    _, expr_tier = _classified(fx.EXPR_TIER_TEXT)
+    _record(out, "expr_tier.montecarlo",
+            averaged_rate_two_scale(expr_tier, 0, mode="montecarlo",
+                                    mc=McConfig(budget=3000, seed=4)), ([0.8],))
+    _, late = _classified(LATE_FROZEN_TEXT)
+    _record(out, "late_frozen.auto", averaged_rate_two_scale(late, 2), ([0.3], [2.5]))
+    _record(out, "late_frozen.montecarlo",
+            averaged_rate_two_scale(late, 2, mode="montecarlo",
+                                    mc=McConfig(budget=2000, seed=3)), ([0.3], [2.5]))
 
     _, sab = _classified(fx.SPATIAL_AB_TEXT)
     for case in (1, 2, 3, 4):

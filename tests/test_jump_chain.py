@@ -12,7 +12,9 @@ Covered: the fast tier of every fixture that has one, hypothesis-drawn
 mass-action tiers with frozen continuous reactants and discrete order-2
 reactants, the systems a spatial case-1 rate, an expression-law tier and
 the THREE_SCALE middle tier hand to the estimator, absorbed chains, a
-budget below the ESS threshold, and failing rates and jumps.
+budget below the ESS threshold, and failing rates and jumps. Every
+Monte Carlo fast tier, nonspatial or spatial, gets its system from the
+one builder, ``averaging.fast_tier_system``.
 
 The chain's per-state rate memo is checked on its own: with no room to
 store a rate, every fast tier above gives the same estimate bit for bit;
@@ -34,13 +36,13 @@ import pytest
 from mscrn import averaging, pdmp
 from mscrn import rng as rng_mod
 from mscrn.averaging import (McConfig, StationaryMeasure, _empirical_from_jump_paths,
-                             _occupation, averaged_rate_three_scale, constrained_start,
-                             fast_discrete, stationary_fast)
+                             _occupation, averaged_rate_three_scale,
+                             averaged_rate_two_scale, constrained_start, fast_discrete,
+                             fast_subsystem, stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import MscrnError, NegativeRate, NonErgodicSuspected, RateEvaluationError
 from mscrn.parser import parse_document
-from mscrn.pdmp import (HybridSystem, JumpChain, OdeConfig, _eval_state, _initial_state,
-                        fast_subsystem)
+from mscrn.pdmp import HybridSystem, JumpChain, OdeConfig, _eval_state, _initial_state
 from mscrn.spatial_cases import averaged_rate_spatial
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -189,7 +191,7 @@ def _fixture_tier(name, frozen_level):
 def test_fixture_fast_tiers_match_reference(name):
     for frozen_level, seed, budget in ((0.7, 0, 1500), (2.0, 3, 4000)):
         system, v0, discrete = _fixture_tier(name, frozen_level)
-        assert system.frame is not None and not system.flows
+        assert not system.flows
         out = _assert_same(system, v0, McConfig(budget=budget, seed=seed), discrete)
         assert out[0] == "empirical"
 
@@ -298,6 +300,50 @@ def _captured(monkeypatch, evaluate):
     return calls
 
 
+def test_every_fast_tier_system_comes_from_the_one_builder(monkeypatch):
+    # every Monte Carlo fast tier, two-scale, conserved, the three-scale
+    # inner tier and spatial cases 1-4, is simulated on a system that
+    # averaging.fast_tier_system built; only the three-scale middle tier (M)
+    # is built elsewhere
+    built, handed = [], []
+    real_build, real_measure = averaging.fast_tier_system, averaging.montecarlo_measure
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def measure(system, *args):
+        handed.append(system)
+        return real_measure(system, *args)
+
+    def classified(text):
+        doc = parse_document(text)
+        return classify(doc.model, doc.scaling)
+
+    monkeypatch.setattr(averaging, "fast_tier_system", build)
+    monkeypatch.setattr(averaging, "montecarlo_measure", measure)
+    mc = McConfig(budget=500, seed=1)
+    cons, spatial = classified(fx.CONSERVED_TEXT), classified(fx.SPATIAL_AB_TEXT)
+    evaluations = {
+        "two-scale": lambda: averaged_rate_two_scale(
+            classified(fx.AB_TEXT), 0, mode="montecarlo", mc=mc)([0.5]),
+        "conserved": lambda: averaged_rate_two_scale(
+            cons, 4, mode="montecarlo", mc=mc, conserved=conserved_basis(cons))([1.0, 3.0]),
+        "three-scale": lambda: averaged_rate_three_scale(
+            classified(fx.THREE_SCALE_TEXT), 4, mode="montecarlo", mc=mc)([1.0]),
+    }
+    for case in (1, 2, 3, 4):
+        evaluations[f"case {case}"] = lambda case=case: averaged_rate_spatial(
+            spatial, case, 0, mode="montecarlo", mc=mc)([0.5])
+    for name, evaluate in evaluations.items():
+        built.clear()
+        handed.clear()
+        evaluate()
+        fast = [system for system in handed if system.labels != ("M",)]
+        assert fast, name
+        assert all(any(system is b for b in built) for system in fast), name
+
+
 def test_spatial_case1_tier_matches_reference(monkeypatch):
     doc = parse_document(fx.SPATIAL_AB_TEXT)
     cl = classify(doc.model, doc.scaling)
@@ -307,17 +353,8 @@ def test_spatial_case1_tier_matches_reference(monkeypatch):
         assert _assert_same(system, v0, mc, discrete)[0] == "empirical"
 
 
-EXPR_TIER_TEXT = """\
-species A alpha=1
-species B alpha=0
-reaction A + B -> 0 @ mass-action kappa=1 beta=1
-reaction 0 -> B @ expr 1 + A*A/(1 + B) beta=1
-reaction B -> 0 @ mass-action kappa=1 beta=1
-"""
-
-
 def test_expression_tier_matches_reference(monkeypatch):
-    doc = parse_document(EXPR_TIER_TEXT)
+    doc = parse_document(fx.EXPR_TIER_TEXT)
     cl = classify(doc.model, doc.scaling)
     frozen = np.array([0.8, 0.0])
 
@@ -337,7 +374,7 @@ def test_three_scale_middle_tier_matches_reference(monkeypatch):
     cl = classify(doc.model, doc.scaling)
     rate = averaged_rate_three_scale(cl, 4, mc=McConfig(budget=600, seed=1))
     calls = _captured(monkeypatch, lambda: rate([1.0]))
-    middle = [c for c in calls if c[0].frame is None]
+    middle = [c for c in calls if c[0].labels == ("M",)]
     assert len(middle) == 1
     assert _assert_same(*middle[0])[0] == "empirical"
 
@@ -423,8 +460,8 @@ def test_overflowing_frozen_power_raises_as_before():
                          "reaction C + C + B -> C + C @ mass-action kappa=1 beta=1\n"
                          "reaction 0 -> B @ mass-action kappa=1 beta=1\n")
     cl = classify(doc.model, doc.scaling)
-    system = fast_subsystem(cl, np.array([1e160, 0.0]))
     with np.errstate(all="ignore"):
+        system = fast_subsystem(cl, np.array([1e160, 0.0]))
         out = _assert_same(system, [1.0], McConfig(budget=500), [True])
     assert out == ("error", "NegativeRate", "jump rate 0 evaluated to inf")
 
@@ -469,7 +506,7 @@ def test_memo_changes_no_output(monkeypatch, name):
     # before the memo; its estimate is the same bit for bit, and its rate
     # evaluations are its events
     if name == "expression":
-        doc = parse_document(EXPR_TIER_TEXT)
+        doc = parse_document(fx.EXPR_TIER_TEXT)
         cl = classify(doc.model, doc.scaling)
         calls = _captured(monkeypatch, lambda: stationary_fast(
             cl, np.array([0.8, 0.0]), mode="montecarlo", mc=McConfig(budget=3000, seed=4)))
@@ -479,7 +516,7 @@ def test_memo_changes_no_output(monkeypatch, name):
         cl = classify(doc.model, doc.scaling)
         rate = averaged_rate_three_scale(cl, 4, mc=McConfig(budget=600, seed=1))
         calls = _captured(monkeypatch, lambda: rate([1.0]))
-        system, v0, mc, discrete = next(c for c in calls if c[0].frame is None)
+        system, v0, mc, discrete = next(c for c in calls if c[0].labels == ("M",))
     else:
         system, v0, discrete = _fixture_tier(name, 0.7)
         mc = McConfig(budget=4000, seed=3)

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from mscrn.averaging import simulate_conditional_fast
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import EventCapExceeded, MissingRates, ModelError, NegativeRate
+from mscrn.errors import EventCapExceeded, ModelError, NegativeRate
 from mscrn.model import State
-from mscrn.pdmp import (HybridSystem, OdeConfig, build_limit_system, run_ensemble_pdmp,
-                        simulate_conditional_fast, simulate_pdmp)
+from mscrn.pdmp import HybridSystem, OdeConfig, run_ensemble_pdmp, simulate_pdmp
+from mscrn.reduce import build_reduced_model
 from mscrn.ssa import SimulationConfig
 
 
@@ -188,11 +189,8 @@ def test_pure_jump_engine_matches_ssa():
     assert abs(finals.mean() - exact) < 3 * se_pdmp
 
 
-def test_build_limit_system_gene(gene_doc):
-    c = classify(gene_doc.model, gene_doc.scaling)
-    from mscrn.model import scaled_rate_function
-    rates = {k: scaled_rate_function(gene_doc.model, k) for k in range(4)}
-    system = build_limit_system(c, rates)
+def test_reduced_gene_limit_system(gene_doc):
+    system = build_reduced_model(gene_doc.model, gene_doc.scaling).to_hybrid()
     assert system.labels == ("G", "Ga", "P")
     assert len(system.jumps) == 2   # activation, deactivation
     assert len(system.flows) == 2   # production, degradation
@@ -202,23 +200,11 @@ def test_build_limit_system_gene(gene_doc):
     assert flow_vectors == [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]
 
 
-def test_build_limit_system_missing_rates(gene_doc):
-    c = classify(gene_doc.model, gene_doc.scaling)
-    with pytest.raises(MissingRates):
-        build_limit_system(c, {0: lambda v: 1.0})
-
-
 def test_gene_limit_flow_between_jumps(gene_doc):
     # with the gene frozen active (jumps suppressed by zero rates),
     # the protein follows v' = k3 - k4 v exactly
-    c = classify(gene_doc.model, gene_doc.scaling)
-    rates = {
-        0: lambda v: 0.0,
-        1: lambda v: 0.0,
-        2: lambda v: 2.0 * v[1],
-        3: lambda v: 1.0 * v[2],
-    }
-    system = build_limit_system(c, rates)
+    system = build_reduced_model(gene_doc.model, gene_doc.scaling).to_hybrid()
+    system.jumps = tuple((lambda v: 0.0, vec) for _, vec in system.jumps)
     traj = simulate_pdmp(system, [0.0, 1.0, 0.0], t_end=1.0, seed=0)
     assert traj.final_state[2] == pytest.approx(2 * (1 - np.exp(-1)), rel=1e-5)
 
@@ -384,7 +370,6 @@ def test_conserved_coordinates_move_only_through_conserved_reactions(conserved_d
     # CONSERVED reduced to (S, c1 = E + Ea): along every path, c1 changes
     # only when a reaction of the conserved set fires, and each jump moves
     # the state by its reaction's column
-    from mscrn.reduce import build_reduced_model
     reduced = build_reduced_model(conserved_doc.model, conserved_doc.scaling)
     system = reduced.to_hybrid()
     n_slow = len(reduced.classification.slow.rows)

@@ -285,3 +285,41 @@ def test_lost_closed_form_raises_in_both_paths():
         assert rate([1.0]) > 0
         with pytest.raises(AnalyticUnavailable):
             rate([0.0])
+
+
+def _catalysed_death(order):
+    """Fast B, born at rate 1 and dying at rate 1 with ``order``
+    molecules of a discrete slow catalyst S; the slow B -> B + A reads
+    E[B]. Without space B is Poisson(1 / falling_factorial(S, order)),
+    which has no stationary law below ``order`` molecules of S."""
+    catalyst = " + ".join(["S"] * order)
+    return (f"reaction B -> B + A @ mass-action kappa=1 beta=1\n"
+            f"reaction 0 -> B @ mass-action kappa=1 beta=1\n"
+            f"reaction {catalyst} + B -> {catalyst} @ mass-action kappa=1 beta=1\n"
+            f"reaction 0 -> S @ mass-action kappa=1 beta=0\n"
+            f"reaction S -> 0 @ mass-action kappa=1 beta=0\n")
+
+
+@pytest.mark.parametrize("mode", ["auto", "analytic"])
+def test_closed_form_kind_not_lost_to_a_zero_probe(mode):
+    # the kind is read with every frozen factor 1: a catalyst count that
+    # zeroes the death coefficient (S = 1 of order 2, or a total of 3 of
+    # order 4) leaves the rate analytic, which raises only at such states
+    flat = parse_document("species A alpha=1\nspecies B alpha=0\nspecies S alpha=0\n"
+                          + _catalysed_death(2))
+    rate = averaged_rate_two_scale(classify(flat.model, flat.scaling), 0, mode=mode)
+    assert rate.kind == "analytic"
+    assert rate([0.0, 3.0]) == pytest.approx(1 / 6, rel=1e-12)
+    with pytest.raises(AnalyticUnavailable):
+        rate([0.0, 1.0])
+    spatial = parse_document(
+        "species A alpha=1 eta=2\nspecies B alpha=0 eta=3\nspecies S alpha=0 eta=2\n"
+        "compartments d1 d2\n" + _catalysed_death(4)
+        + "".join(f"move {s} from {a} to {b} rate 1\n" for s in "ABS"
+                  for a, b in (("d1", "d2"), ("d2", "d1"))))
+    rate = averaged_rate_spatial(classify(spatial.model, spatial.scaling), 1, 0, mode=mode)
+    assert rate.kind == "analytic"
+    # E[B] = 2 / (falling_factorial(S, 4) / 16), read at pi_B = 1/2 per compartment
+    assert rate([0.0, 5.0]) == pytest.approx(32 / 120, rel=1e-12)
+    with pytest.raises(AnalyticUnavailable):
+        rate([0.0, 3.0])

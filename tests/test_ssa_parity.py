@@ -31,11 +31,12 @@ import pytest
 
 from mscrn import expressions, ssa
 from mscrn import rng as rng_mod
+from mscrn.averaging import fast_subsystem
 from mscrn.classify import classify
 from mscrn.errors import EventCapExceeded, MscrnError, RateEvaluationError
 from mscrn.model import MassAction, State
 from mscrn.parser import parse_document
-from mscrn.pdmp import fast_subsystem, simulate_pdmp
+from mscrn.pdmp import simulate_pdmp
 from mscrn.ssa import SimulationConfig, _simulate, run_ensemble
 
 sys.path.insert(0, str(Path(__file__).parent))
