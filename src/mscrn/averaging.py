@@ -23,16 +23,17 @@ A jump-only fast system is time-averaged along one path of
 ``pdmp.JumpChain``: the direct method of the stochastic engine over a
 Python list of the coordinates, where after each jump only the rates
 that read a changed coordinate are recomputed, and none in a state met
-before. Mass-action rates with a row form evaluate on the list;
-expression laws and the three-scale middle tier are opaque and are
-recomputed after every jump to a new state. Each visit's duration is
-added to its state's weight as it ends (``_Occupation``), so only each
-batch's distinct states are held.
+before. Mass-action rates evaluate on the list; expression laws and
+the three-scale middle tier are opaque and are recomputed after every
+jump to a new state. Each visit's duration is added to its state's
+weight as it ends (``_Occupation``), so only each batch's distinct
+states are held.
 
 Every mass-action law here, from the frozen coefficient of a fast
 reaction to the expectation over an empirical law, is built by
-:func:`model.mass_action_rate`, the one mass-action formula. The closed
-forms rest on two factorial-moment identities: a Poisson
+:func:`model.mass_action_rate`, the one mass-action formula, and
+evaluated over arrays of states by :class:`model.MassActionRows`. The
+closed forms rest on two factorial-moment identities: a Poisson
 variable with mean m has E[x(x-1)...(x-n+1)] = m^n, and a Binomial(s, p)
 count has E[x(x-1)...(x-n+1)] = s(s-1)...(s-n+1) p^n. Both mesh exactly
 with the mixed mass-action form, where discrete species enter through
@@ -309,8 +310,9 @@ class StationaryMeasure:
         variable j at its reactant multiplicity ``orders[j]``: discrete
         variables contribute falling factorials and continuous ones plain
         powers, matching the component kinds exactly. A product law has
-        the closed form; any other evaluates the law of
-        :func:`model.mass_action_rate` at its states.
+        the closed form; an empirical one evaluates the row form of
+        :func:`model.mass_action_rate` over all its states at once
+        (:class:`model.MassActionRows`), and a point mass the law itself.
         """
         orders = np.asarray(orders, dtype=int)
         if self.variant == "product":
@@ -335,14 +337,11 @@ class StationaryMeasure:
                     p = block.probs[block.positions.index(j)]
                     out *= p ** n
             return out, 0.0
-        rate = mass_action_rate(coeff, [(j, int(n), bool(self.discrete[j]))
-                                        for j, n in enumerate(orders) if n])
+        terms = [(j, int(n), bool(self.discrete[j])) for j, n in enumerate(orders) if n]
         if self.variant == "empirical":
-            # every stored state at once through the row form, if there is one
-            if hasattr(rate, "row_terms"):
-                return self._batch_means(MassActionRows([rate.row_terms])(self.states)[:, 0])
-            return self._batch_means([rate(state) for state in self.states])
-        return self.expect(rate)
+            rows = MassActionRows([(coeff, terms)], self.dim)
+            return self._batch_means(rows.of(self.states)[:, 0])
+        return self.expect(mass_action_rate(coeff, terms))
 
     def _batch_means(self, values):
         """Time-weighted mean of the per-batch means of ``values`` (one
@@ -565,10 +564,18 @@ def split_reactants(network: Network, k: int, fast_rows) -> tuple[tuple[int, ...
 class McConfig:
     budget: int = 100_000        # events (jump systems) or samples (hybrid)
     burn_in_frac: float = 0.2
-    n_batches: int = 16
+    n_batches: int = 16          # a batch-means SE needs two batches
     ess_threshold: int = 100
     seed: int = 0
     ode: OdeConfig | None = None
+
+    def __post_init__(self):
+        for holds, rule in ((self.budget >= 1, "budget >= 1"),
+                            (0 <= self.burn_in_frac < 1, "0 <= burn_in_frac < 1"),
+                            (self.n_batches >= 2, "n_batches >= 2"),
+                            (self.ess_threshold >= 0, "ess_threshold >= 0")):
+            if not holds:   # NaN fails too
+                raise ModelError(f"McConfig needs {rule}")
 
 
 class _Occupation:
@@ -827,21 +834,11 @@ def fast_tier_system(classification: ScaleClassification, structs) -> HybridSyst
     """The fast tier ``structs`` as a system of the fast variables: jumps
     for the reactions in ``fast_circ``, flows for the rest. A mass-action
     reaction's rate is :func:`model.mass_action_rate` of its coefficient
-    and fast orders, with a list form reading its reactants exactly when
-    that law has a row form (on Python floats such a law rounds as on
-    numpy ones); an expression law is its opaque rate."""
+    and fast orders; an expression law is its opaque rate."""
     discrete = fast_discrete(classification)
-
-    def rate_of(fr):
-        if fr.rate is not None:
-            return fr.rate
-        reads = [j for j, n in enumerate(fr.orders) if n]
-        rate = mass_action_rate(fr.coeff, [(j, fr.orders[j], discrete[j]) for j in reads])
-        if hasattr(rate, "row_terms"):
-            rate.on_list = (rate, reads)
-        return rate
-
-    rates = {fr.k: rate_of(fr) for fr in structs}
+    rates = {fr.k: fr.rate if fr.rate is not None else mass_action_rate(
+        fr.coeff, [(j, n, discrete[j]) for j, n in enumerate(fr.orders) if n])
+        for fr in structs}
     network = classification.network
     return tier_system(tuple(network.species[i].name for i in classification.fast.rows),
                        classification.fast, rates, classification.k_sets["fast_circ"],
@@ -937,21 +934,30 @@ class AveragedRate:
     """Evaluator for one reduced reaction rate.
 
     ``fn(reduced_state)`` returns the averaged rate; ``se(reduced_state)``
-    its standard error (0 for closed forms). ``text`` carries a printable
-    closed form when one exists.
+    its standard error (0 for closed forms). Both take a reduced state of
+    length ``dim``, unchecked; a call and :meth:`standard_error` check the
+    length. ``text`` carries a printable closed form when one exists.
     """
 
     reaction: int
     kind: str                    # 'analytic' | 'montecarlo'
     fn: object
     se: object
+    dim: int
     text: str | None = None
 
     def __call__(self, state) -> float:
-        return self.fn(np.asarray(state, dtype=float))
+        return self.fn(self._checked(state))
 
     def standard_error(self, state) -> float:
-        return self.se(np.asarray(state, dtype=float))
+        return self.se(self._checked(state))
+
+    def _checked(self, state) -> np.ndarray:
+        state = np.asarray(state, dtype=float)
+        if state.shape != (self.dim,):
+            raise ModelError(f"the rate of reaction {self.reaction + 1} takes a state of "
+                             f"length {self.dim}, got shape {state.shape}")
+        return state
 
 
 # A Runge-Kutta step meets six new states and a middle-tier path a few
@@ -981,20 +987,23 @@ class StateMemo:
         return value
 
 
-def memoized_rate(k: int, kind: str, evaluate) -> AveragedRate:
-    """AveragedRate over ``evaluate(state) -> (value, se)``; the value
-    and its standard error come from one evaluation."""
+def memoized_rate(k: int, kind: str, evaluate, dim: int) -> AveragedRate:
+    """AveragedRate over ``evaluate(state) -> (value, se)`` of states of
+    length ``dim``; the value and its standard error come from one
+    evaluation."""
     memo = StateMemo(lambda state: tuple(float(x) for x in evaluate(state)))
     return AveragedRate(k, kind,
                         fn=lambda v: memo(np.asarray(v, dtype=float))[0],
-                        se=lambda v: memo(np.asarray(v, dtype=float))[1])
+                        se=lambda v: memo(np.asarray(v, dtype=float))[1], dim=dim)
 
 
-def _identity_rate(network: Network, k: int, frozen_of=None) -> AveragedRate:
-    """Reaction k's own rate law, of the full state or of ``frozen_of(v)``."""
+def _identity_rate(network: Network, k: int, frozen_of=None, dim=None) -> AveragedRate:
+    """Reaction k's own rate law, of the full state or of ``frozen_of(v)``
+    for a reduced state ``v`` of length ``dim``."""
     base = scaled_rate_function(network, k)
     fn = base if frozen_of is None else (lambda v: base(frozen_of(v)))
     return AveragedRate(k, "analytic", fn=fn, se=lambda v: 0.0,
+                        dim=network.n_species if frozen_of is None else dim,
                         text=_mass_action_text(network, k))
 
 
@@ -1153,7 +1162,7 @@ def averaged_rate_two_scale(classification: ScaleClassification, k: int,
             return _polynomial_average(network, k, measure, frozen, fast_rows), 0.0
         return fast_average(network, k, measure, frozen, fast_rows)
 
-    rate = memoized_rate(k, kind, evaluate)
+    rate = memoized_rate(k, kind, evaluate, n_slow + (0 if basis is None else len(basis.vectors)))
     if kind == "analytic" and mass_action and basis is None:
         orders, slow_terms = split_reactants(network, k, fast_rows)
         rate.text = _rate_text(network, shape, fast_rows, k, slow_terms, orders)
@@ -1192,7 +1201,7 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
         touches |= {network.index[name]
                     for name in expressions.variables(reaction.rate_law.ast)}
     if not (touches & set(fast_rows)) and not (touches & set(middle_rows)):
-        return _identity_rate(network, k, frozen_of)
+        return _identity_rate(network, k, frozen_of, len(classification.slow.rows))
 
     inner_mc = McConfig(budget=max(mc.budget // 10, 2000), burn_in_frac=mc.burn_in_frac,
                         seed=mc.seed + 13, ess_threshold=min(mc.ess_threshold, 50))
@@ -1221,4 +1230,4 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
 
     # the outer middle-tier average is a time average even when the
     # fastest tier has a closed form, so the estimate always carries noise
-    return memoized_rate(k, "montecarlo", evaluate)
+    return memoized_rate(k, "montecarlo", evaluate, len(classification.slow.rows))

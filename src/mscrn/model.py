@@ -366,15 +366,14 @@ def _compile_law(network: Network, reaction: Reaction, law: RateLaw):
 
 def mass_action_rate(prefactor: float, terms):
     """The mass-action law of the row form ``(prefactor, terms)``: a
-    function of a vector of values giving ``prefactor`` times each term
-    ``(position, order, discrete)`` in order. A discrete term is the
-    falling factorial of its value, multiplied in factor by factor, and
-    makes the rate exactly 0.0 below its order; a continuous term is the
-    power ``value ** order``. The sign is not checked. Without a
-    continuous power above one the function carries its row form as
-    ``row_terms``, for :class:`MassActionRows` (numpy's array power does
-    not reproduce the C library's pow that ``**`` rounds through, not
-    even for squares).
+    function of a vector of values giving ``prefactor`` times the factors
+    of each term ``(position, order, discrete)``, in order. A discrete
+    term of order n gives the n factors ``value - j``, each floored at
+    zero (``0.0 if d <= 0 else d``, which is ``max(d, 0.0)`` bit for
+    bit); a continuous term of order n gives n factors ``value``. On an
+    integer count the floored product is the falling factorial, zero
+    below its order. The sign is not checked. The function carries its
+    row form as ``row_terms``, for :class:`MassActionRows`.
     """
     terms = tuple(terms)
 
@@ -382,19 +381,15 @@ def mass_action_rate(prefactor: float, terms):
         out = prefactor
         for i, n, discrete in terms:
             value = values[i]
-            if discrete and value < n:
-                return 0.0
-            if n == 1:
-                out *= value
-            elif discrete:
-                for j in range(n):
-                    out *= value - j
-            else:
-                out *= value ** n
+            if n == 1:   # the common case, without a loop
+                out *= 0.0 if discrete and value <= 0 else value
+                continue
+            for j in range(n):
+                d = value - j if discrete else value
+                out *= 0.0 if discrete and d <= 0 else d
         return out
 
-    if all(discrete or n == 1 for _, n, discrete in terms):
-        rate.row_terms = (prefactor, terms)
+    rate.row_terms = (prefactor, terms)
     return rate
 
 
@@ -415,61 +410,54 @@ def expression_rate(ast: expressions.Node, reader, prefactor: float = 1.0):
 
 
 class MassActionRows:
-    """Mass-action laws of :func:`mass_action_rate` over the rows of a
-    (rows, species) array, all at once. ``laws`` lists the closures'
-    ``row_terms``, ``(kappa, ((species, order, discrete), ...))``; a call
-    returns the (rows, laws) rates, law c in column ``columns[c]``.
+    """The mass-action laws of :func:`mass_action_rate` over the rows of
+    an array, all at once: ``laws`` lists their row forms ``(prefactor,
+    terms)`` over vectors of ``dim`` values. A call takes (rows, dim + 1)
+    values whose last column is ones and returns the (rows, laws) rates,
+    law c in column c; :meth:`of` takes (rows, dim) values through a
+    reused buffer that holds the ones column.
 
-    Each rate is ``kappa`` times its factors in the closure's order: a
-    discrete term of order n gives the n factors ``value - j``, a
-    continuous one ``value``. The rate is zero wherever one of its
-    discrete values is below its order, where the closure returns early.
-    The columns hold the laws by decreasing number of factors, so factor
-    slot s is a block of the first ``reach[s]`` columns, gathered at
-    ``offset[s]`` of ``index``; a discrete check slot pads a law with
-    fewer checks with order -inf, which no value is below.
+    Each law expands into factor slots in the closure's order: a discrete
+    term of order n into the n factors ``max(value - j, 0)``, a continuous
+    one into n factors ``value``. A law with fewer slots than the widest
+    is padded with the ones column, and a product by 1.0 is exact. Slot s
+    of law c sits at ``s * len(laws) + c`` of ``index``, ``shift`` and
+    ``floor`` (0 for a discrete slot, -inf for any other), so a call is
+    one gather, the shifts subtracted, one ``np.maximum`` and the product
+    over the slots: the closure's arithmetic, bit for bit.
     """
 
-    def __init__(self, laws):
-        factors = [[(i, j) for i, n, discrete in terms
-                    for j in (range(n) if discrete else (0,))] for _, terms in laws]
-        order = sorted(range(len(laws)), key=lambda c: -len(factors[c]))
-        self.columns = [order.index(c) for c in range(len(laws))]
-        factors = [factors[c] for c in order]
-        checks = [[(i, n) for i, n, discrete in laws[c][1] if discrete] for c in order]
-        self.kappa = np.array([laws[c][0] for c in order], dtype=float)
-        slots = [[f[s] for f in factors if len(f) > s] for s in range(len(factors[0]))]
-        self.reach = [len(slot) for slot in slots]
-        self.offset = np.cumsum([0] + self.reach).tolist()
-        flat = [factor for slot in slots for factor in slot]
-        self.index = np.array([i for i, _ in flat], dtype=np.intp)
-        shift = np.array([j for _, j in flat], dtype=float)
+    def __init__(self, laws, dim: int):
+        factors = [[(i, j if discrete else 0, discrete) for i, n, discrete in terms
+                    for j in range(n)] for _, terms in laws]
+        self.width = max(1, max(map(len, factors)))
+        one = (dim, 0, False)
+        flat = [f[s] if s < len(f) else one for s in range(self.width) for f in factors]
+        self.kappa = np.array([prefactor for prefactor, _ in laws], dtype=float)
+        self.index = np.array([i for i, _, _ in flat], dtype=np.intp)
+        shift = np.array([j for _, j, _ in flat], dtype=float)
         self.shift = shift if shift.any() else None
-        self.depth = max(len(c) for c in checks)
-        pad = (0, -math.inf)
-        flat = [c[s] if s < len(c) else pad for s in range(self.depth) for c in checks]
-        self.checks = np.array([i for i, _ in flat], dtype=np.intp)
-        self.orders = np.array([n for _, n in flat], dtype=float)
+        self.floor = np.array([0.0 if floored else -np.inf for _, _, floored in flat])
+        self.buffer = np.ones((0, dim + 1))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        factors = values.take(self.index, axis=1)
+        factors = values[:, self.index]
         if self.shift is not None:
             factors -= self.shift
-        first = self.reach[0] if self.reach else 0
-        if first == len(self.kappa):
-            out = self.kappa * factors[:, :first]
-        else:   # laws without reactants are their kappa
-            out = np.full((len(values), len(self.kappa)), self.kappa)
-            out[:, :first] *= factors[:, :first]
-        for s in range(1, len(self.reach)):
-            out[:, :self.reach[s]] *= factors[:, self.offset[s]:self.offset[s + 1]]
-        if self.depth:
-            below = values.take(self.checks, axis=1) < self.orders
-            if self.depth > 1:
-                below = np.logical_or.reduce(
-                    below.reshape(len(values), self.depth, len(self.kappa)), axis=1)
-            np.putmask(out, below, 0.0)
+        np.maximum(factors, self.floor, out=factors)
+        factors = factors.reshape(len(values), self.width, len(self.kappa))
+        out = self.kappa * factors[:, 0]
+        for s in range(1, self.width):
+            out *= factors[:, s]
         return out
+
+    def of(self, values: np.ndarray) -> np.ndarray:
+        """The (rows, laws) rates of (rows, dim) ``values``."""
+        if len(self.buffer) < len(values):
+            self.buffer = np.ones((len(values), self.buffer.shape[1]))
+        padded = self.buffer[:len(values)]
+        padded[:, :-1] = values
+        return self(padded)
 
 
 def check_state(model: Model, state: State) -> None:

@@ -18,9 +18,10 @@ ensemble one row per replica. Each row keeps its own step size, hazard
 search, grid snapshots, jumps and random stream (:func:`_row`), and on
 every pass asks for one Cash-Karp step; the steps of all rows are taken
 by one batched evaluation (:func:`_ck_rows`). Mass-action rates
-evaluate over the rows through one table, other rates one row at a
-time. Every row does the arithmetic of a lone run in the same order, so
-an ensemble equals its replicas run one after another bit for bit.
+evaluate over the rows through one :class:`model.MassActionRows`, other
+rates one row at a time. Every row does the arithmetic of a lone run in
+the same order, so an ensemble equals its replicas run one after
+another bit for bit.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, NegativeRate, OdeStepFailure
 from .model import MassActionRows
-from .ssa import (EnsembleStats, Trajectory, check_t_end, checked_grid, direct_method,
-                  ensemble_grid, log_events)
+from .ssa import (EnsembleStats, Trajectory, check_t_end, direct_method, ensemble_grid,
+                  log_events, record_mode)
 
 # Cash-Karp tableau
 _C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -75,13 +76,9 @@ class OdeConfig:
 @dataclass
 class HybridSystem:
     """Jump reactions carry integer state changes, flow reactions real
-    drift vectors; rates are functions of the current state vector.
-
-    A jump rate may also have a list form, ``rate_fn.on_list = (fn,
-    reads)``: ``fn`` gives the same rate, bit for bit, on the list state
-    of a :class:`JumpChain`, the coordinates as a Python list, and reads
-    only the coordinates ``reads``.
-    """
+    drift vectors; rates are functions of the current state vector. A
+    rate of :func:`model.mass_action_rate` carries its row form
+    ``row_terms``, which the kernels read; any other rate is opaque."""
 
     labels: tuple[str, ...]
     jumps: tuple        # ((rate_fn, int delta vector), ...)
@@ -162,8 +159,7 @@ def simulate_pdmp(system: HybridSystem, v0, t_end: float, seed: int = 0,
     """
     cfg = ode_config or OdeConfig()
     v = _initial_state(system, v0, t_end)
-    event_mode = isinstance(record, str) and record == "events"
-    grid = None if record is None or event_mode else checked_grid(record, t_end)
+    grid, event_mode = record_mode(record, t_end)
     path = _Path(v, len(system.jumps), grid, event_mode)
     rng = rng if rng is not None else rng_mod.stream(seed)
     if system.flows:
@@ -194,12 +190,13 @@ class JumpChain:
     state, started at ``v0``. The rates are constant between jumps, so
     the direct method is exact.
 
-    A rate with a list form (see :class:`HybridSystem`) is evaluated on
-    the list and reads its ``reads``; any other rate is opaque: it is
-    called on the coordinates as an array and reads all of them. After
-    channel c fires only the rates that read a coordinate c changes are
-    refreshed, in channel order: the others are unchanged functions of
-    unchanged values. So a run equals one that refreshes every rate
+    A rate with a row form (``row_terms``, see
+    :func:`model.mass_action_rate`) is evaluated on the list, where it
+    rounds as on an array, and reads the positions of its terms; any
+    other rate is opaque: it is called on the coordinates as an array
+    and reads all of them. After channel c fires only the rates that
+    read a coordinate c changes are refreshed, in channel order: the
+    others are unchanged functions of unchanged values. So a run equals one that refreshes every rate
     after every jump. The state starts in the nonnegative orthant; a
     jump that leaves it, or a rate that is negative or not finite,
     raises NegativeRate.
@@ -215,10 +212,9 @@ class JumpChain:
         self.key = tuple(self.work)
         self.fns, reads = [], []
         for rate_fn, _ in system.jumps:
-            fn, read = getattr(rate_fn, "on_list", None) or (
-                lambda work, rate_fn=rate_fn: rate_fn(np.array(work)), range(system.dim))
-            self.fns.append(fn)
-            reads.append(set(read))
+            law = getattr(rate_fn, "row_terms", None)
+            self.fns.append(rate_fn if law else lambda work, f=rate_fn: f(np.array(work)))
+            reads.append({i for i, _, _ in law[1]} if law else set(range(system.dim)))
         self.changes = [[(i, c) for i, c in enumerate(np.asarray(vec).tolist()) if c]
                         for _, vec in system.jumps]
         self.dependents = [[(j, self.fns[j]) for j, read in enumerate(reads)
@@ -469,16 +465,16 @@ def _ck_rows(rates, y, h, abs_tol):
 
 
 class _Rates:
-    """A system's rate functions over rows, flows then jumps: the
-    mass-action ones that carry ``row_terms`` through one
-    :class:`MassActionRows` table, every other one called row by row."""
+    """A system's rate functions over rows, flows then jumps: those that
+    carry ``row_terms`` through one :class:`MassActionRows`, the j-th of
+    them in its column j, every other one called row by row."""
 
     def __init__(self, system: HybridSystem):
         fns = [rate_fn for rate_fn, _ in system.flows + system.jumps]
         laws = [getattr(rate_fn, "row_terms", None) for rate_fn in fns]
         tabled = [c for c, law in enumerate(laws) if law is not None]
-        self.table = MassActionRows([laws[c] for c in tabled]) if tabled else None
-        column = {c: self.table.columns[j] for j, c in enumerate(tabled)}
+        self.table = MassActionRows([laws[c] for c in tabled], system.dim) if tabled else None
+        column = {c: j for j, c in enumerate(tabled)}
         plan = [(column.get(c), rate_fn) for c, rate_fn in enumerate(fns)]
         self.flows = [(col, rate_fn, vec) for (col, rate_fn), (_, vec)
                       in zip(plan, system.flows)]
@@ -504,7 +500,7 @@ class _Rates:
         state = v if np.minimum.reduce(v, axis=None) >= 0 else _clipped(v, abs_tol, errors)
         tabled = finite = None
         if self.table is not None:
-            tabled = self.table(state)
+            tabled = self.table.of(state)
             finite = math.isfinite(np.add.reduce(tabled, axis=None))
         out = np.zeros(y.shape)
         drift, hazard = out[:, :dim], out[:, dim]

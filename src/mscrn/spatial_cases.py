@@ -86,7 +86,7 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
                 out += totals_factor(pi_arr, terms, s, d, spatial_model.rate_law(k, d).kappa)
             return out
 
-        return AveragedRate(k, "analytic", fn=fn, se=lambda s: 0.0)
+        return AveragedRate(k, "analytic", fn=fn, se=lambda s: 0.0, dim=network.n_species)
 
     if mode == "analytic":
         raise AnalyticUnavailable(f"reaction {k} has an expression law")
@@ -101,7 +101,7 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
                                    for d in range(spatial_model.n_compartments)), 0.0),
             mc.seed, 4096)
 
-    return memoized_rate(k, "montecarlo", evaluate)
+    return memoized_rate(k, "montecarlo", evaluate, network.n_species)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,8 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
             lambda v_slow: fast_average(ctx.positions_form(species_indexed(v_slow)), values),
             mc.seed + 7, 2048)
 
-    return memoized_rate(k, kind, evaluate)
+    return memoized_rate(k, kind, evaluate,
+                         n_slow + (0 if basis is None else len(basis.vectors)))
 
 
 def _case34_conserved(ctx: _SpatialContext, slow_factor, basis: ConservedBasis, s_c):

@@ -35,7 +35,8 @@ An ensemble of ``LOCKSTEP_REPLICAS`` or more replicas of a model whose
 channels are all mass-action or movement runs in lockstep instead
 (:func:`_lockstep`): the raw counts of every live replica are the rows
 of one array, and each numpy step advances every replica by one event,
-recomputing all propensities from one table of prefactors and factors.
+recomputing all propensities from the channels' row forms through one
+:class:`model.MassActionRows`, the closures' arithmetic over arrays.
 Each replica still draws its own stream in the same order, so the
 ensemble statistics equal those of the replica-by-replica loop bit for
 bit. Below the threshold the per-event numpy overhead costs more than
@@ -55,7 +56,7 @@ import numpy as np
 from . import expressions
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, RateEvaluationError
-from .model import (MassAction, Model, Network, ScalingSpec, SpatialModel,
+from .model import (MassAction, MassActionRows, Model, Network, ScalingSpec, SpatialModel,
                     State, check_state, expression_rate, mass_action_rate)
 
 
@@ -135,8 +136,9 @@ class _Channel:
     the flat indices it reads, and its integer state delta. A
     mass-action or movement channel also keeps its row form,
     ``prefactor`` and ``terms`` (see :func:`model.mass_action_rate`),
-    from which both the scalar closure and the lockstep table are built;
-    both are None for an expression law."""
+    from which both the scalar closure and the lockstep's
+    :class:`model.MassActionRows` are built; both are None for an
+    expression law."""
 
     __slots__ = ("kind", "ident", "propensity", "reads", "delta", "prefactor", "terms")
 
@@ -234,8 +236,14 @@ class _Compiled:
     ``BLOCKED_CHANNELS`` channels takes the blocked pass, with
     ``blocks = (size, dirty)``: the channels in their order cut into
     blocks of ``size`` = ceil(sqrt(channels)), and ``dirty[c]`` the
-    blocks that hold a dependent of c. Its lockstep table is padded
-    with zero channels to a whole number of blocks.
+    blocks that hold a dependent of c.
+
+    When every channel has a row form, ``table`` evaluates them over the
+    rows of the lockstep, and row c of ``delta`` is channel c's state
+    change, with a last zero column for the ones column of the rows.
+    Under the blocked pass both are padded with channels of propensity
+    zero that change nothing, up to a whole number of blocks. Otherwise
+    ``table`` is None.
     """
 
     def __init__(self, model: Model, scaling: ScalingSpec, N: float):
@@ -259,67 +267,15 @@ class _Compiled:
             self.blocks = (size, [tuple(sorted({j // size for j in deps}))
                                   for deps in self.dependents])
             columns = -(-len(channels) // size) * size
-        lockstep = channels and all(
-            c.terms is not None and all(discrete or n <= 2 for _, n, discrete in c.terms)
-            for c in channels)
-        self.table = _Table(channels, dim, columns) if lockstep else None
-
-
-class _Table:
-    """The mass-action and movement channels as arrays over a batch of
-    raw states, one row per replica, with a last column of ones.
-
-    Each channel's row form expands into factor slots: a discrete term
-    of order n into the n factors ``max(x - j, 0)``, zero below the
-    order of the falling factorial and the same value above it, and a
-    continuous term into ``x``, or ``x * x`` for a square, the one
-    rounding of the exact square that the scalar closure takes; higher
-    continuous powers would round twice, so a model with one has no
-    table. Factor slot s of channel c sits at ``s * columns + c`` of
-    ``index``, ``shift`` and ``floor``; a channel with fewer factors is
-    padded with the ones column, and multiplying by 1.0 is exact. Each
-    propensity is the prefactor times its factors in order, as in
-    :func:`model.mass_action_rate`. Row c of ``delta`` is channel c's
-    state change. ``shift`` and ``square`` are None where they would
-    change nothing. Columns past the last channel, up to ``columns``,
-    are channels of propensity zero that change nothing.
-    """
-
-    def __init__(self, channels: list[_Channel], dim: int, columns: int):
-        # (index, shift, floored, squared) of each factor, channel by channel
-        factors = [[slot for idx, n, discrete in c.terms
-                    for slot in ([(idx, j, True, False) for j in range(n)] if discrete
-                                 else [(idx, 0, False, n == 2)])]
-                   for c in channels] + [[]] * (columns - len(channels))
-        one = (dim, 0, False, False)
-        self.width = max(1, max(map(len, factors)))
-        flat = [f[s] if s < len(f) else one for s in range(self.width) for f in factors]
-        self.prefactor = np.zeros(columns)
-        self.prefactor[:len(channels)] = [c.prefactor for c in channels]
-        self.index = np.array([idx for idx, _, _, _ in flat], dtype=np.intp)
-        shift = np.array([shift for _, shift, _, _ in flat], dtype=float)
-        self.shift = shift if shift.any() else None
-        self.floor = np.array([0.0 if floor else -np.inf for _, _, floor, _ in flat])
-        square = np.array([squared for _, _, _, squared in flat])
-        self.square = square if square.any() else None
-        self.delta = np.zeros((columns, dim + 1))
-        for c, channel in enumerate(channels):
-            for idx, change in channel.delta:
-                self.delta[c, idx] = change
-
-    def propensities(self, x: np.ndarray) -> np.ndarray:
-        """(rows, channels) propensities of the raw states ``x``."""
-        factors = x[:, self.index]
-        if self.shift is not None:
-            factors -= self.shift
-        np.maximum(factors, self.floor, out=factors)
-        if self.square is not None:
-            factors = np.where(self.square, factors * factors, factors)
-        factors = factors.reshape(len(x), self.width, -1)
-        prop = self.prefactor * factors[:, 0]
-        for s in range(1, self.width):
-            prop *= factors[:, s]
-        return prop
+        self.table = None
+        if channels and all(c.terms is not None for c in channels):
+            padding = [(0.0, ())] * (columns - len(channels))
+            self.table = MassActionRows([(c.prefactor, c.terms) for c in channels] + padding,
+                                        dim)
+            self.delta = np.zeros((columns, dim + 1))
+            for c, channel in enumerate(channels):
+                for idx, change in channel.delta:
+                    self.delta[c, idx] = change
 
 
 def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: float,
@@ -442,6 +398,17 @@ def checked_grid(record, t_end: float) -> np.ndarray:
     return grid
 
 
+def record_mode(record, t_end: float) -> tuple[np.ndarray | None, bool]:
+    """``record`` as ``(grid, event_mode)``: ``'events'`` asks for an
+    event log, None for no grid, and anything else is a sample grid
+    checked by :func:`checked_grid`; another string raises ModelError."""
+    if isinstance(record, str):
+        if record != "events":
+            raise ModelError(f"unknown record mode {record!r}")
+        return None, True
+    return (None if record is None else checked_grid(record, t_end)), False
+
+
 def ensemble_grid(grid, replicas: int, t_end: float) -> np.ndarray:
     """The checked sample grid of an ensemble run; an ensemble needs at
     least one replica and one sample time."""
@@ -489,15 +456,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     alpha_pow = config.N ** np.array([float(a) for a in network.alphas])
     divisor = alpha_pow[:, None] if nd > 1 else alpha_pow
 
-    grid = None
-    event_mode = False
-    if isinstance(config.record, str):
-        if config.record != "events":
-            raise ModelError(f"unknown record mode {config.record!r}")
-        event_mode = True
-    elif config.record is not None:
-        grid = checked_grid(config.record, config.t_end)
-
+    grid, event_mode = record_mode(config.record, config.t_end)
     times = []
     states = []
     log = [] if event_mode else None
@@ -621,21 +580,21 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     The raw counts of the live replicas are the rows of one array, and
     each pass of the loop advances every live replica by one
     direct-method event: the propensities of all rows at once from
-    ``compiled.table``, the left-to-right cumulative sum per row
-    (``cumsum`` adds in sequence, like ``accumulate``), the waiting
-    time, and the channel choice, the number of partial sums but the
-    last that are <= u * total (``bisect_right`` clamped to the last
-    channel; the partial sums do not decrease). A model with
-    ``compiled.blocks`` makes the same sums and choice as the blocked
-    pass: its table, padded with zero channels to whole blocks, is
-    reshaped to (rows, blocks, size), summed by ``cumsum`` within each
-    block and then over the block sums, and :func:`_choose_in_blocks`
-    picks the channel. Live replicas have all
-    made the same number of events k, so event k takes uniforms 2k and
-    2k + 1 of each replica's ``SeedSequence([seed, r])`` stream; they
-    are drawn ``_CHUNK`` at a time per replica, and the exponentials
-    come from ``math.log``, whose rounding ``np.log`` does not always
-    share. A replica leaves the batch when its next event falls past
+    ``compiled.table`` (the array's last column is the ones it reads),
+    the left-to-right cumulative sum per row (``cumsum`` adds in
+    sequence, like ``accumulate``), the waiting time, and the channel
+    choice, the number of partial sums but the last that are <= u *
+    total (``bisect_right`` clamped to the last channel; the partial
+    sums do not decrease). A model with ``compiled.blocks`` makes the
+    same sums and choice as the blocked pass: its propensities, padded
+    with zero channels to whole blocks, are reshaped to (rows, blocks,
+    size), summed by ``cumsum`` within each block and then over the
+    block sums, and :func:`_choose_in_blocks` picks the channel. Live
+    replicas have all made the same number of events k, so event k
+    takes uniforms 2k and 2k + 1 of each replica's ``SeedSequence([seed,
+    r])`` stream; they are drawn ``_CHUNK`` at a time per replica, and
+    the exponentials come from ``math.log``, whose rounding ``np.log``
+    does not always share. A replica leaves the batch when its next event falls past
     ``t_end``. A replica that fails is dropped with every later one,
     and the error raised is that of the lowest-numbered failing
     replica: the one a replica-by-replica run meets first.
@@ -664,7 +623,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     events = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(ids):
-            prop = table.propensities(x)
+            prop = table(x)
             keep = None
             if prop.min() < 0:
                 i = int(np.argmax((prop < 0).any(axis=1)))
@@ -715,7 +674,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 chosen = (cum[:, :-1] <= target[:, None]).sum(axis=1)
             else:
                 chosen = _choose_in_blocks(cum, inner, target, x, table)
-            x += table.delta[chosen]
+            x += compiled.delta[chosen]
             events += 1
             if events >= config.max_events:
                 error = EventCapExceeded(f"exceeded {config.max_events} events "
@@ -743,7 +702,7 @@ def _choose_in_blocks(cum, inner, target, x, table) -> np.ndarray:
     j = (inner[rows, b] <= (target - cum[rows, b])[:, None]).sum(axis=1)
     chosen = b * size + j
     for i in np.flatnonzero(j == size):
-        prop = table.propensities(x[i:i + 1])[0]
+        prop = table(x[i:i + 1])[0]
         c = chosen[i] - 1
         while prop[c] <= 0.0:
             c -= 1
@@ -761,8 +720,7 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     inputs give bit-identical statistics regardless of scheduling. The
     channels and their dependency graph are built once for all replicas.
     From ``LOCKSTEP_REPLICAS`` replicas on, when every channel is
-    mass-action or movement with no continuous power above two, the
-    replicas run in lockstep (:func:`_lockstep`); otherwise one after
+    mass-action or movement, the replicas run in lockstep (:func:`_lockstep`); otherwise one after
     another. Both give the same statistics bit for bit.
     ``observables`` is either a list of observable specs (see
     :func:`observable_weights`) or a precomputed (labels, weights) pair.

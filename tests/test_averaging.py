@@ -503,8 +503,8 @@ def test_occupation_matches_per_visit_dicts():
 
 def test_empirical_mass_action_matches_per_state_loop():
     # the array form of expect_mass_action over stored samples (the row
-    # form, where the law has one) equals the per-state path of expect on
-    # the law of mass_action_rate bit for bit: falling factorials of
+    # evaluator) equals the per-state path of expect on the law of
+    # mass_action_rate bit for bit: falling factorials of
     # discrete variables (zero below the order), powers of continuous
     # ones, empty and uneven batches
     rng = np.random.default_rng(4)
@@ -527,3 +527,14 @@ def test_empirical_mass_action_matches_per_state_loop():
             StationaryMeasure("empirical", states=np.empty((0, len(discrete))),
                               weights=np.empty(0), batch=np.empty(0, dtype=int), ess=0,
                               discrete=discrete).expect_mass_action(1.0, [1] * len(discrete))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("budget", 0), ("budget", -5), ("burn_in_frac", 1.0), ("burn_in_frac", 1.5),
+    ("burn_in_frac", -0.5), ("burn_in_frac", float("nan")), ("n_batches", 0),
+    ("n_batches", 1), ("ess_threshold", -1)])
+def test_mc_config_rejects_bad_values(field, value):
+    # these raised ZeroDivisionError or a misleading NonErgodicSuspected
+    # at the first estimate, or were accepted silently
+    with pytest.raises(ModelError, match=field):
+        McConfig(**{field: value})

@@ -135,6 +135,13 @@ def test_simulate_zero_replicas_exit_2(gene_file, engine, capsys):
     assert "model error" in capsys.readouterr().err
 
 
+def test_bad_mc_config_exit_2(model_file, capsys):
+    assert cli(["avg-rates", model_file, "--var", "A", "--values", "1.0",
+                "--mode", "montecarlo", "--budget", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error") and "budget >= 1" in err
+
+
 @pytest.mark.parametrize("args", [
     ["avg-rates", "--var", "A", "--values", "x"],
     ["avg-rates", "--var", "A", "--values", "1", "--fix", "B"],

@@ -349,7 +349,7 @@ def test_spatial_case1_tier_matches_reference(monkeypatch):
     cl = classify(doc.model, doc.scaling)
     rate = averaged_rate_spatial(cl, 1, 0, mode="montecarlo", mc=McConfig(budget=3000, seed=2))
     for system, v0, mc, discrete in _captured(monkeypatch, lambda: rate([0.6])):
-        assert all(hasattr(rate_fn, "on_list") for rate_fn, _ in system.jumps)
+        assert all(hasattr(rate_fn, "row_terms") for rate_fn, _ in system.jumps)
         assert _assert_same(system, v0, mc, discrete)[0] == "empirical"
 
 
@@ -363,8 +363,8 @@ def test_expression_tier_matches_reference(monkeypatch):
 
     calls = _captured(monkeypatch, evaluate)
     for system, v0, mc, discrete in calls:
-        # the expression law is opaque, the mass-action ones have list forms
-        assert [hasattr(rate_fn, "on_list") for rate_fn, _ in system.jumps] == [
+        # the expression law is opaque, the mass-action ones have row forms
+        assert [hasattr(rate_fn, "row_terms") for rate_fn, _ in system.jumps] == [
             True, False, True]
         assert _assert_same(system, v0, mc, discrete)[0] == "empirical"
 
@@ -384,8 +384,9 @@ def test_three_scale_middle_tier_matches_reference(monkeypatch):
 
 
 def _listed(rate_fn, reads):
-    """``rate_fn`` with a list form that is itself."""
-    rate_fn.on_list = (rate_fn, reads)
+    """``rate_fn`` marked as a rate the chain evaluates on its list state,
+    reading the coordinates ``reads``: a row form whose terms sit there."""
+    rate_fn.row_terms = (1.0, tuple((i, 1, False) for i in reads))
     return rate_fn
 
 

@@ -248,6 +248,16 @@ def test_v0_must_be_finite(bad):
     assert not calls
 
 
+@pytest.mark.parametrize("flows", [False, True])
+def test_unknown_record_mode_raises_model_error(flows):
+    # a misspelt mode was read as a grid and raised numpy's ValueError;
+    # both engines now share one record parser
+    system = HybridSystem(("x",), ((lambda v: 1.0, np.array([1])),),
+                          ((lambda v: 1.0, np.array([1.0])),) if flows else ())
+    with pytest.raises(ModelError, match="unknown record mode 'evnts'"):
+        simulate_pdmp(system, [0.0], 1.0, record="evnts")
+
+
 @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_step", "hazard_tol",
                                    "min_step"])
 def test_ode_config_rejects_nan(field):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from mscrn.averaging import McConfig
+from mscrn.errors import ModelError
 from mscrn.parser import parse_document
 from mscrn.pdmp import simulate_pdmp
 from mscrn.reduce import build_reduced_model, serialize_reduced
+
+import conftest as fx
 
 
 def test_identity_reduction_gene(gene_doc):
@@ -146,3 +149,19 @@ def test_serialize_reduced_deterministic(ab_doc):
     red = build_reduced_model(ab_doc.model, ab_doc.scaling)
     red2 = build_reduced_model(ab_doc.model, ab_doc.scaling)
     assert serialize_reduced(red) == serialize_reduced(red2)
+
+
+@pytest.mark.parametrize("text", [fx.AB_TEXT, fx.CONSERVED_TEXT, fx.SPATIAL_AB_TEXT])
+def test_averaged_rates_check_the_state_length(text):
+    # CONSERVED's rate at [1, 1, 1] against labels ('S', 'c1') returned a
+    # value, and a short state raised numpy's ValueError; the unchecked
+    # function the hybrid kernel calls stays as it was
+    doc = parse_document(text)
+    red = build_reduced_model(doc.model, doc.scaling, mc=McConfig(budget=2000))
+    state = red.initial_state(doc.initial_scaled())
+    for rate in red.rates.values():
+        assert rate(state) == rate.fn(state)
+        for bad in (np.ones(red.dim + 1), np.ones(red.dim - 1)):
+            for call in (rate, rate.standard_error):
+                with pytest.raises(ModelError, match=f"length {red.dim}"):
+                    call(bad)

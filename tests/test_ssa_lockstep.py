@@ -6,8 +6,8 @@ replica count sends the same call through the per-replica loop, the
 reference: mean, variance and every quantile must be equal bit for bit,
 and a failing ensemble must raise the same exception with the same
 message. The propensity arrays are also checked against the scalar
-closures at single states, including counts where a product of floats
-and the exact integer power round differently.
+closures at single states, including counts above 2^53 in a square,
+where every rounding of the product shows.
 """
 
 import math
@@ -43,6 +43,12 @@ species A alpha=1
 species B alpha=0
 reaction 2 A -> A + B @ mass-action kappa=1 beta=0
 reaction A + B -> A @ mass-action kappa=0.5 beta=-1
+"""
+CUBE_TEXT = """\
+species A alpha=1
+species B alpha=0
+reaction 3 A -> 2 A + B @ mass-action kappa=20 beta=0
+reaction B -> 0 @ mass-action kappa=1 beta=0
 """
 
 
@@ -112,20 +118,11 @@ def test_fixture_ensembles_match_per_replica_loop(name, monkeypatch):
 
 
 def test_square_of_large_counts(monkeypatch):
-    doc = parse_document(SQUARE_TEXT)
-    N = 1e8
+    # a continuous power is a product of floats in both paths, cubes too
     x0 = State(np.array([100_000_003.0, 0.0]), scaled=False)
-    config = ssa.SimulationConfig(N=N, t_end=1.0, seed=2, record=np.array(GRID))
-    _compare(doc, config, ssa.LOCKSTEP_REPLICAS + 1, x0, monkeypatch)
-
-
-def test_cubes_stay_on_the_per_replica_loop():
-    # above 2^53 the exact integer cube, rounded once as the scalar
-    # closure takes it, differs from a product of floats
-    x = 100_000_003
-    assert float(x ** 3) != float(x) * float(x) * float(x)
-    doc = parse_document("species A alpha=1\nreaction 3 A -> 2 A @ mass-action kappa=1\n")
-    assert ssa._Compiled(doc.model, doc.scaling, 1e8).table is None
+    config = ssa.SimulationConfig(N=1e8, t_end=1.0, seed=2, record=np.array(GRID))
+    for text in (SQUARE_TEXT, CUBE_TEXT):
+        _compare(parse_document(text), config, ssa.LOCKSTEP_REPLICAS + 1, x0, monkeypatch)
 
 
 def test_table_equals_scalar_propensities():
@@ -136,11 +133,11 @@ def test_table_equals_scalar_propensities():
     for text in list(FIXTURES.values()) + [SQUARE_TEXT]:
         doc = parse_document(text)
         compiled = ssa._Compiled(doc.model, doc.scaling, 1e8)
-        dim = compiled.table.delta.shape[1] - 1
+        dim = compiled.delta.shape[1] - 1
         rows = np.concatenate([gen.integers(-3, 6, size=(200, dim)),
                                gen.integers(10 ** 8 - 5, 10 ** 8 + 5, size=(20, dim))])
         x = np.hstack([rows, np.ones((len(rows), 1))]).astype(float)
-        table = compiled.table.propensities(x)
+        table = compiled.table(x)
         for row, values in zip(rows.tolist(), table):
             for c, propensity in enumerate(compiled.propensities):
                 try:
