@@ -21,13 +21,13 @@ spatial cases 1-4 all use it; the three-scale middle tier runs
 
 A jump-only fast system is time-averaged along one path of
 ``pdmp.JumpChain``: the direct method of the stochastic engine over a
-Python list of the coordinates, where after each jump only the rates
-that read a changed coordinate are recomputed, and none in a state met
-before. Mass-action rates evaluate on the list; expression laws and
-the three-scale middle tier are opaque and are recomputed after every
-jump to a new state. Each visit's duration is added to its state's
-weight as it ends (``_Occupation``), so only each batch's distinct
-states are held.
+Python list of the coordinates, walking a bounded graph of the states
+met, so a jump back into a known state is a channel choice and a
+pointer move. In a new state only the rates that read a changed
+coordinate are recomputed: mass-action rates on the list, expression
+laws and the three-scale middle tier as opaque rates on an array. Each
+visit's duration is added to its state's weight as it ends
+(``_Occupation``), so only each batch's distinct states are held.
 
 Every mass-action law here, from the frozen coefficient of a fast
 reaction to the expectation over an empirical law, is built by

@@ -8,9 +8,11 @@ hazard crosses an Exp(1) threshold, located by false position over the
 step. This avoids thinning bounds, which unbounded rates cannot supply.
 Without flows the rates are constant between jumps, and the exact
 direct method of the stochastic engine (:func:`ssa.direct_method`) runs
-instead, over a Python list state (:class:`JumpChain`): each jump
-refreshes only the rates that read a coordinate it changed. The Monte
-Carlo fast-tier chains of the averaging layer run on the same class.
+instead, over a Python list state (:class:`JumpChain`), walking a
+bounded graph of stored states: a jump along a stored link is a channel
+choice and a pointer move, and one into a new state refreshes only the
+rates that read a coordinate it changed. The Monte Carlo fast-tier
+chains of the averaging layer run on the same class.
 
 Runs with flows go through one kernel (:func:`_run_rows`) that advances
 any number of runs at once, one row each: a single run is one row, an
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -194,37 +197,47 @@ class JumpChain:
     :func:`model.mass_action_rate`) is evaluated on the list, where it
     rounds as on an array, and reads the positions of its terms; any
     other rate is opaque: it is called on the coordinates as an array
-    and reads all of them. After channel c fires only the rates that
-    read a coordinate c changes are refreshed, in channel order: the
-    others are unchanged functions of unchanged values. So a run equals one that refreshes every rate
+    (one per state) and reads all of them. After channel c fires into a
+    new state only the rates that read a coordinate c changes are
+    refreshed, in channel order: the others are unchanged functions of
+    unchanged values. So a run equals one that refreshes every rate
     after every jump. The state starts in the nonnegative orthant; a
     jump that leaves it, or a rate that is negative or not finite,
     raises NegativeRate.
 
-    The rates must be pure functions of the coordinates ``key``, the
-    list ``work`` as a tuple, so ``memo`` maps each state a jump enters
-    to its checked rates, and a jump into a stored state evaluates none;
-    ``misses`` counts those that do. It holds at most ``_MEMO_RATES`` rates.
+    The rates must be pure functions of the coordinates ``key``, so the
+    chain walks a graph of nodes ``(key, rates, cum, links)``: a state,
+    its checked rates, their left-to-right cumulative sums and, per
+    channel, the stored node it leads to (None until it first fires
+    there). ``memo`` maps each state a jump entered to its node, up to
+    ``_MEMO_RATES`` rates; a state met once it is full is not stored and
+    gets the all-None ``unlinked``, so links join stored nodes only. A
+    jump into a stored state evaluates no rate; ``misses`` counts those
+    that do.
     """
 
     def __init__(self, system: HybridSystem, v0):
-        self.work = _checked_state(system, v0).tolist()
-        self.key = tuple(self.work)
-        self.fns, reads = [], []
+        work = _checked_state(system, v0).tolist()
+        self.fns, reads = [], []   # (rate, evaluated on the list)
         for rate_fn, _ in system.jumps:
             law = getattr(rate_fn, "row_terms", None)
-            self.fns.append(rate_fn if law else lambda work, f=rate_fn: f(np.array(work)))
+            self.fns.append((rate_fn, law is not None))
             reads.append({i for i, _, _ in law[1]} if law else set(range(system.dim)))
         self.changes = [[(i, c) for i, c in enumerate(np.asarray(vec).tolist()) if c]
                         for _, vec in system.jumps]
-        self.dependents = [[(j, self.fns[j]) for j, read in enumerate(reads)
+        self.dependents = [[(j, *self.fns[j]) for j, read in enumerate(reads)
                             if any(p in read for p, _ in change)] for change in self.changes]
         self.memo, self.misses = {}, 0
         self.memo_cap = _MEMO_RATES // max(len(self.fns), 1)   # in states
+        self.unlinked = (None,) * len(self.fns)
+        values = np.array(work)   # the rates are checked when a run starts
+        rates = [fn(work if listed else values) for fn, listed in self.fns]
+        self.key = tuple(work)
+        self.node = (self.key, rates, list(accumulate(rates)), self.unlinked)
 
     def rates(self) -> list:
-        """Every rate at the current state, from the memo or evaluated (unchecked)."""
-        return list(self.memo.get(self.key) or [fn(self.work) for fn in self.fns])
+        """Every rate at the current state (unchecked before a run)."""
+        return list(self.node[1])
 
     def run(self, t_end: float, rand: rng_mod.Buffered, grid=None, snapshot=None,
             on_event=None, max_events: int = _MAX_EVENTS) -> list[int]:
@@ -233,40 +246,61 @@ class JumpChain:
         :func:`ssa.direct_method`; returns the events per channel. The
         chain then holds the final state, from which a later run goes on."""
         check_t_end(t_end)
-        work, changes, dependents = self.work, self.changes, self.dependents
-        memo, cap = self.memo, self.memo_cap
-        prop = self.rates()
-        for j, r in enumerate(prop):
+        changes, dependents, memo, cap = self.changes, self.dependents, self.memo, self.memo_cap
+        unlinked = self.unlinked
+        node = prev = self.node
+        for j, r in enumerate(node[1]):
             if not 0.0 <= r < math.inf:
                 raise NegativeRate(f"jump rate {j} evaluated to {r}")
+        work = list(node[0])
 
         def fire(chosen):
+            # off the links, a state not stored leaves node None for refresh
+            nonlocal node, prev
+            prev = node
+            node = prev[3][chosen]
+            if node is not None:
+                self.key = node[0]
+                return
+            work[:] = prev[0]
             # the state is nonnegative, so only a decrease can leave the orthant
             for p, c in changes[chosen]:
                 work[p] += c
                 if c < 0 and work[p] < 0:
                     raise NegativeRate("jump left the nonnegative orthant")
-            self.key = tuple(work)
+            self.key = key = tuple(work)
+            node = memo.get(key)
+            if node is not None and prev[3] is not unlinked:
+                prev[3][chosen] = node
 
         def refresh(chosen):
-            if (stored := memo.get(self.key)) is not None:
-                prop[:] = stored
-                return
-            # every dependent is evaluated before the first bad rate raises,
-            # so a later rate's own error wins, as in a full refresh
-            bad = None
-            for j, fn in dependents[chosen]:
-                r = prop[j] = fn(work)
-                if not 0.0 <= r < math.inf and bad is None:
-                    bad = j
-            if bad is not None:
-                raise NegativeRate(f"jump rate {bad} evaluated to {prop[bad]}")
-            self.misses += 1
-            if len(memo) < cap:
-                memo[self.key] = prop.copy()
+            nonlocal node
+            if node is None:
+                # every dependent is evaluated before the first bad rate
+                # raises, so a later rate's own error wins, as in a full refresh
+                rates, bad, values = prev[1].copy(), None, None
+                for j, fn, listed in dependents[chosen]:
+                    if not listed and values is None:
+                        values = np.array(work)
+                    r = rates[j] = fn(work if listed else values)
+                    if not 0.0 <= r < math.inf and bad is None:
+                        bad = j
+                if bad is not None:
+                    raise NegativeRate(f"jump rate {bad} evaluated to {rates[bad]}")
+                self.misses += 1
+                key = self.key
+                if len(memo) < cap:
+                    node = memo[key] = (key, rates, list(accumulate(rates)), [None] * len(rates))
+                    if prev[3] is not unlinked:
+                        prev[3][chosen] = node
+                else:
+                    node = (key, rates, list(accumulate(rates)), unlinked)
+            return node[2]
 
-        return direct_method(prop, fire, refresh, rand, t_end, grid, snapshot, on_event,
-                             max_events)
+        counts = direct_method(node[2], fire, refresh, rand, t_end, grid, snapshot, on_event,
+                               max_events)
+        self.node = node
+        return counts
 
 
 def _run_rows(system, paths, t_end, draws, cfg, grid, max_events):

@@ -22,14 +22,16 @@ sqrt(channels), each with its own cumulative sum, and an event rebuilds
 only the blocks its dependents sit in, so it reads about sqrt(channels)
 propensities rather than all of them. It chooses the same channel
 sequence as the flat pass, with times equal to rounding.
-:func:`direct_method` is the one event loop of single runs; pure-jump
-hybrid systems (:class:`pdmp.JumpChain`), among them the Monte Carlo
-fast-tier chains, run on it too, always in the flat pass.
+:func:`direct_method` is the one event loop, over a cumulative list
+that ``refresh`` returns after each event: :func:`_simulate` keeps the
+flat and blocked passes, and :class:`pdmp.JumpChain` (pure-jump hybrid
+systems and the Monte Carlo fast-tier chains) its stored lists.
 
 The propensities come from :mod:`model`'s builders over raw counts:
 :func:`model.mass_action_rate` with the powers of N in the prefactor,
-:func:`model.expression_rate` with readers that scale the counts. The
-engine checks that every propensity it reads is nonnegative.
+:func:`model.expression_rate` with readers that scale the counts; an
+expression law is 0 while a discrete reactant has fewer molecules than
+its order. The engine checks that every propensity it reads is nonnegative.
 
 An ensemble of ``LOCKSTEP_REPLICAS`` or more replicas of a model whose
 channels are all mass-action or movement runs in lockstep instead
@@ -68,7 +70,7 @@ LOCKSTEP_REPLICAS = 8
 # Uniforms drawn per replica at a time in the lockstep (two per event).
 _CHUNK = 128
 # A spatial model of at least this many channels takes the blocked pass
-# of direct_method; below it the flat pass is faster. Measured with
+# of _simulate; below it the flat pass is faster. Measured with
 # simulate_spatial at N = 100 on a 2-CPU Xeon, best of 9-15 runs per
 # pass: on AB rings (7 channels per compartment) the blocked pass took
 # 1.02-1.15x the flat pass's time per event at 42-70 channels,
@@ -199,12 +201,16 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Cha
                     at, factor = flat(index[name], d), scale[index[name]]
                     return lambda x: factor * x[at]
 
-                reads = tuple(sorted(flat(index[name], d)
-                                     for name in expressions.variables(law.ast)
-                                     if name in index))
-                channels.append(_Channel("reaction", ident, reads, delta,
-                                         propensity=expression_rate(law.ast, reader,
-                                                                    time_factor)))
+                # closed, as mass action is, while a discrete reactant
+                # has fewer molecules than its order
+                needs = tuple((flat(i, d), n) for i, n in reaction.reactants if alphas[i] == 0)
+                reads = tuple(sorted({flat(index[name], d)
+                                      for name in expressions.variables(law.ast)
+                                      if name in index} | {idx for idx, _ in needs}))
+                rate = expression_rate(law.ast, reader, time_factor)
+                channels.append(_Channel("reaction", ident, reads, delta, propensity=(
+                    (lambda x, rate=rate, needs=needs:
+                     rate(x) if all(x[i] >= n for i, n in needs) else 0.0) if needs else rate)))
 
     if spatial:
         for i, s in enumerate(network.species):
@@ -232,7 +238,7 @@ class _Compiled:
     ``dependents[c]`` lists, in channel order, the channels whose read
     set meets the state change of channel c: the only propensities an
     event of c can move. ``blocks`` is None for the flat pass of
-    :func:`direct_method`; a spatial model of at least
+    :func:`_simulate`; a spatial model of at least
     ``BLOCKED_CHANNELS`` channels takes the blocked pass, with
     ``blocks = (size, dirty)``: the channels in their order cut into
     blocks of ``size`` = ceil(sqrt(channels)), and ``dirty[c]`` the
@@ -278,50 +284,45 @@ class _Compiled:
                     self.delta[c, idx] = change
 
 
-def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: float,
-                  grid, snapshot, on_event, max_events: int, blocks=None) -> list[int]:
+def direct_method(cum: list, fire, refresh, rand: rng_mod.Buffered, t_end: float,
+                  grid, snapshot, on_event, max_events: int, pick=None,
+                  channels: int | None = None) -> list[int]:
     """The direct-method event loop (Gillespie 1977) from t = 0 to
     ``t_end``; returns the number of events per channel.
 
-    ``prop`` holds every channel's current propensity (nonnegative).
-    Each event draws an exponential waiting time at the total rate and a
-    uniform channel choice. After channel c is chosen, ``fire(c)``
-    applies its state change; once the event is counted and, when
-    ``on_event`` is given, reported as ``on_event(t, c)``, ``refresh(c)``
-    rewrites the entries of ``prop`` the change can move. ``snapshot(t)``
-    records the state at each ``grid`` time passed. Raises
-    EventCapExceeded at ``max_events`` events.
+    ``cum`` is a left-to-right cumulative sum of the current propensities
+    (nonnegative), whose last entry is the total rate. Each event draws
+    an exponential waiting time at the total rate and a target uniform in
+    [0, total). With ``pick`` None the entries of ``cum`` are the
+    channels' and the chosen channel is the first whose partial sum
+    exceeds the target (``bisect_right``, clamped to the last channel);
+    otherwise ``pick(cum, target)`` chooses it among ``channels``
+    channels. ``fire(c)`` applies the chosen channel's state change;
+    once the event is counted and, when ``on_event`` is given, reported
+    as ``on_event(t, c)``, ``refresh(c)`` returns the cumulative list of
+    the new state. The loop never writes to a list it is given.
+    ``snapshot(t)`` records the state at each ``grid`` time passed.
+    Raises EventCapExceeded at ``max_events`` events.
 
-    With ``blocks`` None (the flat pass) the total and the choice come
-    from the left-to-right cumulative sum of ``prop``, so the output
-    equals a full recompute bit for bit. With ``blocks = (size, dirty)``
-    (the blocked pass; see :class:`_Compiled`) each block of ``size``
-    channels keeps its own left-to-right cumulative sum, rebuilt only
-    when ``dirty[c]`` names it after an event of c; the total is the
-    left-to-right sum of the block sums, the block is chosen from their
-    cumulative sum and the channel from the residual inside it. That is
-    the channel sequence of the flat pass, with times equal to rounding.
-    A residual that rounds up to its block's sum takes the block's last
-    channel of positive propensity.
+    The uniforms come from one iterator over ``rand`` (see
+    :class:`rng.Buffered`), in the order of ``rand.exponential()`` then
+    ``rand.uniform()`` per event.
     """
-    last = len(prop) - 1
-    counts = [0] * len(prop)
+    last = len(cum) - 1
+    counts = [0] * (len(cum) if channels is None else channels)
     grid = [] if grid is None else np.asarray(grid, dtype=float).tolist()
     n_grid = len(grid)
     grid_pos = 0
     n_events = 0
     t = 0.0
-    if blocks is not None:
-        size, dirty = blocks
-        cums = [list(accumulate(prop[lo:lo + size])) for lo in range(0, len(prop), size)]
-        sums = [inner[-1] for inner in cums]
-        last_block = len(cums) - 1
-    while prop:
-        cum = list(accumulate(prop if blocks is None else sums))
+    uniform = iter(rand).__next__
+    log = math.log
+    while cum:
         total = cum[-1]
         if total <= 0.0:
             break
-        t_next = t + rand.exponential() / total
+        # 1 - U lies in (0, 1], so the log is finite
+        t_next = t - log(1.0 - uniform()) / total
         if t_next > t_end:
             break
         # record grid points passed before this event fires
@@ -329,18 +330,8 @@ def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: floa
             snapshot(grid[grid_pos])
             grid_pos += 1
         t = t_next
-        target = rand.uniform() * total
-        if blocks is None:
-            chosen = bisect_right(cum, target, 0, last)
-        else:
-            b = bisect_right(cum, target, 0, last_block)
-            inner = cums[b]
-            j = bisect_right(inner, target - cum[b - 1] if b else target)
-            chosen = b * size + j
-            if j == len(inner):
-                chosen -= 1
-                while prop[chosen] <= 0.0:
-                    chosen -= 1
+        target = uniform() * total
+        chosen = bisect_right(cum, target, 0, last) if pick is None else pick(cum, target)
         fire(chosen)
         counts[chosen] += 1
         n_events += 1
@@ -348,12 +339,7 @@ def direct_method(prop: list, fire, refresh, rand: rng_mod.Buffered, t_end: floa
             on_event(t, chosen)
         if n_events >= max_events:
             raise EventCapExceeded(f"exceeded {max_events} events at t={t}")
-        refresh(chosen)
-        if blocks is not None:
-            for b in dirty[chosen]:
-                lo = b * size
-                inner = cums[b] = list(accumulate(prop[lo:lo + size]))
-                sums[b] = inner[-1]
+        cum = refresh(chosen)
     while grid_pos < n_grid:
         snapshot(grid[grid_pos])
         grid_pos += 1
@@ -484,15 +470,42 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
         for idx, change in deltas[c]:
             x[idx] += change
 
+    pick, dirty, sums = None, [()] * len(prop), prop   # the flat pass
+    if compiled.blocks is not None:
+        # the blocked pass: each block keeps its own cumulative sum, rebuilt
+        # when it holds a dependent of c; the loop gets that of the block sums
+        size, dirty = compiled.blocks
+        cums = [list(accumulate(prop[lo:lo + size])) for lo in range(0, len(prop), size)]
+        sums = [inner[-1] for inner in cums]
+        last_block = len(cums) - 1
+
+        def pick(cum, target):
+            # the flat pass's channel; a residual that rounds up to its
+            # block's sum takes the block's last channel of positive propensity
+            b = bisect_right(cum, target, 0, last_block)
+            inner = cums[b]
+            j = bisect_right(inner, target - cum[b - 1] if b else target)
+            chosen = b * size + j
+            if j == len(inner):
+                chosen -= 1
+                while prop[chosen] <= 0.0:
+                    chosen -= 1
+            return chosen
+
     def refresh(c):
         for j in dependents[c]:
             value = prop[j] = propensities[j](x)
             if value < 0:
                 raise RateEvaluationError(f"negative mass-action propensity {value}")
+        for b in dirty[c]:
+            lo = b * size
+            inner = cums[b] = list(accumulate(prop[lo:lo + size]))
+            sums[b] = inner[-1]
+        return list(accumulate(sums))
 
     on_event = None if log is None else log_events(snapshot, log)
-    counts = direct_method(prop, fire, refresh, rand, config.t_end, grid, snapshot, on_event,
-                           config.max_events, compiled.blocks)
+    counts = direct_method(list(accumulate(sums)), fire, refresh, rand, config.t_end, grid,
+                           snapshot, on_event, config.max_events, pick, len(prop))
 
     return Trajectory(times=np.array(times),
                       states=np.array(states),
@@ -686,7 +699,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
 
 
 def _choose_in_blocks(cum, inner, target, x, table) -> np.ndarray:
-    """The channels the blocked pass of :func:`direct_method` chooses
+    """The channels the blocked pass of :func:`_simulate` chooses
     for the rows of ``target``, from the cumulative block sums after a
     leading zero, ``cum``, and the (rows, blocks, size) cumulative sums
     within each block, ``inner``. The block is the number of block

@@ -16,10 +16,12 @@ budget below the ESS threshold, and failing rates and jumps. Every
 Monte Carlo fast tier, nonspatial or spatial, gets its system from the
 one builder, ``averaging.fast_tier_system``.
 
-The chain's per-state rate memo is checked on its own: with no room to
-store a rate, every fast tier above gives the same estimate bit for bit;
-a path through more states than the memo holds fills it to its cap and
-no further; hits and misses add up to the refreshed jumps.
+The chain's graph of stored states is checked on its own: with no room
+to store a rate, every fast tier above gives the same estimate bit for
+bit; a path through more states than the memo holds fills it to its cap
+and no further, links stored states only, along their own channels, and
+misses exactly where a replay of the path says; hits and misses add up
+to the refreshed jumps.
 """
 
 import math
@@ -584,3 +586,62 @@ def test_memo_hits_and_misses_count_the_refreshed_events():
     assert hits + chain.misses == len(keys)
     assert chain.misses == len(seen)
     assert len(calls) == 2 + chain.misses
+
+
+# ---------------------------------------------------------------------------
+# the transition graph of stored states
+
+
+def _birth_death():
+    """x -> x + 1 at rate 2 and x -> x - 1 at rate x: a path that keeps
+    coming back to a handful of states."""
+    return HybridSystem(("x",), ((_listed(lambda v: 2.0, []), np.array([1])),
+                                 (_listed(lambda v: v[0], [0]), np.array([-1]))), ())
+
+
+def test_graph_with_fewer_stored_states_than_visited_changes_no_output(monkeypatch):
+    # room for 3 of the about 10 states the path visits: the estimate
+    # equals the one of a chain that stores nothing, bit for bit, and the
+    # one with the default room
+    system, mc = _birth_death(), McConfig(budget=4000, seed=6)
+    runs = {}
+    for room in (6, 0, pdmp._MEMO_RATES):
+        monkeypatch.setattr(pdmp, "_MEMO_RATES", room)
+        runs[room] = _summary(_empirical_from_jump_paths(system, [0.0], mc, [True]))
+    assert runs[6] == runs[0] == runs[pdmp._MEMO_RATES]
+    assert len(set(map(tuple, runs[0][2]))) > 6
+
+
+def test_graph_holds_its_cap_links_stored_states_and_counts_its_misses(monkeypatch):
+    # the graph stores the first 3 states jumps enter, links only stored
+    # states along their own channels, and misses on every jump into a
+    # state it did not store when the jump came, as a replay of the path
+    # counts them
+    monkeypatch.setattr(pdmp, "_MEMO_RATES", 6)
+    system = _birth_death()
+    chain = JumpChain(system, [0.0])
+    keys = []
+    counts = chain.run(60.0, rng_mod.Buffered(rng_mod.stream(8)),
+                       on_event=lambda t, c: keys.append(chain.key))
+    assert chain.memo_cap == 3 and len(chain.memo) == 3 and len(set(keys)) > 6
+    stored, misses = set(), 0
+    for key in keys:
+        if key not in stored:
+            misses += 1
+            if len(stored) < chain.memo_cap:
+                stored.add(key)
+    assert chain.misses == misses and set(chain.memo) == stored
+    linked = 0
+    for key, (own_key, rates, cum, links) in chain.memo.items():
+        assert own_key == key and cum == list(accumulate(rates))
+        for c, target in enumerate(links):
+            if target is not None:
+                linked += 1
+                assert chain.memo[target[0]] is target
+                assert target[0] == (key[0] + system.jumps[c][1][0],)
+    assert linked >= 3
+    # the same path on a chain that stores nothing
+    monkeypatch.setattr(pdmp, "_MEMO_RATES", 0)
+    bare = JumpChain(system, [0.0])
+    assert bare.run(60.0, rng_mod.Buffered(rng_mod.stream(8))) == counts
+    assert bare.key == chain.key and bare.misses == len(keys) and not bare.memo

@@ -323,3 +323,24 @@ def test_negative_mass_action_propensity_raises():
     cfg = SimulationConfig(N=2, t_end=10.0, seed=0)
     with pytest.raises(RateEvaluationError, match="negative mass-action"):
         simulate(model, scaling, cfg, State(np.array([1.0, 0.0])))
+
+
+def test_expression_law_stops_when_its_discrete_reactant_runs_out():
+    # A -> 0 at the constant expression rate 1 consumes the discrete A:
+    # the channel closes at A = 0 instead of drawing A below zero
+    model, scaling = parse_model("species A alpha=0\nreaction A -> 0 @ expr 1 beta=0\n")
+    cfg = SimulationConfig(N=10, t_end=5.0, seed=0, record=[1.0, 3.0, 5.0])
+    traj = simulate(model, scaling, cfg, State(np.array([2.0])))
+    assert traj.states[:, 0].tolist() == [2.0, 0.0, 0.0]
+    assert traj.event_counts.tolist() == [2]
+    # an order-2 law reopens when births bring A back to 2: its channel
+    # reads A although the law does not, and fires only at A >= 2
+    model, scaling = parse_model("species A alpha=0\n"
+                                 "reaction 0 -> A @ mass-action kappa=1 beta=0\n"
+                                 "reaction A + A -> 0 @ expr 5 beta=0\n")
+    cfg = SimulationConfig(N=1, t_end=20.0, seed=3, record="events")
+    traj = simulate(model, scaling, cfg, State(np.array([0.0])))
+    before = traj.states[:-1, 0]
+    chosen = np.array([c for _, c in traj.event_log])
+    assert traj.event_counts[1] >= 5
+    assert before[chosen == 1].min() >= 2 and traj.states.min() >= 0

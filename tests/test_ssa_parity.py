@@ -5,7 +5,7 @@ full-recompute reference on random spatial networks.
 
 Every fixture with an initial state, a generated ring of eight
 compartments, a spatial model with expression laws and one whose
-expression law draws a count below zero run at N = 10 and
+expression law consumes a discrete species run at N = 10 and
 100 and seeds 0-2 with ``record="events"``; the SHA-256 digests of
 ``times``, ``states``, ``event_counts`` and ``event_log`` must match
 bit for bit (a run that hits the event cap records its exception). The
@@ -72,9 +72,8 @@ init A @ d1 1
 init C @ d2 2
 """
 
-# A discrete species drawn below zero: the expression law fires whatever
-# the count, and once A is negative its moves and the unit-order
-# reaction reading it have propensity zero.
+# An expression law consuming a discrete species: its channel closes
+# when A runs out in its compartment, so A is never drawn below zero.
 OVERDRAW_TEXT = """\
 species A alpha=0 eta=1/2
 species B alpha=0 eta=1/2
@@ -207,8 +206,9 @@ def _reference(model, scaling, config, x0, rng, log):
     """The direct method recomputing every propensity at every event,
     written from the model independently of the engine's channels; each
     (time, channel) pair is appended to ``log``. A discrete count below
-    a term's order gives zero (movement included), and a negative
-    propensity raises."""
+    a term's order gives zero (movement included), an expression law
+    whose discrete reactant has fewer molecules than its order gives
+    zero, and a negative propensity raises."""
     network, nd, N = model.network, model.n_compartments, config.N
     scale = N ** np.array([float(a) for a in network.alphas])
     x = np.rint(x0.counts * scale[:, None])
@@ -226,7 +226,9 @@ def _reference(model, scaling, config, x0, rng, log):
                             else math.prod(max(x[i, d] - j, 0.0) for j in range(n))
                     return out
             else:
-                def rate(x, d=d, time=time, ast=law.ast):
+                def rate(x, d=d, time=time, ast=law.ast, reactants=reaction.reactants):
+                    if any(network.alphas[i] == 0 and x[i, d] < n for i, n in reactants):
+                        return 0.0
                     env = {s.name: float(x[i, d] / scale[i])
                            for i, s in enumerate(network.species)}
                     return time * expressions.evaluate(ast, env)
@@ -314,8 +316,8 @@ def test_matches_full_recompute_on_random_spatial_networks():
             return SimulationConfig(N=N, t_end=t_end, seed=seed, record="events",
                                     max_events=3000)
 
-        # expression laws fire at zero reactants, so counts can go below
-        # zero and a later rate can raise: then both raise the same error,
+        # expression laws can draw a continuous count below zero, and a
+        # later rate can then raise: both raise the same error,
         # and the engine run to just before the reference's last event
         # reproduces the reference's log up to there
         want = []
