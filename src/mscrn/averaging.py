@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -1176,10 +1176,11 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
 
     The fastest tier is averaged first, given frozen middle and slow
     coordinates, by :func:`stationary_fast` under ``mode`` (its Monte
-    Carlo runs at a tenth of the budget); the result is then averaged
-    over the stationary law of the middle tier, estimated by
-    :func:`montecarlo_measure` along the middle path with the inner rates
-    plugged in. Standard errors from the two levels combine in
+    Carlo runs at a tenth of the budget, at least 2000, with its own seed
+    and ESS threshold and the caller's other settings); the result is
+    then averaged over the stationary law of the middle tier, estimated
+    by :func:`montecarlo_measure` along the middle path with the inner
+    rates plugged in. Standard errors from the two levels combine in
     quadrature. A middle tier that is empty degenerates to the two-scale
     computation, and a rate touching neither faster tier passes through
     unchanged.
@@ -1203,8 +1204,8 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
     if not (touches & set(fast_rows)) and not (touches & set(middle_rows)):
         return _identity_rate(network, k, frozen_of, len(classification.slow.rows))
 
-    inner_mc = McConfig(budget=max(mc.budget // 10, 2000), burn_in_frac=mc.burn_in_frac,
-                        seed=mc.seed + 13, ess_threshold=min(mc.ess_threshold, 50))
+    inner_mc = replace(mc, budget=max(mc.budget // 10, 2000), seed=mc.seed + 13,
+                       ess_threshold=min(mc.ess_threshold, 50))
     inner = StateMemo(lambda frozen: stationary_fast(classification, frozen, mode=mode,
                                                      mc=inner_mc))
     middle_discrete = [network.species[i].alpha == 0 for i in middle_rows]

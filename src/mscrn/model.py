@@ -240,7 +240,7 @@ class SpatialModel:
             raise ValidationError("rate law table must be reactions x compartments")
         for k, row in enumerate(rate_laws):
             if all(isinstance(law, MassAction) and law.kappa == 0.0 for law in row):
-                raise ValidationError(f"reaction {k} has zero rate in every compartment")
+                raise ValidationError(f"reaction {k + 1} has zero rate in every compartment")
         self.rate_laws = tuple(tuple(row) for row in rate_laws)
         if movement is None:
             movement = np.zeros((network.n_species, nd, nd))

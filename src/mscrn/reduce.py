@@ -118,8 +118,7 @@ def build_reduced_model(model: Model, scaling: ScalingSpec | None = None,
                      for k in sorted(classification.k_sets["star"])}
             return _assemble(classification, "identity", rates, None)
         from .spatial_cases import averaged_rate_single_scale
-        rates = {k: averaged_rate_single_scale(model, scaling or ScalingSpec(), k,
-                                               mode=mode, mc=mc)
+        rates = {k: averaged_rate_single_scale(model, k, mode=mode, mc=mc)
                  for k in sorted(classification.k_sets["star"])}
         return _assemble(classification, "single-spatial", rates, None)
 

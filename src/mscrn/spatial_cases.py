@@ -1,9 +1,11 @@
 """Averaged rates for spatial models.
 
 Single-scale: every reaction rate is averaged over the product measure
-of molecule positions given species totals; for mass action this
-collapses to compartment-summed constants times falling factorials of
-the totals.
+of molecule positions given species totals; for mass action this is
+kbar times the law of the totals (falling factorials or powers), with
+kbar the sum over compartments of the local constant times the
+reactants' movement weight ``pi_weight``, on which every spatial
+mass-action rate builds.
 
 Two-scale: the ordering of movement speeds against the fast-reaction
 timescale dictates how the fast stationary law composes with position
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .averaging import (AveragedRate, FastReaction, McConfig, all_movement_equilibria,
@@ -41,64 +45,53 @@ from .averaging import (AveragedRate, FastReaction, McConfig, all_movement_equil
                         split_reactants)
 from .classify import ConservedBasis, ScaleClassification
 from .errors import AnalyticUnavailable, CaseUnavailable, ModelError
-from .model import (MassAction, ScalingSpec, SpatialModel, falling_factorial,
-                    mass_action_rate, scaled_rate_function_spatial)
+from .model import MassAction, SpatialModel, mass_action_rate, scaled_rate_function_spatial
 
 
-def totals_factor(pis, terms, totals, d: int, coeff: float = 1.0) -> float:
-    """``coeff`` times each (species i, multiplicity n, discrete) term of
-    compartment d at movement equilibrium given species totals: a falling
-    factorial of the total times pi^n for discrete species, (pi *
-    total)^n for continuous ones."""
-    for i, n, discrete in terms:
-        if discrete:
-            coeff *= falling_factorial(totals[i], n) * pis[i][d] ** n
-        else:
-            coeff *= (pis[i][d] * totals[i]) ** n
-    return coeff
+def pi_weight(pis, terms, d: int) -> float:
+    """Movement weight of reactant ``terms`` (species i and order n first)
+    in compartment d, the product of pi_{i,d}^n: a mass-action factor
+    averaged over the positions of fixed totals is this times the
+    factor of the totals."""
+    out = 1.0
+    for i, n, *_ in terms:
+        out *= pis[i][d] ** n
+    return out
 
 
-def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec,
-                               k: int, mode: str = "auto",
-                               mc: McConfig | None = None,
-                               equilibria=None) -> AveragedRate:
+def averaged_rate_single_scale(spatial_model: SpatialModel, k: int, mode: str = "auto",
+                               mc: McConfig | None = None) -> AveragedRate:
     """Rate of reaction k averaged over movement equilibrium positions,
     as a function of the vector of species totals.
 
-    Mass action gets the closed form; expression laws are summed exactly
-    over the product-measure support when it is small enough and sampled
-    with a reported standard error otherwise.
+    Mass action gets the closed form ``mass_action_rate(kbar, terms)``,
+    with kbar the sum over compartments of the local constant times the
+    reactants' movement weight; expression laws are summed exactly over
+    the product-measure support when it is small enough and sampled with
+    a reported standard error otherwise.
     """
     mc = mc or McConfig()
     network = spatial_model.network
-    terms = tuple((i, n, network.species[i].alpha == 0)
-                  for i, n in network.reactions[k].reactants)
-    pis = equilibria or all_movement_equilibria(spatial_model)
-    pi_arr = [p.as_floats() for p in pis]
-    mass_action = all(isinstance(spatial_model.rate_law(k, d), MassAction)
-                      for d in range(spatial_model.n_compartments))
+    nd = spatial_model.n_compartments
+    laws = [spatial_model.rate_law(k, d) for d in range(nd)]
+    pis = all_movement_equilibria(spatial_model)
 
-    if mass_action:
-        def fn(s):
-            s = np.asarray(s, dtype=float)
-            out = 0.0
-            for d in range(spatial_model.n_compartments):
-                out += totals_factor(pi_arr, terms, s, d, spatial_model.rate_law(k, d).kappa)
-            return out
-
-        return AveragedRate(k, "analytic", fn=fn, se=lambda s: 0.0, dim=network.n_species)
+    if all(isinstance(law, MassAction) for law in laws):
+        _, terms = split_reactants(network, k, ())   # every reactant is a slow term
+        pi_arr = [p.as_floats() for p in pis]
+        kappa_bar = sum(law.kappa * pi_weight(pi_arr, terms, d) for d, law in enumerate(laws))
+        return AveragedRate(k, "analytic", fn=mass_action_rate(kappa_bar, terms),
+                            se=lambda s: 0.0, dim=network.n_species)
 
     if mode == "analytic":
-        raise AnalyticUnavailable(f"reaction {k} has an expression law")
+        raise AnalyticUnavailable(f"reaction {k + 1} has an expression law")
 
-    compiled = [scaled_rate_function_spatial(spatial_model, k, d)
-                for d in range(spatial_model.n_compartments)]
+    compiled = [scaled_rate_function_spatial(spatial_model, k, d) for d in range(nd)]
 
     def evaluate(s):
         measure = product_measure(spatial_model, s, equilibria=pis)
         return measure.expect(
-            lambda positions: (sum(compiled[d](positions[:, d])
-                                   for d in range(spatial_model.n_compartments)), 0.0),
+            lambda positions: (sum(compiled[d](positions[:, d]) for d in range(nd)), 0.0),
             mc.seed, 4096)
 
     return memoized_rate(k, "montecarlo", evaluate, network.n_species)
@@ -106,6 +99,15 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, scaling: ScalingSpec
 
 # ---------------------------------------------------------------------------
 # two-scale spatial machinery
+
+
+class _SpatialReaction(NamedTuple):
+    """A reaction of the two-scale cases, read once; lists run over compartments."""
+    orders: tuple[int, ...]         # on the fast rows
+    slow_law: object                # mass_action_rate(1.0, slow terms)
+    slow_pi: list[float]            # movement weight of the slow terms
+    kappa: list[float]
+    kappa_fast_pi: list[float]      # kappa times the movement weight of the fast terms
 
 
 @dataclass
@@ -116,7 +118,7 @@ class _SpatialContext:
     pis: list[np.ndarray]           # the same as float arrays
     fast_rows: tuple[int, ...]
     slow_rows: tuple[int, ...]
-    splits: dict                    # reaction -> (fast orders, slow terms)
+    reactions: dict                 # reaction -> _SpatialReaction
 
     @classmethod
     def build(cls, classification: ScaleClassification, ks) -> "_SpatialContext":
@@ -128,61 +130,54 @@ class _SpatialContext:
                 "spatial case formulas cover two chemical timescales only")
         network = model.network
         equilibria = all_movement_equilibria(model)
-        fast_rows = classification.fast.rows
-        ctx = cls(classification, model, equilibria, [eq.as_floats() for eq in equilibria],
-                  fast_rows, classification.slow.rows,
-                  {k: split_reactants(network, k, fast_rows) for k in ks})
-        ctx.require_mass_action(ks)
-        return ctx
-
-    def require_mass_action(self, ks):
-        tiers = set(self.fast_rows) | set(self.slow_rows)
+        pis = [eq.as_floats() for eq in equilibria]
+        fast_rows, slow_rows = classification.fast.rows, classification.slow.rows
+        compartments = range(model.n_compartments)
+        reactions = {}
         for k in ks:
-            for d in range(self.model.n_compartments):
-                if not isinstance(self.model.rate_law(k, d), MassAction):
+            if not all(isinstance(model.rate_law(k, d), MassAction) for d in compartments):
+                raise CaseUnavailable(f"reaction {k + 1}: spatial case averaging of "
+                                      f"expression laws is not supported")
+            for i, _ in network.reactions[k].reactants:
+                if i not in fast_rows and i not in slow_rows:
                     raise CaseUnavailable(
-                        f"reaction {k}: spatial case averaging of expression "
-                        f"laws is not supported")
-            for i, _ in self.model.network.reactions[k].reactants:
-                if i not in tiers:
-                    name = self.model.network.species[i].name
-                    raise CaseUnavailable(
-                        f"reaction {k} consumes {name}, which sits on neither "
-                        f"the fast nor the slow tier")
+                        f"reaction {k + 1} consumes {network.species[i].name}, which "
+                        f"sits on neither the fast nor the slow tier")
+            orders, slow_terms = split_reactants(network, k, fast_rows)
+            fast_terms = [(i, n) for i, n in zip(fast_rows, orders) if n]
+            kappa = [model.rate_law(k, d).kappa for d in compartments]
+            reactions[k] = _SpatialReaction(
+                orders, mass_action_rate(1.0, slow_terms),
+                [pi_weight(pis, slow_terms, d) for d in compartments], kappa,
+                [kappa[d] * pi_weight(pis, fast_terms, d) for d in compartments])
+        return cls(classification, model, equilibria, pis, fast_rows, slow_rows, reactions)
 
-    # -- slow factors: species-indexed totals or positions --------------------
+    # -- slow factors per reaction and compartment, of species-indexed values
 
-    def totals_form(self, totals):
-        """Slow factor averaged over slow positions at species totals."""
-        return lambda k, d: totals_factor(self.pis, self.splits[k][1], totals, d)
+    def totals_form(self, totals) -> dict:
+        """Slow factors averaged over slow positions at species totals."""
+        return {k: [r.slow_law(totals) * w for w in r.slow_pi] for k, r in self.reactions.items()}
 
-    def positions_form(self, positions):
-        """Slow factor at actual positions (species x compartments)."""
-        laws = {k: mass_action_rate(1.0, split[1]) for k, split in self.splits.items()}
-        return lambda k, d: laws[k](positions[:, d])
+    def positions_form(self, positions) -> dict:
+        """Slow factors at actual positions (species x compartments)."""
+        return {k: [r.slow_law(column) for column in positions.T]
+                for k, r in self.reactions.items()}
 
-    def fast_pi_factor(self, k: int, d: int) -> float:
-        out = 1.0
-        for j, n in enumerate(self.splits[k][0]):
-            if n:
-                out *= self.pis[self.fast_rows[j]][d] ** n
-        return out
-
-    def coefficient(self, k: int, slow_factor, d: int | None) -> float:
+    def coefficient(self, k: int, slow_factors: dict, d: int | None) -> float:
         """Rate constant of reaction k seen by the fast variables: summed
-        over compartments with fast-pi factors (d None, cases 1/2), or of
-        compartment d (cases 3/4)."""
+        over compartments with the fast terms' movement weights (d None,
+        cases 1/2), or of compartment d (cases 3/4)."""
+        r = self.reactions[k]
         if d is None:
-            return sum(self.model.rate_law(k, dd).kappa * self.fast_pi_factor(k, dd)
-                       * slow_factor(k, dd) for dd in range(self.model.n_compartments))
-        return self.model.rate_law(k, d).kappa * slow_factor(k, d)
+            return sum(c * f for c, f in zip(r.kappa_fast_pi, slow_factors[k]))
+        return r.kappa[d] * slow_factors[k][d]
 
     # -- the fast tier --------------------------------------------------------
 
-    def structs(self, slow_factor, d: int | None) -> list[FastReaction]:
+    def structs(self, slow_factors: dict, d: int | None) -> list[FastReaction]:
         """The fast reactions at sum level (d None) or in compartment d."""
         fast = self.classification.fast
-        return [FastReaction(k, self.coefficient(k, slow_factor, d), self.splits[k][0],
+        return [FastReaction(k, self.coefficient(k, slow_factors, d), self.reactions[k].orders,
                              tuple(fast.column(k)))
                 for k in sorted(self.classification.k_sets["fast"])]
 
@@ -213,7 +208,7 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
     n_slow = len(ctx.slow_rows)
     n_species = ctx.model.network.n_species
     nd = ctx.model.n_compartments
-    orders_k = ctx.splits[k][0]
+    orders_k = ctx.reactions[k].orders
     sum_level = case in (1, 2)
 
     def species_indexed(slow_values):
@@ -221,29 +216,29 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
         out[list(ctx.slow_rows)] = slow_values
         return out
 
-    kind = rate_kind(classification, ctx.structs(lambda kk, d: 1.0, None if sum_level else 0),
-                     mode, basis)
+    unit = dict.fromkeys(ctx.reactions, [1.0] * nd)
+    kind = rate_kind(classification, ctx.structs(unit, None if sum_level else 0), mode, basis)
     # a rate of kind 'analytic' keeps to the closed form at every state:
     # where it is lost, the evaluation raises as the nonspatial rate does
     law_mode = "analytic" if kind == "analytic" else mode
 
-    def fast_average(slow_factor, values):
+    def fast_average(slow_factors, values):
         """(E, se) of reaction k over the fast stationary law(s) given the
-        slow factor."""
+        slow factors."""
         if sum_level:
-            measure = fast_stationary_law(classification, ctx.structs(slow_factor, None),
+            measure = fast_stationary_law(classification, ctx.structs(slow_factors, None),
                                           law_mode, mc, basis, values)
-            return measure.expect_mass_action(ctx.coefficient(k, slow_factor, None),
+            return measure.expect_mass_action(ctx.coefficient(k, slow_factors, None),
                                               orders_k)
         if basis is None:
-            measures = [fast_stationary_law(classification, ctx.structs(slow_factor, d),
+            measures = [fast_stationary_law(classification, ctx.structs(slow_factors, d),
                                             law_mode, mc) for d in range(nd)]
         else:
-            measures = _case34_conserved(ctx, slow_factor, basis, values)
+            measures = _case34_conserved(ctx, slow_factors, basis, values)
         value = 0.0
         var = 0.0
         for d, measure in enumerate(measures):
-            val, se = measure.expect_mass_action(ctx.coefficient(k, slow_factor, d),
+            val, se = measure.expect_mass_action(ctx.coefficient(k, slow_factors, d),
                                                  orders_k)
             value += val
             var += se ** 2
@@ -264,7 +259,7 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
                          n_slow + (0 if basis is None else len(basis.vectors)))
 
 
-def _case34_conserved(ctx: _SpatialContext, slow_factor, basis: ConservedBasis, s_c):
+def _case34_conserved(ctx: _SpatialContext, slow_factors, basis: ConservedBasis, s_c):
     """Per-compartment fast laws of cases 3/4 with conserved fast combinations.
 
     The per-compartment conserved amounts equilibrate by movement of the
@@ -281,7 +276,7 @@ def _case34_conserved(ctx: _SpatialContext, slow_factor, basis: ConservedBasis, 
 
     def constrained_measure(d, v_c_col):
         try:
-            return fast_stationary_law(ctx.classification, ctx.structs(slow_factor, d),
+            return fast_stationary_law(ctx.classification, ctx.structs(slow_factors, d),
                                        "analytic", conserved=basis, conserved_values=v_c_col)
         except AnalyticUnavailable:
             raise CaseUnavailable(

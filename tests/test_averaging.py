@@ -425,6 +425,27 @@ def test_three_scale_nested(three_scale_doc):
     assert abs(value - 0.75) < 3 * se + 5e-3
 
 
+def test_three_scale_inner_config_keeps_the_callers_settings(three_scale_doc, monkeypatch):
+    # the inner tier runs at its own budget, seed and ESS threshold and
+    # keeps every other field of the caller's McConfig
+    import mscrn.averaging as averaging
+    seen = []
+
+    def spy(classification, frozen, **kwargs):
+        seen.append(kwargs["mc"])
+        return stationary_fast(classification, frozen, **kwargs)
+
+    monkeypatch.setattr(averaging, "stationary_fast", spy)
+    c = classify(three_scale_doc.model, three_scale_doc.scaling)
+    ode = OdeConfig(rel_tol=1e-8)
+    rate = averaged_rate_three_scale(c, 4, mc=McConfig(budget=400, seed=5, n_batches=4, ode=ode))
+    rate([1.0])
+    assert seen
+    for mc in seen:
+        assert (mc.n_batches, mc.ode) == (4, ode)
+        assert (mc.budget, mc.seed, mc.ess_threshold) == (2000, 18, 50)
+
+
 def test_three_scale_rate_only_slow(three_scale_doc):
     # add nothing: use a synthetic reduced call on a rate that ignores
     # the faster tiers entirely

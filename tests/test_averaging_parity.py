@@ -180,7 +180,7 @@ def compute() -> dict:
 
     expr = parse_document(SPATIAL_EXPR_TEXT)
     _record(out, "single_scale.expression",
-            averaged_rate_single_scale(expr.model, expr.scaling, 0, mc=McConfig(seed=17)),
+            averaged_rate_single_scale(expr.model, 0, mc=McConfig(seed=17)),
             ([3.0, 4.0], [1500.0, 1500.0]))
 
     for name, text in FIXTURES.items():

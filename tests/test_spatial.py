@@ -6,13 +6,16 @@ comments: averaged constants for the fast-movement regime, compartment
 sums of local laws for the slow-movement regime.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mscrn.averaging import McConfig, averaged_rate_two_scale, movement_equilibrium
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import AnalyticUnavailable, CaseUnavailable
+from mscrn.errors import AnalyticUnavailable, CaseUnavailable, MscrnError
 from mscrn.parser import parse_document, parse_model
+from mscrn.reduce import build_reduced_model
 from mscrn.spatial_cases import averaged_rate_single_scale, averaged_rate_spatial
 
 import conftest as fx
@@ -183,7 +186,6 @@ def test_three_scale_spatial_unsupported():
             "move M from d1 to d2 rate 1\nmove M from d2 to d1 rate 1\n"
             "move S from d1 to d2 rate 1\nmove S from d2 to d1 rate 1\n")
     doc = parse_document(text)
-    from mscrn.reduce import build_reduced_model
     with pytest.raises(CaseUnavailable):
         build_reduced_model(doc.model, doc.scaling)
 
@@ -194,7 +196,7 @@ def test_avg_kappa_examples(spatial_ab_doc):
     # constant times each reactant's equilibrium probability
     def at_unit_totals(text):
         doc = parse_document(text)
-        rate = averaged_rate_single_scale(doc.model, doc.scaling, 0)
+        rate = averaged_rate_single_scale(doc.model, 0)
         return rate(np.ones(doc.model.network.n_species))
 
     # A + B with both continuous, kappas (1, 2), uniform equilibria:
@@ -223,7 +225,7 @@ def test_single_scale_spatial_three_quarters():
             "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 1\n"
             "move B from d1 to d2 rate 1\nmove B from d2 to d1 rate 1\n")
     doc = parse_document(text)
-    rate = averaged_rate_single_scale(doc.model, doc.scaling, 0)
+    rate = averaged_rate_single_scale(doc.model, 0)
     assert rate([1.0, 1.0]) == pytest.approx(0.75, rel=1e-14)
 
 
@@ -233,7 +235,7 @@ def test_single_scale_spatial_zero_order():
             "reaction A -> 0 @ mass-action kappa=1,1 beta=0\n"
             "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 1\n")
     doc = parse_document(text)
-    rate = averaged_rate_single_scale(doc.model, doc.scaling, 0)
+    rate = averaged_rate_single_scale(doc.model, 0)
     for s in (0.0, 3.0, 10.0):
         assert rate([s]) == pytest.approx(4.0)
 
@@ -243,9 +245,9 @@ def test_single_scale_spatial_homogeneous_gene(spatial_gene_doc):
     # totals, equal the single compartment ones (1, 1, 2, 1)
     model = spatial_gene_doc.model
     for k, want in ((0, 1.0), (1, 1.0), (2, 2.0), (3, 1.0)):
-        rate = averaged_rate_single_scale(model, spatial_gene_doc.scaling, k)
+        rate = averaged_rate_single_scale(model, k)
         assert rate([1.0, 1.0, 1.0]) == pytest.approx(want, rel=1e-14)
-    rate = averaged_rate_single_scale(model, spatial_gene_doc.scaling, 0)
+    rate = averaged_rate_single_scale(model, 0)
     # rate at totals (G, Ga, P) = (1, 0, 2): kappa * s_G * s_P = 2
     assert rate([1.0, 0.0, 2.0]) == pytest.approx(2.0, rel=1e-14)
 
@@ -257,12 +259,78 @@ def test_single_scale_spatial_expression_exact_sum():
             "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 2\n")
     expr_doc = parse_document(base + "reaction A -> 0 @ expr 1.5*A beta=0\n")
     mass_doc = parse_document(base + "reaction A -> 0 @ mass-action kappa=1.5 beta=0\n")
-    r_expr = averaged_rate_single_scale(expr_doc.model, expr_doc.scaling, 0)
-    r_mass = averaged_rate_single_scale(mass_doc.model, mass_doc.scaling, 0)
+    r_expr = averaged_rate_single_scale(expr_doc.model, 0)
+    r_mass = averaged_rate_single_scale(mass_doc.model, 0)
     for s in (1.0, 4.0, 9.0):
         assert r_expr([s]) == pytest.approx(r_mass([s]), rel=1e-12)
     assert r_expr.kind == "montecarlo"   # exact summation path, no closed form
     assert r_expr.standard_error([4.0]) == 0.0
+
+
+@pytest.mark.parametrize("species, mass_action, expr, totals", [
+    # a discrete square, zero below its order
+    ("A", "A + A -> 0 @ mass-action kappa=0.8", "A*(A-1)",
+     ([0.0], [1.0], [2.0], [5.0])),
+    # a discrete by continuous pair
+    ("A C", "A + C -> 0 @ mass-action kappa=0.8", "A*C",
+     ([0.0, 2.5], [1.0, 0.0], [1.0, 1.0], [4.0, 2.5])),
+    # a continuous square
+    ("C", "C + C -> 0 @ mass-action kappa=0.8", "C^2", ([0.0], [0.5], [1.0], [3.5])),
+], ids=["discrete_square", "discrete_continuous", "continuous_square"])
+def test_single_scale_kappa_bar_matches_exact_position_sum(species, mass_action, expr, totals):
+    # kbar times the law of the totals against the exact sum over the
+    # multinomial (discrete) and point-mass (continuous) positions of the
+    # same law written as an expression; A and C sit 2:1 in d1:d2
+    names = species.split()
+    head = "".join(f"species {n} alpha={int(n == 'C')} eta=1\n" for n in names)
+    head += "compartments d1 d2\n"
+    head += "".join(f"move {n} from d1 to d2 rate 1\nmove {n} from d2 to d1 rate 2\n"
+                    for n in names)
+    beta = " beta=0\n"
+    closed = averaged_rate_single_scale(parse_document(head + "reaction " + mass_action + beta)
+                                        .model, 0)
+    law = mass_action.split(" @ ")[0] + " @ expr 0.8*" + expr
+    exact = averaged_rate_single_scale(parse_document(head + "reaction " + law + beta).model, 0)
+    assert closed.kind == "analytic" and exact.kind == "montecarlo"
+    for state in totals:
+        assert exact.standard_error(state) == 0.0   # summed, not sampled
+        assert closed(state) == pytest.approx(exact(state), rel=1e-12, abs=1e-15)
+
+
+def test_single_scale_gene_limit_rates_have_row_forms(spatial_gene_doc):
+    # every single-scale mass-action rate is one mass-action law of the
+    # totals, so the hybrid kernels evaluate it over rows
+    system = build_reduced_model(spatial_gene_doc.model, spatial_gene_doc.scaling).to_hybrid()
+    assert system.jumps or system.flows
+    for fn, _ in system.jumps + system.flows:
+        assert getattr(fn, "row_terms", None) is not None
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("species A alpha=0 eta=1\ncompartments d1 d2\n"
+     "reaction 0 -> A @ mass-action kappa=1,1 beta=0\n"
+     "reaction A -> 0 @ mass-action kappa=0,0 beta=0\n", MscrnError,
+     "reaction 2 has zero rate in every compartment"),
+    ("species A alpha=0 eta=1\ncompartments d1 d2\n"
+     "reaction 0 -> A @ mass-action kappa=1,1 beta=0\n"
+     "reaction A -> 0 @ expr 1.5*A beta=0\n"
+     "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 1\n", AnalyticUnavailable,
+     "reaction 2 has an expression law"),
+    (fx.SPATIAL_AB_TEXT.replace("reaction B -> 0 @ mass-action kappa=0.7,1.3",
+                                "reaction B -> 0 @ expr 0.7*B"), CaseUnavailable,
+     "reaction 3: spatial case averaging of expression laws"),
+    # W only catalyses, so it changes on no timescale
+    (fx.SPATIAL_AB_TEXT.replace("reaction 0 -> B", "reaction W -> W + B")
+     .replace("compartments", "species W alpha=0 eta=1\ncompartments")
+     + "move W from d1 to d2 rate 1\nmove W from d2 to d1 rate 1\n", CaseUnavailable,
+     "reaction 2 consumes W, which sits on neither"),
+], ids=["zero_rate", "single_scale_expression", "case_expression", "neither_tier"])
+def test_errors_number_reactions_from_one(text, error, message):
+    with pytest.raises(error, match=message):
+        doc = parse_document(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # W is dropped from classification
+            build_reduced_model(doc.model, doc.scaling, mode="analytic")
 
 
 def test_lost_closed_form_raises_in_both_paths():
