@@ -331,7 +331,7 @@ def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = 
         raise ModelError("expression rate laws evaluate on scaled states")
     out = rate(values)
     if out < 0 or not math.isfinite(out):
-        raise RateEvaluationError(f"reaction {k}: rate {out} is negative or non-finite")
+        raise RateEvaluationError(f"reaction {k + 1}: rate {out} is negative or non-finite")
     return out
 
 

@@ -19,9 +19,10 @@ any number of runs at once, one row each: a single run is one row, an
 ensemble one row per replica. Each row keeps its own step size, hazard
 search, grid snapshots, jumps and random stream (:func:`_row`), and on
 every pass asks for one Cash-Karp step; the steps of all rows are taken
-by one batched evaluation (:func:`_ck_rows`). Mass-action rates
-evaluate over the rows through one :class:`model.MassActionRows`, other
-rates one row at a time. Every row does the arithmetic of a lone run in
+by one batched evaluation (:func:`_ck_rows`), which hands each row its
+new state and, as floats, its error norm, hazard and smallest coordinate.
+Mass-action rates evaluate over the rows through one
+:class:`model.MassActionRows`, other rates one row at a time. Every row does the arithmetic of a lone run in
 the same order, so an ensemble equals its replicas run one after
 another bit for bit.
 """
@@ -29,6 +30,7 @@ another bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -99,6 +101,12 @@ class HybridSystem:
 
     def jump_rates(self, v: np.ndarray) -> np.ndarray:
         return np.array([rate_fn(v) for rate_fn, _ in self.jumps])
+
+
+def _jump_calls(system: HybridSystem) -> list:
+    """Each jump rate, and whether it is called on the coordinate list, where
+    a rate with a row form rounds as on an array; others take an array."""
+    return [(fn, getattr(fn, "row_terms", None) is not None) for fn, _ in system.jumps]
 
 
 def _eval_state(v: np.ndarray, abs_tol: float) -> np.ndarray:
@@ -218,11 +226,9 @@ class JumpChain:
 
     def __init__(self, system: HybridSystem, v0):
         work = _checked_state(system, v0).tolist()
-        self.fns, reads = [], []   # (rate, evaluated on the list)
-        for rate_fn, _ in system.jumps:
-            law = getattr(rate_fn, "row_terms", None)
-            self.fns.append((rate_fn, law is not None))
-            reads.append({i for i, _, _ in law[1]} if law else set(range(system.dim)))
+        self.fns = _jump_calls(system)
+        reads = [{i for i, _, _ in fn.row_terms[1]} if listed else set(range(system.dim))
+                 for fn, listed in self.fns]
         self.changes = [[(i, c) for i, c in enumerate(np.asarray(vec).tolist()) if c]
                         for _, vec in system.jumps]
         self.dependents = [[(j, *self.fns[j]) for j, read in enumerate(reads)
@@ -309,15 +315,18 @@ def _run_rows(system, paths, t_end, draws, cfg, grid, max_events):
 
     Each path is one :func:`_row`, which yields the Cash-Karp steps
     ``(y, h)`` it needs one at a time. On each pass the steps of every
-    live row go through one :func:`_ck_rows` call and one error norm
-    over the rows, and each row gets back its ``(y_new, norm)``, or has
-    the error its stages raised thrown in. A row that fails is dropped
-    with every higher-numbered row, and the error raised at the end is
-    that of the lowest-numbered failing row: the one a run of the rows
-    one after another meets first.
+    live row go through one :func:`_ck_rows` call, and one error norm,
+    one hazard column and one smallest state coordinate over the rows;
+    each row gets back its ``(y_new, norm, hazard, low)``, the last
+    three as floats, or has the error its stages raised thrown in. A
+    row that fails is dropped with every higher-numbered row, and the
+    error raised at the end is that of the lowest-numbered failing row:
+    the one a run of the rows one after another meets first.
     """
-    rates = _Rates(system)
-    rows = [_row(system, path, t_end, rand, cfg, grid, max_events)
+    rates, dim = _Rates(system), system.dim
+    grid = None if grid is None else grid.tolist()
+    fns, deltas = _jump_calls(system), [np.asarray(vec).tolist() for _, vec in system.jumps]
+    rows = [_row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events)
             for path, rand in zip(paths, draws)]
     replies = dict.fromkeys(range(len(rows)))
     error = None
@@ -345,21 +354,26 @@ def _run_rows(system, paths, t_end, draws, cfg, grid, max_events):
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         norms = np.sqrt(np.mean((err / scale) ** 2, axis=1)).tolist()
         results = [errors.get(i) for i in range(len(ids))]
-        for i, y_i, norm in zip(live.tolist(), y_new, norms):
-            results[i] = (y_i, norm)
+        for i, *reply in zip(live.tolist(), y_new, norms, y_new[:, dim].tolist(),
+                             y_new[:, :dim].min(axis=1).tolist()):
+            results[i] = reply
         replies = dict(zip(ids, results))
     if error is not None:
         raise error
 
 
-def _row(system, path, t_end, rand, cfg, grid, max_events):
+def _row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events):
     """One path of the hybrid kernel, as a generator: each Cash-Karp step
     it needs is yielded as ``(y, h)`` and answered with ``(y_new, error
-    norm)``, or with the error the step's stages raised, thrown in at the
-    yield. Between jumps an adaptive step integrates the drift and the
-    hazard; a jump fires where the hazard crosses an Exp(1) threshold."""
-    dim = system.dim
+    norm, hazard, smallest state coordinate)``, or with the error the
+    step's stages raised, thrown in at the yield. Between jumps an
+    adaptive step integrates the drift and the hazard; a jump fires
+    where the hazard crosses an Exp(1) threshold, channel c with the rate
+    ``fns[c]`` of :func:`_jump_calls` and the change list ``deltas[c]``.
+    Steps and jumps run on floats; ``path.v`` is written only where it
+    is read: before a snapshot, at a jump and at the end of the run."""
     v, counts, log, snapshot = path.v, path.counts, path.log, path.snapshot
+    n_grid = 0 if grid is None else len(grid)
     t = 0.0
     grid_pos = 0
     n_events = 0
@@ -369,13 +383,13 @@ def _row(system, path, t_end, rand, cfg, grid, max_events):
 
     while t < t_end - 1e-15:
         h = min(h, t_end - t, cfg.max_step)
-        if grid is not None and grid_pos < len(grid):
+        if grid_pos < n_grid:
             h = min(h, max(grid[grid_pos] - t, cfg.min_step))
         # adaptive step; a trial step whose stages leave the orthant is
         # rejected like an inaccurate one until the step is at its minimum
         while True:
             try:
-                y_new, norm = yield y, h
+                y_new, norm, hazard, low = yield y, h
             except NegativeRate:
                 if h <= cfg.min_step:
                     raise
@@ -386,13 +400,13 @@ def _row(system, path, t_end, rand, cfg, grid, max_events):
         if norm > 1.0 and h <= cfg.min_step:
             raise OdeStepFailure(f"error {norm:.3g} at minimum step size, t={t}")
 
-        if y_new[dim] >= exp_threshold:
+        if hazard >= exp_threshold:
             # jump inside (t, t+h]: locate the hazard crossing by false
             # position with a bisection safeguard (Illinois), each probe
             # being one embedded step from the interval start
-            lo, g_lo = 0.0, y[dim] - exp_threshold
-            hi, g_hi = h, y_new[dim] - exp_threshold
-            y_hi = y_new
+            lo, g_lo = 0.0, float(y[dim]) - exp_threshold
+            hi, g_hi = h, hazard - exp_threshold
+            y_hi, low_hi = y_new, low
             side = 0
             for _ in range(100):
                 if g_hi <= cfg.hazard_tol or hi - lo <= cfg.min_step:
@@ -401,10 +415,10 @@ def _row(system, path, t_end, rand, cfg, grid, max_events):
                 mid = hi - g_hi * (hi - lo) / denom if denom != 0 else 0.5 * (lo + hi)
                 if not lo < mid < hi:
                     mid = 0.5 * (lo + hi)
-                y_mid, _ = yield y, mid
-                g_mid = y_mid[dim] - exp_threshold
+                y_mid, _, hazard_mid, low_mid = yield y, mid
+                g_mid = hazard_mid - exp_threshold
                 if g_mid >= 0:
-                    hi, g_hi, y_hi = mid, g_mid, y_mid
+                    hi, g_hi, y_hi, low_hi = mid, g_mid, y_mid, low_mid
                     if side == 1:
                         g_lo *= 0.5
                     side = 1
@@ -415,27 +429,32 @@ def _row(system, path, t_end, rand, cfg, grid, max_events):
                     side = -1
             tau = hi
             t_jump = t + tau
-            if grid is not None:
-                while grid_pos < len(grid) and grid[grid_pos] <= t_jump:
-                    y_grid, _ = yield y, max(grid[grid_pos] - t, 0.0)
-                    v[:] = y_grid[:dim]
-                    snapshot(float(grid[grid_pos]))
-                    grid_pos += 1
+            while grid_pos < n_grid and grid[grid_pos] <= t_jump:
+                y_grid, *_ = yield y, max(grid[grid_pos] - t, 0.0)
+                v[:] = y_grid[:dim]
+                snapshot(grid[grid_pos])
+                grid_pos += 1
             v[:] = y_hi[:dim]
             t = t_jump
-            rates = system.jump_rates(_eval_state(v, cfg.abs_tol))
-            total = rates.sum()
+            state = v if low_hi >= 0 else _eval_state(v, cfg.abs_tol)
+            values = state.tolist()
+            rates = [fn(values if listed else state) for fn, listed in fns]
+            for rate in rates:   # the choice needs sorted cumulative sums
+                if not 0.0 <= rate < math.inf:
+                    raise NegativeRate(f"jump rate evaluated to {rate}")
+            cum = list(accumulate(rates))
+            total = float(np.add.reduce(rates))   # numpy's sum: pairwise from 8 terms
             if total <= 0:
                 # hazard crossed on a vanishing rate: numerical corner, re-arm
-                y = np.concatenate([v, [0.0]])
+                y = [*v.tolist(), 0.0]
                 exp_threshold = rand.exponential()
                 continue
             u = rand.uniform() * total
-            chosen = int(np.searchsorted(np.cumsum(rates), u))
-            chosen = min(chosen, len(rates) - 1)
-            v += system.jumps[chosen][1]
-            if np.any(v < -10 * cfg.abs_tol):
+            chosen = min(bisect_left(cum, u), len(rates) - 1)
+            x = [a + c for a, c in zip(v.tolist(), deltas[chosen])]
+            if any(a < -10 * cfg.abs_tol for a in x):
                 raise NegativeRate("jump left the nonnegative orthant")
+            v[:] = x
             counts[chosen] += 1
             n_events += 1
             if log is not None:
@@ -443,27 +462,28 @@ def _row(system, path, t_end, rand, cfg, grid, max_events):
                 log.append((t, chosen))
             if n_events >= max_events:
                 raise EventCapExceeded(f"exceeded {max_events} jump events at t={t}")
-            y = np.concatenate([v, [0.0]])
+            y = [*x, 0.0]
             exp_threshold = rand.exponential()
             h = min(cfg.max_step, max(h, 10 * cfg.min_step))
         else:
             t += h
             y = y_new
-            v[:] = y[:dim]
-            _eval_state(v, cfg.abs_tol)  # orthant check at accepted step
-            if grid is not None:
-                while grid_pos < len(grid) and grid[grid_pos] <= t + 1e-15:
-                    snapshot(float(grid[grid_pos]))
+            if not low >= 0:   # NaN too
+                _eval_state(y[:dim], cfg.abs_tol)  # orthant check at accepted step
+            if grid_pos < n_grid and grid[grid_pos] <= t + 1e-15:
+                v[:] = y[:dim]
+                while grid_pos < n_grid and grid[grid_pos] <= t + 1e-15:
+                    snapshot(grid[grid_pos])
                     grid_pos += 1
             if norm > 0:
                 h = min(cfg.max_step, h * min(5.0, 0.9 * norm ** -0.2))
             else:
                 h = min(cfg.max_step, h * 5.0)
 
-    if grid is not None:
-        while grid_pos < len(grid):
-            snapshot(float(grid[grid_pos]))
-            grid_pos += 1
+    v[:] = y[:dim]
+    while grid_pos < n_grid:
+        snapshot(grid[grid_pos])
+        grid_pos += 1
 
 
 def _ck_rows(rates, y, h, abs_tol):

@@ -61,6 +61,17 @@ def test_expression_negative_raises():
         evaluate_rate(net, 0, state_of(net, [1.0]))
 
 
+def test_rate_error_numbers_reactions_from_one():
+    # the second reaction, A + A -> 0, overflows at A = 1e200
+    from fractions import Fraction
+    net = Network([Species("A", Fraction(1)), Species("B", Fraction(0))],
+                  [Reaction.make({1: 1}, {}, rate_law=MassAction(1.0)),
+                   Reaction.make({0: 2}, {}, rate_law=MassAction(1.0))])
+    with np.errstate(over="ignore"), pytest.raises(RateEvaluationError,
+                                                   match=r"^reaction 2: rate inf "):
+        evaluate_rate(net, 1, State(np.array([1e200, 1.0]), scaled=True))
+
+
 def test_dimension_mismatch():
     net = two_species_net()
     with pytest.raises(ModelError):

@@ -92,6 +92,25 @@ def test_negative_rate_aborts():
         simulate_pdmp(system, [0.05], t_end=10.0, seed=0)
 
 
+@pytest.mark.parametrize("bad", [-0.5, float("nan")])
+def test_jump_rate_checked_at_the_jump_state(bad):
+    # a flow X' = X and two jumps of N at rate 1, the second one except at
+    # the state where the first jump fires: no Cash-Karp stage visits that
+    # state, so only the check of the rates at the jump can raise
+    def system(rate):
+        return HybridSystem(("N", "X"), ((lambda v: 1.0, np.array([1, 0])),
+                                         (rate, np.array([1, 0]))),
+                            ((lambda v: v[1], np.array([0.0, 1.0])),))
+
+    calls = []
+    simulate_pdmp(system(lambda v: calls.append(tuple(v)) or 1.0), [0.0, 1.0], 2.0, seed=0)
+    jump_state = [state for state in calls if state[0] == 0.0][-1]
+    assert calls.count(jump_state) == 1
+    with pytest.raises(NegativeRate, match=f"jump rate evaluated to {bad}"):
+        simulate_pdmp(system(lambda v: bad if tuple(v) == jump_state else 1.0),
+                      [0.0, 1.0], 2.0, seed=0)
+
+
 def test_stiff_flow_rejects_steps_that_leave_orthant():
     # dv/dt = -400 v^2 from v = 3 has v(t) = 1/(1/3 + 400 t) > 0; the
     # first trial step's stages overshoot below zero and must shrink the

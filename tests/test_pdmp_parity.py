@@ -5,13 +5,18 @@ plus a property test that an ensemble equals its replicas run one by one.
 Single runs cover the GENE limit (grid and event log), the AB and
 spatial AB reduced flows, the spatial GENE limit (averaged rates), the
 CONSERVED reduction (pure jump), a stiff flow whose trial stages leave
-the orthant, a flow-driven hazard, and GENE with a minimum step longer
-than the grid spacing, so that grid times fall inside jump intervals.
+the orthant, a flow-driven hazard, GENE with a minimum step longer than
+the grid spacing, so that grid times fall inside jump intervals, and a
+system of nine jump channels, whose total rate numpy sums pairwise (one
+run on a made-up stream puts a uniform where only that total picks the
+last channel). Two failures are caught only by the orthant check of an
+accepted step, in a single run and in an ensemble.
 The SHA-256 digests of ``times``, ``states``, ``event_counts``,
 ``event_log`` and ``final_state`` must match bit for bit. Ensembles of
 1, 7 and 40 replicas pin the digests of ``EnsembleStats`` mean, variance
 and quantiles; failures pin the exception type and message. The record
-``pdmp_parity.json`` was produced at commit 1723df2 by
+``pdmp_parity.json`` was produced at commit 1723df2 (the nine-channel
+and accepted-step keys at 33239fd) by
 
     PYTHONPATH=src python tests/test_pdmp_parity.py > tests/pdmp_parity.json
 
@@ -53,6 +58,43 @@ STIFFENING = HybridSystem(("X", "C"), ((lambda v: 2.0, np.array([1, 0])),),
                           ((lambda v: 10.0 ** (3 * v[0]) * v[1] ** 2, np.array([0.0, -1.0])),))
 # constant drain from 0.05: the state leaves the orthant at t = 0.05
 DRAIN = HybridSystem(("X",), (), ((lambda v: 1.0, np.array([-1.0])),))
+# a clock X' = 1 and a drain C' = -35 X^4 / (1 + N), braked by jumps of N
+# at rate 2: under loose tolerances the one step to t = 0.62 has every
+# Cash-Karp stage in the orthant and is accepted, yet ends with C < 0, so
+# only the orthant check of the accepted step catches it; a row whose N
+# jumps first takes other steps and may end inside the orthant
+BRAKED_DRAIN = HybridSystem(("N", "X", "C"), ((lambda v: 2.0, np.array([1, 0, 0])),),
+                            ((lambda v: 1.0, np.array([0.0, 1.0, 0.0])),
+                             (lambda v: 35.0 * v[1] ** 4 / (1.0 + v[0]),
+                              np.array([0.0, 0.0, -1.0]))))
+LOOSE = OdeConfig(rel_tol=1.0, abs_tol=1e-4, min_step=0.062)
+# nine jump channels of uneven rates on a count N, births growing with a
+# flow X that relaxes to N: numpy sums nine rates pairwise, not in order
+_BIRTHS, _DEATHS = (0.013, 0.41, 0.0031, 0.77, 0.19), (2.7, 7.9, 1.3, 3.1)
+MANY_JUMPS = HybridSystem(
+    ("N", "X"),
+    tuple((lambda v, c=c: c * (1.0 + 3.0 * v[1]), np.array([1, 0])) for c in _BIRTHS)
+    + tuple((lambda v, c=c: c * v[0], np.array([-1, 0])) for c in _DEATHS),
+    ((lambda v: v[0] - 0.5 * v[1], np.array([0.0, 1.0])),))
+# nine jumps of rate 0.1 and a clock: numpy sums the nine rates pairwise to
+# 0.9, in order they sum to 0.8999999999999999, so a uniform just above 8/9
+# picks the last channel by numpy's total and the one before by the other
+NINE_EQUAL = HybridSystem(("N", "X"), tuple((lambda v: 0.1, np.array([1, 0])) for _ in range(9)),
+                          ((lambda v: 1.0, np.array([0.0, 1.0])),))
+
+
+class _Uniforms:
+    """Stands in for a numpy Generator whose first uniforms are ``values``
+    and every later one 0.5."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size):
+        out = np.full(size, 0.5)
+        out[:len(self.values)] = self.values
+        self.values = []
+        return out
 
 
 def _digest(array) -> str:
@@ -103,6 +145,8 @@ def compute() -> dict:
         "stiff": lambda s: simulate_pdmp(STIFF, [3.0], 0.5, seed=s,
                                          record=np.linspace(0.1, 0.5, 5)),
         "rayleigh": lambda s: simulate_pdmp(RAYLEIGH, [0.0], 3.0, seed=s, record="events"),
+        "many_jumps": lambda s: simulate_pdmp(MANY_JUMPS, [2.0, 1.0], 10.0, seed=s,
+                                              record="events"),
     }
     for name, text in (("ab", fx.AB_TEXT), ("spatial_ab", fx.SPATIAL_AB_TEXT),
                        ("spatial_gene", fx.SPATIAL_GENE_TEXT),
@@ -114,6 +158,10 @@ def compute() -> dict:
     for name, run in singles.items():
         for seed in SEEDS:
             out[f"single.{name}.seed{seed}"] = _run(lambda: run(seed))
+    # thresholds ln 2 (a jump near t = 0.77, none after), then the choice
+    out["single.nine_equal.total"] = _run(
+        lambda: simulate_pdmp(NINE_EQUAL, [0.0, 0.0], 1.0, record="events",
+                              rng=_Uniforms([0.5, 0.888888888888889, 0.5])))
 
     errors = {
         "negative_rate": lambda: simulate_pdmp(DRAIN, [0.05], 10.0, seed=0),
@@ -122,6 +170,11 @@ def compute() -> dict:
                                                   ode_config=OdeConfig(min_step=1e-4)),
         "ensemble": lambda: run_ensemble_pdmp(STIFFENING, [0.0, 1.0], 3.0, 3, 7, [1.5, 3.0],
                                               np.eye(2), ode_config=OdeConfig(min_step=1e-4)),
+        "accepted_step_orthant": lambda: simulate_pdmp(BRAKED_DRAIN, [0.0, 0.0, 0.5], 0.62,
+                                                       seed=4, ode_config=LOOSE),
+        # rows 3 and 5 fail with different states; row 3's error is raised
+        "accepted_step_orthant.ensemble": lambda: run_ensemble_pdmp(
+            BRAKED_DRAIN, [0.0, 0.0, 0.5], 0.62, 8, 6, [0.62], np.eye(3), ode_config=LOOSE),
     }
     for name, run in errors.items():
         out[f"error.{name}"] = _run(run)
@@ -137,6 +190,9 @@ def compute() -> dict:
     out["ensemble.rayleigh.r40"] = _run(
         lambda: run_ensemble_pdmp(RAYLEIGH, [0.0], 3.0, 2, 40, [1.0, 2.0, 3.0], [[1.0]],
                                   quantiles=QUANTILES), _stats_digests)
+    out["ensemble.many_jumps.r40"] = _run(
+        lambda: run_ensemble_pdmp(MANY_JUMPS, [2.0, 1.0], 10.0, 6, 40, [2.5, 5.0, 10.0],
+                                  np.eye(2), quantiles=QUANTILES), _stats_digests)
     out["ensemble.conserved.r7"] = _run(
         lambda: run_ensemble_pdmp(*_limit(fx.CONSERVED_TEXT), 2.0, 4, 7, [1.0, 2.0],
                                   np.eye(2), quantiles=QUANTILES), _stats_digests)
