@@ -25,9 +25,9 @@ Python list of the coordinates, walking a bounded graph of the states
 met, so a jump back into a known state is a channel choice and a
 pointer move. In a new state only the rates that read a changed
 coordinate are recomputed: mass-action rates on the list, expression
-laws and the three-scale middle tier as opaque rates on an array. Each
-visit's duration is added to its state's weight as it ends
-(``_Occupation``), so only each batch's distinct states are held.
+laws and the three-scale middle tier as opaque rates on an array. The
+chain sums the time average (``pdmp.Occupation``) in each jump's one
+callback, so only each batch's distinct states are held.
 
 Every mass-action law here, from the frozen coefficient of a fast
 reaction to the expectation over an empirical law, is built by
@@ -56,7 +56,7 @@ from .errors import (AnalyticUnavailable, EventCapExceeded, IsolatedSpeciesError
 from .exact import stationary_distribution
 from .model import (Expression, MassAction, MassActionRows, Network, SpatialModel,
                     falling_factorial, mass_action_rate, scaled_rate_function)
-from .pdmp import HybridSystem, JumpChain, OdeConfig, simulate_pdmp, tier_system
+from .pdmp import HybridSystem, JumpChain, Occupation, OdeConfig, simulate_pdmp, tier_system
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +251,12 @@ class StationaryMeasure:
     discrete, point mass for continuous), optionally with multinomial
     blocks for conserved unary-conversion groups. variant 'pointmass':
     a single state. variant 'empirical': a time average split into
-    batches for standard errors, held as three arrays built by
-    :class:`_Occupation`: ``states`` lists each batch's distinct states
-    in first-visit order, ``weights`` each state's summed time weight and
-    ``batch`` each row's batch index; ``n_events`` counts its fast events
-    and, on a jump path, ``rate_evals`` the jumps that evaluated rates.
+    batches for standard errors, held as three arrays, as a jump path's
+    :class:`pdmp.Occupation` builds them: ``states`` lists each batch's
+    distinct states in first-visit order, ``weights`` each state's
+    summed time weight and ``batch`` each row's batch index; ``n_events``
+    counts its fast events and, on a jump path, ``rate_evals`` the jumps
+    that evaluated rates.
     ``discrete`` marks the variables of a point mass or empirical law
     whose mass-action orders enter as falling factorials.
     """
@@ -578,41 +579,15 @@ class McConfig:
                 raise ModelError(f"McConfig needs {rule}")
 
 
-class _Occupation:
-    """Time weights of an empirical law, summed as the visits come: ``add``
-    puts a visit's weight on its state in the open batch, a dict (states
-    in first-visit order, weights summed in visit order); every ``quota``
-    visits, and ``close()``, open the next batch. No raw visit is held."""
-
-    def __init__(self, quota: int | None = None):
-        self.quota, self.batches, self.visits = quota, [{}], 0
-
-    def add(self, state: tuple, weight: float) -> None:
-        acc = self.batches[-1]
-        acc[state] = acc.get(state, 0.0) + weight
-        self.visits += 1
-        if self.visits == self.quota:
-            self.close()
-
-    def close(self) -> None:
-        self.batches.append({})
-        self.visits = 0
-
-    def arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (states, weights, batch) arrays of the law."""
-        sizes = [len(acc) for acc in self.batches]
-        return (np.array([x for acc in self.batches for x in acc], dtype=float).reshape(-1, dim),
-                np.array([w for acc in self.batches for w in acc.values()], dtype=float),
-                np.repeat(np.arange(len(sizes), dtype=np.intp), sizes))
-
-
 def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:meth:`_Occupation.arrays` over ``batches`` of raw (rows, weights) visits."""
-    occupation = _Occupation()
+    """The :meth:`pdmp.Occupation.arrays` of ``batches`` of raw (rows,
+    weights) visits, each batch summed as a :class:`pdmp.JumpChain` sums it."""
+    occupation = Occupation(None)
     for rows, weights in batches:
+        acc = occupation.batches[-1]
         for state, weight in zip(map(tuple, rows), weights):
-            occupation.add(state, weight)
-        occupation.close()
+            acc[state] = acc.get(state, 0.0) + weight
+        occupation.batches.append({})
     return occupation.arrays(dim)
 
 
@@ -628,14 +603,15 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
     rate that keeps growing holds bounded memory. The budget counts
     events burn-in inclusive; the first ``burn_in_frac`` of them are
     discarded. Each later visit of positive duration weights its state
-    by that duration, and every ``(budget - burn-in) / n_batches``
-    visits make a batch for batch-means errors. A chunk splits the
-    visit it ends in two, and a chunk without an event adds no visit.
+    by that duration (:class:`pdmp.Occupation`), and every ``(budget -
+    burn-in) / n_batches`` visits make a batch for batch-means errors.
+    A chunk splits the visit it ends in two, one without an event adds none.
     """
     rng = rng_mod.stream(mc.seed)
     budget = int(mc.budget)
     burn_events = int(budget * mc.burn_in_frac)
-    chain = JumpChain(fast_system, v0)
+    occupation = Occupation(max(1, (budget - burn_events) // mc.n_batches), burn_events)
+    chain = JumpChain(fast_system, v0, occupation)
     total_rate = float(np.array(chain.rates()).sum())
     if total_rate <= 0:
         return StationaryMeasure("pointmass", point=chain.key, discrete=discrete)
@@ -644,47 +620,29 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
     # rate keeps growing would run on in one chunk; past this many
     # events it has no stationary law worth the budget
     chunk_cap = max(budget, 10 * chunk_events)
-    occupation = _Occupation(max(1, (budget - burn_events) // mc.n_batches))
-    events_seen = 0
-    # the open visit: its start time, its index among all visits, its state
-    start, index, state = 0.0, 0, None
-
-    def on_event(t, _chosen):
-        """End the open visit at time ``t``, keeping it if it is past the
-        burn-in and lasted; the next visit starts in the state now."""
-        nonlocal start, index, state
-        duration = t - start
-        if duration > 0 and index >= burn_events:
-            occupation.add(state, duration)
-        start, index, state = t, index + 1, chain.key
 
     # run until the budget is spent or the chain is absorbed (total rate 0)
-    while events_seen < budget and total_rate > 0:
+    while occupation.events < budget and total_rate > 0:
         horizon = chunk_events / max(total_rate, 1e-12) * 1.2
-        start, index, state = 0.0, events_seen, chain.key
         try:
-            chain.run(horizon, rng_mod.Buffered(rng), on_event=on_event,
-                      max_events=chunk_cap)
+            chain.run(horizon, rng_mod.Buffered(rng), max_events=chunk_cap)
         except EventCapExceeded:
             raise NonErgodicSuspected(
                 f"a chunk of the fast path passed {chunk_cap} events, against about "
                 f"{chunk_events} at its starting total rate {total_rate}: the rate "
                 "grows without settling") from None
-        if index > events_seen:
-            events_seen = index
-            on_event(horizon, None)   # the chunk's last visit ends at its horizon
         total_rate = float(np.array(chain.rates()).sum())
 
     if total_rate <= 0:
         # time average of an absorbed chain is the absorbing state
         return StationaryMeasure("pointmass", point=chain.key, discrete=discrete)
-    post_events = events_seen - burn_events
+    post_events = occupation.events - burn_events
     if post_events < mc.ess_threshold:
         raise NonErgodicSuspected(
             f"only {post_events} post-burn-in events (threshold {mc.ess_threshold})")
     states, weights, batch = occupation.arrays(fast_system.dim)
     return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
-                             ess=post_events, n_events=events_seen,
+                             ess=post_events, n_events=occupation.events,
                              rate_evals=chain.misses, discrete=discrete)
 
 

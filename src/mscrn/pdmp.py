@@ -12,7 +12,8 @@ instead, over a Python list state (:class:`JumpChain`), walking a
 bounded graph of stored states: a jump along a stored link is a channel
 choice and a pointer move, and one into a new state refreshes only the
 rates that read a coordinate it changed. The Monte Carlo fast-tier
-chains of the averaging layer run on the same class.
+chains of the averaging layer run on the same class, which keeps their
+time average (:class:`Occupation`) in the one callback of each jump.
 
 Runs with flows go through one kernel (:func:`_run_rows`) that advances
 any number of runs at once, one row each: a single run is one row, an
@@ -30,7 +31,7 @@ another bit for bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -40,7 +41,7 @@ from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, NegativeRate, OdeStepFailure
 from .model import MassActionRows
 from .ssa import (EnsembleStats, Trajectory, check_t_end, direct_method, ensemble_grid,
-                  log_events, record_mode)
+                  record_mode)
 
 # Cash-Karp tableau
 _C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -187,13 +188,30 @@ def _simulate_pure_jump(system, path, t_end, rand, grid, max_events):
     """Run a pure-jump system along ``path`` on a :class:`JumpChain`."""
     chain = JumpChain(system, path.v)
 
-    def snapshot(t):
+    def snapshot(t, key):
         path.times.append(t)
-        path.states.append(np.array(chain.key))
+        path.states.append(np.array(key))
 
-    on_event = None if path.log is None else log_events(snapshot, path.log)
-    path.counts[:] = chain.run(t_end, rand, grid, snapshot, on_event, max_events)
+    path.counts[:] = chain.run(t_end, rand, grid, snapshot, path.log, max_events)
     path.v[:] = chain.key
+
+
+class Occupation:
+    """The time weights of a path's visits, summed as they end: a visit
+    that starts after the first ``burn`` of the path's ``events`` and
+    lasts adds its duration to its state's weight in the open batch, a
+    dict (states in first-visit order), and every ``quota`` such visits
+    open the next batch. No raw visit is held."""
+
+    def __init__(self, quota: int | None, burn: int = 0):
+        self.quota, self.burn, self.batches, self.visits, self.events = quota, burn, [{}], 0, 0
+
+    def arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (states, weights, batch) arrays of the empirical law."""
+        sizes = [len(acc) for acc in self.batches]
+        return (np.array([x for acc in self.batches for x in acc], dtype=float).reshape(-1, dim),
+                np.array([w for acc in self.batches for w in acc.values()], dtype=float),
+                np.repeat(np.arange(len(sizes), dtype=np.intp), sizes))
 
 
 class JumpChain:
@@ -222,9 +240,14 @@ class JumpChain:
     gets the all-None ``unlinked``, so links join stored nodes only. A
     jump into a stored state evaluates no rate; ``misses`` counts those
     that do.
+
+    A chain given an ``occupation`` keeps its path's time average there
+    (and no event log), in the one callback each event makes, which ends
+    a visit. A run with an event ends its last visit at its horizon, and
+    the next run starts one in that state; a run without one adds none.
     """
 
-    def __init__(self, system: HybridSystem, v0):
+    def __init__(self, system: HybridSystem, v0, occupation: Occupation | None = None):
         work = _checked_state(system, v0).tolist()
         self.fns = _jump_calls(system)
         reads = [{i for i, _, _ in fn.row_terms[1]} if listed else set(range(system.dim))
@@ -233,7 +256,7 @@ class JumpChain:
                         for _, vec in system.jumps]
         self.dependents = [[(j, *self.fns[j]) for j, read in enumerate(reads)
                             if any(p in read for p, _ in change)] for change in self.changes]
-        self.memo, self.misses = {}, 0
+        self.memo, self.misses, self.occupation = {}, 0, occupation
         self.memo_cap = _MEMO_RATES // max(len(self.fns), 1)   # in states
         self.unlinked = (None,) * len(self.fns)
         values = np.array(work)   # the rates are checked when a run starts
@@ -245,43 +268,58 @@ class JumpChain:
         """Every rate at the current state (unchecked before a run)."""
         return list(self.node[1])
 
-    def run(self, t_end: float, rand: rng_mod.Buffered, grid=None, snapshot=None,
-            on_event=None, max_events: int = _MAX_EVENTS) -> list[int]:
-        """Run the chain from its current state for ``t_end`` on the
-        uniforms of ``rand``, with the recording callbacks of
-        :func:`ssa.direct_method`; returns the events per channel. The
-        chain then holds the final state, from which a later run goes on."""
+    def run(self, t_end: float, rand: rng_mod.Buffered, grid=None, snapshot=None, log=None,
+            max_events: int = _MAX_EVENTS) -> list[int]:
+        """Run the chain for ``t_end`` on the uniforms of ``rand``, on from
+        where the last run ended; returns the events per channel.
+        ``snapshot(t, key)`` records the state ``key`` at each ``grid``
+        time passed and, with an event ``log``, after each event, whose
+        (time, channel) pair joins the log."""
         check_t_end(t_end)
         changes, dependents, memo, cap = self.changes, self.dependents, self.memo, self.memo_cap
-        unlinked = self.unlinked
-        node = prev = self.node
+        unlinked, occupation, node = self.unlinked, self.occupation, self.node
         for j, r in enumerate(node[1]):
             if not 0.0 <= r < math.inf:
                 raise NegativeRate(f"jump rate {j} evaluated to {r}")
-        work = list(node[0])
+        work, acc = list(node[0]), None
+        if occupation is not None:
+            # the open visit starts now, ``skip`` visits before the burn-in ends
+            quota, batches, visits = occupation.quota, occupation.batches, occupation.visits
+            acc, start, skip = batches[-1], 0.0, max(occupation.burn - occupation.events, 0)
 
-        def fire(chosen):
-            # off the links, a state not stored leaves node None for refresh
-            nonlocal node, prev
+        def step(t, chosen, refresh):
+            nonlocal node, acc, visits, start, skip
             prev = node
             node = prev[3][chosen]
-            if node is not None:
-                self.key = node[0]
-                return
-            work[:] = prev[0]
-            # the state is nonnegative, so only a decrease can leave the orthant
-            for p, c in changes[chosen]:
-                work[p] += c
-                if c < 0 and work[p] < 0:
-                    raise NegativeRate("jump left the nonnegative orthant")
-            self.key = key = tuple(work)
-            node = memo.get(key)
-            if node is not None and prev[3] is not unlinked:
-                prev[3][chosen] = node
-
-        def refresh(chosen):
-            nonlocal node
             if node is None:
+                # off the links, a state not stored leaves node None for
+                # the refresh; only a decrease can leave the orthant
+                work[:] = prev[0]
+                for p, c in changes[chosen]:
+                    work[p] += c
+                    if c < 0 and work[p] < 0:
+                        raise NegativeRate("jump left the nonnegative orthant")
+                key = tuple(work)
+                node = memo.get(key)
+                if node is not None and prev[3] is not unlinked:
+                    prev[3][chosen] = node
+            if acc is not None:   # the visit to prev's state ends
+                if skip:
+                    skip -= 1
+                elif t > start:
+                    state = prev[0]
+                    acc[state] = acc.get(state, 0.0) + (t - start)
+                    visits += 1
+                    if visits == quota:
+                        acc, visits = {}, 0
+                        batches.append(acc)
+                start = t
+            elif log is not None:
+                snapshot(t, key if node is None else node[0])
+                log.append((t, chosen))
+            if node is not None:
+                return node[2]
+            if refresh:
                 # every dependent is evaluated before the first bad rate
                 # raises, so a later rate's own error wins, as in a full refresh
                 rates, bad, values = prev[1].copy(), None, None
@@ -294,18 +332,27 @@ class JumpChain:
                 if bad is not None:
                     raise NegativeRate(f"jump rate {bad} evaluated to {rates[bad]}")
                 self.misses += 1
-                key = self.key
                 if len(memo) < cap:
                     node = memo[key] = (key, rates, list(accumulate(rates)), [None] * len(rates))
                     if prev[3] is not unlinked:
                         prev[3][chosen] = node
                 else:
                     node = (key, rates, list(accumulate(rates)), unlinked)
-            return node[2]
+                return node[2]
 
-        counts = direct_method(node[2], fire, refresh, rand, t_end, grid, snapshot, on_event,
-                               max_events)
-        self.node = node
+        counts = direct_method(node[2], step, rand, t_end, grid,
+                               lambda t: snapshot(t, node[0]), max_events)
+        self.node, self.key = node, node[0]
+        if acc is not None:
+            # a run with an event ends its last visit at the horizon
+            events = sum(counts)
+            if events and not skip and t_end > start:
+                acc[node[0]] = acc.get(node[0], 0.0) + (t_end - start)
+                visits += 1
+                if visits == quota:
+                    visits = 0
+                    batches.append({})
+            occupation.visits, occupation.events = visits, occupation.events + events
         return counts
 
 
@@ -450,7 +497,11 @@ def _row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events):
                 exp_threshold = rand.exponential()
                 continue
             u = rand.uniform() * total
-            chosen = min(bisect_left(cum, u), len(rates) - 1)
+            # below the in-order sum bisect_right meets no zero rate; a u past
+            # it (numpy's total is pairwise) takes the last positive rate
+            chosen = bisect_right(cum, u)
+            while chosen == len(rates) or rates[chosen] <= 0.0:
+                chosen -= 1
             x = [a + c for a, c in zip(v.tolist(), deltas[chosen])]
             if any(a < -10 * cfg.abs_tol for a in x):
                 raise NegativeRate("jump left the nonnegative orthant")

@@ -22,10 +22,10 @@ sqrt(channels), each with its own cumulative sum, and an event rebuilds
 only the blocks its dependents sit in, so it reads about sqrt(channels)
 propensities rather than all of them. It chooses the same channel
 sequence as the flat pass, with times equal to rounding.
-:func:`direct_method` is the one event loop, over a cumulative list
-that ``refresh`` returns after each event: :func:`_simulate` keeps the
-flat and blocked passes, and :class:`pdmp.JumpChain` (pure-jump hybrid
-systems and the Monte Carlo fast-tier chains) its stored lists.
+:func:`direct_method` is the one event loop, with one callback per
+event that fires it and returns the new cumulative list: :func:`_simulate`
+keeps the flat and blocked passes, and :class:`pdmp.JumpChain` (pure-jump
+hybrid and Monte Carlo fast-tier chains) its stored lists.
 
 The propensities come from :mod:`model`'s builders over raw counts:
 :func:`model.mass_action_rate` with the powers of N in the prefactor,
@@ -284,9 +284,8 @@ class _Compiled:
                     self.delta[c, idx] = change
 
 
-def direct_method(cum: list, fire, refresh, rand: rng_mod.Buffered, t_end: float,
-                  grid, snapshot, on_event, max_events: int, pick=None,
-                  channels: int | None = None) -> list[int]:
+def direct_method(cum: list, step, rand: rng_mod.Buffered, t_end: float, grid, snapshot,
+                  max_events: int, pick=None, channels: int | None = None) -> list[int]:
     """The direct-method event loop (Gillespie 1977) from t = 0 to
     ``t_end``; returns the number of events per channel.
 
@@ -297,12 +296,14 @@ def direct_method(cum: list, fire, refresh, rand: rng_mod.Buffered, t_end: float
     channels' and the chosen channel is the first whose partial sum
     exceeds the target (``bisect_right``, clamped to the last channel);
     otherwise ``pick(cum, target)`` chooses it among ``channels``
-    channels. ``fire(c)`` applies the chosen channel's state change;
-    once the event is counted and, when ``on_event`` is given, reported
-    as ``on_event(t, c)``, ``refresh(c)`` returns the cumulative list of
-    the new state. The loop never writes to a list it is given.
-    ``snapshot(t)`` records the state at each ``grid`` time passed.
-    Raises EventCapExceeded at ``max_events`` events.
+    channels. Each event is counted and makes one call, ``step(t, c,
+    refresh)``, which applies channel c's state change, records the
+    event and, with ``refresh`` true, returns the cumulative list of the
+    new state. The ``max_events``-th event gets ``refresh`` false, then
+    raises EventCapExceeded: an error of the change or the record wins
+    over the cap, the cap over one of the refresh. The loop never writes
+    to a list it is given. ``snapshot(t)`` records the state at each
+    ``grid`` time passed.
 
     The uniforms come from one iterator over ``rand`` (see
     :class:`rng.Buffered`), in the order of ``rand.exponential()`` then
@@ -332,28 +333,16 @@ def direct_method(cum: list, fire, refresh, rand: rng_mod.Buffered, t_end: float
         t = t_next
         target = uniform() * total
         chosen = bisect_right(cum, target, 0, last) if pick is None else pick(cum, target)
-        fire(chosen)
         counts[chosen] += 1
         n_events += 1
-        if on_event is not None:
-            on_event(t, chosen)
         if n_events >= max_events:
+            step(t, chosen, False)
             raise EventCapExceeded(f"exceeded {max_events} events at t={t}")
-        cum = refresh(chosen)
+        cum = step(t, chosen, True)
     while grid_pos < n_grid:
         snapshot(grid[grid_pos])
         grid_pos += 1
     return counts
-
-
-def log_events(snapshot, log: list):
-    """The ``on_event`` of an event-log run: a snapshot after every event,
-    whose (time, channel) pair joins ``log``."""
-    def on_event(t, chosen):
-        snapshot(t)
-        log.append((t, chosen))
-
-    return on_event
 
 
 def _raw_initial(model: Model, scaling: ScalingSpec, config: SimulationConfig,
@@ -466,10 +455,6 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
         if value < 0:
             raise RateEvaluationError(f"negative mass-action propensity {value}")
 
-    def fire(c):
-        for idx, change in deltas[c]:
-            x[idx] += change
-
     pick, dirty, sums = None, [()] * len(prop), prop   # the flat pass
     if compiled.blocks is not None:
         # the blocked pass: each block keeps its own cumulative sum, rebuilt
@@ -492,20 +477,26 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                     chosen -= 1
             return chosen
 
-    def refresh(c):
-        for j in dependents[c]:
-            value = prop[j] = propensities[j](x)
-            if value < 0:
-                raise RateEvaluationError(f"negative mass-action propensity {value}")
-        for b in dirty[c]:
-            lo = b * size
-            inner = cums[b] = list(accumulate(prop[lo:lo + size]))
-            sums[b] = inner[-1]
-        return list(accumulate(sums))
+    def step(t, c, refresh):
+        # fire c, log it in event mode and, unless at the cap, refresh
+        for idx, change in deltas[c]:
+            x[idx] += change
+        if log is not None:
+            snapshot(t)
+            log.append((t, c))
+        if refresh:
+            for j in dependents[c]:
+                value = prop[j] = propensities[j](x)
+                if value < 0:
+                    raise RateEvaluationError(f"negative mass-action propensity {value}")
+            for b in dirty[c]:
+                lo = b * size
+                inner = cums[b] = list(accumulate(prop[lo:lo + size]))
+                sums[b] = inner[-1]
+            return list(accumulate(sums))
 
-    on_event = None if log is None else log_events(snapshot, log)
-    counts = direct_method(list(accumulate(sums)), fire, refresh, rand, config.t_end, grid,
-                           snapshot, on_event, config.max_events, pick, len(prop))
+    counts = direct_method(list(accumulate(sums)), step, rand, config.t_end, grid, snapshot,
+                           config.max_events, pick, len(prop))
 
     return Trajectory(times=np.array(times),
                       states=np.array(states),

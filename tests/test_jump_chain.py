@@ -12,9 +12,13 @@ Covered: the fast tier of every fixture that has one, hypothesis-drawn
 mass-action tiers with frozen continuous reactants and discrete order-2
 reactants, the systems a spatial case-1 rate, an expression-law tier and
 the THREE_SCALE middle tier hand to the estimator, absorbed chains, a
-budget below the ESS threshold, and failing rates and jumps. Every
-Monte Carlo fast tier, nonspatial or spatial, gets its system from the
-one builder, ``averaging.fast_tier_system``.
+budget below the ESS threshold, failing rates and jumps, and the visit
+bookkeeping at chunk edges (a chunk without an event, a batch closed by
+a chunk's last visit, a burn-in ending inside a chunk, and a full memo
+whose new states are walked unlinked). A capped jump raises the error
+type and message recorded at commit be52e5b. Every Monte Carlo fast
+tier, nonspatial or spatial, gets its system from the one builder,
+``averaging.fast_tier_system``.
 
 The chain's graph of stored states is checked on its own: with no room
 to store a rate, every fast tier above gives the same estimate bit for
@@ -42,9 +46,11 @@ from mscrn.averaging import (McConfig, StationaryMeasure, _empirical_from_jump_p
                              averaged_rate_two_scale, constrained_start, fast_discrete,
                              fast_subsystem, stationary_fast)
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import MscrnError, NegativeRate, NonErgodicSuspected, RateEvaluationError
+from mscrn.errors import (EventCapExceeded, MscrnError, NegativeRate, NonErgodicSuspected,
+                          RateEvaluationError)
 from mscrn.parser import parse_document
-from mscrn.pdmp import HybridSystem, JumpChain, OdeConfig, _eval_state, _initial_state
+from mscrn.pdmp import (HybridSystem, JumpChain, OdeConfig, _eval_state, _initial_state,
+                        simulate_pdmp)
 from mscrn.spatial_cases import averaged_rate_spatial
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -499,6 +505,26 @@ def test_failing_jumps_and_rates_raise_as_before(listed):
         "error", "RateEvaluationError", "no rate at 3.0")
 
 
+def test_capped_jump_raises_as_recorded():
+    # event logs of pure-jump runs capped at the jump that leaves the
+    # orthant, which raises its own error, and at the jump whose refresh
+    # turns a rate negative, where the cap is raised; one jump later the
+    # refresh's error is (all recorded at commit be52e5b)
+    down = HybridSystem(("x",), ((_listed(lambda v: 1.0, []), np.array([-1])),), ())
+    turns = HybridSystem(("x",), ((_listed(lambda v: 1.0, []), np.array([1])),
+                                  (_listed(lambda v: 2.0 - v[0], [0]), np.array([0]))), ())
+    recorded = [
+        (down, [2.0], 2, EventCapExceeded, "exceeded 2 events at t=1.0550835022060634"),
+        (down, [2.0], 3, NegativeRate, "jump left the nonnegative orthant"),
+        (turns, [0.0], 3, EventCapExceeded, "exceeded 3 events at t=2.03676010356412"),
+        (turns, [0.0], 4, NegativeRate, "jump rate 1 evaluated to -1.0"),
+    ]
+    for system, v0, cap, error, message in recorded:
+        with pytest.raises(error) as info:
+            simulate_pdmp(system, v0, 10.0, seed=0, record="events", max_events=cap)
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the per-state rate memo
 
@@ -577,7 +603,7 @@ def test_memo_hits_and_misses_count_the_refreshed_events():
     chain = JumpChain(system, [0.0])
     keys = []
     counts = chain.run(20.0, rng_mod.Buffered(rng_mod.stream(5)),
-                       on_event=lambda t, c: keys.append(chain.key))
+                       snapshot=lambda t, key: keys.append(key), log=[])
     seen, hits = set(), 0
     for key in keys:
         hits += key in seen
@@ -622,7 +648,7 @@ def test_graph_holds_its_cap_links_stored_states_and_counts_its_misses(monkeypat
     chain = JumpChain(system, [0.0])
     keys = []
     counts = chain.run(60.0, rng_mod.Buffered(rng_mod.stream(8)),
-                       on_event=lambda t, c: keys.append(chain.key))
+                       snapshot=lambda t, key: keys.append(key), log=[])
     assert chain.memo_cap == 3 and len(chain.memo) == 3 and len(set(keys)) > 6
     stored, misses = set(), 0
     for key in keys:
@@ -645,3 +671,63 @@ def test_graph_holds_its_cap_links_stored_states_and_counts_its_misses(monkeypat
     bare = JumpChain(system, [0.0])
     assert bare.run(60.0, rng_mod.Buffered(rng_mod.stream(8))) == counts
     assert bare.key == chain.key and bare.misses == len(keys) and not bare.memo
+
+
+# ---------------------------------------------------------------------------
+# the visit bookkeeping at chunk edges
+
+
+def _slow_birth_death():
+    """x -> x + 1 at rate 2e-15 and x -> x - 1 at rate 1e-15 x: a chunk's
+    horizon takes the floor 1e-12 of its starting rate, so a chunk holds
+    about one event, and many hold none."""
+    return HybridSystem(("x",), ((_listed(lambda v: 2e-15, []), np.array([1])),
+                                 (_listed(lambda v: 1e-15 * v[0], [0]), np.array([-1]))), ())
+
+
+def _chunk_edges(monkeypatch, system, v0, mc, discrete):
+    """The estimate of ``_empirical_from_jump_paths`` and the edge cases
+    its chunks met: a chunk without an event ("empty"), a batch closed
+    by the visit a chunk ends at its horizon ("quota_at_end"), the
+    burn-in ending inside a chunk ("burn_mid"), and jumps into states
+    met once the memo was full, on unlinked nodes ("unlinked")."""
+    met, real = set(), JumpChain.run
+
+    def run(chain, *args, **kwargs):
+        occupation = chain.occupation
+        before = occupation.events
+        counts = real(chain, *args, **kwargs)
+        if not sum(counts):
+            met.add("empty")
+        elif occupation.events > occupation.burn and occupation.visits == 0:
+            met.add("quota_at_end")
+        if before < occupation.burn < occupation.events:
+            met.add("burn_mid")
+        if len(chain.memo) == chain.memo_cap < chain.misses:
+            met.add("unlinked")
+        return counts
+
+    with monkeypatch.context() as m:
+        m.setattr(JumpChain, "run", run)
+        got = _outcome(_empirical_from_jump_paths, system, v0, mc, discrete)
+    return got, met
+
+
+@pytest.mark.parametrize("case", ["slow", "conserved", "memo_full"])
+def test_chunk_edges_match_reference(monkeypatch, case):
+    # each (seed, budget) was picked by a run that recorded the edges met
+    if case == "slow":
+        system, v0, discrete, mc = _slow_birth_death(), [0.0], [True], McConfig(400, seed=0)
+        edges = {"empty", "quota_at_end", "burn_mid"}
+    elif case == "conserved":
+        system, v0, discrete = _fixture_tier("conserved", 0.7)
+        mc, edges = McConfig(1000, seed=11), {"quota_at_end", "burn_mid"}
+    else:
+        # room for 3 states of the about 10 the path visits
+        monkeypatch.setattr(pdmp, "_MEMO_RATES", 6)
+        system, v0, discrete, mc = _birth_death(), [0.0], [True], McConfig(1000, seed=6)
+        edges = {"unlinked", "burn_mid"}
+    got, met = _chunk_edges(monkeypatch, system, v0, mc, discrete)
+    assert edges <= met
+    assert got[0] == "empirical"
+    assert got == _outcome(_reference_estimator, system, v0, mc, discrete)

@@ -9,14 +9,17 @@ the orthant, a flow-driven hazard, GENE with a minimum step longer than
 the grid spacing, so that grid times fall inside jump intervals, and a
 system of nine jump channels, whose total rate numpy sums pairwise (one
 run on a made-up stream puts a uniform where only that total picks the
-last channel). Two failures are caught only by the orthant check of an
+last channel; another, on ten channels with rate 0 at both ends, puts
+uniforms past the in-order sums and at 0, where no channel of rate 0
+may fire). Two failures are caught only by the orthant check of an
 accepted step, in a single run and in an ensemble.
 The SHA-256 digests of ``times``, ``states``, ``event_counts``,
 ``event_log`` and ``final_state`` must match bit for bit. Ensembles of
 1, 7 and 40 replicas pin the digests of ``EnsembleStats`` mean, variance
 and quantiles; failures pin the exception type and message. The record
 ``pdmp_parity.json`` was produced at commit 1723df2 (the nine-channel
-and accepted-step keys at 33239fd) by
+and accepted-step keys at 33239fd, the zero-end key with the fix of the
+jump choice that it pins) by
 
     PYTHONPATH=src python tests/test_pdmp_parity.py > tests/pdmp_parity.json
 
@@ -81,6 +84,15 @@ MANY_JUMPS = HybridSystem(
 # picks the last channel by numpy's total and the one before by the other
 NINE_EQUAL = HybridSystem(("N", "X"), tuple((lambda v: 0.1, np.array([1, 0])) for _ in range(9)),
                           ((lambda v: 1.0, np.array([0.0, 1.0])),))
+# ten jumps, the first and last of rate 0 (they raise Z), and a clock:
+# numpy sums the rates pairwise to 3.81, in order to 3.809999999999999, so
+# the largest uniform below 1 lands past the in-order sums, and a uniform
+# of 0 on the first one; neither may fire a channel of rate 0
+_ZERO_ENDS = (0.0, 0.7, 1.3, 0.07, 0.03, 1.3, 0.17, 0.17, 0.07, 0.0)
+ZERO_ENDS = HybridSystem(
+    ("N", "Z", "X"),
+    tuple((lambda v, c=c: c, np.array([0, 1, 0] if c == 0 else [1, 0, 0])) for c in _ZERO_ENDS),
+    ((lambda v: 1.0, np.array([0.0, 0.0, 1.0])),))
 
 
 class _Uniforms:
@@ -162,6 +174,10 @@ def compute() -> dict:
     out["single.nine_equal.total"] = _run(
         lambda: simulate_pdmp(NINE_EQUAL, [0.0, 0.0], 1.0, record="events",
                               rng=_Uniforms([0.5, 0.888888888888889, 0.5])))
+    # thresholds ln 2, a choice past the in-order sums, then one at 0
+    out["single.zero_ends.choice"] = _run(
+        lambda: simulate_pdmp(ZERO_ENDS, [0.0, 0.0, 0.0], 1.0, record="events",
+                              rng=_Uniforms([0.5, 1.0 - 2.0 ** -53, 0.5, 0.0])))
 
     errors = {
         "negative_rate": lambda: simulate_pdmp(DRAIN, [0.05], 10.0, seed=0),

@@ -325,6 +325,22 @@ def test_negative_mass_action_propensity_raises():
         simulate(model, scaling, cfg, State(np.array([1.0, 0.0])))
 
 
+def test_capped_event_raises_as_recorded():
+    # the second event draws the continuous A below zero, so its refresh
+    # meets a negative propensity: capped at that event, the cap is raised,
+    # capped one later, the refresh's error (recorded at commit be52e5b)
+    model, scaling = parse_model("species A alpha=1\nspecies B alpha=0\n"
+                                 "reaction A -> 0 @ expr 1 beta=1\n"
+                                 "reaction A -> B @ mass-action kappa=1 beta=0\n")
+    recorded = {2: (EventCapExceeded, "exceeded 2 events at t=0.42621706053125913"),
+                3: (RateEvaluationError, "negative mass-action propensity -0.5")}
+    for cap, (error, message) in recorded.items():
+        cfg = SimulationConfig(N=2, t_end=10.0, seed=0, record="events", max_events=cap)
+        with pytest.raises(error) as info:
+            simulate(model, scaling, cfg, State(np.array([1.0, 0.0])))
+        assert str(info.value) == message
+
+
 def test_expression_law_stops_when_its_discrete_reactant_runs_out():
     # A -> 0 at the constant expression rate 1 consumes the discrete A:
     # the channel closes at A = 0 instead of drawing A below zero
