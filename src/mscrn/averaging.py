@@ -11,10 +11,11 @@ A fast tier at a frozen context is described once, as a list of
 factors folded in, by ``split_reactants``) and its fast orders, an
 expression law as an opaque rate. ``fast_stationary_law`` turns the list
 into a stationary law under a mode: ``closed_form_measure`` tries the
-closed form, and otherwise ``montecarlo_measure`` runs the estimator for
-the jump, flow or hybrid system that ``fast_tier_system`` builds from
-the same list. ``rate_kind`` decides once per rate whether it is a
-closed form, on the list read with every frozen factor 1. Nonspatial
+closed form, the exact moments of an affine tier, and otherwise
+``montecarlo_measure`` runs the estimator for the jump, flow or hybrid
+system that ``fast_tier_system`` builds from the same list.
+``rate_kind`` decides once per rate whether it is a closed form, on the
+list read with every frozen factor 1. Nonspatial
 two-scale rates, the inner tier of the three-scale average and the
 spatial cases 1-4 all use it; the three-scale middle tier runs
 ``montecarlo_measure`` on a system of its own.
@@ -32,16 +33,25 @@ callback, so only each batch's distinct states are held.
 Every mass-action law here, from the frozen coefficient of a fast
 reaction to the expectation over an empirical law, is built by
 :func:`model.mass_action_rate`, the one mass-action formula, and
-evaluated over arrays of states by :class:`model.MassActionRows`. The
-closed forms rest on two factorial-moment identities: a Poisson
-variable with mean m has E[x(x-1)...(x-n+1)] = m^n, and a Binomial(s, p)
-count has E[x(x-1)...(x-n+1)] = s(s-1)...(s-n+1) p^n. Both mesh exactly
-with the mixed mass-action form, where discrete species enter through
-falling factorials and continuous species through plain powers.
+evaluated over arrays of states by :class:`model.MassActionRows`.
+
+The closed form is one linear system (Gadgil, Lee & Othmer 2005;
+Hespanha & Singh 2005). In an affine fast tier every fast reaction is
+mass action of total fast order at most 1, so its generator L maps
+polynomials of degree m to degree at most m, and the stationary moments
+up to degree m solve E[L phi] = 0 for the monomials phi of degree 1..m,
+with E[(c.x - T) phi] = 0 for each conserved total c.x = T and phi of
+degree below m. The monomials are those of the mass-action form, falling
+factorials of discrete variables and powers of continuous ones, so a
+mass-action rate averages to its coefficient times one moment.
+Birth-death families (Poisson), closed conversion blocks (multinomial),
+open chains, catalytic production and affine flows all solve this way.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -51,11 +61,11 @@ import numpy as np
 
 from . import rng as rng_mod
 from .classify import ScaleClassification, ConservedBasis
-from .errors import (AnalyticUnavailable, EventCapExceeded, IsolatedSpeciesError, ModelError,
-                     NonErgodicSuspected, RateEvaluationError)
+from .errors import (AnalyticUnavailable, EventCapExceeded, ModelError, NonErgodicSuspected,
+                     RateEvaluationError)
 from .exact import stationary_distribution
 from .model import (Expression, MassAction, MassActionRows, Network, SpatialModel,
-                    falling_factorial, mass_action_rate, scaled_rate_function)
+                    mass_action_rate, scaled_rate_function)
 from .pdmp import HybridSystem, JumpChain, Occupation, OdeConfig, simulate_pdmp, tier_system
 
 
@@ -207,66 +217,174 @@ def product_measure(spatial_model: SpatialModel, totals,
 
 
 # ---------------------------------------------------------------------------
+# exact stationary moments of affine fast tiers
+
+
+def _monomials(n: int, degree: int):
+    """Exponent tuples of ``n`` variables of total ``degree``; degree 1
+    runs through the unit vectors in variable order."""
+    for picks in itertools.combinations_with_replacement(range(n), degree):
+        yield tuple(picks.count(j) for j in range(n))
+
+
+def _times_x(poly: dict, j: int, discrete) -> dict:
+    """x_j times ``poly`` in the mass-action basis: x (x)_b = (x)_{b+1} +
+    b (x)_b for a discrete variable, x x^b = x^{b+1} for a continuous one."""
+    out: dict = {}
+    for beta, c in poly.items():
+        up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+        out[up] = out.get(up, 0.0) + c
+        if discrete[j] and beta[j]:
+            out[beta] = out.get(beta, 0.0) + beta[j] * c
+    return out
+
+
+def _generator_term(alpha, orders, column, discrete) -> dict:
+    """L phi_alpha of one affine reaction of unit coefficient, in the
+    mass-action basis. A reaction that changes a discrete variable jumps
+    by ``column``: phi_alpha(x + column) - phi_alpha(x), by the Vandermonde
+    identity (x + s)_a = sum_k C(a, k) (s)_k (x)_{a-k} for falling
+    factorials and the binomial theorem for powers. Any other reaction
+    is a flow along ``column``."""
+    if any(c and d for c, d in zip(column, discrete)):
+        terms = [((), 1.0)]
+        for a, s, d in zip(alpha, column, discrete):
+            steps = [(a - k, math.comb(a, k) * (math.prod(range(s, s - k, -1)) if d else s ** k))
+                     for k in range(a + 1)]
+            terms = [(head + (b,), c * step) for head, c in terms for b, step in steps if step]
+        poly = dict(terms)   # distinct exponents: one per choice of k per factor
+        del poly[alpha]   # phi_alpha(x) itself, the k = 0 term of every factor
+    else:
+        poly = {}
+        for j, s in enumerate(column):
+            if s and alpha[j]:
+                beta = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+                poly[beta] = poly.get(beta, 0.0) + s * alpha[j]
+    if 1 in orders:
+        poly = _times_x(poly, orders.index(1), discrete)
+    return poly
+
+
+@functools.lru_cache(maxsize=256)
+def _moment_equations(shape, discrete, vectors, m: int):
+    """The stationary moment equations of an affine tier shape at degree
+    m: E[L phi_alpha] = 0 for 1 <= |alpha| <= m and E[(c.x - T) phi_beta]
+    = 0 for each conserved vector c of total T and |beta| < m, over the
+    moments of the mass-action basis phi_beta, |beta| <= m. ``shape``
+    lists each reaction's fast orders (total at most 1) and change
+    column. The equations are linear in the reactions' coefficients and
+    the totals, so they are held as one flattened term each: the matrix
+    at a context is the sum of the terms weighted by the coefficients,
+    the negated totals and 1. Returns (index of each basis exponent,
+    terms, matrix shape, and an orthonormal basis of the directions that
+    no conserved vector fixes or None)."""
+    basis = [alpha for d in range(m + 1) for alpha in _monomials(len(discrete), d)]
+    index = {alpha: i for i, alpha in enumerate(basis)}
+    low = [beta for beta in basis if sum(beta) < m]
+    n_gen, n_r = len(basis) - 1, len(shape)
+    terms = np.zeros((n_r + len(vectors) + 1, n_gen + len(vectors) * len(low), len(basis)))
+    for r, (orders, column) in enumerate(shape):
+        for row, alpha in enumerate(basis[1:]):
+            for beta, c in _generator_term(alpha, orders, column, discrete).items():
+                terms[r, row, index[beta]] += c
+    for v, vec in enumerate(vectors):
+        for i, beta in enumerate(low):
+            row = n_gen + v * len(low) + i
+            terms[n_r + v, row, index[beta]] = 1.0
+            for j in (j for j, c in enumerate(vec) if c):
+                for gamma, x in _times_x({beta: 1.0}, j, discrete).items():
+                    terms[-1, row, index[gamma]] += vec[j] * x
+    free = np.linalg.svd(np.array(vectors, dtype=float))[2][len(vectors):].T if vectors else None
+    return index, terms.reshape(len(terms), -1), terms.shape[1:], free
+
+
+class AffineMoments:
+    """Exact stationary moments of an affine fast tier at one context:
+    the :func:`_moment_equations` of the tier's shape ``key`` (reaction
+    shape, discreteness, conserved vectors) at ``weights``, each degree
+    solved when first read. The law exists when every eigenvalue of the
+    first-moment drift J has a negative real part off the conserved
+    directions; then every degree's equations are nonsingular, since an
+    affine generator maps degree m to degree at most m and on the top
+    degree its eigenvalues are sums of m eigenvalues of J. Supercritical
+    branching or a variable that no reaction moves fails that check, and
+    the constructor raises AnalyticUnavailable."""
+
+    def __init__(self, key, weights: np.ndarray):
+        self.key, self.weights, self.dim, self.solved = key, weights, len(key[1]), {}
+        _, matrix, free = self._equations(1)
+        drift = matrix[:self.dim, 1:self.dim + 1]
+        if free is not None:
+            drift = free.T @ drift @ free
+        eig = drift.ravel() if drift.size == 1 else np.linalg.eigvals(drift).real
+        if drift.size and not eig.max() < -1e-12 * np.abs(drift).max():
+            raise AnalyticUnavailable("the fast tier's first moments are not stable")
+
+    def _equations(self, m: int):
+        index, terms, shape, free = _moment_equations(*self.key, m)
+        return index, (self.weights @ terms).reshape(shape), free
+
+    def factorial(self, orders) -> float:
+        """E of the mass-action basis element of exponents ``orders``:
+        falling factorials of discrete variables, powers of continuous ones."""
+        orders = tuple(int(n) for n in orders)
+        m = sum(orders)
+        if m == 0:
+            return 1.0
+        if m not in self.solved:
+            index, matrix, free = self._equations(m)
+            a, b = matrix[:, 1:], -matrix[:, 0]
+            if free is None:
+                moments = np.linalg.solve(a, b)
+            else:
+                moments, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+                if rank < a.shape[1]:
+                    raise AnalyticUnavailable("the stationary moment equations are singular")
+            if (moments < 0).any():
+                # every basis element is nonnegative on the orthant, so a slightly
+                # negative moment is round-off of a zero, e.g. E[(x)_2] of an x held at 1
+                moments[(moments < 0) & (moments > -1e-9 * np.abs(moments).max())] = 0.0
+            self.solved[m] = index, moments
+        index, moments = self.solved[m]
+        return float(moments[index[orders] - 1])
+
+    def power(self, exponents) -> float:
+        """E of the plain power monomial of ``exponents``, expanded in the
+        mass-action basis one factor x_j at a time (for a discrete x,
+        x^n = sum_k S(n, k) (x)_k with Stirling numbers of the second kind)."""
+        poly = {(0,) * self.dim: 1.0}
+        for j, n in enumerate(exponents):
+            for _ in range(n):
+                poly = _times_x(poly, j, self.key[1])
+        return sum(c * self.factorial(beta) for beta, c in poly.items())
+
+
+# ---------------------------------------------------------------------------
 # stationary measures of fast subsystems
-
-
-@dataclass(frozen=True)
-class StationaryComponent:
-    kind: str    # 'poisson' | 'dirac'
-    mean: float
-
-    def factorial_moment(self, n: int) -> float:
-        """E of the falling factorial (poisson) / plain power (dirac)."""
-        return self.mean ** n
-
-    def raw_moment(self, n: int) -> float:
-        if self.kind == "dirac" or n <= 1:
-            return self.mean ** n
-        # Touchard: E[X^n] = sum_k S(n, k) m^k for X ~ Poisson(m)
-        return sum(_stirling2(n, k) * self.mean ** k for k in range(n + 1))
-
-
-def _stirling2(n: int, k: int) -> int:
-    if k in (0, n):
-        return 1 if n == k else (1 if n == 0 else 0)
-    if k > n or k == 0:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
-@dataclass(frozen=True)
-class MultinomialBlock:
-    """Constrained stationary law of a closed unary-conversion block: the
-    conserved total spreads multinomially over the block's species."""
-
-    positions: tuple[int, ...]      # variable indices within the fast state
-    total: float
-    probs: tuple[float, ...]
 
 
 class StationaryMeasure:
     """Stationary law of a fast subsystem in one of three shapes.
 
-    variant 'product': independent per-variable components (Poisson for
-    discrete, point mass for continuous), optionally with multinomial
-    blocks for conserved unary-conversion groups. variant 'pointmass':
-    a single state. variant 'empirical': a time average split into
-    batches for standard errors, held as three arrays, as a jump path's
-    :class:`pdmp.Occupation` builds them: ``states`` lists each batch's
-    distinct states in first-visit order, ``weights`` each state's
-    summed time weight and ``batch`` each row's batch index; ``n_events``
-    counts its fast events and, on a jump path, ``rate_evals`` the jumps
-    that evaluated rates.
-    ``discrete`` marks the variables of a point mass or empirical law
-    whose mass-action orders enter as falling factorials.
+    variant 'moments': the exact stationary moments of an affine tier
+    (``moments``, an :class:`AffineMoments`), which serve every
+    mass-action law and every law polynomial in the fast variables but
+    have no sampler. variant 'pointmass': a single state. variant
+    'empirical': a time average split into batches for standard errors,
+    held as three arrays, as a jump path's :class:`pdmp.Occupation`
+    builds them: ``states`` lists each batch's distinct states in
+    first-visit order, ``weights`` each state's summed time weight and
+    ``batch`` each row's batch index; ``n_events`` counts its fast events
+    and, on a jump path, ``rate_evals`` the jumps that evaluated rates.
+    ``discrete`` marks the variables whose mass-action orders enter as
+    falling factorials.
     """
 
-    def __init__(self, variant: str, *, components=None, blocks=None, point=None,
+    def __init__(self, variant: str, *, moments=None, point=None,
                  states=None, weights=None, batch=None, ess=None, n_events=None,
                  rate_evals=None, discrete=None):
         self.variant = variant
-        self.components: tuple[StationaryComponent, ...] | None = components
-        self.blocks: tuple[MultinomialBlock, ...] = tuple(blocks or ())
+        self.moments: AffineMoments | None = moments
         self.point = None if point is None else np.asarray(point, dtype=float)
         self.states = states
         self.weights = weights
@@ -278,8 +396,8 @@ class StationaryMeasure:
 
     @property
     def dim(self) -> int:
-        if self.components is not None:
-            return len(self.components)
+        if self.moments is not None:
+            return self.moments.dim
         if self.point is not None:
             return len(self.point)
         if self.states is not None:
@@ -289,55 +407,31 @@ class StationaryMeasure:
     # -- expectations ------------------------------------------------------
 
     def mean_vector(self) -> np.ndarray:
-        if self.variant == "product":
-            out = np.array([c.mean for c in self.components])
-            for block in self.blocks:
-                for pos, p in zip(block.positions, block.probs):
-                    out[pos] = block.total * p
-            return out
+        if self.variant == "moments":
+            return np.array([self.moments.factorial(unit) for unit in _monomials(self.dim, 1)])
         value, _ = self.expect(lambda z: np.array(z, dtype=float))
         return value
 
     def expect(self, fn):
-        """(E[fn], standard error); fn maps a state vector to a float or array."""
+        """(E[fn], standard error); fn maps a state vector to a float or
+        array. A moment law has no sampler and raises AnalyticUnavailable."""
         if self.variant == "pointmass":
             return fn(self.point), 0.0
         if self.variant == "empirical":
             return self._batch_means([fn(state) for state in self.states])
-        return self._expect_product_sampling(fn)
+        raise AnalyticUnavailable("a moment law averages only polynomial laws")
 
     def expect_mass_action(self, coeff: float, orders) -> tuple[float, float]:
         """(E, se) of the mass-action law ``coeff`` times each fast
         variable j at its reactant multiplicity ``orders[j]``: discrete
         variables contribute falling factorials and continuous ones plain
-        powers, matching the component kinds exactly. A product law has
-        the closed form; an empirical one evaluates the row form of
-        :func:`model.mass_action_rate` over all its states at once
-        (:class:`model.MassActionRows`), and a point mass the law itself.
+        powers. A moment law reads the moment of ``orders``; an empirical
+        one evaluates the row form of :func:`model.mass_action_rate` over
+        all its states at once (:class:`model.MassActionRows`), and a
+        point mass the law itself.
         """
-        orders = np.asarray(orders, dtype=int)
-        if self.variant == "product":
-            out = coeff
-            in_block = {}
-            for b, block in enumerate(self.blocks):
-                for pos in block.positions:
-                    in_block[pos] = b
-            block_orders: dict[int, list] = {}
-            for j, n in enumerate(orders):
-                if not n:
-                    continue
-                if j in in_block:
-                    block_orders.setdefault(in_block[j], []).append((j, n))
-                else:
-                    out *= self.components[j].factorial_moment(n)
-            for b, entries in block_orders.items():
-                block = self.blocks[b]
-                total_order = sum(n for _, n in entries)
-                out *= falling_factorial(block.total, total_order)
-                for j, n in entries:
-                    p = block.probs[block.positions.index(j)]
-                    out *= p ** n
-            return out, 0.0
+        if self.variant == "moments":
+            return coeff * self.moments.factorial(orders), 0.0
         terms = [(j, int(n), bool(self.discrete[j])) for j, n in enumerate(orders) if n]
         if self.variant == "empirical":
             rows = MassActionRows([(coeff, terms)], self.dim)
@@ -366,22 +460,6 @@ class StationaryMeasure:
             se = np.abs(means[0]) * 0 + math.inf
         return value, se
 
-    def _expect_product_sampling(self, fn, draws: int = 4096, seed: int = 1234):
-        rng = rng_mod.stream(seed)
-        dim = self.dim
-        samples = np.empty((draws, dim))
-        for j, comp in enumerate(self.components):
-            if comp.kind == "poisson":
-                samples[:, j] = rng.poisson(comp.mean, size=draws)
-            else:
-                samples[:, j] = comp.mean
-        for block in self.blocks:
-            counts = rng.multinomial(int(block.total), block.probs, size=draws)
-            for idx, pos in enumerate(block.positions):
-                samples[:, pos] = counts[:, idx]
-        values = np.array([fn(s) for s in samples])
-        return values.mean(axis=0), values.std(axis=0, ddof=1) / math.sqrt(draws)
-
 
 # ---------------------------------------------------------------------------
 # mass-action structure of a fast subsystem
@@ -400,110 +478,6 @@ class FastReaction:
     orders: tuple[int, ...] | None
     column: tuple[int, ...]
     rate: object = None
-
-
-def detect_birth_death(reactions, discrete) -> list[StationaryComponent] | None:
-    """Independent linear birth-death detection, deliberately narrow.
-
-    Succeeds only when every fast reaction changes exactly one variable
-    by +-1 and its rate is constant (birth) or proportional to that same
-    variable (death). Returns per-variable components: Poisson for
-    discrete variables, point mass (the flow fixed point) for continuous
-    ones. None when the structure does not match.
-    """
-    n = len(discrete)
-    births = [0.0] * n
-    deaths = [0.0] * n
-    zero = tuple([0] * n)
-    for fr in reactions:
-        nz = [j for j, c in enumerate(fr.column) if c != 0]
-        if len(nz) != 1:
-            return None
-        j = nz[0]
-        change = fr.column[j]
-        if change == 1:
-            if fr.orders != zero:
-                return None
-            births[j] += fr.coeff
-        elif change == -1:
-            expected = tuple(1 if i == j else 0 for i in range(n))
-            if fr.orders != expected:
-                return None
-            deaths[j] += fr.coeff
-        else:
-            return None
-    components = []
-    for j in range(n):
-        if deaths[j] <= 0.0:
-            # pure accumulation has no stationary law; a variable with no
-            # active rates at all keeps its initial value (point mass),
-            # which the closed form cannot express
-            return None
-        components.append(StationaryComponent(
-            "poisson" if discrete[j] else "dirac", births[j] / deaths[j]))
-    return components
-
-
-def detect_conversion_blocks(reactions, basis_vectors, totals, discrete):
-    """Constrained analytic stationary: closed unary-conversion blocks.
-
-    When the conservation vectors are disjoint 0/1 vectors and every fast
-    reaction converts one unit of a block species into another with a
-    rate linear in the source, molecules of a block move independently;
-    the constrained stationary law is Multinomial(total, per-molecule
-    stationary). Returns blocks or None.
-    """
-    n = len(discrete)
-    if not all(all(x in (0, 1) for x in vec) for vec in basis_vectors):
-        return None
-    owner = [None] * n
-    for b, vec in enumerate(basis_vectors):
-        for j, x in enumerate(vec):
-            if x:
-                if owner[j] is not None:
-                    return None
-                owner[j] = b
-    if any(owner[j] is None for j in range(n)):
-        return None
-    if not all(discrete):
-        return None
-    conv = [dict() for _ in basis_vectors]   # (src, dst) -> rate
-    for fr in reactions:
-        nz = [j for j, c in enumerate(fr.column) if c != 0]
-        if len(nz) != 2:
-            return None
-        a, b = nz
-        if {fr.column[a], fr.column[b]} != {-1, 1}:
-            return None
-        src = a if fr.column[a] == -1 else b
-        dst = b if src == a else a
-        if owner[src] != owner[dst]:
-            return None
-        expected = tuple(1 if i == src else 0 for i in range(n))
-        if fr.orders != expected:
-            return None
-        key = (src, dst)
-        conv[owner[src]][key] = conv[owner[src]].get(key, 0.0) + fr.coeff
-    blocks = []
-    for b, vec in enumerate(basis_vectors):
-        positions = tuple(j for j, x in enumerate(vec) if x)
-        local = {p: i for i, p in enumerate(positions)}
-        m = len(positions)
-        rates = [[0.0] * m for _ in range(m)]
-        for (src, dst), rate in conv[b].items():
-            rates[local[src]][local[dst]] = rate
-        try:
-            pi = stationary_distribution(rates)
-        except IsolatedSpeciesError:
-            if m == 1:
-                pi = [Fraction(1)]
-            else:
-                return None
-        except Exception:
-            return None
-        blocks.append(MultinomialBlock(positions, float(totals[b]),
-                                       tuple(float(p) for p in pi)))
-    return blocks
 
 
 def fast_reaction_structs(classification: ScaleClassification, frozen) -> list[FastReaction]:
@@ -749,30 +723,27 @@ def constrained_start(basis: ConservedBasis, conserved_values, n_vars,
     return v
 
 
-
-
 # ---------------------------------------------------------------------------
 # the fast-tier stationary law: closed form, else Monte Carlo
 
 
 def closed_form_measure(structs, discrete, conserved: ConservedBasis | None = None,
                         conserved_values=None) -> StationaryMeasure | None:
-    """Closed-form stationary law of a fast tier, or None: an independent
-    linear birth-death family without a conserved basis, closed
-    unary-conversion blocks (multinomial laws of ``conserved_values``)
-    with one. A tier with an expression law has none."""
-    if any(fr.rate is not None for fr in structs):
+    """The exact stationary moments of an affine fast tier (every
+    reaction mass action of total fast order at most 1), constrained to
+    ``conserved_values`` of the conserved basis when one is given; None
+    when the tier is not affine or its moments have no stable solution."""
+    if any(fr.rate is not None or sum(fr.orders) > 1 for fr in structs):
         return None
-    if conserved is None or conserved.empty:
-        comps = detect_birth_death(structs, discrete)
-        return None if comps is None else StationaryMeasure("product",
-                                                            components=tuple(comps))
-    blocks = detect_conversion_blocks(structs, conserved.vectors, conserved_values,
-                                      discrete)
-    if blocks is None:
+    vectors = () if conserved is None or conserved.empty else tuple(map(tuple, conserved.vectors))
+    key = (tuple((fr.orders, fr.column) for fr in structs), tuple(discrete), vectors)
+    totals = conserved_values if vectors else ()
+    try:
+        moments = AffineMoments(key, np.array([fr.coeff for fr in structs]
+                                              + [-float(t) for t in totals] + [1.0]))
+    except AnalyticUnavailable:
         return None
-    comps = tuple(StationaryComponent("poisson" if d else "dirac", 0.0) for d in discrete)
-    return StationaryMeasure("product", components=comps, blocks=blocks)
+    return StationaryMeasure("moments", moments=moments, discrete=discrete)
 
 
 def montecarlo_measure(system: HybridSystem, v0, mc: McConfig,
@@ -831,10 +802,10 @@ def rate_kind(classification: ScaleClassification, structs, mode: str,
               conserved: ConservedBasis | None = None, closed: bool = True) -> str:
     """Kind of an averaged rate over the fast tier ``structs``, read with
     every frozen factor 1 so that no state zeroes a coefficient that is
-    positive elsewhere: 'analytic' when the tier has a closed-form law
-    (at unit conserved totals) and ``closed`` says the rate averages in
-    closed form over it, else 'montecarlo', which mode 'analytic' refuses
-    with AnalyticUnavailable."""
+    positive elsewhere: 'analytic' when the tier is affine with stable
+    first moments (at unit conserved totals, :func:`closed_form_measure`)
+    and ``closed`` says the rate averages in closed form over it, else
+    'montecarlo', which mode 'analytic' refuses with AnalyticUnavailable."""
     if mode != "montecarlo" and closed:
         n_cons = 0 if conserved is None or conserved.empty else len(conserved.vectors)
         try:
@@ -976,19 +947,29 @@ def _mass_action_text(network: Network, k: int) -> str | None:
 
 
 def _rate_text(network: Network, structs, fast_rows, k, slow_terms,
-               fast_orders) -> str:
+               fast_orders) -> str | None:
     """Printable closed form over a birth-death fast tier, e.g.
-    ``k1*k2*vA/(k3+k1*vA)``; only the shape of ``structs`` is read."""
+    ``k1*k2*vA/(k3+k1*vA)``: every fast reaction is a birth (order 0) or
+    a death (order 1 in the variable it removes) of one variable, so each
+    variable's law is Poisson (or a point mass) of mean births over
+    deaths. None for any other tier shape, or when a variable the rate
+    reads has no birth; only the shape of ``structs`` is read."""
+    birth_terms, death_terms = [[] for _ in fast_rows], [[] for _ in fast_rows]
+    for fr in structs:
+        changed = [j for j, c in enumerate(fr.column) if c]
+        if len(changed) != 1:
+            return None
+        j = changed[0]
+        if (fr.column[j], sum(fr.orders), fr.orders[j]) not in ((1, 0, 0), (-1, 1, 1)):
+            return None
+        term = _coeff_text(network, fr.k, fast_rows)
+        (birth_terms[j] if fr.column[j] == 1 else death_terms[j]).append(term)
+    if any(n and not birth_terms[j] for j, n in enumerate(fast_orders)):
+        return None
     numerator = [f"k{k + 1}"]
     denominators = []
     for i, n, _ in slow_terms:
         numerator.extend(_species_factor_texts(network, i, n))
-    birth_terms = [[] for _ in fast_rows]
-    death_terms = [[] for _ in fast_rows]
-    for fr in structs:
-        j = next(idx for idx, c in enumerate(fr.column) if c != 0)
-        term = _coeff_text(network, fr.k, fast_rows)
-        (birth_terms[j] if fr.column[j] == 1 else death_terms[j]).append(term)
     for j, n in enumerate(fast_orders):
         for _ in range(n):
             birth = "+".join(sorted(birth_terms[j], key=_term_sort_key))
@@ -1033,12 +1014,16 @@ def fast_average(network: Network, k: int, measure: StationaryMeasure, frozen,
                  fast_rows) -> tuple[float, float]:
     """(E, se) of reaction k's rate over a fast stationary ``measure``,
     slower species held at ``frozen``: factorial moments for mass action,
-    the compiled law on completed states otherwise."""
+    power moments for an expression law over a moment law (which raises
+    AnalyticUnavailable unless the law is polynomial in the fast
+    species), the compiled law on completed states otherwise."""
     law = network.reactions[k].rate_law
     if isinstance(law, MassAction):
         orders, frozen_terms = split_reactants(network, k, fast_rows)
         return measure.expect_mass_action(mass_action_rate(law.kappa, frozen_terms)(frozen),
                                           orders)
+    if measure.variant == "moments":
+        return _polynomial_average(network, k, measure, frozen, fast_rows), 0.0
     rate_fn = scaled_rate_function(network, k)
 
     def integrand(z):
@@ -1049,24 +1034,28 @@ def fast_average(network: Network, k: int, measure: StationaryMeasure, frozen,
     return measure.expect(integrand)
 
 
+def _fast_polynomial(network: Network, k: int, fast_rows, frozen=None):
+    """Reaction k's expression law as a polynomial in the fast species
+    (exponents -> coefficient), every other species at ``frozen`` or, by
+    default, at 1 as :func:`rate_kind` reads a tier; None when the law is
+    not polynomial in them and so has no closed-form average."""
+    from . import expressions
+    env = {s.name: 1.0 if frozen is None else frozen[i] for i, s in enumerate(network.species)}
+    try:
+        return expressions.as_polynomial(network.reactions[k].rate_law.ast,
+                                         [network.species[i].name for i in fast_rows], env)
+    except expressions.PolynomialError:
+        return None
+
+
 def _polynomial_average(network: Network, k: int, measure: StationaryMeasure, frozen,
                         fast_rows) -> float:
     """Closed-form average of an expression law polynomial in the fast
-    species, through raw moments of a product measure's components."""
-    from . import expressions
-    fast_names = [network.species[i].name for i in fast_rows]
-    env = {s.name: frozen[i] for i, s in enumerate(network.species)}
-    try:
-        poly = expressions.as_polynomial(network.reactions[k].rate_law.ast, fast_names, env)
-    except expressions.PolynomialError:
+    species, through the power moments of a moment law."""
+    poly = _fast_polynomial(network, k, fast_rows, frozen)
+    if poly is None:
         raise AnalyticUnavailable("expression rate is not polynomial in the fast species")
-    out = 0.0
-    for exponents, coeff in poly.items():
-        term = coeff
-        for j, n in enumerate(exponents):
-            if n:
-                term *= measure.components[j].raw_moment(n)
-        out += term
+    out = sum(coeff * measure.moments.power(exponents) for exponents, coeff in poly.items())
     if out < 0:
         raise RateEvaluationError(f"averaged rate is negative: {out}")
     return out
@@ -1109,15 +1098,14 @@ def averaged_rate_two_scale(classification: ScaleClassification, k: int,
     frozen_of = _freezer(network, base, classification.slow.rows)
     mass_action = isinstance(network.reactions[k].rate_law, MassAction)
     shape = fast_reaction_structs(classification, None)
-    kind = rate_kind(classification, shape, mode, basis, mass_action or basis is None)
+    closed = mass_action or (basis is None and _fast_polynomial(network, k, fast_rows) is not None)
+    kind = rate_kind(classification, shape, mode, basis, closed)
 
     def evaluate(reduced_state):
         frozen = frozen_of(reduced_state)
         values = None if basis is None else reduced_state[n_slow:]
         measure = stationary_fast(classification, frozen, mode=kind, mc=mc,
                                   conserved=basis, conserved_values=values)
-        if not mass_action and kind == "analytic":
-            return _polynomial_average(network, k, measure, frozen, fast_rows), 0.0
         return fast_average(network, k, measure, frozen, fast_rows)
 
     rate = memoized_rate(k, kind, evaluate, n_slow + (0 if basis is None else len(basis.vectors)))
@@ -1166,6 +1154,12 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
                        ess_threshold=min(mc.ess_threshold, 50))
     inner = StateMemo(lambda frozen: stationary_fast(classification, frozen, mode=mode,
                                                      mc=inner_mc))
+    # a law with no closed-form average over a moment law takes the Monte
+    # Carlo law of the inner tier in mode 'auto' (mode 'analytic' refuses it)
+    inner_mc_law = StateMemo(lambda frozen: stationary_fast(classification, frozen,
+                                                            mode="montecarlo", mc=inner_mc))
+    closed = functools.cache(lambda kk: isinstance(network.reactions[kk].rate_law, MassAction)
+                             or _fast_polynomial(network, kk, fast_rows) is not None)
     middle_discrete = [network.species[i].alpha == 0 for i in middle_rows]
     labels = tuple(network.species[i].name for i in middle_rows)
 
@@ -1176,7 +1170,10 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
             """Fast-tier average of reaction kk at middle state v_m."""
             full = frozen.copy()
             full[middle_rows] = v_m
-            return fast_average(network, kk, inner(full), full, fast_rows)
+            measure = inner(full)
+            if mode == "auto" and measure.variant == "moments" and not closed(kk):
+                measure = inner_mc_law(full)
+            return fast_average(network, kk, measure, full, fast_rows)
 
         # middle-tier path with fast-averaged rates
         system = tier_system(labels, classification.middle, classification.k_sets["middle"],

@@ -265,10 +265,10 @@ def _case34_conserved(ctx: _SpatialContext, slow_factors, basis: ConservedBasis,
     The per-compartment conserved amounts equilibrate by movement of the
     fast species; their equilibrium is found by alternating (a) the
     constrained per-compartment stationary law given current amounts and
-    (b) a movement-equilibrium redistribution of the resulting expected
-    counts, to a fixed point. Requires the constrained closed form
-    (multinomial conversion blocks); reported as CaseUnavailable
-    otherwise or on non-convergence.
+    (b) a movement-equilibrium redistribution of its means (the degree-1
+    moments of the same law) to a fixed point. Requires the constrained
+    closed form, an affine fast tier with stable first moments; reported
+    as CaseUnavailable otherwise or on non-convergence.
     """
     model = ctx.model
     nd = model.n_compartments
@@ -281,7 +281,7 @@ def _case34_conserved(ctx: _SpatialContext, slow_factors, basis: ConservedBasis,
         except AnalyticUnavailable:
             raise CaseUnavailable(
                 "conserved spatial cases 3/4 need the constrained closed form "
-                "(closed unary-conversion blocks)") from None
+                "(an affine fast tier with stable first moments)") from None
 
     # fixed point on the (theta x compartment) matrix of conserved amounts
     v_c = np.outer(np.asarray(s_c, dtype=float), np.full(nd, 1.0 / nd))

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryComponent,
-                             StationaryMeasure, _occupation, averaged_rate_three_scale,
+from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryMeasure,
+                             _occupation, averaged_rate_three_scale,
                              averaged_rate_two_scale, constrained_start,
                              movement_equilibrium, product_measure, stationary_fast)
 from mscrn.classify import classify, conserved_basis
@@ -119,9 +119,10 @@ def test_stationary_fast_analytic(ab_doc):
     c = classify(ab_doc.model, ab_doc.scaling)
     frozen = np.array([1.0, 0.0])
     measure = stationary_fast(c, frozen, mode="analytic")
-    assert measure.variant == "product"
-    assert measure.components[0].kind == "poisson"
-    assert measure.components[0].mean == pytest.approx(0.5)
+    assert measure.variant == "moments"
+    assert measure.mean_vector().tolist() == [pytest.approx(0.5)]
+    # Poisson(1/2): E[B(B-1)] = 1/4, with no standard error
+    assert measure.expect_mass_action(1.0, [2]) == (pytest.approx(0.25), 0.0)
 
 
 def test_stationary_fast_analytic_unavailable():
@@ -225,12 +226,14 @@ def test_constrained_start_without_integer_repair_raises():
 
 
 def test_constrained_analytic_binomial(conserved_doc):
-    # activation share 1/(1+2) = 1/3: E[Ea | total n] = n/3 exactly
+    # activation share 1/(1+2) = 1/3: E[Ea | total n] = n/3 exactly. The
+    # moment law without its conservation rows has no solution here, and
+    # one that reads factorial moments as Poisson gives E[Ea(Ea-1)] = 4
     c = classify(conserved_doc.model, conserved_doc.scaling)
     basis = conserved_basis(c)
     measure = stationary_fast(c, np.zeros(3), mode="analytic",
                               conserved=basis, conserved_values=[6.0])
-    assert measure.variant == "product"
+    assert measure.variant == "moments"
     value, se = measure.expect_mass_action(1.0, [0, 1])
     assert se == 0.0
     assert value == pytest.approx(2.0)
