@@ -80,7 +80,7 @@ class ScaleClassification:
 
     @property
     def network(self) -> Network:
-        return self.model.network if self.model.is_spatial else self.model
+        return self.model.network
 
     def species_names(self, indices) -> list[str]:
         return [self.network.species[i].name for i in sorted(indices)]
@@ -138,7 +138,7 @@ def classify(model: Model, scaling: ScalingSpec | None = None) -> ScaleClassific
     negative, or no species lives on the slow timescale.
     """
     scaling = scaling or ScalingSpec()
-    network = model.network if model.is_spatial else model
+    network = model.network
     zeta = network.stoichiometric_matrix()
     alphas = list(network.alphas)
     betas = [b + scaling.gamma for b in network.betas]

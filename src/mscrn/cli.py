@@ -19,11 +19,11 @@ import numpy as np
 from . import errors as err
 from .averaging import McConfig
 from .classify import classify, conserved_basis
-from .model import State
+from .model import State, species_totals
 from .parser import parse_document
-from .pdmp import run_ensemble_pdmp, simulate_pdmp
+from .pdmp import run_ensemble_pdmp
 from .reduce import build_reduced_model, serialize_reduced
-from .ssa import SimulationConfig, run_ensemble, simulate, simulate_spatial
+from .ssa import SimulationConfig, run_ensemble
 from .verify import verify_convergence
 
 MODEL_ERRORS = (err.ParseError, err.ValidationError, err.UnclassifiableError,
@@ -147,9 +147,7 @@ def _initial_or_fail(doc):
 def _base_totals(doc):
     """Initial totals, used to pin constant species in frozen contexts."""
     init = doc.initial_scaled()
-    if init is None:
-        return None
-    return init.sum(axis=1) if init.ndim == 2 else init
+    return None if init is None else species_totals(init)
 
 
 def _cmd_analyze(args) -> int:
@@ -200,8 +198,7 @@ def _cmd_simulate(args) -> int:
     if args.engine == "ssa":
         x0 = State(_initial_or_fail(doc), scaled=True)
         names = (args.observables.split(",") if args.observables
-                 else [s.name for s in (doc.model.network.species
-                                        if doc.model.is_spatial else doc.model.species)])
+                 else [s.name for s in doc.model.species])
         cfg = SimulationConfig(N=args.N, t_end=args.t_end, seed=args.seed, record=grid)
         stats = run_ensemble(doc.model, doc.scaling, cfg, args.replicas, names, x0=x0)
     else:

@@ -4,6 +4,11 @@ A :class:`Network` couples species (with exact rational abundance
 exponents) to reactions (integer stoichiometry, rational rate exponents,
 mass-action or expression rate laws). A :class:`SpatialModel` adds an
 ordered compartment set, per-compartment rate laws and movement rates.
+A network is the one-compartment model without movement, and it reads
+as one: both kinds give ``network``, ``n_compartments``, ``rate_laws``,
+``rate_law(k, d)`` and a ``movement`` tensor, so an engine reads one
+shape. ``is_spatial`` is the one kind flag, for what the user sees:
+1-D or 2-D states, ``@`` compartments, the ``compartments`` line.
 Model objects are immutable after construction and safe to share across
 simulation workers; :class:`State` objects are worker-local.
 
@@ -159,7 +164,8 @@ def falling_factorial(x: float, n: int) -> float:
 
 
 class Network:
-    """Immutable reaction network over a single compartment."""
+    """Immutable reaction network over a single compartment: the
+    one-compartment model, with no movement."""
 
     def __init__(self, species: list[Species], reactions: list[Reaction]):
         names = [s.name for s in species]
@@ -175,6 +181,9 @@ class Network:
         self.reactions = tuple(reactions)
         self.index = {s.name: i for i, s in enumerate(self.species)}
         self._zeta = self._build_zeta()
+        self.rate_laws = tuple((r.rate_law,) for r in self.reactions)
+        self.movement = np.zeros((len(self.species), 1, 1))
+        self.movement.setflags(write=False)
 
     def _build_zeta(self) -> np.ndarray:
         z = np.zeros((len(self.species), len(self.reactions)), dtype=np.int64)
@@ -184,6 +193,17 @@ class Network:
             for i, n in r.products:
                 z[i, k] += n
         return z
+
+    @property
+    def network(self) -> "Network":
+        return self
+
+    @property
+    def n_compartments(self) -> int:
+        return 1
+
+    def rate_law(self, k: int, d: int = 0) -> RateLaw:
+        return self.rate_laws[k][d]
 
     @property
     def n_species(self) -> int:
@@ -247,8 +267,8 @@ class SpatialModel:
         movement = np.asarray(movement, dtype=float)
         if movement.shape != (network.n_species, nd, nd):
             raise ValidationError("movement tensor must be species x compartments x compartments")
-        if np.any(movement < 0):
-            raise ValidationError("movement rates must be nonnegative")
+        if not np.all(np.isfinite(movement)) or np.any(movement < 0):
+            raise ValidationError("movement rates must be finite and nonnegative")
         if np.any(np.diagonal(movement, axis1=1, axis2=2) != 0):
             raise ValidationError("movement rate matrix must have zero diagonal")
         self.movement = movement
@@ -302,54 +322,35 @@ def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = 
     monomials for continuous ones). Expression laws evaluate on scaled
     states only.
     """
-    spatial = isinstance(model, SpatialModel)
-    if spatial != (compartment is not None):
+    if model.is_spatial != (compartment is not None):
         raise ModelError("compartment must be given exactly for spatial models")
-    network = model.network if spatial else model
+    network = model.network
     if not 0 <= k < network.n_reactions:
         raise ModelError(f"no reaction {k}")
-    counts = state.counts
-    if spatial:
-        if counts.ndim != 2 or counts.shape != (network.n_species, model.n_compartments):
-            raise ModelError("state shape does not match species x compartments")
-        if not 0 <= compartment < model.n_compartments:
-            raise ModelError(f"no compartment {compartment}")
-        law = model.rate_law(k, compartment)
-        values = counts[:, compartment]
-    else:
-        if counts.ndim != 1 or counts.shape[0] != network.n_species:
-            raise ModelError("state dimension does not match network")
-        law = network.reactions[k].rate_law
-        values = counts
-    reaction = network.reactions[k]
+    _check_shape(model, state.counts)
+    d = compartment or 0
+    if not 0 <= d < model.n_compartments:
+        raise ModelError(f"no compartment {compartment}")
+    reaction, law = network.reactions[k], model.rate_law(k, d)
     if state.scaled:
-        rate = _compile_law(network, reaction, law)
+        rate = scaled_rate_function(model, k, d)
     elif isinstance(law, MassAction):
         # raw counts enter every reactant as a falling factorial
         rate = mass_action_rate(law.kappa, tuple((i, n, True) for i, n in reaction.reactants))
     else:
         raise ModelError("expression rate laws evaluate on scaled states")
-    out = rate(values)
+    out = rate(state.counts.reshape(network.n_species, -1)[:, d])
     if out < 0 or not math.isfinite(out):
         raise RateEvaluationError(f"reaction {k + 1}: rate {out} is negative or non-finite")
     return out
 
 
-def scaled_rate_function(network: Network, k: int):
-    """Compile reaction k's rate law into a function of a scaled species
-    vector (mixed mass-action form, or the expression AST)."""
-    reaction = network.reactions[k]
-    return _compile_law(network, reaction, reaction.rate_law)
-
-
-def scaled_rate_function_spatial(model: SpatialModel, k: int, d: int):
-    """Per-compartment variant; the argument is the scaled species vector
-    of compartment d."""
-    reaction = model.network.reactions[k]
-    return _compile_law(model.network, reaction, model.rate_law(k, d))
-
-
-def _compile_law(network: Network, reaction: Reaction, law: RateLaw):
+def scaled_rate_function(model: Model, k: int, d: int = 0):
+    """Compile reaction k's rate law in compartment d into a function of
+    the scaled species vector of that compartment (mixed mass-action
+    form, or the expression AST); a network has the one compartment 0."""
+    network = model.network
+    reaction, law = network.reactions[k], model.rate_law(k, d)
     if isinstance(law, MassAction):
         return mass_action_rate(law.kappa, tuple((i, n, network.species[i].alpha == 0)
                                                  for i, n in reaction.reactants))
@@ -460,14 +461,26 @@ class MassActionRows:
         return self(padded)
 
 
+def _check_shape(model: Model, counts: np.ndarray) -> None:
+    """A state of a network is 1-D over species; one of a spatial model
+    2-D, species x compartments."""
+    n = model.network.n_species
+    expected = (n, model.n_compartments) if model.is_spatial else (n,)
+    if counts.shape != expected:
+        raise ModelError(f"state shape {counts.shape}, expected {expected}")
+
+
 def check_state(model: Model, state: State) -> None:
     """Validate dimensions and integrality of discrete species."""
-    network = model.network if isinstance(model, SpatialModel) else model
-    expected = (network.n_species, model.n_compartments) if isinstance(model, SpatialModel) \
-        else (network.n_species,)
-    if state.counts.shape != expected:
-        raise ModelError(f"state shape {state.counts.shape}, expected {expected}")
-    for i, s in enumerate(network.species):
+    _check_shape(model, state.counts)
+    for i, s in enumerate(model.network.species):
         values = np.atleast_1d(state.counts[i])
         if s.alpha == 0 and np.any(values != np.round(values)):
             raise ModelError(f"discrete species {s.name} must hold integer values")
+
+
+def species_totals(full_scaled) -> np.ndarray:
+    """Per-species totals of a full state: the state itself when 1-D,
+    its sums over compartments when 2-D (species x compartments)."""
+    full_scaled = np.asarray(full_scaled, dtype=float)
+    return full_scaled.sum(axis=1) if full_scaled.ndim == 2 else full_scaled

@@ -50,16 +50,12 @@ class ModelDocument:
         """Initial state as an array, or None when no init lines exist."""
         if not self.init:
             return None
-        spatial = self.model.is_spatial
-        network = self.model.network if spatial else self.model
-        if spatial:
-            out = np.zeros((network.n_species, self.model.n_compartments))
-            for (name, comp), value in self.init.items():
-                out[network.index[name], self.model.compartments.index(comp)] = value
-        else:
-            out = np.zeros(network.n_species)
-            for name, value in self.init.items():
-                out[network.index[name]] = value
+        model = self.model
+        if not model.is_spatial:       # keyed by species: a 1-D state
+            return np.array([float(self.init.get(s.name, 0.0)) for s in model.species])
+        out = np.zeros((model.network.n_species, model.n_compartments))
+        for (name, comp), value in self.init.items():
+            out[model.index[name], model.compartments.index(comp)] = value
         return out
 
 
@@ -392,25 +388,21 @@ def _format_side(entries, species) -> str:
 def serialize_model(model: Model, scaling: ScalingSpec | None = None,
                     init: dict | None = None) -> str:
     """Canonical text form; ``parse(serialize(m))`` equals ``m``."""
-    spatial = model.is_spatial
-    network = model.network if spatial else model
+    network = model.network
     lines = []
     for s in network.species:
         line = f"species {s.name} alpha={format_rational(s.alpha)}"
         if s.eta is not None:
             line += f" eta={format_rational(s.eta)}"
         lines.append(line)
-    if spatial:
+    if model.is_spatial:
         lines.append("compartments " + " ".join(model.compartments))
     if scaling is not None and scaling.gamma != 0:
         lines.append(f"scaling gamma={format_rational(scaling.gamma)}")
     for k, r in enumerate(network.reactions):
         left = _format_side(r.reactants, network.species)
         right = _format_side(r.products, network.species)
-        if spatial:
-            laws = model.rate_laws[k]
-        else:
-            laws = (r.rate_law,)
+        laws = model.rate_laws[k]
         if isinstance(laws[0], MassAction):
             kappas = [law.kappa for law in laws]
             if len(set(kappas)) == 1:
@@ -421,14 +413,10 @@ def serialize_model(model: Model, scaling: ScalingSpec | None = None,
         else:
             law_text = f"expr {laws[0].source}"
         lines.append(f"reaction {left} -> {right} @ {law_text} beta={format_rational(r.beta)}")
-    if spatial:
-        for i, s in enumerate(network.species):
-            for d1 in range(model.n_compartments):
-                for d2 in range(model.n_compartments):
-                    rate = model.movement[i, d1, d2]
-                    if rate > 0:
-                        lines.append(f"move {s.name} from {model.compartments[d1]} "
-                                     f"to {model.compartments[d2]} rate {_format_float(rate)}")
+    for i, d1, d2 in zip(*np.nonzero(model.movement > 0)):
+        rate = _format_float(model.movement[i, d1, d2])
+        lines.append(f"move {network.species[i].name} from {model.compartments[d1]} "
+                     f"to {model.compartments[d2]} rate {rate}")
     if init:
         for key in sorted(init, key=lambda k: k if isinstance(k, tuple) else (k, "")):
             if isinstance(key, tuple):
@@ -441,30 +429,17 @@ def serialize_model(model: Model, scaling: ScalingSpec | None = None,
 
 def models_equal(a: Model, b: Model) -> bool:
     """Structural equality (species, exponents, stoichiometry, laws, movement)."""
-    if a.is_spatial != b.is_spatial:
+    if a.is_spatial != b.is_spatial or (a.is_spatial and a.compartments != b.compartments):
         return False
-    na = a.network if a.is_spatial else a
-    nb = b.network if b.is_spatial else b
-    if na.species != nb.species:
+    na, nb = a.network, b.network
+    if na.species != nb.species or len(na.reactions) != len(nb.reactions):
         return False
-    if len(na.reactions) != len(nb.reactions):
+    if any((ra.reactants, ra.products, ra.beta) != (rb.reactants, rb.products, rb.beta)
+           for ra, rb in zip(na.reactions, nb.reactions)):
         return False
-    for ra, rb in zip(na.reactions, nb.reactions):
-        if (ra.reactants, ra.products, ra.beta) != (rb.reactants, rb.products, rb.beta):
-            return False
-    if a.is_spatial:
-        if a.compartments != b.compartments:
-            return False
-        if not np.array_equal(a.movement, b.movement):
-            return False
-        for row_a, row_b in zip(a.rate_laws, b.rate_laws):
-            if not all(_laws_equal(x, y) for x, y in zip(row_a, row_b)):
-                return False
-    else:
-        if not all(_laws_equal(ra.rate_law, rb.rate_law)
-                   for ra, rb in zip(na.reactions, nb.reactions)):
-            return False
-    return True
+    return np.array_equal(a.movement, b.movement) and all(
+        _laws_equal(x, y) for row_a, row_b in zip(a.rate_laws, b.rate_laws)
+        for x, y in zip(row_a, row_b))
 
 
 def _laws_equal(x, y) -> bool:

@@ -16,7 +16,7 @@ from .averaging import (AveragedRate, McConfig, _identity_rate,
                         averaged_rate_three_scale, averaged_rate_two_scale)
 from .classify import ConservedBasis, ScaleClassification, classify, conserved_basis
 from .errors import CaseUnavailable
-from .model import Model, ScalingSpec
+from .model import Model, ScalingSpec, species_totals
 from .pdmp import HybridSystem, limit_stoichiometry
 
 
@@ -52,11 +52,7 @@ class ReducedModel:
     def initial_state(self, full_scaled: np.ndarray) -> np.ndarray:
         """Project a full scaled state (vector, or species x compartments)
         onto the reduced coordinates."""
-        full_scaled = np.asarray(full_scaled, dtype=float)
-        if full_scaled.ndim == 2:
-            totals = full_scaled.sum(axis=1)
-        else:
-            totals = full_scaled
+        totals = species_totals(full_scaled)
         c = self.classification
         if self.kind == "identity" or self.kind == "single-spatial":
             return totals.copy()
@@ -70,27 +66,18 @@ class ReducedModel:
         """Weights extracting each reduced coordinate from the FULL model
         state (flattened species x compartments), for paired ensembles."""
         c = self.classification
-        network = c.network
-        nd = c.model.n_compartments if c.model.is_spatial else 1
-        dim = network.n_species * nd
-        rows = []
+        species = np.eye(c.network.n_species)
         if self.kind in ("identity", "single-spatial"):
-            for i in range(network.n_species):
-                w = np.zeros(dim)
-                w[i * nd:(i + 1) * nd] = 1.0
-                rows.append(w)
+            rows = list(species)
         else:
-            for i in c.slow.rows:
-                w = np.zeros(dim)
-                w[i * nd:(i + 1) * nd] = 1.0
-                rows.append(w)
+            rows = [species[i] for i in c.slow.rows]
             if self.conserved is not None and not self.conserved.empty:
                 for vec in self.conserved.vectors:
-                    w = np.zeros(dim)
-                    for j, i in enumerate(self.conserved.fast_rows):
-                        w[i * nd:(i + 1) * nd] = float(vec[j])
+                    w = np.zeros(c.network.n_species)
+                    w[list(self.conserved.fast_rows)] = [float(v) for v in vec]
                     rows.append(w)
-        return np.array(rows)
+        # each species' weight over its compartments, in the flat order
+        return np.repeat(rows, c.model.n_compartments, axis=1)
 
 
 def build_reduced_model(model: Model, scaling: ScalingSpec | None = None,
@@ -110,10 +97,9 @@ def build_reduced_model(model: Model, scaling: ScalingSpec | None = None,
     mc = mc or McConfig()
     classification = classify(model, scaling or ScalingSpec())
     network = classification.network
-    spatial = model.is_spatial
 
     if classification.kind == "single":
-        if not spatial:
+        if not model.is_spatial:
             rates = {k: _identity_rate(network, k)
                      for k in sorted(classification.k_sets["star"])}
             return _assemble(classification, "identity", rates, None)
@@ -123,7 +109,7 @@ def build_reduced_model(model: Model, scaling: ScalingSpec | None = None,
         return _assemble(classification, "single-spatial", rates, None)
 
     if classification.kind == "three":
-        if spatial:
+        if model.is_spatial:
             raise CaseUnavailable("three chemical timescales are supported "
                                   "non-spatially only")
         basis = conserved_basis(classification)
@@ -139,7 +125,7 @@ def build_reduced_model(model: Model, scaling: ScalingSpec | None = None,
     basis = conserved_basis(classification)
     has_conserved = not basis.empty
     needed = sorted(classification.k_sets["slow"] | (basis.k_c if has_conserved else set()))
-    if not spatial:
+    if not model.is_spatial:
         rates = {k: averaged_rate_two_scale(classification, k, mode=mode, base=base,
                                             mc=mc, conserved=basis if has_conserved else None)
                  for k in needed}

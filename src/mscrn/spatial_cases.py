@@ -45,7 +45,7 @@ from .averaging import (AveragedRate, FastReaction, McConfig, all_movement_equil
                         split_reactants)
 from .classify import ConservedBasis, ScaleClassification
 from .errors import AnalyticUnavailable, CaseUnavailable, ModelError
-from .model import MassAction, SpatialModel, mass_action_rate, scaled_rate_function_spatial
+from .model import MassAction, SpatialModel, mass_action_rate, scaled_rate_function
 
 
 def pi_weight(pis, terms, d: int) -> float:
@@ -86,7 +86,7 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, k: int, mode: str = 
     if mode == "analytic":
         raise AnalyticUnavailable(f"reaction {k + 1} has an expression law")
 
-    compiled = [scaled_rate_function_spatial(spatial_model, k, d) for d in range(nd)]
+    compiled = [scaled_rate_function(spatial_model, k, d) for d in range(nd)]
 
     def evaluate(s):
         measure = product_measure(spatial_model, s, equilibria=pis)

@@ -2,10 +2,16 @@
 
 The engine keeps raw integer counts internally (jumps are integer
 stoichiometry), evaluates propensities N^(beta_k+gamma) lambda_k(N^-alpha x)
-per reaction (plus N^(eta_i+gamma) lambda_M x for movement events), and
-draws events with the direct method: exponential waiting time at the
-total rate, then a proportional channel choice. Scaled views are
-produced on output, so no drift accumulates in N^-alpha arithmetic.
+per reaction and compartment (plus N^(eta_i+gamma) lambda_M x for
+movement events), and draws events with the direct method: exponential
+waiting time at the total rate, then a proportional channel choice.
+Scaled views are produced on output, so no drift accumulates in
+N^-alpha arithmetic. One :func:`simulate` serves both model kinds: a
+network is read as the one-compartment model, whose all-zero movement
+tensor makes no movement channel. Below ``BLOCKED_CHANNELS`` channels
+(a network never takes the blocked pass) its run equals that of
+``SpatialModel(network, ["c"])`` bit for bit, and only the channel ids,
+``(k, None)`` for ``(k, 0)``, tell the two apart.
 
 The propensities live in a list kept current through a dependency graph
 (Gibson & Bruck 2000; the optimized direct method of Cao, Li & Petzold
@@ -58,8 +64,8 @@ import numpy as np
 from . import expressions
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, RateEvaluationError
-from .model import (MassAction, MassActionRows, Model, Network, ScalingSpec, SpatialModel,
-                    State, check_state, expression_rate, mass_action_rate)
+from .model import (MassAction, MassActionRows, Model, ScalingSpec, State, check_state,
+                    expression_rate, mass_action_rate)
 
 
 # Ensembles of at least this many replicas of a model whose channels are
@@ -71,7 +77,7 @@ LOCKSTEP_REPLICAS = 8
 _CHUNK = 128
 # A spatial model of at least this many channels takes the blocked pass
 # of _simulate; below it the flat pass is faster. Measured with
-# simulate_spatial at N = 100 on a 2-CPU Xeon, best of 9-15 runs per
+# simulate at N = 100 on a 2-CPU Xeon, best of 9-15 runs per
 # pass: on AB rings (7 channels per compartment) the blocked pass took
 # 1.02-1.15x the flat pass's time per event at 42-70 channels,
 # 0.79-0.89x at 84-140 and 0.51-0.61x at 224; with moves between every
@@ -92,8 +98,8 @@ class SimulationConfig:
     max_events: int = 50_000_000
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ModelError("N must be >= 1")
+        if not math.isfinite(self.N) or self.N < 1:
+            raise ModelError("N must be finite and >= 1")
         check_t_end(self.t_end)
 
 
@@ -156,9 +162,8 @@ class _Channel:
 
 
 def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Channel]:
-    spatial = isinstance(model, SpatialModel)
-    network = model.network if spatial else model
-    nd = model.n_compartments if spatial else 1
+    network = model.network
+    nd = model.n_compartments
     gamma = scaling.gamma
     alphas = network.alphas
     scale = [float(N) ** float(-alphas[i]) for i in range(network.n_species)]
@@ -170,7 +175,7 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Cha
 
     for k, reaction in enumerate(network.reactions):
         for d in range(nd):
-            law = model.rate_law(k, d) if spatial else reaction.rate_law
+            law = model.rate_law(k, d)
             time_factor = float(N) ** float(reaction.beta + gamma)
             delta = []
             for i, n in reaction.reactants:
@@ -182,7 +187,7 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Cha
                 else:
                     delta.append([flat(i, d), n])
             delta = tuple((idx, ch) for idx, ch in delta if ch != 0)
-            ident = (k, d if spatial else None)
+            ident = (k, d if model.is_spatial else None)
             if isinstance(law, MassAction):
                 # the terms read raw counts: the powers of N that scale
                 # the continuous ones fold into the prefactor
@@ -212,22 +217,18 @@ def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Cha
                     (lambda x, rate=rate, needs=needs:
                      rate(x) if all(x[i] >= n for i, n in needs) else 0.0) if needs else rate)))
 
-    if spatial:
-        for i, s in enumerate(network.species):
-            eta = s.eta
-            for d1 in range(nd):
-                for d2 in range(nd):
-                    rate = model.movement[i, d1, d2]
-                    if rate <= 0:
-                        continue
-                    if eta is None:
-                        raise ModelError(
-                            f"species {s.name} moves but has no movement exponent eta")
-                    prefactor = float(N) ** float(eta + gamma) * rate
-                    delta = ((flat(i, d1), -1), (flat(i, d2), 1))
-                    channels.append(_Channel("movement", (i, d1, d2), (flat(i, d1),), delta,
-                                             prefactor=prefactor,
-                                             terms=((flat(i, d1), 1, True),)))
+    for i, s in enumerate(network.species):
+        for d1 in range(nd):
+            for d2 in range(nd):
+                rate = model.movement[i, d1, d2]
+                if rate <= 0:
+                    continue
+                if s.eta is None:
+                    raise ModelError(f"species {s.name} moves but has no movement exponent eta")
+                prefactor = float(N) ** float(s.eta + gamma) * rate
+                delta = ((flat(i, d1), -1), (flat(i, d2), 1))
+                channels.append(_Channel("movement", (i, d1, d2), (flat(i, d1),), delta,
+                                         prefactor=prefactor, terms=((flat(i, d1), 1, True),)))
     return channels
 
 
@@ -263,12 +264,12 @@ class _Compiled:
         self.dependents = [tuple(sorted({r for idx, _ in c.delta for r in readers.get(idx, ())}))
                            for c in channels]
         self.ids = tuple((c.kind, c.ident) for c in channels)
-        spatial = isinstance(model, SpatialModel)
-        dim = (model.network.n_species * model.n_compartments if spatial
-               else model.n_species)
+        dim = model.network.n_species * model.n_compartments
         self.blocks = None
         columns = len(channels)
-        if spatial and len(channels) >= BLOCKED_CHANNELS:
+        # a network keeps the flat pass: the blocked one equals it only to
+        # rounding in the times
+        if model.is_spatial and len(channels) >= BLOCKED_CHANNELS:
             size = math.isqrt(len(channels) - 1) + 1
             self.blocks = (size, [tuple(sorted({j // size for j in deps}))
                                   for deps in self.dependents])
@@ -349,13 +350,10 @@ def _raw_initial(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                  x0: State) -> np.ndarray:
     if x0 is None:
         raise ModelError("simulation needs an initial state")
-    network = model.network if isinstance(model, SpatialModel) else model
     check_state(model, x0)
-    counts = np.asarray(x0.counts, dtype=float)
+    counts = np.asarray(x0.counts, dtype=float).reshape(model.network.n_species, -1)
     if x0.scaled:
-        alphas = np.array([float(a) for a in network.alphas])
-        factor = config.N ** alphas
-        counts = counts * (factor[:, None] if counts.ndim == 2 else factor)
+        counts = counts * (config.N ** np.array([float(a) for a in model.network.alphas]))[:, None]
     raw = np.rint(counts)
     if np.any(np.abs(raw - counts) > 1e-9):
         raise ModelError("initial raw counts must be integers "
@@ -395,40 +393,23 @@ def ensemble_grid(grid, replicas: int, t_end: float) -> np.ndarray:
     return grid
 
 
-def _scaled_view(network: Network, nd: int, N: float, x: np.ndarray) -> np.ndarray:
-    alphas = np.array([float(a) for a in network.alphas])
-    values = x.reshape(len(alphas), nd) / (N ** alphas)[:, None]
-    return values if nd > 1 else values[:, 0]
-
-
-def simulate(model: Network, scaling: ScalingSpec, config: SimulationConfig,
+def simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
              x0: State) -> Trajectory:
-    """One statistically exact realization of the finite-N Markov chain."""
-    if isinstance(model, SpatialModel):
-        raise ModelError("use simulate_spatial for spatial models")
-    return _simulate(model, scaling, config, x0)
-
-
-def simulate_spatial(model: SpatialModel, scaling: ScalingSpec, config: SimulationConfig,
-                     x0: State) -> Trajectory:
-    """Exact realization including movement events; compartment sums are
-    available from the trajectory via per-species summation."""
-    if not isinstance(model, SpatialModel):
-        raise ModelError("simulate_spatial needs a spatial model")
+    """One statistically exact realization of the finite-N Markov chain of
+    a network or a spatial model, movement events included; the
+    compartment sums of a spatial run are :meth:`Trajectory.sums`."""
     return _simulate(model, scaling, config, x0)
 
 
 def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
               x0: State, rng: np.random.Generator | None = None,
               compiled: _Compiled | None = None) -> Trajectory:
-    spatial = isinstance(model, SpatialModel)
-    network = model.network if spatial else model
-    nd = model.n_compartments if spatial else 1
+    nd = model.n_compartments
     if compiled is None:
         compiled = _Compiled(model, scaling, config.N)
     x = _raw_initial(model, scaling, config, x0).tolist()
     rand = rng_mod.Buffered(rng if rng is not None else rng_mod.stream(config.seed))
-    alpha_pow = config.N ** np.array([float(a) for a in network.alphas])
+    alpha_pow = config.N ** np.array([float(a) for a in model.network.alphas])
     divisor = alpha_pow[:, None] if nd > 1 else alpha_pow
 
     grid, event_mode = record_mode(config.record, config.t_end)
@@ -436,12 +417,16 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     states = []
     log = [] if event_mode else None
 
-    def snapshot(t):
-        times.append(t)
+    def scaled():
+        # 1-D over species for one compartment
         values = np.array(x, dtype=float)
         if nd > 1:
             values = values.reshape(len(alpha_pow), nd)
-        states.append(values / divisor)
+        return values / divisor
+
+    def snapshot(t):
+        times.append(t)
+        states.append(scaled())
 
     if grid is None or not len(grid):
         snapshot(0.0)
@@ -503,7 +488,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                       event_counts=np.array(counts, dtype=np.int64),
                       channels=compiled.ids,
                       t_end=config.t_end,
-                      final_state=_scaled_view(network, nd, config.N, np.array(x, dtype=float)),
+                      final_state=scaled(),
                       event_log=log)
 
 
@@ -541,9 +526,8 @@ def observable_weights(model: Model, names) -> tuple[tuple[str, ...], np.ndarray
     (labels, weight matrix). An unknown species or compartment, or ``@``
     on a model without compartments, raises ModelError naming the spec.
     """
-    spatial = model.is_spatial
-    network = model.network if spatial else model
-    nd = model.n_compartments if spatial else 1
+    network = model.network
+    nd = model.n_compartments
     dim = network.n_species * nd
     labels = []
     rows = []
@@ -554,7 +538,7 @@ def observable_weights(model: Model, names) -> tuple[tuple[str, ...], np.ndarray
             raise ModelError(f"observable {spec!r}: unknown species {name!r}")
         i = network.index[name]
         if at:
-            if not spatial:
+            if not model.is_spatial:
                 raise ModelError(f"observable {spec!r}: the model has no compartments")
             if comp not in model.compartments:
                 raise ModelError(f"observable {spec!r}: unknown compartment {comp!r}")
@@ -605,9 +589,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     """
     x_init = _raw_initial(model, scaling, config, x0)
     grid = checked_grid(config.record, config.t_end)
-    network = model.network if isinstance(model, SpatialModel) else model
-    nd = model.n_compartments if isinstance(model, SpatialModel) else 1
-    alpha_pow = config.N ** np.array([float(a) for a in network.alphas])
+    alpha_pow = config.N ** np.array([float(a) for a in model.network.alphas])
     table, blocks, dim, t_end = compiled.table, compiled.blocks, len(x_init), config.t_end
     half = _CHUNK // 2
     grid_next = np.append(grid, np.inf)
@@ -686,7 +668,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 break
     if error is not None:
         raise error
-    return snaps / np.repeat(alpha_pow, nd)
+    return snaps / np.repeat(alpha_pow, model.n_compartments)
 
 
 def _choose_in_blocks(cum, inner, target, x, table) -> np.ndarray:
@@ -739,6 +721,8 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
         labels, weights = observables
     else:
         labels, weights = observable_weights(model, observables)
+    if not len(labels):
+        raise ModelError("an ensemble needs at least one observable")
 
     compiled = _Compiled(model, scaling, config.N)
     cfg = SimulationConfig(config.N, config.t_end, config.seed, grid, config.max_events)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import McConfig
-from .model import Model, ScalingSpec, State
+from .model import Model, ScalingSpec, State, species_totals
 from .pdmp import run_ensemble_pdmp
 from .reduce import ReducedModel, build_reduced_model
 from .ssa import SimulationConfig, run_ensemble
@@ -115,9 +115,8 @@ def verify_convergence(model: Model, scaling: ScalingSpec, n_grid, replicas: int
     x0_scaled = np.asarray(x0_scaled, dtype=float)
     if reduced is None:
         # constant species keep their initial totals in frozen rate contexts
-        base = x0_scaled.sum(axis=1) if x0_scaled.ndim == 2 else x0_scaled
         reduced = build_reduced_model(model, scaling, mode=mode, mc=mc, case=case,
-                                      base=base)
+                                      base=species_totals(x0_scaled))
 
     weights = reduced.observable_weights()
     labels = list(reduced.state_labels)

@@ -18,7 +18,7 @@ from mscrn.model import State
 from mscrn.parser import parse_document
 from mscrn.pdmp import HybridSystem, OdeConfig, simulate_pdmp
 from mscrn.spatial_cases import averaged_rate_spatial
-from mscrn.ssa import SimulationConfig, simulate_spatial
+from mscrn.ssa import SimulationConfig, simulate
 from mscrn.verify import verify_convergence
 
 import conftest as fx
@@ -160,7 +160,7 @@ def test_criterion_6_movement_equilibrium(movement_doc):
         # occupancy fraction of a pure-movement model, >= 1e5 events
         x0 = State(np.array([[1000.0, 0.0]]), scaled=True)
         cfg = SimulationConfig(N=1, t_end=80.0, seed=21, record="events")
-        traj = simulate_spatial(movement_doc.model, movement_doc.scaling, cfg, x0)
+        traj = simulate(movement_doc.model, movement_doc.scaling, cfg, x0)
         assert len(traj.event_log) >= 100_000
         occupancy = traj.states[:, 0, 0] / 1000.0
         start = np.searchsorted(traj.times, 10.0)
@@ -223,7 +223,7 @@ def test_criterion_8_conservation(conserved_doc, movement_doc):
         # movement-only runs conserve every per-species total exactly
         x0 = State(np.array([[700.0, 300.0]]), scaled=True)
         cfg = SimulationConfig(N=1, t_end=5.0, seed=2, record="events")
-        mtraj = simulate_spatial(movement_doc.model, movement_doc.scaling, cfg, x0)
+        mtraj = simulate(movement_doc.model, movement_doc.scaling, cfg, x0)
         assert mtraj.event_counts.sum() > 1000
         sums = mtraj.states.sum(axis=2)
         assert np.all(sums == 1000.0)

@@ -153,6 +153,13 @@ def test_malformed_list_argument_exit_1(model_file, args, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("N", ["nan", "inf"])
+def test_simulate_non_finite_N_exit_2(model_file, N, capsys):
+    assert cli(["simulate", model_file, "--t-end", "0.1", "--N", N]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error") and "N must be finite" in err
+
+
 @pytest.mark.parametrize("text, args, message", [
     (fx.AB_TEXT, ["--observables", "Z"], "unknown species 'Z'"),
     (fx.AB_TEXT, ["--observables", "A,A@d9"], "'A@d9': the model has no compartments"),

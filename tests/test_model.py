@@ -1,5 +1,7 @@
 """Rate evaluation, stoichiometry and reaction-set extraction."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from mscrn.errors import ModelError, RateEvaluationError, ValidationError
 from mscrn.model import (Expression, MassAction, MassActionRows, Network, Reaction,
-                         Species, State, evaluate_rate, falling_factorial,
+                         SpatialModel, Species, State, evaluate_rate, falling_factorial,
                          scaled_rate_function)
 
 from conftest import state_of
@@ -131,6 +133,17 @@ def test_state_invariants():
         State(np.array([-1.0]))
     with pytest.raises(ValidationError):
         State(np.array([np.inf]))
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -1.0])
+def test_movement_rates_finite_and_nonnegative(rate):
+    # a NaN rate passed a plain `< 0` check and made a movement channel
+    # of NaN propensity, which the SSA drew until its event cap
+    net = Network([Species("A", eta=Fraction(1))], [Reaction.make({}, {0: 1})])
+    movement = np.zeros((1, 2, 2))
+    movement[0, 0, 1] = rate
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        SpatialModel(net, ["d1", "d2"], movement=movement)
 
 
 def test_duplicate_species_names():

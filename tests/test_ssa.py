@@ -4,6 +4,8 @@ Statistical oracles are closed-form moments of first-order networks
 (Poisson process mean, linear death expectation, two-state occupancy).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,7 @@ from mscrn.errors import EventCapExceeded, ModelError, RateEvaluationError
 from mscrn.model import ScalingSpec, State
 from mscrn.parser import parse_document, parse_model
 from mscrn.pdmp import HybridSystem, run_ensemble_pdmp, simulate_pdmp
-from mscrn.ssa import (SimulationConfig, observable_weights, run_ensemble,
-                       simulate, simulate_spatial)
+from mscrn.ssa import SimulationConfig, observable_weights, run_ensemble, simulate
 
 BIRTH_TEXT = "species A alpha=0\nreaction 0 -> A @ mass-action kappa=5\n"
 DEATH_TEXT = "species A alpha=0\nreaction A -> 0 @ mass-action kappa=1\n"
@@ -119,7 +120,7 @@ def test_movement_occupancy_fraction(movement_doc):
     model, scaling = movement_doc.model, movement_doc.scaling
     x0 = State(np.array([[1000.0, 0.0]]), scaled=True)
     cfg = SimulationConfig(N=1, t_end=80.0, seed=21, record="events")
-    traj = simulate_spatial(model, scaling, cfg, x0)
+    traj = simulate(model, scaling, cfg, x0)
     assert len(traj.event_log) > 100_000
     times = traj.times
     occupancy = traj.states[:, 0, 0] / 1000.0
@@ -138,7 +139,7 @@ def test_movement_conserves_totals(movement_doc):
     # every snapshot keeps the per-species total exactly constant
     x0 = State(np.array([[700.0, 300.0]]), scaled=True)
     cfg = SimulationConfig(N=1, t_end=5.0, seed=2, record="events")
-    traj = simulate_spatial(movement_doc.model, movement_doc.scaling, cfg, x0)
+    traj = simulate(movement_doc.model, movement_doc.scaling, cfg, x0)
     sums = traj.states.sum(axis=2)
     assert np.all(sums == 1000.0)
 
@@ -265,6 +266,21 @@ def test_ensembles_reject_no_replicas_or_no_grid(ensemble, replicas, grid):
                                         np.eye(1))
     with pytest.raises(ModelError):
         run()
+
+
+@pytest.mark.parametrize("N", [math.nan, math.inf, -math.inf, 0.5])
+def test_config_rejects_non_finite_or_small_N(N):
+    # NaN compares false with 1, and a NaN or infinite N made an
+    # initial state of garbage counts that ran without end
+    with pytest.raises(ModelError, match="finite and >= 1"):
+        SimulationConfig(N=N, t_end=1.0)
+
+
+def test_ensemble_rejects_no_observables():
+    model, scaling = parse_model(DEATH_TEXT)
+    cfg = SimulationConfig(N=1, t_end=1.0, seed=0, record=[0.5, 1.0])
+    with pytest.raises(ModelError, match="at least one observable"):
+        run_ensemble(model, scaling, cfg, 2, [], x0=State(np.array([3.0])))
 
 
 def test_replay_identity_random_networks():
