@@ -59,6 +59,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import expressions
 from . import rng as rng_mod
 from .classify import ScaleClassification, ConservedBasis
 from .errors import (AnalyticUnavailable, EventCapExceeded, ModelError, NonErgodicSuspected,
@@ -66,7 +67,8 @@ from .errors import (AnalyticUnavailable, EventCapExceeded, ModelError, NonErgod
 from .exact import stationary_distribution
 from .model import (Expression, MassAction, MassActionRows, Network, SpatialModel,
                     mass_action_rate, scaled_rate_function)
-from .pdmp import HybridSystem, JumpChain, Occupation, OdeConfig, simulate_pdmp, tier_system
+from .pdmp import (HybridSystem, JumpChain, Occupation, OdeConfig, hybrid_system,
+                   simulate_pdmp)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,11 @@ def movement_equilibrium(spatial_model: SpatialModel, species: int) -> MovementE
 def all_movement_equilibria(spatial_model: SpatialModel) -> list[MovementEquilibrium]:
     return [movement_equilibrium(spatial_model, i)
             for i in range(spatial_model.network.n_species)]
+
+
+# Position matrices a product measure sums over exactly; a larger support
+# is sampled.
+_SUPPORT_CAP = 1_000_000
 
 
 class ProductMeasure:
@@ -140,9 +147,10 @@ class ProductMeasure:
                 size *= math.comb(int(self.totals[j]) + nd - 1, nd - 1)
         return size
 
-    def support(self, cap: float = 1_000_000.0):
-        """Iterate (positions matrix, probability); None when too large."""
-        if self.support_size() > cap:
+    def support(self):
+        """Iterate (positions matrix, probability); None when the support
+        holds more than ``_SUPPORT_CAP`` position matrices."""
+        if self.support_size() > _SUPPORT_CAP:
             return None
         nd = self.n_compartments
         return self._support_rec(0, np.zeros((len(self.species), nd)), 1.0)
@@ -161,11 +169,12 @@ class ProductMeasure:
             matrix[j] = combo
             yield from self._support_rec(j + 1, matrix, prob * p)
 
-    def expect(self, g, seed: int, draws: int, cap: float = 1_000_000.0):
+    def expect(self, g, seed: int, draws: int):
         """(E[g], standard error) over positions; ``g`` maps a positions
-        matrix to (value, se). Exact summation while the support is under
-        ``cap``, otherwise ``draws`` samples from the stream of ``seed``."""
-        support = self.support(cap=cap)
+        matrix to (value, se). Exact summation over the support while
+        :meth:`support` gives one, otherwise ``draws`` samples from the
+        stream of ``seed``."""
+        support = self.support()
         if support is not None:
             value = 0.0
             var = 0.0
@@ -768,10 +777,10 @@ def fast_tier_system(classification: ScaleClassification, structs) -> HybridSyst
     rates = {fr.k: fr.rate if fr.rate is not None else mass_action_rate(
         fr.coeff, [(j, n, discrete[j]) for j, n in enumerate(fr.orders) if n])
         for fr in structs}
-    network = classification.network
-    return tier_system(tuple(network.species[i].name for i in classification.fast.rows),
-                       classification.fast, rates, classification.k_sets["fast_circ"],
-                       rates.get)
+    fast = classification.fast
+    return hybrid_system(tuple(classification.network.species[i].name for i in fast.rows),
+                         [(k, fast.column(k)) for k in sorted(rates)],
+                         classification.k_sets["fast_circ"], rates.get)
 
 
 def fast_stationary_law(classification: ScaleClassification, structs, mode: str,
@@ -1039,7 +1048,6 @@ def _fast_polynomial(network: Network, k: int, fast_rows, frozen=None):
     (exponents -> coefficient), every other species at ``frozen`` or, by
     default, at 1 as :func:`rate_kind` reads a tier; None when the law is
     not polynomial in them and so has no closed-form average."""
-    from . import expressions
     env = {s.name: 1.0 if frozen is None else frozen[i] for i, s in enumerate(network.species)}
     try:
         return expressions.as_polynomial(network.reactions[k].rate_law.ast,
@@ -1144,7 +1152,6 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
 
     touches = {i for i, _ in reaction.reactants}
     if isinstance(reaction.rate_law, Expression):
-        from . import expressions
         touches |= {network.index[name]
                     for name in expressions.variables(reaction.rate_law.ast)}
     if not (touches & set(fast_rows)) and not (touches & set(middle_rows)):
@@ -1162,6 +1169,8 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
                              or _fast_polynomial(network, kk, fast_rows) is not None)
     middle_discrete = [network.species[i].alpha == 0 for i in middle_rows]
     labels = tuple(network.species[i].name for i in middle_rows)
+    middle_columns = [(kk, classification.middle.column(kk))
+                      for kk in sorted(classification.k_sets["middle"])]
 
     def evaluate(reduced_state):
         frozen = frozen_of(reduced_state)
@@ -1176,9 +1185,8 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
             return fast_average(network, kk, measure, full, fast_rows)
 
         # middle-tier path with fast-averaged rates
-        system = tier_system(labels, classification.middle, classification.k_sets["middle"],
-                             classification.k_sets["middle_circ"],
-                             lambda kk: lambda v_m: tilde_rate(kk, v_m)[0])
+        system = hybrid_system(labels, middle_columns, classification.k_sets["middle_circ"],
+                               lambda kk: lambda v_m: tilde_rate(kk, v_m)[0])
         outer = montecarlo_measure(system, np.zeros(len(middle_rows)), mc, middle_discrete)
         value, se_outer = outer.expect(lambda v_m: tilde_rate(k, v_m)[0])
         se_inner, _ = outer.expect(lambda v_m: tilde_rate(k, v_m)[1])

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (DegenerateEtaError, HeterogeneousEtaError, MixedAlphaError,
                      OverlapError, TimescaleViolation, UnclassifiableError,
                      ValidationError)
+from .exact import integer_nullspace
 from .model import (MassAction, Model, Network, Reaction, ScalingSpec, Species,
                     SpatialModel)
 
@@ -320,8 +321,6 @@ def conserved_basis(classification: ScaleClassification) -> ConservedBasis:
     set. Output is deterministic: primitive vectors, first nonzero
     entry positive, lexicographic order.
     """
-    from .exact import integer_nullspace
-
     if classification.kind == "single":
         raise UnclassifiableError("conserved basis requires a multi-scale classification")
     fast = classification.fast

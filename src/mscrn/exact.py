@@ -13,6 +13,8 @@ from math import gcd
 
 import numpy as np
 
+from .errors import IsolatedSpeciesError, ReducibleChainError
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, integer, or decimal text into an exact Fraction."""
@@ -174,8 +176,6 @@ def stationary_distribution(rates) -> list[Fraction]:
     Raises ReducibleChainError when several closed classes exist, and
     IsolatedSpeciesError when there is no movement at all on >1 states.
     """
-    from .errors import IsolatedSpeciesError, ReducibleChainError
-
     n = len(rates)
     if n == 1:
         return [Fraction(1)]

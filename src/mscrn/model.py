@@ -135,8 +135,9 @@ class Reaction:
 class State:
     """Species counts, either raw (``X``) or scaled (``V = N^-alpha X``).
 
-    1-D for a single compartment, 2-D (species x compartments) for
-    spatial models. Discrete species hold integer values in both forms.
+    1-D over species for a network, 2-D (species x compartments) for a
+    spatial model, even one of a single compartment. Discrete species
+    hold integer values in both forms.
     """
 
     counts: np.ndarray
@@ -461,11 +462,15 @@ class MassActionRows:
         return self(padded)
 
 
-def _check_shape(model: Model, counts: np.ndarray) -> None:
-    """A state of a network is 1-D over species; one of a spatial model
-    2-D, species x compartments."""
+def state_shape(model: Model) -> tuple[int, ...]:
+    """The shape of a state of ``model``: 1-D over species for a network,
+    species x compartments for a spatial model, one compartment too."""
     n = model.network.n_species
-    expected = (n, model.n_compartments) if model.is_spatial else (n,)
+    return (n, model.n_compartments) if model.is_spatial else (n,)
+
+
+def _check_shape(model: Model, counts: np.ndarray) -> None:
+    expected = state_shape(model)
     if counts.shape != expected:
         raise ModelError(f"state shape {counts.shape}, expected {expected}")
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import expressions
 from .errors import ParseError, ValidationError
 from .exact import format_rational, parse_rational
 from .model import (Expression, MassAction, Model, Network, Reaction, ScalingSpec,
@@ -363,7 +364,6 @@ def _assemble(species_decls, compartments, raw_reactions, moves, gamma, init,
 
 
 def _expr_symbols(law: Expression) -> set[str]:
-    from . import expressions
     return expressions.variables(law.ast)
 
 

@@ -26,6 +26,10 @@ Mass-action rates evaluate over the rows through one
 :class:`model.MassActionRows`, other rates one row at a time. Every row does the arithmetic of a lone run in
 the same order, so an ensemble equals its replicas run one after
 another bit for bit.
+
+A system is built by :func:`hybrid_system` from ordered (reaction, change
+column) pairs and the set of reactions that jump; the callers choose
+them: the limit of a reduced model, a fast or a middle tier.
 """
 
 from __future__ import annotations
@@ -657,59 +661,15 @@ def _called(rate_fn, state, errors, jump):
     return out
 
 
-def limit_stoichiometry(classification, conserved=None) -> tuple[tuple, tuple, tuple]:
-    """Coordinates and change columns of the limit process.
-
-    Returns (labels, jumps, flows), where jumps and flows are
-    (reaction, column) pairs: int64 columns for jumps, float for flows.
-    Single-scale classifications use the full species set with the
-    balanced-entry matrix; multi-scale ones use the slow tier plus, when
-    a conserved basis is given, the conserved coordinates.
-    """
-    network = classification.network
-    if classification.kind == "single":
-        matrix = classification.star.matrix
-        labels = tuple(s.name for s in network.species)
-        return (labels,
-                tuple((k, matrix[:, k].astype(np.int64))
-                      for k in sorted(classification.k_sets["star_circ"])),
-                tuple((k, matrix[:, k].astype(float))
-                      for k in sorted(classification.k_sets["star_bullet"])))
-
-    slow = classification.slow
-    n_slow = len(slow.rows)
-    n_cons = 0 if conserved is None or conserved.empty else len(conserved.vectors)
-    labels = tuple(network.species[i].name for i in slow.rows)
-    labels += tuple(f"c{j + 1}" for j in range(n_cons))
-
-    def slow_column(k):
-        column = np.zeros(n_slow + n_cons)
-        column[:n_slow] = slow.column(k)
-        return column
-
-    jumps = [(k, slow_column(k).astype(np.int64))
-             for k in sorted(classification.k_sets["slow_circ"])]
-    flows = [(k, slow_column(k)) for k in sorted(classification.k_sets["slow_bullet"])]
-    for k in sorted(conserved.k_c) if n_cons else ():
-        column = np.zeros(n_slow + n_cons)
-        column[n_slow:] = conserved.zeta_c[:, conserved.cols.index(k)]
-        if k in conserved.k_c_circ:
-            jumps.append((k, column.astype(np.int64)))
-        else:
-            flows.append((k, column))
-    return labels, tuple(jumps), tuple(flows)
-
-
-def tier_system(labels, tier, ks, circ, rate_of) -> HybridSystem:
-    """HybridSystem of reactions ``ks`` on ``tier``'s change columns:
-    integer jumps for those in ``circ``, float flows for the rest, each
-    with the rate function ``rate_of(k)``."""
-    ks = sorted(ks)
+def hybrid_system(labels, columns, jumps, rate_of) -> HybridSystem:
+    """HybridSystem of the ``(reaction, change column)`` pairs ``columns``,
+    kept in their order: integer jumps for the reactions in ``jumps``,
+    float flows for the rest, each with the rate function ``rate_of(k)``."""
     return HybridSystem(labels,
-                        tuple((rate_of(k), tier.column(k).astype(np.int64))
-                              for k in ks if k in circ),
-                        tuple((rate_of(k), tier.column(k).astype(float))
-                              for k in ks if k not in circ))
+                        tuple((rate_of(k), column.astype(np.int64))
+                              for k, column in columns if k in jumps),
+                        tuple((rate_of(k), column.astype(float))
+                              for k, column in columns if k not in jumps))
 
 
 def run_ensemble_pdmp(system: HybridSystem, v0, t_end: float, seed: int,

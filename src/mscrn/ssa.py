@@ -65,7 +65,7 @@ from . import expressions
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, RateEvaluationError
 from .model import (MassAction, MassActionRows, Model, ScalingSpec, State, check_state,
-                    expression_rate, mass_action_rate)
+                    expression_rate, mass_action_rate, state_shape)
 
 
 # Ensembles of at least this many replicas of a model whose channels are
@@ -404,13 +404,13 @@ def simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
 def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
               x0: State, rng: np.random.Generator | None = None,
               compiled: _Compiled | None = None) -> Trajectory:
-    nd = model.n_compartments
     if compiled is None:
         compiled = _Compiled(model, scaling, config.N)
     x = _raw_initial(model, scaling, config, x0).tolist()
     rand = rng_mod.Buffered(rng if rng is not None else rng_mod.stream(config.seed))
     alpha_pow = config.N ** np.array([float(a) for a in model.network.alphas])
-    divisor = alpha_pow[:, None] if nd > 1 else alpha_pow
+    shape = state_shape(model)
+    divisor = alpha_pow[:, None] if len(shape) > 1 else alpha_pow
 
     grid, event_mode = record_mode(config.record, config.t_end)
     times = []
@@ -418,11 +418,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     log = [] if event_mode else None
 
     def scaled():
-        # 1-D over species for one compartment
-        values = np.array(x, dtype=float)
-        if nd > 1:
-            values = values.reshape(len(alpha_pow), nd)
-        return values / divisor
+        return np.array(x, dtype=float).reshape(shape) / divisor
 
     def snapshot(t):
         times.append(t)

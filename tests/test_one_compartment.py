@@ -43,12 +43,25 @@ def test_simulate_equal(case, record):
     a = simulate(network, scaling, cfg, State(x0, scaled=True))
     b = simulate(spatial, scaling, cfg, State(x0[:, None], scaled=True))
     assert a.event_counts.sum() > 0
-    for field in ("times", "states", "event_counts", "final_state"):
+    for field in ("times", "event_counts"):
         assert _same(getattr(a, field), getattr(b, field)), field
+    # the spatial run keeps its compartment axis
+    assert _same(a.states, b.states[..., 0]) and _same(a.final_state, b.final_state[:, 0])
     assert a.event_log == b.event_log
     # only the channel ids tell the kinds apart
     assert [ident for _, ident in a.channels] == [(k, None) for k in range(network.n_reactions)]
     assert [ident for _, ident in b.channels] == [(k, 0) for k in range(network.n_reactions)]
+
+
+def test_one_compartment_run_keeps_the_spatial_state_shape(ab_doc):
+    # a one-compartment spatial state is (species, 1), in and out
+    spatial = SpatialModel(ab_doc.model, ["c"])
+    cfg = SimulationConfig(N=30, t_end=1.0, seed=4, record=np.linspace(0.1, 1.0, 10))
+    traj = simulate(spatial, ab_doc.scaling, cfg, State([[1.0], [0.0]], scaled=True))
+    assert traj.states.shape == (10, 2, 1) and traj.final_state.shape == (2, 1)
+    assert traj.sums().shape == (10, 2)
+    again = simulate(spatial, ab_doc.scaling, cfg, State(traj.final_state, scaled=True))
+    assert again.states.shape == (10, 2, 1)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -5,6 +5,7 @@ import pytest
 
 from mscrn.averaging import McConfig
 from mscrn.errors import ModelError
+from mscrn.model import state_shape
 from mscrn.parser import parse_document
 from mscrn.pdmp import simulate_pdmp
 from mscrn.reduce import build_reduced_model, serialize_reduced
@@ -165,3 +166,65 @@ def test_averaged_rates_check_the_state_length(text):
             for call in (rate, rate.standard_error):
                 with pytest.raises(ModelError, match=f"length {red.dim}"):
                     call(bad)
+
+
+# one fixture per reduced kind
+KINDS = {"identity": fx.GENE_TEXT, "single-spatial": fx.SPATIAL_GENE_TEXT,
+         "two": fx.AB_TEXT, "two-conserved": fx.CONSERVED_TEXT,
+         "three": fx.THREE_SCALE_TEXT, "spatial-two": fx.SPATIAL_AB_TEXT,
+         "spatial-two-conserved": fx.SPATIAL_CONSERVED_TEXT}
+
+
+def _reduced(kind):
+    doc = parse_document(KINDS[kind])
+    red = build_reduced_model(doc.model, doc.scaling, mc=McConfig(budget=2000))
+    assert red.kind == kind
+    return doc, red
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_projects_by_its_observable_weights(kind):
+    doc, red = _reduced(kind)
+    assert red.dim == len(red.state_labels) == red.to_hybrid().dim
+    weights = red.observable_weights()
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        full = rng.integers(0, 50, state_shape(doc.model)).astype(float)
+        assert (weights @ full.ravel()).tobytes() == red.initial_state(full).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_moves_by_the_classified_columns(kind):
+    # the limit columns follow from the coordinates alone; they must be
+    # the balanced columns of the leading tier and of the conserved basis
+    _, red = _reduced(kind)
+    c = red.classification
+    name, tier = ("star", c.star) if c.kind == "single" else ("slow", c.slow)
+    lead = len(red.rows)
+    assert red.rows == tier.rows
+    basis = red.conserved
+    order = [k for k in tier.cols if tier.column(k).any()]
+    order += list(basis.cols) if basis else []
+    assert [k for k, _ in red.columns] == order
+    assert red.jumps == c.k_sets[f"{name}_circ"] | (basis.k_c_circ if basis else frozenset())
+    for k, column in red.columns:
+        want = np.zeros(red.dim)
+        if k in tier.cols:
+            want[:lead] = tier.column(k)
+        if basis and k in basis.cols:
+            want[lead:] = basis.zeta_c[:, basis.cols.index(k)]
+        assert column.tolist() == want.tolist()
+    assert sorted(red.rates) == sorted(order)
+
+
+@pytest.mark.parametrize("kind", ["two-conserved", "spatial-two-conserved"])
+def test_conserved_jumps_keep_the_slow_reactions_first(kind):
+    # the readout (slow) jumps first, then the conserved-driving reactions;
+    # the hybrid channels and the printed lines follow this order
+    _, red = _reduced(kind)
+    assert [k for k, _ in red.jump_reactions] == [4, 2, 3]
+    assert [column.tolist() for _, column in red.to_hybrid().jumps] == \
+        [column.tolist() for _, column in red.jump_reactions]
+    lines = [line.split()[1] for line in serialize_reduced(red).splitlines()
+             if line.startswith("reaction")]
+    assert lines == ["5", "3", "4"]
