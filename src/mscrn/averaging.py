@@ -6,6 +6,11 @@ product measures, fast subsystems by stationary measures. Slow-reaction
 rates are then integrated against those measures, always with a
 reported standard error.
 
+The movement equilibria are one (species, compartments) float array,
+``movement_equilibria``: each row is the stationary law of a species'
+hopping chain on its unique closed class, solved by the subtraction-free
+GTH elimination of ``chain_equilibrium``.
+
 A fast tier at a frozen context is described once, as a list of
 ``FastReaction``: a mass-action reaction by its coefficient (frozen
 factors folded in, by ``split_reactants``) and its fast orders, an
@@ -55,16 +60,14 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
 from . import expressions
 from . import rng as rng_mod
 from .classify import ScaleClassification, ConservedBasis
-from .errors import (AnalyticUnavailable, EventCapExceeded, ModelError, NonErgodicSuspected,
-                     RateEvaluationError)
-from .exact import stationary_distribution
+from .errors import (AnalyticUnavailable, EventCapExceeded, IsolatedSpeciesError, ModelError,
+                     NonErgodicSuspected, RateEvaluationError, ReducibleChainError)
 from .model import (Expression, MassAction, MassActionRows, Network, SpatialModel,
                     mass_action_rate, scaled_rate_function)
 from .pdmp import (HybridSystem, JumpChain, Occupation, OdeConfig, hybrid_system,
@@ -75,30 +78,55 @@ from .pdmp import (HybridSystem, JumpChain, Occupation, OdeConfig, hybrid_system
 # movement equilibria and product measures
 
 
-@dataclass(frozen=True)
-class MovementEquilibrium:
-    """Stationary law of one molecule's compartment-hopping chain."""
+def chain_equilibrium(rates) -> np.ndarray:
+    """Stationary law of a finite chain from its rate matrix, in floats.
 
-    species: int
-    pi: tuple[Fraction, ...]
+    ``rates[i][j]`` is the jump rate i -> j; the diagonal is ignored. The
+    law lives on the unique closed class, read off the reachability
+    closure (``(rates > 0) | I`` squared until it holds every path): a
+    state is closed when every state it reaches reaches it back, and
+    transient states get 0. On the class it is solved by the GTH
+    algorithm (Grassmann, Taksar & Heyman 1985, Oper. Res. 33:1107),
+    state elimination that never subtracts, so every entry keeps its
+    relative precision however widely the rates spread.
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(p) for p in self.pi])
+    Raises ReducibleChainError when several closed classes exist, and
+    IsolatedSpeciesError when there is no move at all between >1 states.
+    """
+    q = np.array(rates, dtype=float)
+    n = len(q)
+    if n == 1:
+        return np.ones(1)
+    np.fill_diagonal(q, 0.0)
+    reach = q > 0
+    if not reach.any():
+        raise IsolatedSpeciesError("no movement between compartments")
+    reach |= np.eye(n, dtype=bool)
+    for _ in range(math.ceil(math.log2(n))):
+        reach = reach @ reach
+    closed = ~(reach & ~reach.T).any(axis=1)
+    n_classes = len(np.unique(reach[closed], axis=0))
+    if n_classes != 1:
+        raise ReducibleChainError(f"{n_classes} closed movement classes, need exactly 1")
+    support = np.flatnonzero(closed)
+    a = q[np.ix_(support, support)]
+    # eliminate the last state: its exits, spread over the paths through
+    # it, become rates between the states before it
+    for k in range(len(support) - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(len(support))
+    for k in range(1, len(support)):
+        pi[k] = pi[:k] @ a[:k, k]
+    out = np.zeros(n)
+    out[support] = pi / pi.sum()
+    return out
 
 
-def movement_equilibrium(spatial_model: SpatialModel, species: int) -> MovementEquilibrium:
-    """Solve pi Q = 0, sum pi = 1 exactly for the species' movement rates."""
-    nd = spatial_model.n_compartments
-    if nd == 1:
-        return MovementEquilibrium(species, (Fraction(1),))
-    rates = spatial_model.movement[species]
-    pi = stationary_distribution([[rates[i][j] for j in range(nd)] for i in range(nd)])
-    return MovementEquilibrium(species, tuple(pi))
-
-
-def all_movement_equilibria(spatial_model: SpatialModel) -> list[MovementEquilibrium]:
-    return [movement_equilibrium(spatial_model, i)
-            for i in range(spatial_model.network.n_species)]
+def movement_equilibria(spatial_model: SpatialModel) -> np.ndarray:
+    """(species, compartments) array of each species' movement equilibrium
+    pi, the stationary law of one molecule's compartment-hopping chain."""
+    return np.array([chain_equilibrium(rates) for rates in spatial_model.movement])
 
 
 # Position matrices a product measure sums over exactly; a larger support
@@ -214,13 +242,15 @@ def _multinomial_support(total: int, probs: np.ndarray):
 
 def product_measure(spatial_model: SpatialModel, totals,
                     species: tuple[int, ...] | None = None,
-                    equilibria: list[MovementEquilibrium] | None = None) -> ProductMeasure:
+                    pis: np.ndarray | None = None) -> ProductMeasure:
+    """Product measure of the positions of ``species`` (every species by
+    default) at ``totals``; ``pis`` holds their movement equilibria, one
+    row each, and defaults to those of the model."""
     network = spatial_model.network
     if species is None:
         species = tuple(range(network.n_species))
-    if equilibria is None:
-        equilibria = [movement_equilibrium(spatial_model, i) for i in species]
-    pis = [eq.as_floats() for eq in equilibria]
+    if pis is None:
+        pis = np.array([chain_equilibrium(spatial_model.movement[i]) for i in species])
     alphas = [network.species[i].alpha for i in species]
     return ProductMeasure(species, totals, pis, alphas)
 

@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
                                  "multiscale spatial reaction networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
+    def common(p):
         p.add_argument("model", help="model file (.mscrn)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -182,11 +182,14 @@ def serialize_reduced(reduced: ReducedModel) -> str:
     closed forms without a printable formula, and ``montecarlo`` for
     simulation-backed evaluators.
     """
-    network = reduced.classification.network
+    c = reduced.classification
+    network = c.network
     lines = [f"reduced-model {reduced.kind}"]
     coords = [(network.species[i].name, network.species[i].alpha) for i in reduced.rows]
     if reduced.conserved is not None:
-        coords += [(f"c{j + 1} = {expr}", alpha) for j, (expr, alpha) in
+        # alpha_c is normalized by the fast gap; print it in model units,
+        # the alpha its species share, as the species coordinates are
+        coords += [(f"c{j + 1} = {expr}", alpha * c.raw_eps2) for j, (expr, alpha) in
                    enumerate(zip(reduced.conserved.names(network), reduced.conserved.alpha_c))]
     for label, alpha in coords:
         lines.append(f"state {label} alpha={format_rational(alpha)}")

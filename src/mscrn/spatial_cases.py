@@ -40,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .averaging import (AveragedRate, FastReaction, McConfig, all_movement_equilibria,
-                        fast_stationary_law, memoized_rate, product_measure, rate_kind,
+from .averaging import (AveragedRate, FastReaction, McConfig, fast_stationary_law,
+                        memoized_rate, movement_equilibria, product_measure, rate_kind,
                         split_reactants)
 from .classify import ConservedBasis, ScaleClassification
 from .errors import AnalyticUnavailable, CaseUnavailable, ModelError
@@ -74,12 +74,11 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, k: int, mode: str = 
     network = spatial_model.network
     nd = spatial_model.n_compartments
     laws = [spatial_model.rate_law(k, d) for d in range(nd)]
-    pis = all_movement_equilibria(spatial_model)
+    pis = movement_equilibria(spatial_model)
 
     if all(isinstance(law, MassAction) for law in laws):
         _, terms = split_reactants(network, k, ())   # every reactant is a slow term
-        pi_arr = [p.as_floats() for p in pis]
-        kappa_bar = sum(law.kappa * pi_weight(pi_arr, terms, d) for d, law in enumerate(laws))
+        kappa_bar = sum(law.kappa * pi_weight(pis, terms, d) for d, law in enumerate(laws))
         return AveragedRate(k, "analytic", fn=mass_action_rate(kappa_bar, terms),
                             se=lambda s: 0.0, dim=network.n_species)
 
@@ -89,7 +88,7 @@ def averaged_rate_single_scale(spatial_model: SpatialModel, k: int, mode: str = 
     compiled = [scaled_rate_function(spatial_model, k, d) for d in range(nd)]
 
     def evaluate(s):
-        measure = product_measure(spatial_model, s, equilibria=pis)
+        measure = product_measure(spatial_model, s, pis=pis)
         return measure.expect(
             lambda positions: (sum(compiled[d](positions[:, d]) for d in range(nd)), 0.0),
             mc.seed, 4096)
@@ -114,8 +113,7 @@ class _SpatialReaction(NamedTuple):
 class _SpatialContext:
     classification: ScaleClassification
     model: SpatialModel
-    equilibria: list                # per species, movement equilibrium
-    pis: list[np.ndarray]           # the same as float arrays
+    pis: np.ndarray                 # movement equilibria, species x compartments
     fast_rows: tuple[int, ...]
     slow_rows: tuple[int, ...]
     reactions: dict                 # reaction -> _SpatialReaction
@@ -129,8 +127,7 @@ class _SpatialContext:
             raise CaseUnavailable(
                 "spatial case formulas cover two chemical timescales only")
         network = model.network
-        equilibria = all_movement_equilibria(model)
-        pis = [eq.as_floats() for eq in equilibria]
+        pis = movement_equilibria(model)
         fast_rows, slow_rows = classification.fast.rows, classification.slow.rows
         compartments = range(model.n_compartments)
         reactions = {}
@@ -150,7 +147,7 @@ class _SpatialContext:
                 orders, mass_action_rate(1.0, slow_terms),
                 [pi_weight(pis, slow_terms, d) for d in compartments], kappa,
                 [kappa[d] * pi_weight(pis, fast_terms, d) for d in compartments])
-        return cls(classification, model, equilibria, pis, fast_rows, slow_rows, reactions)
+        return cls(classification, model, pis, fast_rows, slow_rows, reactions)
 
     # -- slow factors per reaction and compartment, of species-indexed values
 
@@ -250,7 +247,7 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
         if case in (1, 3):
             return fast_average(ctx.totals_form(species_indexed(s_slow)), values)
         positions = product_measure(ctx.model, s_slow, species=ctx.slow_rows,
-                                    equilibria=[ctx.equilibria[i] for i in ctx.slow_rows])
+                                    pis=ctx.pis[list(ctx.slow_rows)])
         return positions.expect(
             lambda v_slow: fast_average(ctx.positions_form(species_indexed(v_slow)), values),
             mc.seed + 7, 2048)

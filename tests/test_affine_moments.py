@@ -28,9 +28,10 @@ catalytic productions over 1-4 discrete species, some deaths and births
 with a frozen catalyst, and an optional closed conversion block) and
 checks every moment of degree 1 and 2: against independent closed
 forms, Poisson means births over deaths and multinomial laws of the
-block's chain (``exact.stationary_distribution``), where the tier is a
-birth-death family or one closed block, and against a jump-path
-estimate within 4 standard errors everywhere else.
+block's chain (``averaging.chain_equilibrium``, the GTH solve of the
+movement equilibria, which shares no code with ``AffineMoments``), where
+the tier is a birth-death family or one closed block, and against a
+jump-path estimate within 4 standard errors everywhere else.
 """
 
 import itertools
@@ -43,10 +44,9 @@ import numpy as np
 import pytest
 
 from mscrn.averaging import (McConfig, averaged_rate_three_scale, averaged_rate_two_scale,
-                             stationary_fast)
+                             chain_equilibrium, stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import AnalyticUnavailable
-from mscrn.exact import stationary_distribution
 from mscrn.parser import parse_document
 from mscrn.reduce import build_reduced_model, serialize_reduced
 
@@ -309,7 +309,7 @@ def _closed_form(reactions, size, n, v_a, total):
         rates = [[0.0] * n for _ in range(n)]
         for _, source, target, k, _ in reactions:
             rates[source][target] += k
-        pi = [float(p) for p in stationary_distribution(rates)]
+        pi = chain_equilibrium(rates).tolist()
         return lambda alpha: (math.prod(total - i for i in range(sum(alpha)))
                               * math.prod(p ** a for p, a in zip(pi, alpha)))
     return None

@@ -4,7 +4,6 @@ moments, the birth-death Poisson law, and hand-composed closed forms.
 """
 
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ from scipy import stats as sps
 from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryMeasure,
                              _occupation, averaged_rate_three_scale,
                              averaged_rate_two_scale, constrained_start,
-                             movement_equilibrium, product_measure, stationary_fast)
+                             movement_equilibria, product_measure, stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import (AnalyticUnavailable, ModelError, NonErgodicSuspected,
                           ReducibleChainError)
@@ -27,8 +26,8 @@ import conftest as fx  # noqa: E402
 
 
 def test_movement_equilibrium_two_state(movement_doc):
-    eq = movement_equilibrium(movement_doc.model, 0)
-    assert eq.pi == (Fraction(2, 3), Fraction(1, 3))
+    pis = movement_equilibria(movement_doc.model)
+    assert pis.tolist() == [[2 / 3, 1 / 3]]
 
 
 def test_movement_equilibrium_symmetric_cycle():
@@ -36,14 +35,13 @@ def test_movement_equilibrium_symmetric_cycle():
             "move W from a to b rate 1\nmove W from b to c rate 1\n"
             "move W from c to a rate 1\n")
     model, _ = parse_model(text)
-    eq = movement_equilibrium(model, 0)
-    assert eq.pi == (Fraction(1, 3),) * 3
+    assert movement_equilibria(model).tolist() == [[1 / 3] * 3]
 
 
 def test_movement_equilibrium_single_compartment():
     text = "species W alpha=0 eta=1\ncompartments only\n"
     model, _ = parse_model(text)
-    assert movement_equilibrium(model, 0).pi == (Fraction(1),)
+    assert movement_equilibria(model).tolist() == [[1.0]]
 
 
 def test_movement_equilibrium_reducible():
@@ -51,7 +49,7 @@ def test_movement_equilibrium_reducible():
             "move W from c to a rate 1\nmove W from c to b rate 1\n")
     model, _ = parse_model(text)
     with pytest.raises(ReducibleChainError):
-        movement_equilibrium(model, 0)
+        movement_equilibria(model)
 
 
 def test_product_measure_binomial_marginal(movement_doc):

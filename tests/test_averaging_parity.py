@@ -32,7 +32,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mscrn.averaging import McConfig, averaged_rate_three_scale, averaged_rate_two_scale

@@ -11,7 +11,7 @@ from mscrn.classify import (classify, conserved_basis, movement_as_reactions,
                             spatial_case_for)
 from mscrn.errors import (DegenerateEtaError, MixedAlphaError, OverlapError,
                           TimescaleViolation, UnclassifiableError)
-from mscrn.model import MassAction, Network, Reaction, ScalingSpec, Species
+from mscrn.model import ScalingSpec
 from mscrn.parser import parse_model
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mscrn.errors import ParseError, ValidationError
-from mscrn.model import MassAction
 from mscrn.parser import (models_equal, parse_document, parse_model,
                           serialize_model)
 

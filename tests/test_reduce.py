@@ -1,5 +1,7 @@
 """Reduced-model assembly, serialization markers, and hybrid wiring."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,17 @@ def test_conserved_jumps_keep_the_slow_reactions_first(kind):
     lines = [line.split()[1] for line in serialize_reduced(red).splitlines()
              if line.startswith("reaction")]
     assert lines == ["5", "3", "4"]
+
+
+def test_conserved_alpha_prints_in_model_units():
+    # every species at alpha 1 and a fast gap of 2 (fast reactions at
+    # beta 3, slow at 1): the conserved coordinate printed its normalized
+    # alpha 1/2 beside the readout's model alpha 1
+    text = fx.CONSERVED_TEXT.replace("alpha=0", "alpha=1").replace("beta=1", "beta=3") \
+        .replace("beta=0", "beta=1")
+    doc = parse_document(text)
+    red = build_reduced_model(doc.model, doc.scaling)
+    assert red.classification.raw_eps2 == 2
+    assert red.conserved.alpha_c == (Fraction(1, 2),)
+    states = [line for line in serialize_reduced(red).splitlines() if line.startswith("state")]
+    assert states == ["state S alpha=1", "state c1 = E + Ea alpha=1"]

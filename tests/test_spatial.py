@@ -11,10 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from mscrn.averaging import McConfig, averaged_rate_two_scale, movement_equilibrium
+from mscrn.averaging import McConfig, averaged_rate_two_scale
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import AnalyticUnavailable, CaseUnavailable, MscrnError
-from mscrn.parser import parse_document, parse_model
+from mscrn.parser import parse_document
 from mscrn.reduce import build_reduced_model
 from mscrn.spatial_cases import averaged_rate_single_scale, averaged_rate_spatial
 

@@ -3,9 +3,7 @@
 import json
 
 import numpy as np
-import pytest
 
-from mscrn.averaging import McConfig
 from mscrn.verify import VerifyReport, _trend_verdict, verify_convergence
 
 
