@@ -31,9 +31,11 @@ Python list of the coordinates, walking a bounded graph of the states
 met, so a jump back into a known state is a channel choice and a
 pointer move. In a new state only the rates that read a changed
 coordinate are recomputed: mass-action rates on the list, expression
-laws and the three-scale middle tier as opaque rates on an array. The
-chain sums the time average (``pdmp.Occupation``) in each jump's one
-callback, so only each batch's distinct states are held.
+laws and the three-scale middle tier as opaque rates on an array. An
+estimate is one walk of exactly ``McConfig.budget`` events: the chain
+sums the time average (``pdmp.Occupation``) in each jump's one callback,
+so only each batch's distinct states are held, and the last event's
+callback ends the walk.
 
 Every mass-action law here, from the frozen coefficient of a fast
 reaction to the expectation over an empirical law, is built by
@@ -66,12 +68,12 @@ import numpy as np
 from . import expressions
 from . import rng as rng_mod
 from .classify import ScaleClassification, ConservedBasis
-from .errors import (AnalyticUnavailable, EventCapExceeded, IsolatedSpeciesError, ModelError,
-                     NonErgodicSuspected, RateEvaluationError, ReducibleChainError)
+from .errors import (AnalyticUnavailable, IsolatedSpeciesError, ModelError, NonErgodicSuspected,
+                     RateEvaluationError, ReducibleChainError)
 from .model import (Expression, MassAction, MassActionRows, Network, SpatialModel,
                     mass_action_rate, scaled_rate_function)
 from .pdmp import (HybridSystem, JumpChain, Occupation, OdeConfig, hybrid_system,
-                   simulate_pdmp)
+                   occupation_arrays, simulate_pdmp)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +578,7 @@ def split_reactants(network: Network, k: int, fast_rows) -> tuple[tuple[int, ...
 
 @dataclass
 class McConfig:
-    budget: int = 100_000        # events (jump systems) or samples (hybrid)
+    budget: int = 100_000        # events of the one walk (jump systems) or samples (hybrid)
     burn_in_frac: float = 0.2
     n_batches: int = 16          # a batch-means SE needs two batches
     ess_threshold: int = 100
@@ -593,69 +595,47 @@ class McConfig:
 
 
 def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :meth:`pdmp.Occupation.arrays` of ``batches`` of raw (rows,
+    """The :func:`pdmp.occupation_arrays` of ``batches`` of raw (rows,
     weights) visits, each batch summed as a :class:`pdmp.JumpChain` sums it."""
-    occupation = Occupation(None)
+    sums = []
     for rows, weights in batches:
-        acc = occupation.batches[-1]
+        acc = {}
         for state, weight in zip(map(tuple, rows), weights):
             acc[state] = acc.get(state, 0.0) + weight
-        occupation.batches.append({})
-    return occupation.arrays(dim)
+        sums.append(acc)
+    return occupation_arrays(sums, dim)
 
 
 def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
                                discrete) -> StationaryMeasure:
-    """Chunked time-average of a pure-jump fast path.
+    """Time average of one walk of a pure-jump fast path.
 
-    The path runs on one :class:`pdmp.JumpChain` in chunks, each on a
-    fresh block of uniforms from the one stream of ``mc.seed``, with a
-    horizon of 1.2 times ``chunk_events`` mean waits at the chunk's
-    starting total rate; a chunk that passes the larger of the budget
-    and ten times ``chunk_events`` raises NonErgodicSuspected, so a
-    rate that keeps growing holds bounded memory. The budget counts
-    events burn-in inclusive; the first ``burn_in_frac`` of them are
-    discarded. Each later visit of positive duration weights its state
-    by that duration (:class:`pdmp.Occupation`), and every ``(budget -
-    burn-in) / n_batches`` visits make a batch for batch-means errors.
-    A chunk splits the visit it ends in two, one without an event adds none.
+    The walk runs on one :class:`pdmp.JumpChain`, on the one stream of
+    ``mc.seed``, and stops at its ``mc.budget``-th event, so its work and
+    memory are bounded by the budget. The first ``burn_in_frac`` of the
+    events end visits that are discarded. Each later visit of positive
+    duration weights its state by that duration (:class:`pdmp.Occupation`),
+    and every ``(budget - burn-in) // n_batches`` visits make a batch for
+    batch-means errors, ``n_batches`` in all, the last also holding the
+    leftover visits. A chain absorbed on the way (total rate 0) gives the
+    point mass at its absorbing state.
     """
-    rng = rng_mod.stream(mc.seed)
     budget = int(mc.budget)
-    burn_events = int(budget * mc.burn_in_frac)
-    occupation = Occupation(max(1, (budget - burn_events) // mc.n_batches), burn_events)
+    burn = int(budget * mc.burn_in_frac)
+    occupation = Occupation(budget, burn, mc.n_batches)
     chain = JumpChain(fast_system, v0, occupation)
-    total_rate = float(np.array(chain.rates()).sum())
-    if total_rate <= 0:
-        return StationaryMeasure("pointmass", point=chain.key, discrete=discrete)
-    chunk_events = max(200, budget // (4 * mc.n_batches))
-    # a chunk's horizon comes from its starting rate, so a tier whose
-    # rate keeps growing would run on in one chunk; past this many
-    # events it has no stationary law worth the budget
-    chunk_cap = max(budget, 10 * chunk_events)
-
-    # run until the budget is spent or the chain is absorbed (total rate 0)
-    while occupation.events < budget and total_rate > 0:
-        horizon = chunk_events / max(total_rate, 1e-12) * 1.2
-        try:
-            chain.run(horizon, rng_mod.Buffered(rng), max_events=chunk_cap)
-        except EventCapExceeded:
-            raise NonErgodicSuspected(
-                f"a chunk of the fast path passed {chunk_cap} events, against about "
-                f"{chunk_events} at its starting total rate {total_rate}: the rate "
-                "grows without settling") from None
-        total_rate = float(np.array(chain.rates()).sum())
-
-    if total_rate <= 0:
+    # a walk draws two uniforms per event; it ends before the cap
+    chain.run(math.inf, rng_mod.Buffered(rng_mod.stream(mc.seed), min(2 * budget, 8192)),
+              max_events=budget + 1)
+    if not any(chain.rates()):
         # time average of an absorbed chain is the absorbing state
         return StationaryMeasure("pointmass", point=chain.key, discrete=discrete)
-    post_events = occupation.events - burn_events
-    if post_events < mc.ess_threshold:
+    if budget - burn < mc.ess_threshold:
         raise NonErgodicSuspected(
-            f"only {post_events} post-burn-in events (threshold {mc.ess_threshold})")
-    states, weights, batch = occupation.arrays(fast_system.dim)
+            f"only {budget - burn} post-burn-in events (threshold {mc.ess_threshold})")
+    states, weights, batch = occupation_arrays(occupation.batches, fast_system.dim)
     return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
-                             ess=post_events, n_events=occupation.events,
+                             ess=budget - burn, n_events=budget,
                              rate_evals=chain.misses, discrete=discrete)
 
 

@@ -286,7 +286,6 @@ class ConservedBasis:
     k_per_vector: tuple[frozenset[int], ...]
     k_c: frozenset[int]
     k_c_circ: frozenset[int]
-    k_c_bullet: frozenset[int]
     zeta_c: np.ndarray                    # |vectors| x |k_c columns|
     cols: tuple[int, ...]
 
@@ -364,8 +363,6 @@ def conserved_basis(classification: ScaleClassification) -> ConservedBasis:
         raise OverlapError("reactions driving conserved quantities overlap the slow set")
     k_c_circ = frozenset().union(
         *(kv for kv, a in zip(k_per_vector, alpha_c) if a == 0)) if vectors else frozenset()
-    k_c_bullet = frozenset().union(
-        *(kv for kv, a in zip(k_per_vector, alpha_c) if a > 0)) if vectors else frozenset()
     cols = tuple(sorted(k_c))
     zeta_c = np.zeros((len(vectors), len(cols)), dtype=np.int64)
     for j, vec in enumerate(vectors):
@@ -373,7 +370,7 @@ def conserved_basis(classification: ScaleClassification) -> ConservedBasis:
             if k in k_per_vector[j]:
                 zeta_c[j, b] = sum(vec[a] * int(zeta[rows[a], k]) for a in range(len(rows)))
     return ConservedBasis(rows, tuple(vectors), tuple(alpha_c), tuple(k_per_vector),
-                          k_c, k_c_circ, k_c_bullet, zeta_c, cols)
+                          k_c, k_c_circ, zeta_c, cols)
 
 
 def movement_as_reactions(spatial_model: SpatialModel) -> tuple[Network, dict]:

@@ -45,10 +45,6 @@ class Species:
         if self.eta is not None and self.eta <= 0:
             raise ValidationError(f"species {self.name}: eta must be > 0")
 
-    @property
-    def discrete(self) -> bool:
-        return self.alpha == 0
-
 
 @dataclass(frozen=True)
 class MassAction:
@@ -125,10 +121,6 @@ class Reaction:
 
     def zeta(self, i: int) -> int:
         return self.nu_prime(i) - self.nu(i)
-
-    @property
-    def order(self) -> int:
-        return sum(n for _, n in self.reactants)
 
 
 @dataclass

@@ -13,7 +13,8 @@ bounded graph of stored states: a jump along a stored link is a channel
 choice and a pointer move, and one into a new state refreshes only the
 rates that read a coordinate it changed. The Monte Carlo fast-tier
 chains of the averaging layer run on the same class, which keeps their
-time average (:class:`Occupation`) in the one callback of each jump.
+time average (:class:`Occupation`) in the one callback of each jump and
+ends the walk at its budget-th jump.
 
 Runs with flows go through one kernel (:func:`_run_rows`) that advances
 any number of runs at once, one row each: a single run is one row, an
@@ -201,21 +202,26 @@ def _simulate_pure_jump(system, path, t_end, rand, grid, max_events):
 
 
 class Occupation:
-    """The time weights of a path's visits, summed as they end: a visit
-    that starts after the first ``burn`` of the path's ``events`` and
-    lasts adds its duration to its state's weight in the open batch, a
-    dict (states in first-visit order), and every ``quota`` such visits
-    open the next batch. No raw visit is held."""
+    """The time average of a walk of ``budget`` events, summed as its
+    visits end: the visit each event after the first ``burn`` ends adds
+    its duration, if positive, to its state's weight in the open batch, a
+    dict (states in first-visit order). Every ``quota`` such visits open
+    the next batch, up to ``n_batches``; the last batch also takes the
+    leftover visits. No raw visit is held."""
 
-    def __init__(self, quota: int | None, burn: int = 0):
-        self.quota, self.burn, self.batches, self.visits, self.events = quota, burn, [{}], 0, 0
+    def __init__(self, budget: int, burn: int, n_batches: int):
+        self.budget, self.burn, self.n_batches = budget, burn, n_batches
+        self.quota = max(1, (budget - burn) // n_batches)
+        self.batches = [{}]
 
-    def arrays(self, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (states, weights, batch) arrays of the empirical law."""
-        sizes = [len(acc) for acc in self.batches]
-        return (np.array([x for acc in self.batches for x in acc], dtype=float).reshape(-1, dim),
-                np.array([w for acc in self.batches for w in acc.values()], dtype=float),
-                np.repeat(np.arange(len(sizes), dtype=np.intp), sizes))
+
+def occupation_arrays(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (states, weights, batch) arrays of an empirical law summed in
+    ``batches``, dicts from state to weight."""
+    sizes = [len(acc) for acc in batches]
+    return (np.array([x for acc in batches for x in acc], dtype=float).reshape(-1, dim),
+            np.array([w for acc in batches for w in acc.values()], dtype=float),
+            np.repeat(np.arange(len(sizes), dtype=np.intp), sizes))
 
 
 class JumpChain:
@@ -245,10 +251,12 @@ class JumpChain:
     jump into a stored state evaluates no rate; ``misses`` counts those
     that do.
 
-    A chain given an ``occupation`` keeps its path's time average there
-    (and no event log), in the one callback each event makes, which ends
-    a visit. A run with an event ends its last visit at its horizon, and
-    the next run starts one in that state; a run without one adds none.
+    A chain given an ``occupation`` makes one run, a walk that keeps its
+    time average there (and no event log), in the one callback each
+    event makes, which ends a visit; the walk stops at its
+    ``occupation.budget``-th event, whose callback returns an empty
+    cumulative list, or earlier where the chain is absorbed or
+    ``t_end`` passes.
     """
 
     def __init__(self, system: HybridSystem, v0, occupation: Occupation | None = None):
@@ -274,25 +282,24 @@ class JumpChain:
 
     def run(self, t_end: float, rand: rng_mod.Buffered, grid=None, snapshot=None, log=None,
             max_events: int = _MAX_EVENTS) -> list[int]:
-        """Run the chain for ``t_end`` on the uniforms of ``rand``, on from
-        where the last run ended; returns the events per channel.
-        ``snapshot(t, key)`` records the state ``key`` at each ``grid``
-        time passed and, with an event ``log``, after each event, whose
-        (time, channel) pair joins the log."""
-        check_t_end(t_end)
+        """Run the chain for ``t_end`` (infinite for a walk that stops at
+        its budget) on the uniforms of ``rand``, on from where the last run
+        ended; returns the events per channel. ``snapshot(t, key)`` records
+        the state ``key`` at each ``grid`` time passed and, with an event
+        ``log``, after each event, whose (time, channel) pair joins the log."""
         changes, dependents, memo, cap = self.changes, self.dependents, self.memo, self.memo_cap
         unlinked, occupation, node = self.unlinked, self.occupation, self.node
         for j, r in enumerate(node[1]):
             if not 0.0 <= r < math.inf:
                 raise NegativeRate(f"jump rate {j} evaluated to {r}")
-        work, acc = list(node[0]), None
+        work, acc, events, budget = list(node[0]), None, 0, math.inf
         if occupation is not None:
-            # the open visit starts now, ``skip`` visits before the burn-in ends
-            quota, batches, visits = occupation.quota, occupation.batches, occupation.visits
-            acc, start, skip = batches[-1], 0.0, max(occupation.burn - occupation.events, 0)
+            budget, burn, quota = occupation.budget, occupation.burn, occupation.quota
+            batches, n_batches = occupation.batches, occupation.n_batches
+            acc, start, visits = batches[-1], 0.0, 0
 
         def step(t, chosen, refresh):
-            nonlocal node, acc, visits, start, skip
+            nonlocal node, acc, events, start, visits
             prev = node
             node = prev[3][chosen]
             if node is None:
@@ -308,22 +315,21 @@ class JumpChain:
                 if node is not None and prev[3] is not unlinked:
                     prev[3][chosen] = node
             if acc is not None:   # the visit to prev's state ends
-                if skip:
-                    skip -= 1
-                elif t > start:
+                events += 1
+                if events > burn and t > start:
                     state = prev[0]
                     acc[state] = acc.get(state, 0.0) + (t - start)
                     visits += 1
-                    if visits == quota:
+                    if visits == quota and len(batches) < n_batches:
                         acc, visits = {}, 0
                         batches.append(acc)
                 start = t
             elif log is not None:
                 snapshot(t, key if node is None else node[0])
                 log.append((t, chosen))
-            if node is not None:
-                return node[2]
-            if refresh:
+            if node is None:
+                if not refresh:
+                    return None
                 # every dependent is evaluated before the first bad rate
                 # raises, so a later rate's own error wins, as in a full refresh
                 rates, bad, values = prev[1].copy(), None, None
@@ -342,21 +348,11 @@ class JumpChain:
                         prev[3][chosen] = node
                 else:
                     node = (key, rates, list(accumulate(rates)), unlinked)
-                return node[2]
+            return node[2] if events < budget else []
 
         counts = direct_method(node[2], step, rand, t_end, grid,
                                lambda t: snapshot(t, node[0]), max_events)
         self.node, self.key = node, node[0]
-        if acc is not None:
-            # a run with an event ends its last visit at the horizon
-            events = sum(counts)
-            if events and not skip and t_end > start:
-                acc[node[0]] = acc.get(node[0], 0.0) + (t_end - start)
-                visits += 1
-                if visits == quota:
-                    visits = 0
-                    batches.append({})
-            occupation.visits, occupation.events = visits, occupation.events + events
         return counts
 
 

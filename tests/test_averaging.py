@@ -268,6 +268,42 @@ def test_averaged_rate_mc_within_3se(ab_doc):
         assert abs(got - want) < 3 * se + 1e-3, f"v={v}"
 
 
+def test_jump_path_laws_hold_the_budget_in_every_batch(ab_doc):
+    # one walk of exactly the budget's events, cut into exactly n_batches
+    # batches
+    c = classify(ab_doc.model, ab_doc.scaling)
+    for budget in (1000, 20_000):
+        for seed in range(10):
+            mc = McConfig(budget=budget, seed=seed)
+            law = stationary_fast(c, np.array([0.5, 0.0]), mode="montecarlo", mc=mc)
+            assert law.variant == "empirical"
+            assert law.n_events == budget and law.batch.max() + 1 == mc.n_batches
+
+
+CASCADE_TEXT = """\
+species S alpha=1
+species A alpha=0
+species B alpha=0
+reaction S + B -> 0 @ mass-action kappa=1 beta=1
+reaction 0 -> A @ mass-action kappa=1 beta=1
+reaction A -> 0 @ mass-action kappa=1 beta=1
+reaction A -> A + B @ mass-action kappa=100 beta=1
+reaction B -> 0 @ mass-action kappa=1 beta=1
+"""
+
+
+def test_cascade_tier_within_3se():
+    # A is Poisson(1) and makes B at rate 100 A; B dies at 1 + S, so at
+    # S = 0.5 the rate of S + B -> 0 averages to 0.5 * 100 / 1.5. Bursts
+    # of B swing the walk's total rate by a factor of ten, and the walk
+    # still ends at its budget with an estimate
+    doc = parse_document(CASCADE_TEXT)
+    c = classify(doc.model, doc.scaling)
+    assert averaged_rate_two_scale(c, 0, mode="auto")([0.5]) == pytest.approx(100 / 3)
+    rate = averaged_rate_two_scale(c, 0, mode="montecarlo", mc=McConfig(budget=100_000))
+    assert abs(rate([0.5]) - 100 / 3) < 3 * rate.standard_error([0.5])
+
+
 def test_mixed_fast_tier_within_3se():
     # B birth-death at rate 1 with a fast flow dC/dt = B - C: the hybrid
     # estimator samples the path on a grid 20 time units apart, far beyond

@@ -24,7 +24,13 @@ recorded by the code as it was before their occupation code changed.
 The ``expr_tier`` and ``late_frozen`` keys (an expression-law fast tier,
 and a frozen reactant declared after its fast one) were recorded by the
 code as it was before the Monte Carlo fast systems were built from the
-fast reactions' list.
+fast reactions' list. The 22 values of jump-path Monte Carlo estimates
+(``ab.montecarlo``, ``conserved.montecarlo.k3/k4``, ``expr_tier``,
+``late_frozen.montecarlo``, ``spatial_ab.case1-4.montecarlo``,
+``spatial_conserved.case1.montecarlo``, ``three.auto`` and
+``three.montecarlo``) were re-recorded when the estimator became one walk
+of exactly ``budget`` events in place of chunks, each on its own block of
+uniforms, that overshot the budget.
 """
 
 import json

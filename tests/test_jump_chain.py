@@ -1,23 +1,25 @@
 """The Monte Carlo fast-tier estimator on ``pdmp.JumpChain`` against a
-copy of the estimator it replaced, which ran each chunk of the fast path
-through ``simulate_pdmp(record="events")``: a numpy state, every rate
-called on it after every jump, and the visits read back from the event
-log.
+plain walk of exactly ``mc.budget`` events: a numpy state, every rate
+called on it after every jump, the uniforms of ``mc.seed`` drawn in one
+piece, and the visits after the burn-in cut into ``n_batches`` batches of
+``(budget - burn-in) // n_batches`` visits, the last also taking the
+leftover ones.
 
-Both consume the stream of ``mc.seed`` in the same blocks, so the
-stationary laws must be equal (``==``) in every stored state, weight and
-batch index, in the ESS and the event count; a point mass must sit at
-the same state; a failure must raise the same error type and message.
-Covered: the fast tier of every fixture that has one, hypothesis-drawn
+Both read the stream of ``mc.seed`` in the same order, so the stationary
+laws must be equal (``==``) in every stored state, weight and batch
+index, in the ESS and the event count; a point mass must sit at the same
+state; a failure must raise the same error type and message. Covered:
+the fast tier of every fixture that has one, hypothesis-drawn
 mass-action tiers with frozen continuous reactants and discrete order-2
 reactants, the systems a spatial case-1 rate, an expression-law tier and
 the THREE_SCALE middle tier hand to the estimator, absorbed chains, a
-budget below the ESS threshold, failing rates and jumps, and the visit
-bookkeeping at chunk edges (a chunk without an event, a batch closed by
-a chunk's last visit, a burn-in ending inside a chunk, and a full memo
-whose new states are walked unlinked). A capped jump raises the error
-type and message recorded at commit be52e5b. Every Monte Carlo fast
-tier, nonspatial or spatial, gets its system from the one builder,
+budget below the ESS threshold, failing rates and jumps, and the edges
+of the budget (the burn-in ending inside a batch, the leftover visits
+joining the last batch, absorption before the budget, and a full memo
+whose new states are walked unlinked). A rate that grows without bound
+still stops at the budget. A capped jump raises the error type and
+message recorded at commit be52e5b. Every Monte Carlo fast tier,
+nonspatial or spatial, gets its system from the one builder,
 ``averaging.fast_tier_system``.
 
 The chain's graph of stored states is checked on its own: with no room
@@ -46,11 +48,9 @@ from mscrn.averaging import (McConfig, StationaryMeasure, _empirical_from_jump_p
                              averaged_rate_two_scale, constrained_start, fast_discrete,
                              fast_subsystem, stationary_fast)
 from mscrn.classify import classify, conserved_basis
-from mscrn.errors import (EventCapExceeded, MscrnError, NegativeRate, NonErgodicSuspected,
-                          RateEvaluationError)
+from mscrn.errors import EventCapExceeded, MscrnError, NegativeRate, RateEvaluationError
 from mscrn.parser import parse_document
-from mscrn.pdmp import (HybridSystem, JumpChain, OdeConfig, _eval_state, _initial_state,
-                        simulate_pdmp)
+from mscrn.pdmp import HybridSystem, JumpChain, _checked_state, simulate_pdmp
 from mscrn.spatial_cases import averaged_rate_spatial
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -58,91 +58,56 @@ import conftest as fx  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
-# the replaced estimator, kept here as the reference
+# the reference walk
 
 
-def _reference_path(system, v0, t_end, rng):
-    """``simulate_pdmp(system, v0, t_end, record="events", rng=rng)`` of a
-    pure-jump system as it ran before the list-state chain; returns the
-    event times, the states from the start on and the final state."""
-    v = _initial_state(system, v0, t_end)
-    rand = rng_mod.Buffered(rng)
-    abs_tol = OdeConfig().abs_tol
-    changes = [np.asarray(vec).tolist() for _, vec in system.jumps]
+def _reference_estimator(fast_system, v0, mc, discrete):
+    """The time average of a walk of ``mc.budget`` events, on a numpy
+    state with every rate recomputed after every jump."""
+    budget = int(mc.budget)
+    burn = int(budget * mc.burn_in_frac)
+    v = _checked_state(fast_system, v0)
+    changes = [np.asarray(vec).tolist() for _, vec in fast_system.jumps]
+    uniforms = iter(rng_mod.stream(mc.seed).random(2 * budget).tolist())
 
     def rates():
-        view = _eval_state(v, abs_tol)
-        out = [rate_fn(view) for rate_fn, _ in system.jumps]
+        out = [rate_fn(v) for rate_fn, _ in fast_system.jumps]
         for i, r in enumerate(out):
             if r < 0 or not math.isfinite(r):
                 raise NegativeRate(f"jump rate {i} evaluated to {r}")
         return out
 
-    times, states = [0.0], [v.copy()]
-    prop, t = rates(), 0.0
-    while prop:
+    visits = []   # (state, duration) of each visit of positive duration after the burn-in
+    prop, t, events = rates(), 0.0, 0
+    while events < budget:
         cum = list(accumulate(prop))
+        if not cum or cum[-1] <= 0.0:
+            break
         total = cum[-1]
-        if total <= 0.0:
-            break
-        t_next = t + rand.exponential() / total
-        if t_next > t_end:
-            break
+        t_next = t - math.log(1.0 - next(uniforms)) / total
+        chosen = min(bisect_right(cum, next(uniforms) * total), len(prop) - 1)
+        events += 1
+        if events > burn and t_next > t:
+            visits.append((tuple(v.tolist()), t_next - t))
         t = t_next
-        chosen = min(bisect_right(cum, rand.uniform() * total), len(prop) - 1)
         for i, c in enumerate(changes[chosen]):
             if c:
                 v[i] += c
                 if c < 0 and v[i] < 0:
                     raise NegativeRate("jump left the nonnegative orthant")
-        times.append(t)
-        states.append(v.copy())
         prop = rates()
-    return np.array(times), np.array(states), v
 
-
-def _reference_estimator(fast_system, v0, mc, discrete):
-    """The chunked time average as it ran on ``simulate_pdmp``."""
-    rng = rng_mod.stream(mc.seed)
-    budget = int(mc.budget)
-    burn_events = int(budget * mc.burn_in_frac)
-    v = np.asarray(v0, dtype=float).copy()
-    total_rate = float(fast_system.jump_rates(v).sum())
-    if total_rate <= 0:
+    if not any(prop):
         return StationaryMeasure("pointmass", point=v, discrete=discrete)
-    chunk_events = max(200, budget // (4 * mc.n_batches))
-    batch_quota = max(1, (budget - burn_events) // mc.n_batches)
-    events_seen = 0
-
-    def batches():
-        nonlocal v, total_rate, events_seen
-        rows, durations = np.empty((0, len(v))), np.empty(0)
-        while events_seen < budget and total_rate > 0:
-            horizon = chunk_events / max(total_rate, 1e-12) * 1.2
-            times, states, v = _reference_path(fast_system, v, horizon, rng)
-            n_ev = len(times) - 1
-            if n_ev:
-                dt = np.diff(np.append(times, horizon))
-                keep = (dt > 0) & (np.arange(events_seen, events_seen + n_ev + 1)
-                                   >= burn_events)
-                rows = np.concatenate([rows, states[keep]])
-                durations = np.concatenate([durations, dt[keep]])
-                while len(durations) >= batch_quota:
-                    yield rows[:batch_quota].tolist(), durations[:batch_quota]
-                    rows, durations = rows[batch_quota:], durations[batch_quota:]
-                events_seen += n_ev
-            total_rate = float(fast_system.jump_rates(v).sum())
-        yield rows.tolist(), durations
-
-    states, weights, batch = _occupation(batches(), len(v))
-    if total_rate <= 0:
-        return StationaryMeasure("pointmass", point=v, discrete=discrete)
-    post_events = events_seen - burn_events
-    if post_events < mc.ess_threshold:
+    if budget - burn < mc.ess_threshold:
         raise averaging.NonErgodicSuspected(
-            f"only {post_events} post-burn-in events (threshold {mc.ess_threshold})")
+            f"only {budget - burn} post-burn-in events (threshold {mc.ess_threshold})")
+    quota, last = max(1, (budget - burn) // mc.n_batches), mc.n_batches - 1
+    cuts = [visits[b * quota:(b + 1) * quota] for b in range(last)] + [visits[last * quota:]]
+    states, weights, batch = _occupation([([s for s, _ in cut], [w for _, w in cut])
+                                          for cut in cuts], len(v))
     return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
-                             ess=post_events, n_events=events_seen, discrete=discrete)
+                             ess=budget - burn, n_events=budget, discrete=discrete)
 
 
 def _outcome(estimator, system, v0, mc, discrete):
@@ -416,15 +381,15 @@ def test_absorbed_chains_match_reference(listed):
     assert _assert_same(system, [0.0], McConfig(budget=500), [True]) == ("pointmass", [0.0])
 
 
-def test_growing_tier_raises_with_bounded_events():
-    # F -> F + F at rate F from F = 1: a chunk's horizon comes from its
-    # starting rate, and the Yule rate grows without bound, so the chunk
-    # runs on until it passes max(budget, 10 * 200) events
+def test_growing_tier_stops_at_the_budget(monkeypatch):
+    # F -> F + F at rate F from F = 1: the Yule rate grows without bound,
+    # and the walk still ends at its budget-th event, at F = 1001
     yule = HybridSystem(("F",), ((_listed(lambda v: v[0], [0]), np.array([1])),), ())
     start = time.perf_counter()
-    with pytest.raises(NonErgodicSuspected, match="passed 2000 events"):
-        _empirical_from_jump_paths(yule, [1.0], McConfig(budget=1000), [True])
+    out, [(counts, chain)] = _walked(monkeypatch, yule, [1.0], McConfig(budget=1000), [True])
     assert time.perf_counter() - start < 2.0
+    assert out[0] == "empirical" and out[-1] == 1000
+    assert counts == [1000] and chain.key == (1001.0,)
 
 
 def test_budget_below_ess_threshold_matches_reference():
@@ -674,60 +639,56 @@ def test_graph_holds_its_cap_links_stored_states_and_counts_its_misses(monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the visit bookkeeping at chunk edges
+# the edges of the budget
 
 
-def _slow_birth_death():
-    """x -> x + 1 at rate 2e-15 and x -> x - 1 at rate 1e-15 x: a chunk's
-    horizon takes the floor 1e-12 of its starting rate, so a chunk holds
-    about one event, and many hold none."""
-    return HybridSystem(("x",), ((_listed(lambda v: 2e-15, []), np.array([1])),
-                                 (_listed(lambda v: 1e-15 * v[0], [0]), np.array([-1]))), ())
-
-
-def _chunk_edges(monkeypatch, system, v0, mc, discrete):
-    """The estimate of ``_empirical_from_jump_paths`` and the edge cases
-    its chunks met: a chunk without an event ("empty"), a batch closed
-    by the visit a chunk ends at its horizon ("quota_at_end"), the
-    burn-in ending inside a chunk ("burn_mid"), and jumps into states
-    met once the memo was full, on unlinked nodes ("unlinked")."""
-    met, real = set(), JumpChain.run
+def _walked(monkeypatch, system, v0, mc, discrete):
+    """The outcome of ``_empirical_from_jump_paths`` and, for each run of
+    a chain it made, the events per channel and the chain."""
+    walks, real = [], JumpChain.run
 
     def run(chain, *args, **kwargs):
-        occupation = chain.occupation
-        before = occupation.events
         counts = real(chain, *args, **kwargs)
-        if not sum(counts):
-            met.add("empty")
-        elif occupation.events > occupation.burn and occupation.visits == 0:
-            met.add("quota_at_end")
-        if before < occupation.burn < occupation.events:
-            met.add("burn_mid")
-        if len(chain.memo) == chain.memo_cap < chain.misses:
-            met.add("unlinked")
+        walks.append((counts, chain))
         return counts
 
     with monkeypatch.context() as m:
         m.setattr(JumpChain, "run", run)
         got = _outcome(_empirical_from_jump_paths, system, v0, mc, discrete)
-    return got, met
+    return got, walks
 
 
-@pytest.mark.parametrize("case", ["slow", "conserved", "memo_full"])
-def test_chunk_edges_match_reference(monkeypatch, case):
-    # each (seed, budget) was picked by a run that recorded the edges met
-    if case == "slow":
-        system, v0, discrete, mc = _slow_birth_death(), [0.0], [True], McConfig(400, seed=0)
-        edges = {"empty", "quota_at_end", "burn_mid"}
-    elif case == "conserved":
-        system, v0, discrete = _fixture_tier("conserved", 0.7)
-        mc, edges = McConfig(1000, seed=11), {"quota_at_end", "burn_mid"}
-    else:
-        # room for 3 states of the about 10 the path visits
-        monkeypatch.setattr(pdmp, "_MEMO_RATES", 6)
-        system, v0, discrete, mc = _birth_death(), [0.0], [True], McConfig(1000, seed=6)
-        edges = {"unlinked", "burn_mid"}
-    got, met = _chunk_edges(monkeypatch, system, v0, mc, discrete)
-    assert edges <= met
-    assert got[0] == "empirical"
-    assert got == _outcome(_reference_estimator, system, v0, mc, discrete)
+def test_burn_in_ends_inside_a_batch_and_leftover_visits_join_the_last(monkeypatch):
+    # a pure birth enters a new state at every event, so each kept row is
+    # one visit: of 1003 events 300 are burnt, the quota is 703 // 16 =
+    # 43, and the 15 visits left over join batch 15; the first kept visit
+    # is to x = 300, which event 301 ends
+    birth = HybridSystem(("x",), ((_listed(lambda v: 1.0, []), np.array([1])),), ())
+    mc = McConfig(budget=1003, burn_in_frac=0.3, seed=5)
+    got, [(counts, chain)] = _walked(monkeypatch, birth, [0.0], mc, [True])
+    assert counts == [1003] and chain.key == (1003.0,)
+    assert got == _outcome(_reference_estimator, birth, [0.0], mc, [True])
+    _, shape, states, _, batch, ess, n_events = got
+    assert shape == (703, 1) and (ess, n_events) == (703, 1003)
+    assert states[0] == [300.0] and states[-1] == [1002.0]
+    assert np.bincount(batch).tolist() == [43] * 15 + [58]
+
+
+def test_absorbed_before_the_budget_matches_reference(monkeypatch):
+    # the death chain from x = 3 is absorbed after three events, well
+    # before its budget of 500
+    system, mc = _death(True), McConfig(budget=500)
+    got, [(counts, chain)] = _walked(monkeypatch, system, [3.0], mc, [True])
+    assert got == ("pointmass", [0.0]) and counts == [3] and chain.key == (0.0,)
+    assert got == _outcome(_reference_estimator, system, [3.0], mc, [True])
+
+
+def test_full_memo_walked_unlinked_matches_reference(monkeypatch):
+    # room for 3 of the about 10 states the walk visits: the states met
+    # once the memo is full are walked on unlinked nodes
+    monkeypatch.setattr(pdmp, "_MEMO_RATES", 6)
+    system, mc = _birth_death(), McConfig(1000, seed=6)
+    got, [(_, chain)] = _walked(monkeypatch, system, [0.0], mc, [True])
+    assert len(chain.memo) == chain.memo_cap == 3 < chain.misses
+    assert got[0] == "empirical" and got[-1] == 1000
+    assert got == _outcome(_reference_estimator, system, [0.0], mc, [True])

@@ -58,14 +58,16 @@ def test_constant_rate_interjump_exponential():
 
 
 def test_hazard_integration_rayleigh_law():
-    # dv/dt = 1 with jump rate v: hazard t^2/2, first jump ~ Rayleigh(1)
+    # dv/dt = 1 with jump rate v: hazard t^2/2, first jump ~ Rayleigh(1).
+    # The jump counts itself in N and the rate is v while N = 0, so a run
+    # stops jumping at its first jump, the only one the law is about
     system = HybridSystem(
-        ("V",),
-        ((lambda v: v[0], np.array([0], dtype=np.int64)),),
-        ((lambda v: 1.0, np.array([1.0])),))
+        ("V", "N"),
+        ((lambda v: v[0] * (v[1] == 0), np.array([0, 1], dtype=np.int64)),),
+        ((lambda v: 1.0, np.array([1.0, 0.0])),))
     first_times = []
     for r in range(1200):
-        traj = simulate_pdmp(system, [0.0], t_end=6.0, seed=1000 + r, record="events")
+        traj = simulate_pdmp(system, [0.0, 0.0], t_end=6.0, seed=1000 + r, record="events")
         assert traj.event_log, "expected at least one jump by t=6"
         first_times.append(traj.event_log[0][0])
     stat = sps.kstest(np.array(first_times), "rayleigh")
