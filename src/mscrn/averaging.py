@@ -1034,8 +1034,9 @@ def fast_average(network: Network, k: int, measure: StationaryMeasure, frozen,
     """(E, se) of reaction k's rate over a fast stationary ``measure``,
     slower species held at ``frozen``: factorial moments for mass action,
     power moments for an expression law over a moment law (which raises
-    AnalyticUnavailable unless the law is polynomial in the fast
-    species), the compiled law on completed states otherwise."""
+    AnalyticUnavailable unless :func:`_fast_polynomial` gives the law as
+    a polynomial in the fast species), the compiled law on completed
+    states otherwise."""
     law = network.reactions[k].rate_law
     if isinstance(law, MassAction):
         orders, frozen_terms = split_reactants(network, k, fast_rows)
@@ -1056,14 +1057,29 @@ def fast_average(network: Network, k: int, measure: StationaryMeasure, frozen,
 def _fast_polynomial(network: Network, k: int, fast_rows, frozen=None):
     """Reaction k's expression law as a polynomial in the fast species
     (exponents -> coefficient), every other species at ``frozen`` or, by
-    default, at 1 as :func:`rate_kind` reads a tier; None when the law is
-    not polynomial in them and so has no closed-form average."""
-    env = {s.name: 1.0 if frozen is None else frozen[i] for i, s in enumerate(network.species)}
+    default, at 1 as :func:`rate_kind` reads a tier. The law is closed
+    while a discrete reactant is below its order: a frozen one gives the
+    zero polynomial, and a fast one of order n must leave no coefficient
+    at the counts 0, ..., n - 1. None otherwise, or when the law is not
+    polynomial in the fast species: no closed-form average."""
+    values = np.ones(network.n_species) if frozen is None else frozen
+    env = {s.name: values[i] for i, s in enumerate(network.species)}
     try:
-        return expressions.as_polynomial(network.reactions[k].rate_law.ast,
+        poly = expressions.as_polynomial(network.reactions[k].rate_law.ast,
                                          [network.species[i].name for i in fast_rows], env)
     except expressions.PolynomialError:
         return None
+    fast = list(fast_rows)
+    gated = [(i, n) for i, n in network.reactions[k].reactants if network.species[i].alpha == 0]
+    for j, n in [(fast.index(i), n) for i, n in gated if i in fast]:
+        for count in range(n):
+            rest = {}
+            for exponents, coeff in poly.items():
+                key = exponents[:j] + exponents[j + 1:]
+                rest[key] = rest.get(key, 0.0) + coeff * count ** exponents[j]
+            if any(rest.values()):
+                return None
+    return {} if any(i not in fast and values[i] < n for i, n in gated) else poly
 
 
 def _polynomial_average(network: Network, k: int, measure: StationaryMeasure, frozen,
@@ -1072,7 +1088,7 @@ def _polynomial_average(network: Network, k: int, measure: StationaryMeasure, fr
     species, through the power moments of a moment law."""
     poly = _fast_polynomial(network, k, fast_rows, frozen)
     if poly is None:
-        raise AnalyticUnavailable("expression rate is not polynomial in the fast species")
+        raise AnalyticUnavailable("expression rate has no polynomial form in the fast species")
     out = sum(coeff * measure.moments.power(exponents) for exponents, coeff in poly.items())
     if out < 0:
         raise RateEvaluationError(f"averaged rate is negative: {out}")

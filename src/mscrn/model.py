@@ -14,8 +14,9 @@ simulation workers; :class:`State` objects are worker-local.
 
 This module is the only one that turns a rate law into a function of
 counts: :func:`mass_action_rate` from a row form, :func:`expression_rate`
-from an AST, a reader and a prefactor. Scaled rates, raw-count
-propensities and frozen coefficients all share their arithmetic.
+from an AST, a reader and a prefactor; :func:`scaled_rate_function`
+compiles a reaction's law on them for the SSA (at N, over raw counts)
+and for every limit, averaged and spatial rate (at N = 1) alike.
 """
 
 from __future__ import annotations
@@ -106,21 +107,6 @@ class Reaction:
             raise ValidationError("reaction has zero net change; flag it catalytic_only")
         return Reaction(tuple(sorted(reactants.items())), tuple(sorted(products.items())),
                         Fraction(beta), rate_law, catalytic_only)
-
-    def nu(self, i: int) -> int:
-        for j, n in self.reactants:
-            if j == i:
-                return n
-        return 0
-
-    def nu_prime(self, i: int) -> int:
-        for j, n in self.products:
-            if j == i:
-                return n
-        return 0
-
-    def zeta(self, i: int) -> int:
-        return self.nu_prime(i) - self.nu(i)
 
 
 @dataclass
@@ -338,24 +324,67 @@ def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = 
     return out
 
 
-def scaled_rate_function(model: Model, k: int, d: int = 0):
-    """Compile reaction k's rate law in compartment d into a function of
-    the scaled species vector of that compartment (mixed mass-action
-    form, or the expression AST); a network has the one compartment 0."""
+def scaled_rate_function(model: Model, k: int, d: int = 0, N: float = 1.0, gamma=0,
+                         flat: bool = False):
+    """Reaction k's rate law in compartment d as N^(beta_k+gamma)
+    lambda_k(N^-alpha x) of the counts x (scaled at the default N = 1, raw
+    otherwise) of compartment d, or with ``flat`` of the species x
+    compartments vector, species i of compartment d at ``i *
+    n_compartments + d``. Mass action is :func:`mass_action_rate` with the
+    powers of N in its prefactor; an expression law is
+    :func:`expression_rate` with readers that scale the continuous counts,
+    and is closed (0.0), as mass action is, while a discrete reactant has
+    fewer molecules than its order. It carries the positions it reads,
+    ``reads``."""
     network = model.network
     reaction, law = network.reactions[k], model.rate_law(k, d)
+    species = network.species
+    offset, stride = (d, model.n_compartments) if flat else (0, 1)
+    unit = N == 1   # every power of N is 1.0, with no exponent to work out
+
+    def power(alpha, n=1):
+        """N^(-alpha n), which scales n counts of a species of exponent alpha."""
+        return 1.0 if unit or alpha == 0 else float(N) ** float(-alpha * n)
+
+    prefactor = 1.0 if unit else float(N) ** float(reaction.beta + gamma)
     if isinstance(law, MassAction):
-        return mass_action_rate(law.kappa, tuple((i, n, network.species[i].alpha == 0)
+        # the terms read the counts as they are: the powers of N that
+        # scale the continuous ones fold into the prefactor
+        prefactor *= law.kappa
+        for i, n in reaction.reactants:
+            prefactor *= power(species[i].alpha, n)
+        return mass_action_rate(prefactor, tuple((i * stride + offset, n, species[i].alpha == 0)
                                                  for i, n in reaction.reactants))
     index = network.index
 
     def reader(name):
+        """Symbol ``name`` is N^-alpha times its count."""
         if name not in index:
             return None
-        i = index[name]
-        return lambda values: values[i]
+        at, factor = index[name] * stride + offset, power(species[index[name]].alpha)
+        return (lambda x: x[at]) if factor == 1.0 else (lambda x: factor * x[at])
 
-    return expression_rate(law.ast, reader)
+    law_rate = expression_rate(law.ast, reader, prefactor)
+    gate = tuple((i * stride + offset, n) for i, n in reaction.reactants
+                 if species[i].alpha == 0)
+    rate = law_rate if not gate else (
+        lambda x: law_rate(x) if all(x[at] >= n for at, n in gate) else 0.0)
+    rate.reads = tuple(sorted({index[name] * stride + offset
+                               for name in expressions.variables(law.ast) if name in index}
+                              | {at for at, _ in gate}))
+    return rate
+
+
+def movement_rate_function(model: Model, i: int, d1: int, d2: int, N: float, gamma=0):
+    """The propensity N^(eta_i+gamma) m_i(d1 -> d2) x of species i's hops
+    from compartment d1 to d2, a function of the raw species x
+    compartments vector x as :func:`scaled_rate_function` with ``flat``;
+    a species that moves needs its exponent eta."""
+    species = model.network.species[i]
+    if species.eta is None:
+        raise ModelError(f"species {species.name} moves but has no movement exponent eta")
+    return mass_action_rate(float(N) ** float(species.eta + gamma) * model.movement[i, d1, d2],
+                            ((i * model.n_compartments + d1, 1, True),))
 
 
 def mass_action_rate(prefactor: float, terms):
@@ -367,7 +396,8 @@ def mass_action_rate(prefactor: float, terms):
     bit); a continuous term of order n gives n factors ``value``. On an
     integer count the floored product is the falling factorial, zero
     below its order. The sign is not checked. The function carries its
-    row form as ``row_terms``, for :class:`MassActionRows`.
+    row form as ``row_terms``, for :class:`MassActionRows`, and the
+    positions it reads as ``reads``.
     """
     terms = tuple(terms)
 
@@ -384,6 +414,7 @@ def mass_action_rate(prefactor: float, terms):
         return out
 
     rate.row_terms = (prefactor, terms)
+    rate.reads = tuple(i for i, _, _ in terms)
     return rate
 
 

@@ -45,7 +45,6 @@ class ModelDocument:
     model: Model
     scaling: ScalingSpec
     init: dict = field(default_factory=dict)
-    section_lines: dict = field(default_factory=dict)
 
     def initial_scaled(self) -> np.ndarray | None:
         """Initial state as an array, or None when no init lines exist."""
@@ -157,7 +156,6 @@ def parse_document(text: str) -> ModelDocument:
     moves: list[tuple[str, str, str, float, int]] = []
     gamma = Fraction(0)
     init: dict = {}
-    section_lines: dict[str, list[int]] = {}
 
     for number, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
@@ -165,7 +163,6 @@ def parse_document(text: str) -> ModelDocument:
             continue
         line = _Line(stripped, number)
         keyword, kw_col = line.take_word("keyword")
-        section_lines.setdefault(keyword, []).append(number)
 
         if keyword == "species":
             name_tok, col = line.take_word("species name")
@@ -271,12 +268,10 @@ def parse_document(text: str) -> ModelDocument:
             raise ParseError(f"unknown keyword {keyword!r}", number, kw_col,
                              kw_col + len(keyword))
 
-    return _assemble(species, compartments, raw_reactions, moves, gamma, init,
-                     section_lines)
+    return _assemble(species, compartments, raw_reactions, moves, gamma, init)
 
 
-def _assemble(species_decls, compartments, raw_reactions, moves, gamma, init,
-              section_lines) -> ModelDocument:
+def _assemble(species_decls, compartments, raw_reactions, moves, gamma, init) -> ModelDocument:
     if not species_decls:
         raise ValidationError("model declares no species")
     seen = set()
@@ -360,7 +355,7 @@ def _assemble(species_decls, compartments, raw_reactions, moves, gamma, init,
                 raise ValidationError("compartment init in a non-spatial model")
             checked_init[name] = value
 
-    return ModelDocument(model, ScalingSpec(gamma), checked_init, section_lines)
+    return ModelDocument(model, ScalingSpec(gamma), checked_init)
 
 
 def _expr_symbols(law: Expression) -> set[str]:

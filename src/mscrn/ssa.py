@@ -1,17 +1,17 @@
 """Exact stochastic simulation of the finite-N model.
 
-The engine keeps raw integer counts internally (jumps are integer
-stoichiometry), evaluates propensities N^(beta_k+gamma) lambda_k(N^-alpha x)
-per reaction and compartment (plus N^(eta_i+gamma) lambda_M x for
-movement events), and draws events with the direct method: exponential
-waiting time at the total rate, then a proportional channel choice.
-Scaled views are produced on output, so no drift accumulates in
-N^-alpha arithmetic. One :func:`simulate` serves both model kinds: a
-network is read as the one-compartment model, whose all-zero movement
-tensor makes no movement channel. Below ``BLOCKED_CHANNELS`` channels
-(a network never takes the blocked pass) its run equals that of
-``SpatialModel(network, ["c"])`` bit for bit, and only the channel ids,
-``(k, None)`` for ``(k, 0)``, tell the two apart.
+The engine keeps raw integer counts internally, held as floats (jumps
+are integer stoichiometry), evaluates propensities
+N^(beta_k+gamma) lambda_k(N^-alpha x) per reaction and compartment
+(plus N^(eta_i+gamma) lambda_M x for movement events), and draws events
+with the direct method: exponential waiting time at the total rate,
+then a proportional channel choice. Scaled views are produced on
+output, so no drift accumulates in N^-alpha arithmetic. One
+:func:`simulate` serves both model kinds: a network is read as the
+one-compartment model, whose all-zero movement tensor makes no movement
+channel. Its run equals that of ``SpatialModel(network, ["c"])`` bit
+for bit, and only the channel ids, ``(k, None)`` for ``(k, 0)``, tell
+the two apart.
 
 The propensities live in a list kept current through a dependency graph
 (Gibson & Bruck 2000; the optimized direct method of Cao, Li & Petzold
@@ -21,8 +21,8 @@ A spatial event changes at most two compartments, so an event costs a
 handful of propensity evaluations however many compartments there are.
 In the flat pass the running total and the channel choice come from a
 left-to-right cumulative sum, so the output equals a full recompute bit
-for bit. A spatial model of ``BLOCKED_CHANNELS`` channels or more takes
-the blocked pass instead (the two-level grouping of Elf & Ehrenberg
+for bit. A model of ``BLOCKED_CHANNELS`` channels or more takes the
+blocked pass instead (the two-level grouping of Elf & Ehrenberg
 2004): the channels, in the same order, form blocks of about
 sqrt(channels), each with its own cumulative sum, and an event rebuilds
 only the blocks its dependents sit in, so it reads about sqrt(channels)
@@ -33,18 +33,19 @@ event that fires it and returns the new cumulative list: :func:`_simulate`
 keeps the flat and blocked passes, and :class:`pdmp.JumpChain` (pure-jump
 hybrid and Monte Carlo fast-tier chains) its stored lists.
 
-The propensities come from :mod:`model`'s builders over raw counts:
-:func:`model.mass_action_rate` with the powers of N in the prefactor,
-:func:`model.expression_rate` with readers that scale the counts; an
-expression law is 0 while a discrete reactant has fewer molecules than
-its order. The engine checks that every propensity it reads is nonnegative.
+This module compiles no rate law: each propensity is
+:func:`model.scaled_rate_function` at N over the flat raw counts (or
+:func:`model.movement_rate_function`), the compiler the limit and
+averaged rates use at N = 1, and it carries the positions it reads. The
+engine checks that every propensity it reads is nonnegative.
 
 An ensemble of ``LOCKSTEP_REPLICAS`` or more replicas of a model whose
 channels are all mass-action or movement runs in lockstep instead
 (:func:`_lockstep`): the raw counts of every live replica are the rows
 of one array, and each numpy step advances every replica by one event,
-recomputing all propensities from the channels' row forms through one
-:class:`model.MassActionRows`, the closures' arithmetic over arrays.
+recomputing all propensities from the row forms (``row_terms``) of the
+channels' closures through one :class:`model.MassActionRows`, the
+closures' arithmetic over arrays.
 Each replica still draws its own stream in the same order, so the
 ensemble statistics equal those of the replica-by-replica loop bit for
 bit. Below the threshold the per-event numpy overhead costs more than
@@ -61,11 +62,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import expressions
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, RateEvaluationError
-from .model import (MassAction, MassActionRows, Model, ScalingSpec, State, check_state,
-                    expression_rate, mass_action_rate, state_shape)
+from .model import (MassActionRows, Model, ScalingSpec, State, check_state,
+                    movement_rate_function, scaled_rate_function, state_shape)
 
 
 # Ensembles of at least this many replicas of a model whose channels are
@@ -75,8 +75,8 @@ from .model import (MassAction, MassActionRows, Model, ScalingSpec, State, check
 LOCKSTEP_REPLICAS = 8
 # Uniforms drawn per replica at a time in the lockstep (two per event).
 _CHUNK = 128
-# A spatial model of at least this many channels takes the blocked pass
-# of _simulate; below it the flat pass is faster. Measured with
+# A model of at least this many channels takes the blocked pass of
+# _simulate; below it the flat pass is faster. Measured with
 # simulate at N = 100 on a 2-CPU Xeon, best of 9-15 runs per
 # pass: on AB rings (7 channels per compartment) the blocked pass took
 # 1.02-1.15x the flat pass's time per event at 42-70 channels,
@@ -127,10 +127,6 @@ class Trajectory:
     final_state: np.ndarray
     event_log: list | None = None
 
-    def observable(self, weights: np.ndarray) -> np.ndarray:
-        flat = self.states.reshape(len(self.times), -1)
-        return flat @ np.asarray(weights, dtype=float).reshape(-1)
-
     def sums(self) -> np.ndarray:
         """Per-species totals along the path (the sum process of a
         spatial run; the states themselves for a non-spatial one)."""
@@ -139,96 +135,31 @@ class Trajectory:
         return self.states
 
 
-class _Channel:
-    """One event channel: a propensity function of the raw count vector,
-    the flat indices it reads, and its integer state delta. A
-    mass-action or movement channel also keeps its row form,
-    ``prefactor`` and ``terms`` (see :func:`model.mass_action_rate`),
-    from which both the scalar closure and the lockstep's
-    :class:`model.MassActionRows` are built; both are None for an
-    expression law."""
-
-    __slots__ = ("kind", "ident", "propensity", "reads", "delta", "prefactor", "terms")
-
-    def __init__(self, kind, ident, reads, delta, propensity=None, prefactor=None,
-                 terms=None):
-        self.kind = kind              # 'reaction' | 'movement'
-        self.ident = ident            # (k, d) or (i, d1, d2); d is None nonspatially
-        self.reads = reads            # flat indices of the counts read
-        self.delta = delta            # ((flat_index, change), ...)
-        self.prefactor = prefactor
-        self.terms = terms            # ((flat_index, order, discrete), ...)
-        self.propensity = propensity or mass_action_rate(prefactor, terms)
-
-
-def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[_Channel]:
+def _compile_channels(model: Model, scaling: ScalingSpec, N: float) -> list[tuple]:
+    """The channels of the finite-N chain, ``((kind, ident), propensity,
+    delta)`` over the flat raw counts: one per reaction and compartment,
+    ident ``(k, d)`` (d None nonspatially), then one per positive hop
+    rate, ident ``(i, d1, d2)``; ``delta`` is ``((flat_index, change), ...)``,
+    the changes floats like the counts they add to."""
     network = model.network
     nd = model.n_compartments
     gamma = scaling.gamma
-    alphas = network.alphas
-    scale = [float(N) ** float(-alphas[i]) for i in range(network.n_species)]
-    index = network.index
-    channels: list[_Channel] = []
-
-    def flat(i, d):
-        return i * nd + d
-
+    channels = []
     for k, reaction in enumerate(network.reactions):
+        change = {i: -n for i, n in reaction.reactants}
+        for i, n in reaction.products:
+            change[i] = change.get(i, 0) + n
         for d in range(nd):
-            law = model.rate_law(k, d)
-            time_factor = float(N) ** float(reaction.beta + gamma)
-            delta = []
-            for i, n in reaction.reactants:
-                delta.append([flat(i, d), -n])
-            for i, n in reaction.products:
-                hit = next((e for e in delta if e[0] == flat(i, d)), None)
-                if hit is not None:
-                    hit[1] += n
-                else:
-                    delta.append([flat(i, d), n])
-            delta = tuple((idx, ch) for idx, ch in delta if ch != 0)
-            ident = (k, d if model.is_spatial else None)
-            if isinstance(law, MassAction):
-                # the terms read raw counts: the powers of N that scale
-                # the continuous ones fold into the prefactor
-                prefactor = time_factor * law.kappa
-                for i, n in reaction.reactants:
-                    if alphas[i] != 0:
-                        prefactor *= float(N) ** float(-alphas[i] * n)
-                terms = tuple((flat(i, d), n, alphas[i] == 0) for i, n in reaction.reactants)
-                channels.append(_Channel("reaction", ident, tuple(idx for idx, _, _ in terms),
-                                         delta, prefactor=prefactor, terms=terms))
-            else:
-                def reader(name, d=d):
-                    """Symbol ``name`` is ``scale[i] * x[i * nd + d]``."""
-                    if name not in index:
-                        return None
-                    at, factor = flat(index[name], d), scale[index[name]]
-                    return lambda x: factor * x[at]
-
-                # closed, as mass action is, while a discrete reactant
-                # has fewer molecules than its order
-                needs = tuple((flat(i, d), n) for i, n in reaction.reactants if alphas[i] == 0)
-                reads = tuple(sorted({flat(index[name], d)
-                                      for name in expressions.variables(law.ast)
-                                      if name in index} | {idx for idx, _ in needs}))
-                rate = expression_rate(law.ast, reader, time_factor)
-                channels.append(_Channel("reaction", ident, reads, delta, propensity=(
-                    (lambda x, rate=rate, needs=needs:
-                     rate(x) if all(x[i] >= n for i, n in needs) else 0.0) if needs else rate)))
-
-    for i, s in enumerate(network.species):
+            channels.append((("reaction", (k, d if model.is_spatial else None)),
+                             scaled_rate_function(model, k, d, N, gamma, flat=True),
+                             tuple((i * nd + d, float(c)) for i, c in change.items() if c)))
+    for i in range(network.n_species):
         for d1 in range(nd):
             for d2 in range(nd):
-                rate = model.movement[i, d1, d2]
-                if rate <= 0:
-                    continue
-                if s.eta is None:
-                    raise ModelError(f"species {s.name} moves but has no movement exponent eta")
-                prefactor = float(N) ** float(s.eta + gamma) * rate
-                delta = ((flat(i, d1), -1), (flat(i, d2), 1))
-                channels.append(_Channel("movement", (i, d1, d2), (flat(i, d1),), delta,
-                                         prefactor=prefactor, terms=((flat(i, d1), 1, True),)))
+                if model.movement[i, d1, d2] > 0:
+                    channels.append((("movement", (i, d1, d2)),
+                                     movement_rate_function(model, i, d1, d2, N, gamma),
+                                     ((i * nd + d1, -1.0), (i * nd + d2, 1.0))))
     return channels
 
 
@@ -239,11 +170,10 @@ class _Compiled:
     ``dependents[c]`` lists, in channel order, the channels whose read
     set meets the state change of channel c: the only propensities an
     event of c can move. ``blocks`` is None for the flat pass of
-    :func:`_simulate`; a spatial model of at least
-    ``BLOCKED_CHANNELS`` channels takes the blocked pass, with
-    ``blocks = (size, dirty)``: the channels in their order cut into
-    blocks of ``size`` = ceil(sqrt(channels)), and ``dirty[c]`` the
-    blocks that hold a dependent of c.
+    :func:`_simulate`; a model of at least ``BLOCKED_CHANNELS`` channels
+    takes the blocked pass, with ``blocks = (size, dirty)``: the channels
+    in their order cut into blocks of ``size`` = ceil(sqrt(channels)), and
+    ``dirty[c]`` the blocks that hold a dependent of c.
 
     When every channel has a row form, ``table`` evaluates them over the
     rows of the lockstep, and row c of ``delta`` is channel c's state
@@ -255,33 +185,30 @@ class _Compiled:
 
     def __init__(self, model: Model, scaling: ScalingSpec, N: float):
         channels = _compile_channels(model, scaling, N)
+        self.ids = tuple(ident for ident, _, _ in channels)
+        self.propensities = [propensity for _, propensity, _ in channels]
+        self.deltas = [delta for _, _, delta in channels]
         readers: dict[int, list[int]] = {}
-        for c, channel in enumerate(channels):
-            for idx in channel.reads:
+        for c, propensity in enumerate(self.propensities):
+            for idx in propensity.reads:
                 readers.setdefault(idx, []).append(c)
-        self.propensities = [c.propensity for c in channels]
-        self.deltas = [c.delta for c in channels]
-        self.dependents = [tuple(sorted({r for idx, _ in c.delta for r in readers.get(idx, ())}))
-                           for c in channels]
-        self.ids = tuple((c.kind, c.ident) for c in channels)
+        self.dependents = [tuple(sorted({r for idx, _ in delta for r in readers.get(idx, ())}))
+                           for delta in self.deltas]
         dim = model.network.n_species * model.n_compartments
         self.blocks = None
         columns = len(channels)
-        # a network keeps the flat pass: the blocked one equals it only to
-        # rounding in the times
-        if model.is_spatial and len(channels) >= BLOCKED_CHANNELS:
+        if len(channels) >= BLOCKED_CHANNELS:
             size = math.isqrt(len(channels) - 1) + 1
             self.blocks = (size, [tuple(sorted({j // size for j in deps}))
                                   for deps in self.dependents])
             columns = -(-len(channels) // size) * size
         self.table = None
-        if channels and all(c.terms is not None for c in channels):
-            padding = [(0.0, ())] * (columns - len(channels))
-            self.table = MassActionRows([(c.prefactor, c.terms) for c in channels] + padding,
-                                        dim)
+        rows = [getattr(propensity, "row_terms", None) for propensity in self.propensities]
+        if rows and all(row is not None for row in rows):
+            self.table = MassActionRows(rows + [(0.0, ())] * (columns - len(rows)), dim)
             self.delta = np.zeros((columns, dim + 1))
-            for c, channel in enumerate(channels):
-                for idx, change in channel.delta:
+            for c, delta in enumerate(self.deltas):
+                for idx, change in delta:
                     self.delta[c, idx] = change
 
 
@@ -358,16 +285,16 @@ def _raw_initial(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     if np.any(np.abs(raw - counts) > 1e-9):
         raise ModelError("initial raw counts must be integers "
                          "(scaled init times N^alpha must round cleanly)")
-    return raw.reshape(-1).astype(np.int64)
+    return raw.reshape(-1)
 
 
 def checked_grid(record, t_end: float) -> np.ndarray:
-    """``record`` as a sample-time grid: one-dimensional, increasing and
-    within [0, t_end]; it may be empty."""
+    """``record`` as a sample-time grid: one-dimensional, finite,
+    increasing and within [0, t_end]; it may be empty."""
     grid = np.asarray(record, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0) or np.any(grid < 0) \
-            or (len(grid) and grid[-1] > t_end + 1e-12):
-        raise ModelError("record grid must be increasing within [0, t_end]")
+    if grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0) \
+            or np.any(grid < 0) or (len(grid) and grid[-1] > t_end + 1e-12):
+        raise ModelError("record grid must be finite and increasing within [0, t_end]")
     return grid
 
 

@@ -30,7 +30,11 @@ fast reactions' list. The 22 values of jump-path Monte Carlo estimates
 ``spatial_conserved.case1.montecarlo``, ``three.auto`` and
 ``three.montecarlo``) were re-recorded when the estimator became one walk
 of exactly ``budget`` events in place of chunks, each on its own block of
-uniforms, that overshot the budget.
+uniforms, that overshot the budget. ``single_scale.expression@[3.0, 4.0]``
+was re-recorded (8.133333333333333 -> 7.737499999999999, the exact sum
+619/80 over the positions) when an expression law began to read 0 in a
+compartment where a discrete reactant has fewer molecules than its
+order, as the finite-N chain's propensity does.
 """
 
 import json

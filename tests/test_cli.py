@@ -174,3 +174,10 @@ def test_bad_observables_exit_2(tmp_path, text, args, message, capsys):
     assert cli(["simulate", str(path), "--t-end", "0.1"] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith("model error") and message in err
+
+
+@pytest.mark.parametrize("engine, grid", [("ssa", "nan"), ("pdmp", "0.5,nan")])
+def test_non_finite_grid_exit_2(model_file, engine, grid, capsys):
+    assert cli(["simulate", model_file, "--engine", engine, "--t-end", "1",
+                "--grid", grid]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -13,7 +13,8 @@ the fast tier of every fixture that has one, hypothesis-drawn
 mass-action tiers with frozen continuous reactants and discrete order-2
 reactants, the systems a spatial case-1 rate, an expression-law tier and
 the THREE_SCALE middle tier hand to the estimator, absorbed chains, a
-budget below the ESS threshold, failing rates and jumps, and the edges
+budget below the ESS threshold, failing rates and jumps, an expression
+law closed where its discrete reactant runs out, and the edges
 of the budget (the burn-in ending inside a batch, the leftover visits
 joining the last batch, absorption before the budget, and a full memo
 whose new states are walked unlinked). A rate that grows without bound
@@ -414,7 +415,6 @@ reaction B -> 0 @ expr {death_law} beta=1
 @pytest.mark.parametrize("death_law, error", [
     ("B*(4 - B)", "RateEvaluationError"),   # negative once births carry B past 4
     ("B/(3 - B)", "RateEvaluationError"),   # not finite at B = 3
-    ("4", "NegativeRate"),                  # fires at B = 0 and leaves the orthant
 ])
 def test_failing_expression_tiers_raise_as_before(death_law, error):
     doc = parse_document(_failing_tier(death_law))
@@ -423,6 +423,16 @@ def test_failing_expression_tiers_raise_as_before(death_law, error):
     with np.errstate(all="ignore"):
         out = _assert_same(system, [0.0], McConfig(budget=2000), [True])
     assert out[:2] == ("error", error)
+
+
+def test_gated_expression_tier_matches_reference():
+    # the death law 4 is closed at B = 0, where its discrete reactant B
+    # has fewer molecules than its order, so the walk stays in the orthant
+    doc = parse_document(_failing_tier("4"))
+    cl = classify(doc.model, doc.scaling)
+    system = fast_subsystem(cl, np.array([1.0, 0.0]))
+    assert system.jumps[-1][0](np.array([0.0])) == 0.0
+    assert _assert_same(system, [0.0], McConfig(budget=2000), [True])[0] == "empirical"
 
 
 def test_overflowing_frozen_power_raises_as_before():

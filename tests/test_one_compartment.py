@@ -4,7 +4,8 @@ The engines read both model kinds through one interface (``network``,
 ``n_compartments``, ``rate_law(k, d)``, ``movement``), so a network and
 ``SpatialModel(network, ["c"])`` must give the same numbers bit for bit:
 the same trajectories, the same ensemble statistics on the lockstep and
-the per-replica path, and the same rates.
+the per-replica path, and the same rates, on the flat SSA pass and on
+the blocked one.
 """
 
 import numpy as np
@@ -16,11 +17,17 @@ from mscrn.ssa import LOCKSTEP_REPLICAS, SimulationConfig, _Compiled, run_ensemb
 
 import conftest as fx
 
+# 41 birth-death pairs: 82 channels, enough for the blocked pass
+WIDE_TEXT = "".join(f"species X{i} alpha=0\n"
+                    f"reaction 0 -> X{i} @ mass-action kappa={0.1 + 0.37 * i:.2f} beta=0\n"
+                    f"reaction X{i} -> 0 @ mass-action kappa=0.7 beta=0\n" for i in range(41))
+
 # fixture text, initial scaled state; the expression fixture has no init line
 CASES = {
     "gene": (fx.GENE_TEXT, None),
     "ab": (fx.AB_TEXT, None),
     "expr": (fx.EXPR_TIER_TEXT, [1.0, 2.0]),
+    "wide": (WIDE_TEXT, [0.0] * 41),
 }
 
 
@@ -77,9 +84,11 @@ def test_ensemble_equal(case, replicas):
         assert _same(getattr(a, field), getattr(b, field)), field
     assert a.quantiles.keys() == b.quantiles.keys()
     assert all(_same(a.quantiles[q], b.quantiles[q]) for q in a.quantiles)
-    # mass-action fixtures take the lockstep from LOCKSTEP_REPLICAS on
-    lockstep = _Compiled(network, scaling, cfg.N).table is not None
-    assert lockstep == (case != "expr")
+    # mass-action fixtures take the lockstep from LOCKSTEP_REPLICAS on,
+    # and a model of BLOCKED_CHANNELS channels or more the blocked pass
+    compiled = _Compiled(network, scaling, cfg.N)
+    assert (compiled.table is not None) == (case != "expr")
+    assert (compiled.blocks is not None) == (case == "wide")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

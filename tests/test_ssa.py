@@ -253,6 +253,23 @@ def test_record_grid_rules_shared_by_both_engines(engine):
         _simulate_both(engine, [[0.5, 1.0]])
 
 
+@pytest.mark.parametrize("engine", ["ssa", "pdmp"])
+@pytest.mark.parametrize("grid", [[math.nan], [0.5, math.nan], [math.nan, 0.5], [0.5, math.inf]])
+def test_record_grid_rejects_non_finite_times(engine, grid):
+    # NaN compares false with every bound, so such a grid was recorded
+    # at time NaN
+    with pytest.raises(ModelError, match="finite"):
+        _simulate_both(engine, grid)
+    if engine == "ssa":
+        model, scaling = parse_model(DEATH_TEXT)
+        cfg = SimulationConfig(N=1, t_end=1.0, seed=0)
+        with pytest.raises(ModelError, match="finite"):
+            run_ensemble(model, scaling, cfg, 2, ["A"], grid=grid, x0=State(np.array([3.0])))
+    else:
+        with pytest.raises(ModelError, match="finite"):
+            run_ensemble_pdmp(DEATH_SYSTEM, [3.0], 1.0, 0, 2, grid, np.eye(1))
+
+
 @pytest.mark.parametrize("ensemble", ["ssa", "pdmp"])
 @pytest.mark.parametrize("replicas, grid", [(0, [0.5, 1.0]), (2, [])])
 def test_ensembles_reject_no_replicas_or_no_grid(ensemble, replicas, grid):
