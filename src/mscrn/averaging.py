@@ -35,7 +35,11 @@ laws and the three-scale middle tier as opaque rates on an array. An
 estimate is one walk of exactly ``McConfig.budget`` events: the chain
 sums the time average (``pdmp.Occupation``) in each jump's one callback,
 so only each batch's distinct states are held, and the last event's
-callback ends the walk.
+callback ends the walk. Every estimate made with one ``McConfig`` walks
+on the same event draws, the common random numbers of its seed: the
+waits and targets of the first ``budget`` events of ``McConfig.seed``'s
+stream, which ``rng.cached_events`` computes once and keeps for the
+estimates that follow.
 
 Every mass-action law here, from the frozen coefficient of a fast
 reaction to the expectation over an empirical law, is built by
@@ -592,6 +596,7 @@ class McConfig:
                             (self.ess_threshold >= 0, "ess_threshold >= 0")):
             if not holds:   # NaN fails too
                 raise ModelError(f"McConfig needs {rule}")
+        rng_mod.check_seed(self.seed)
 
 
 def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -610,10 +615,12 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
                                discrete) -> StationaryMeasure:
     """Time average of one walk of a pure-jump fast path.
 
-    The walk runs on one :class:`pdmp.JumpChain`, on the one stream of
-    ``mc.seed``, and stops at its ``mc.budget``-th event, so its work and
-    memory are bounded by the budget. The first ``burn_in_frac`` of the
-    events end visits that are discarded. Each later visit of positive
+    The walk runs on one :class:`pdmp.JumpChain`, on the event draws of
+    the stream of ``mc.seed``, and stops at its ``mc.budget``-th event, so
+    its work and memory are bounded by the budget. The draws come from
+    :func:`rng.cached_events`: every estimate made with one ``McConfig``
+    walks on the same ``budget`` draws, computed once. The first
+    ``burn_in_frac`` of the events end visits that are discarded. Each later visit of positive
     duration weights its state by that duration (:class:`pdmp.Occupation`),
     and every ``(budget - burn-in) // n_batches`` visits make a batch for
     batch-means errors, ``n_batches`` in all, the last also holding the
@@ -624,9 +631,8 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
     burn = int(budget * mc.burn_in_frac)
     occupation = Occupation(budget, burn, mc.n_batches)
     chain = JumpChain(fast_system, v0, occupation)
-    # a walk draws two uniforms per event; it ends before the cap
-    chain.run(math.inf, rng_mod.Buffered(rng_mod.stream(mc.seed), min(2 * budget, 8192)),
-              max_events=budget + 1)
+    # a walk reads one event draw per event; it ends before the cap
+    chain.run(math.inf, rng_mod.cached_events(mc.seed, budget), max_events=budget + 1)
     if not any(chain.rates()):
         # time average of an absorbed chain is the absorbing state
         return StationaryMeasure("pointmass", point=chain.key, discrete=discrete)

@@ -182,22 +182,24 @@ def simulate_pdmp(system: HybridSystem, v0, t_end: float, seed: int = 0,
     if system.flows:
         _run_rows(system, [path], t_end, [rng_mod.Buffered(rng)], cfg, grid, max_events)
     else:
-        _simulate_pure_jump(system, path, t_end, rng_mod.Buffered(rng), grid, max_events)
+        _simulate_pure_jump(system, path, t_end, rng_mod.Buffered(rng).events(), grid,
+                            max_events)
     return Trajectory(times=np.array(path.times), states=np.array(path.states),
                       event_counts=path.counts,
                       channels=tuple(("jump", i) for i in range(len(system.jumps))),
                       t_end=t_end, final_state=path.v.copy(), event_log=path.log)
 
 
-def _simulate_pure_jump(system, path, t_end, rand, grid, max_events):
-    """Run a pure-jump system along ``path`` on a :class:`JumpChain`."""
+def _simulate_pure_jump(system, path, t_end, draws, grid, max_events):
+    """Run a pure-jump system along ``path`` on a :class:`JumpChain`, on
+    the event ``draws`` of :func:`ssa.direct_method`."""
     chain = JumpChain(system, path.v)
 
     def snapshot(t, key):
         path.times.append(t)
         path.states.append(np.array(key))
 
-    path.counts[:] = chain.run(t_end, rand, grid, snapshot, path.log, max_events)
+    path.counts[:] = chain.run(t_end, draws, grid, snapshot, path.log, max_events)
     path.v[:] = chain.key
 
 
@@ -280,10 +282,11 @@ class JumpChain:
         """Every rate at the current state (unchecked before a run)."""
         return list(self.node[1])
 
-    def run(self, t_end: float, rand: rng_mod.Buffered, grid=None, snapshot=None, log=None,
+    def run(self, t_end: float, draws, grid=None, snapshot=None, log=None,
             max_events: int = _MAX_EVENTS) -> list[int]:
         """Run the chain for ``t_end`` (infinite for a walk that stops at
-        its budget) on the uniforms of ``rand``, on from where the last run
+        its budget) on the event ``draws`` (``(wait, target)`` pairs, see
+        :func:`ssa.direct_method`), on from where the last run
         ended; returns the events per channel. ``snapshot(t, key)`` records
         the state ``key`` at each ``grid`` time passed and, with an event
         ``log``, after each event, whose (time, channel) pair joins the log."""
@@ -350,7 +353,7 @@ class JumpChain:
                     node = (key, rates, list(accumulate(rates)), unlinked)
             return node[2] if events < budget else []
 
-        counts = direct_method(node[2], step, rand, t_end, grid,
+        counts = direct_method(node[2], step, draws, t_end, grid,
                                lambda t: snapshot(t, node[0]), max_events)
         self.node, self.key = node, node[0]
         return counts
@@ -696,8 +699,9 @@ def run_ensemble_pdmp(system: HybridSystem, v0, t_end: float, seed: int,
                    for r in range(replicas)], cfg, grid, _MAX_EVENTS)
     else:
         for r, path in enumerate(paths):
-            _simulate_pure_jump(system, path, t_end, rng_mod.Buffered(rng_mod.stream(seed, r)),
-                                grid, _MAX_EVENTS)
+            _simulate_pure_jump(system, path, t_end,
+                                rng_mod.Buffered(rng_mod.stream(seed, r)).events(), grid,
+                                _MAX_EVENTS)
     samples = np.empty((replicas, weights.shape[0], len(grid)))
     for r, path in enumerate(paths):
         samples[r] = weights @ np.array(path.states).T

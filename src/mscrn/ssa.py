@@ -101,6 +101,7 @@ class SimulationConfig:
         if not math.isfinite(self.N) or self.N < 1:
             raise ModelError("N must be finite and >= 1")
         check_t_end(self.t_end)
+        rng_mod.check_seed(self.seed)
 
 
 def check_t_end(t_end: float) -> None:
@@ -212,14 +213,15 @@ class _Compiled:
                     self.delta[c, idx] = change
 
 
-def direct_method(cum: list, step, rand: rng_mod.Buffered, t_end: float, grid, snapshot,
+def direct_method(cum: list, step, draws, t_end: float, grid, snapshot,
                   max_events: int, pick=None, channels: int | None = None) -> list[int]:
     """The direct-method event loop (Gillespie 1977) from t = 0 to
     ``t_end``; returns the number of events per channel.
 
     ``cum`` is a left-to-right cumulative sum of the current propensities
-    (nonnegative), whose last entry is the total rate. Each event draws
-    an exponential waiting time at the total rate and a target uniform in
+    (nonnegative), whose last entry is the total rate. Each event takes
+    the next pair ``(wait, target)`` of the iterable ``draws``: an Exp(1)
+    wait, divided by the total rate, and a target uniform, scaled to
     [0, total). With ``pick`` None the entries of ``cum`` are the
     channels' and the chosen channel is the first whose partial sum
     exceeds the target (``bisect_right``, clamped to the last channel);
@@ -233,9 +235,11 @@ def direct_method(cum: list, step, rand: rng_mod.Buffered, t_end: float, grid, s
     to a list it is given. ``snapshot(t)`` records the state at each
     ``grid`` time passed.
 
-    The uniforms come from one iterator over ``rand`` (see
-    :class:`rng.Buffered`), in the order of ``rand.exponential()`` then
-    ``rand.uniform()`` per event.
+    The draws are those of :mod:`rng`: ``Buffered.events()`` of a fresh
+    stream or ``rng.cached_events`` of a Monte Carlo walk, event k on
+    uniforms 2k and 2k + 1 of the stream. The loop reads one pair per
+    event, also for an event that falls past ``t_end``, and none once the
+    total rate is zero.
     """
     last = len(cum) - 1
     counts = [0] * (len(cum) if channels is None else channels)
@@ -244,14 +248,13 @@ def direct_method(cum: list, step, rand: rng_mod.Buffered, t_end: float, grid, s
     grid_pos = 0
     n_events = 0
     t = 0.0
-    uniform = iter(rand).__next__
-    log = math.log
+    draw = iter(draws).__next__
     while cum:
         total = cum[-1]
         if total <= 0.0:
             break
-        # 1 - U lies in (0, 1], so the log is finite
-        t_next = t - log(1.0 - uniform()) / total
+        wait, u = draw()
+        t_next = t + wait / total
         if t_next > t_end:
             break
         # record grid points passed before this event fires
@@ -259,7 +262,7 @@ def direct_method(cum: list, step, rand: rng_mod.Buffered, t_end: float, grid, s
             snapshot(grid[grid_pos])
             grid_pos += 1
         t = t_next
-        target = uniform() * total
+        target = u * total
         chosen = bisect_right(cum, target, 0, last) if pick is None else pick(cum, target)
         counts[chosen] += 1
         n_events += 1
@@ -334,7 +337,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     if compiled is None:
         compiled = _Compiled(model, scaling, config.N)
     x = _raw_initial(model, scaling, config, x0).tolist()
-    rand = rng_mod.Buffered(rng if rng is not None else rng_mod.stream(config.seed))
+    draws = rng_mod.Buffered(rng if rng is not None else rng_mod.stream(config.seed)).events()
     alpha_pow = config.N ** np.array([float(a) for a in model.network.alphas])
     shape = state_shape(model)
     divisor = alpha_pow[:, None] if len(shape) > 1 else alpha_pow
@@ -403,7 +406,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 sums[b] = inner[-1]
             return list(accumulate(sums))
 
-    counts = direct_method(list(accumulate(sums)), step, rand, config.t_end, grid, snapshot,
+    counts = direct_method(list(accumulate(sums)), step, draws, config.t_end, grid, snapshot,
                            config.max_events, pick, len(prop))
 
     return Trajectory(times=np.array(times),
@@ -504,9 +507,8 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     replicas have all made the same number of events k, so event k
     takes uniforms 2k and 2k + 1 of each replica's ``SeedSequence([seed,
     r])`` stream; they are drawn ``_CHUNK`` at a time per replica, and
-    the exponentials come from ``math.log``, whose rounding ``np.log``
-    does not always share. A replica leaves the batch when its next event falls past
-    ``t_end``. A replica that fails is dropped with every later one,
+    the waits come from :func:`rng.waits`, as in the per-replica loop.
+    A replica leaves the batch when its next event falls past ``t_end``. A replica that fails is dropped with every later one,
     and the error raised is that of the lowest-numbered failing
     replica: the one a replica-by-replica run meets first.
     """
@@ -543,9 +545,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 uniforms = np.empty((len(ids), _CHUNK))
                 for row, r in enumerate(ids):
                     streams[r].random(out=uniforms[row])
-                # 1 - U lies in (0, 1], so the log is finite
-                waits = -np.fromiter(map(math.log, (1.0 - uniforms[:, 0::2]).ravel().tolist()),
-                                     float, uniforms.size // 2).reshape(len(ids), half)
+                waits = rng_mod.waits(uniforms[:, 0::2])
             if blocks is None:
                 cum = prop.cumsum(axis=1)
             else:

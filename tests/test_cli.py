@@ -181,3 +181,15 @@ def test_non_finite_grid_exit_2(model_file, engine, grid, capsys):
     assert cli(["simulate", model_file, "--engine", engine, "--t-end", "1",
                 "--grid", grid]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--N", "10", "--seed", "-1", "--t-end", "0.1"],
+    ["simulate", "--engine", "pdmp", "--seed", "-1", "--t-end", "0.1"],
+    ["verify", "--N", "10,20", "--replicas", "3", "--t-end", "0.1", "--grid", "0.1",
+     "--seed", "-1"],
+], ids=["simulate-ssa", "simulate-pdmp", "verify"])
+def test_negative_seed_exit_2(model_file, args, capsys):
+    assert cli([args[0], model_file] + args[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error") and "seed must be a nonnegative integer" in err

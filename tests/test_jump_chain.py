@@ -560,7 +560,7 @@ def test_memo_holds_at_most_its_cap(monkeypatch):
     for cap in (10, 0):
         monkeypatch.setattr(pdmp, "_MEMO_RATES", cap)
         chain = JumpChain(system, [0.0])
-        counts = chain.run(150.0, rng_mod.Buffered(rng_mod.stream(2)))
+        counts = chain.run(150.0, rng_mod.Buffered(rng_mod.stream(2)).events())
         runs[cap] = (counts, chain.key)
         assert len(chain.memo) == cap
     assert runs[10][0][0] >= 100 and runs[10] == runs[0]
@@ -577,7 +577,7 @@ def test_memo_hits_and_misses_count_the_refreshed_events():
     system, calls = _birth(3.0)
     chain = JumpChain(system, [0.0])
     keys = []
-    counts = chain.run(20.0, rng_mod.Buffered(rng_mod.stream(5)),
+    counts = chain.run(20.0, rng_mod.Buffered(rng_mod.stream(5)).events(),
                        snapshot=lambda t, key: keys.append(key), log=[])
     seen, hits = set(), 0
     for key in keys:
@@ -622,7 +622,7 @@ def test_graph_holds_its_cap_links_stored_states_and_counts_its_misses(monkeypat
     system = _birth_death()
     chain = JumpChain(system, [0.0])
     keys = []
-    counts = chain.run(60.0, rng_mod.Buffered(rng_mod.stream(8)),
+    counts = chain.run(60.0, rng_mod.Buffered(rng_mod.stream(8)).events(),
                        snapshot=lambda t, key: keys.append(key), log=[])
     assert chain.memo_cap == 3 and len(chain.memo) == 3 and len(set(keys)) > 6
     stored, misses = set(), 0
@@ -644,7 +644,7 @@ def test_graph_holds_its_cap_links_stored_states_and_counts_its_misses(monkeypat
     # the same path on a chain that stores nothing
     monkeypatch.setattr(pdmp, "_MEMO_RATES", 0)
     bare = JumpChain(system, [0.0])
-    assert bare.run(60.0, rng_mod.Buffered(rng_mod.stream(8))) == counts
+    assert bare.run(60.0, rng_mod.Buffered(rng_mod.stream(8)).events()) == counts
     assert bare.key == chain.key and bare.misses == len(keys) and not bare.memo
 
 
@@ -702,3 +702,57 @@ def test_full_memo_walked_unlinked_matches_reference(monkeypatch):
     assert len(chain.memo) == chain.memo_cap == 3 < chain.misses
     assert got[0] == "empirical" and got[-1] == 1000
     assert got == _outcome(_reference_estimator, system, [0.0], mc, [True])
+
+
+# ---------------------------------------------------------------------------
+# the event draws of an estimate
+
+
+def _counted_draws(monkeypatch):
+    """Count the event draws each estimate reads, from a supply that runs
+    past its budget, so reading too many shows."""
+    taken, real = [], rng_mod.cached_events
+
+    def counted(seed, budget):
+        taken.append(0)
+        for pair in real(seed, budget + 10):
+            taken[-1] += 1
+            yield pair
+
+    monkeypatch.setattr(rng_mod, "cached_events", counted)
+    return taken
+
+
+def test_estimate_reads_its_budget_of_draws_or_fewer_when_absorbed(monkeypatch):
+    taken = _counted_draws(monkeypatch)
+    out = _summary(_empirical_from_jump_paths(_birth_death(), [0.0], McConfig(700, seed=3),
+                                              [True]))
+    assert out[0] == "empirical" and taken == [700]
+    # the death chain from x = 3 is absorbed after three events
+    out = _summary(_empirical_from_jump_paths(_death(True), [3.0], McConfig(500), [True]))
+    assert out == ("pointmass", [0.0]) and taken == [700, 3]
+
+
+def test_estimates_from_the_cache_equal_those_on_fresh_draws():
+    # each estimate again on a cleared cache, where its draws are made anew;
+    # two budgets of one seed are two entries
+    system = _birth_death()
+    rng_mod._event_cache.clear()
+    cached = [_summary(_empirical_from_jump_paths(system, [0.0], McConfig(budget, seed=4),
+                                                  [True]))
+              for budget in (2000, 3000, 2000, 3000)]
+    assert set(rng_mod._event_cache) == {(4, 2000), (4, 3000)}
+    fresh = []
+    for budget in (2000, 3000):
+        rng_mod._event_cache.clear()
+        fresh.append(_summary(_empirical_from_jump_paths(system, [0.0],
+                                                         McConfig(budget, seed=4), [True])))
+    assert cached == fresh * 2 and cached[0] != cached[1]
+
+
+def test_estimates_at_ten_seeds_leave_the_cache_at_its_bound():
+    rng_mod._event_cache.clear()
+    for seed in range(10):
+        _empirical_from_jump_paths(_birth_death(), [0.0], McConfig(500, seed=seed), [True])
+    assert len(rng_mod._event_cache) == rng_mod.EVENT_CACHE_ENTRIES
+    assert (9, 500) in rng_mod._event_cache
