@@ -701,14 +701,13 @@ def _stable_flow_root(system: HybridSystem, v: np.ndarray, tol: float):
 def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
                            discrete) -> StationaryMeasure:
     """Grid-sampled time average for mixed jump/flow fast subsystems."""
-    rng = rng_mod.stream(mc.seed)
     n_samples = min(int(mc.budget), 20_000)
     burn = int(n_samples * mc.burn_in_frac)
     # horizon chosen from initial jump-rate scale
     rate0 = float(fast_system.jump_rates(np.asarray(v0, dtype=float)).sum())
     t_end = max(50.0, 20.0 * n_samples / max(rate0, 1.0))
     grid = np.linspace(0.0, t_end, n_samples + 1)[1:]
-    traj = simulate_pdmp(fast_system, v0, t_end, record=grid, rng=rng,
+    traj = simulate_pdmp(fast_system, v0, t_end, record=grid, seed=mc.seed,
                          ode_config=mc.ode)
     keep = traj.states[burn:]
     chunks = np.array_split(keep, mc.n_batches)

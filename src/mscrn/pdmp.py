@@ -19,7 +19,7 @@ ends the walk at its budget-th jump.
 Runs with flows go through one kernel (:func:`_run_rows`) that advances
 any number of runs at once, one row each: a single run is one row, an
 ensemble one row per replica. Each row keeps its own step size, hazard
-search, grid snapshots, jumps and random stream (:func:`_row`), and on
+search, grid snapshots, jumps and event draws (:func:`_row`), and on
 every pass asks for one Cash-Karp step; the steps of all rows are taken
 by one batched evaluation (:func:`_ck_rows`), which hands each row its
 new state and, as floats, its error norm, hazard and smallest coordinate.
@@ -45,8 +45,8 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, NegativeRate, OdeStepFailure
 from .model import MassActionRows
-from .ssa import (EnsembleStats, Trajectory, check_t_end, direct_method, ensemble_grid,
-                  record_mode)
+from .ssa import (EnsembleStats, Trajectory, check_t_end, dependency_graph, direct_method,
+                  ensemble_grid, record_mode)
 
 # Cash-Karp tableau
 _C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
@@ -65,9 +65,6 @@ _ERR = (-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 70
 _MAX_EVENTS = 10_000_000
 # Rates a JumpChain's memo stores, over all its states.
 _MEMO_RATES = 1 << 16
-# Uniforms an ensemble row takes from its stream at a time, few since each
-# row holds them as floats; a stream gives the same values in any blocks.
-_ROW_DRAWS = 16
 
 
 @dataclass
@@ -178,12 +175,11 @@ def simulate_pdmp(system: HybridSystem, v0, t_end: float, seed: int = 0,
     v = _initial_state(system, v0, t_end)
     grid, event_mode = record_mode(record, t_end)
     path = _Path(v, len(system.jumps), grid, event_mode)
-    rng = rng if rng is not None else rng_mod.stream(seed)
+    draws = rng_mod.events(rng if rng is not None else rng_mod.stream(seed))
     if system.flows:
-        _run_rows(system, [path], t_end, [rng_mod.Buffered(rng)], cfg, grid, max_events)
+        _run_rows(system, [path], t_end, [draws], cfg, grid, max_events)
     else:
-        _simulate_pure_jump(system, path, t_end, rng_mod.Buffered(rng).events(), grid,
-                            max_events)
+        _simulate_pure_jump(system, path, t_end, draws, grid, max_events)
     return Trajectory(times=np.array(path.times), states=np.array(path.states),
                       event_counts=path.counts,
                       channels=tuple(("jump", i) for i in range(len(system.jumps))),
@@ -268,8 +264,8 @@ class JumpChain:
                  for fn, listed in self.fns]
         self.changes = [[(i, c) for i, c in enumerate(np.asarray(vec).tolist()) if c]
                         for _, vec in system.jumps]
-        self.dependents = [[(j, *self.fns[j]) for j, read in enumerate(reads)
-                            if any(p in read for p, _ in change)] for change in self.changes]
+        self.dependents = [[(j, *self.fns[j]) for j in deps]
+                           for deps in dependency_graph(reads, self.changes)]
         self.memo, self.misses, self.occupation = {}, 0, occupation
         self.memo_cap = _MEMO_RATES // max(len(self.fns), 1)   # in states
         self.unlinked = (None,) * len(self.fns)
@@ -361,7 +357,7 @@ class JumpChain:
 
 def _run_rows(system, paths, t_end, draws, cfg, grid, max_events):
     """Run the hybrid process along every path of ``paths`` at once,
-    path r on the uniforms of ``draws[r]``.
+    path r on the event draws of ``draws[r]``.
 
     Each path is one :func:`_row`, which yields the Cash-Karp steps
     ``(y, h)`` it needs one at a time. On each pass the steps of every
@@ -376,8 +372,8 @@ def _run_rows(system, paths, t_end, draws, cfg, grid, max_events):
     rates, dim = _Rates(system), system.dim
     grid = None if grid is None else grid.tolist()
     fns, deltas = _jump_calls(system), [np.asarray(vec).tolist() for _, vec in system.jumps]
-    rows = [_row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events)
-            for path, rand in zip(paths, draws)]
+    rows = [_row(dim, fns, deltas, path, t_end, events, cfg, grid, max_events)
+            for path, events in zip(paths, draws)]
     replies = dict.fromkeys(range(len(rows)))
     error = None
     while replies:
@@ -412,7 +408,7 @@ def _run_rows(system, paths, t_end, draws, cfg, grid, max_events):
         raise error
 
 
-def _row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events):
+def _row(dim, fns, deltas, path, t_end, draws, cfg, grid, max_events):
     """One path of the hybrid kernel, as a generator: each Cash-Karp step
     it needs is yielded as ``(y, h)`` and answered with ``(y_new, error
     norm, hazard, smallest state coordinate)``, or with the error the
@@ -420,6 +416,11 @@ def _row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events):
     adaptive step integrates the drift and the hazard; a jump fires
     where the hazard crosses an Exp(1) threshold, channel c with the rate
     ``fns[c]`` of :func:`_jump_calls` and the change list ``deltas[c]``.
+    The threshold is the wait of an event draw ``(wait, target)`` of the
+    iterator ``draws``, and the jump that crosses it is chosen by the
+    same draw's target; each threshold takes the next draw, also the one
+    re-armed where the hazard crossed on a total rate of zero, which
+    leaves the target of its draw unread.
     Steps and jumps run on floats; ``path.v`` is written only where it
     is read: before a snapshot, at a jump and at the end of the run."""
     v, counts, log, snapshot = path.v, path.counts, path.log, path.snapshot
@@ -427,7 +428,7 @@ def _row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events):
     t = 0.0
     grid_pos = 0
     n_events = 0
-    exp_threshold = rand.exponential()
+    exp_threshold, target = next(draws)
     y = np.concatenate([v, [0.0]])
     h = min(cfg.max_step, max(t_end / 100.0, 10 * cfg.min_step))
 
@@ -497,9 +498,9 @@ def _row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events):
             if total <= 0:
                 # hazard crossed on a vanishing rate: numerical corner, re-arm
                 y = [*v.tolist(), 0.0]
-                exp_threshold = rand.exponential()
+                exp_threshold, target = next(draws)
                 continue
-            u = rand.uniform() * total
+            u = target * total
             # below the in-order sum bisect_right meets no zero rate; a u past
             # it (numpy's total is pairwise) takes the last positive rate
             chosen = bisect_right(cum, u)
@@ -517,7 +518,7 @@ def _row(dim, fns, deltas, path, t_end, rand, cfg, grid, max_events):
             if n_events >= max_events:
                 raise EventCapExceeded(f"exceeded {max_events} jump events at t={t}")
             y = [*x, 0.0]
-            exp_threshold = rand.exponential()
+            exp_threshold, target = next(draws)
             h = min(cfg.max_step, max(h, 10 * cfg.min_step))
         else:
             t += h
@@ -694,14 +695,12 @@ def run_ensemble_pdmp(system: HybridSystem, v0, t_end: float, seed: int,
         labels = tuple(f"obs{i}" for i in range(weights.shape[0]))
     paths = [_Path(v.copy(), len(system.jumps), grid, False) for _ in range(replicas)]
     if system.flows:
-        _run_rows(system, paths, t_end,
-                  [rng_mod.Buffered(rng_mod.stream(seed, r), _ROW_DRAWS)
-                   for r in range(replicas)], cfg, grid, _MAX_EVENTS)
+        _run_rows(system, paths, t_end, [rng_mod.events(rng_mod.stream(seed, r))
+                                          for r in range(replicas)], cfg, grid, _MAX_EVENTS)
     else:
         for r, path in enumerate(paths):
-            _simulate_pure_jump(system, path, t_end,
-                                rng_mod.Buffered(rng_mod.stream(seed, r)).events(), grid,
-                                _MAX_EVENTS)
+            _simulate_pure_jump(system, path, t_end, rng_mod.events(rng_mod.stream(seed, r)),
+                                grid, _MAX_EVENTS)
     samples = np.empty((replicas, weights.shape[0], len(grid)))
     for r, path in enumerate(paths):
         samples[r] = weights @ np.array(path.states).T

@@ -4,8 +4,7 @@ Replica r of an ensemble draws from ``numpy.random.SeedSequence([seed, r])``
 so runs are reproducible across platforms and independent of scheduling
 order. A seed and a replica index are nonnegative integers: :func:`stream`,
 where every stream is made, raises ModelError for anything else, as do
-the run configurations through :func:`check_seed`. The
-buffered wrapper amortizes generator call overhead in the event loops.
+the run configurations through :func:`check_seed`.
 
 ``SeedSequence`` drops trailing zero words of its entropy, so
 ``stream(seed, 0)`` draws the same numbers as ``stream(seed)``: replica 0
@@ -13,12 +12,17 @@ of an ensemble shares its stream with a single run at ``seed`` and with a
 Monte Carlo estimate built with ``McConfig(seed=seed)``. The streams are
 left as they are, since every recorded result depends on them.
 
-The direct method reads its stream as event draws: event k takes the
-pair ``(wait, target)``, wait = -log(1 - U_2k), an Exp(1) variate, and
-target = U_2k+1, a uniform, where U_0, U_1, ... are the stream's
-uniforms. :func:`waits` is the one home of that formula, with the
-rounding of ``math.log``. A fresh run takes its draws from
-:meth:`Buffered.events`. A Monte Carlo estimate walks a fixed number of
+Every engine reads its stream as event draws, and only as those: event
+k takes the pair ``(wait, target)``, wait = -log(1 - U_2k), an Exp(1)
+variate, and target = U_2k+1, a uniform, where U_0, U_1, ... are the
+stream's uniforms. The direct method of the finite-N chain and of a
+pure-jump limit divides the wait by the total rate and scales the
+target to it; the hybrid kernel of the limit PDMP takes the wait as its
+hazard threshold and the target as the choice of the jump that crosses
+it. :func:`event_draws` is the one place where uniforms are drawn and
+paired, with the rounding of ``math.log``, for the arrays of the SSA
+lockstep, for :func:`events`, the iterator of a fresh run, and for the
+Monte Carlo draw cache. A Monte Carlo estimate walks a fixed number of
 events, its budget, always on the same stream, so
 :func:`cached_events` keeps the ``budget`` waits and targets of the last
 ``EVENT_CACHE_ENTRIES`` (seed, budget) pairs asked for and hands them out
@@ -62,12 +66,37 @@ def stream(seed: int, replica: int | None = None) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def waits(uniforms: np.ndarray) -> np.ndarray:
+def _waits(uniforms: np.ndarray) -> np.ndarray:
     """The Exp(1) waits -log(1 - U) of an array of uniforms U, by
     ``math.log``, whose rounding ``np.log`` does not always share."""
     # 1 - U lies in (0, 1], so each log is finite
     return -np.fromiter(map(math.log, (1.0 - uniforms).ravel().tolist()), float,
                         uniforms.size).reshape(uniforms.shape)
+
+
+def event_draws(generators, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``n`` event draws of each of ``generators``: the
+    (len(generators), n) arrays of waits and targets, event k on the
+    generator's next uniforms 2k and 2k + 1."""
+    uniforms = np.empty((len(generators), 2 * n))
+    for row, generator in zip(uniforms, generators):
+        generator.random(out=row)
+    return _waits(uniforms[:, 0::2]), uniforms[:, 1::2]
+
+
+def events(generator):
+    """The event draws of ``generator`` as ``(wait, target)`` floats,
+    drawn in blocks of 8 events, doubling up to 256: a short run draws
+    little, and a long one few times."""
+    return chain.from_iterable(_event_blocks(generator))
+
+
+def _event_blocks(generator):
+    n = 8
+    while True:
+        waits, targets = event_draws([generator], n)
+        yield zip(waits[0].tolist(), targets[0].tolist())
+        n = min(2 * n, 256)
 
 
 def cached_events(seed: int, budget: int):
@@ -76,77 +105,10 @@ def cached_events(seed: int, budget: int):
     key = (check_seed(seed), budget)
     entry = _event_cache.get(key)
     if entry is None:
-        uniforms = stream(seed).random(2 * budget)
-        entry = _event_cache[key] = (waits(uniforms[0::2]).tolist(), uniforms[1::2].tolist())
+        waits, targets = event_draws([stream(seed)], budget)
+        entry = _event_cache[key] = (waits[0].tolist(), targets[0].tolist())
         if len(_event_cache) > EVENT_CACHE_ENTRIES:
             _event_cache.popitem(last=False)
     else:
         _event_cache.move_to_end(key)
     return zip(*entry)
-
-
-class Buffered:
-    """Blockwise uniform sampling; ~2x faster than per-event Generator calls.
-    Blocks of ``block`` uniforms, the first drawn at once, are handed out
-    as Python floats converted 256 at a time (a whole block costs more to
-    convert than a short run uses), with their waits for
-    ``exponential()``; floats are cheaper than numpy scalars.
-    Iterating it chains those lists: the uniforms further ``uniform()``
-    calls would give, blocks drawn at the same points, without a method
-    call each; :meth:`events` pairs them as event draws. A wrapper once
-    iterated is not drawn from otherwise."""
-
-    __slots__ = ("_rng", "_block", "_buf", "_pos", "_floats", "_waits", "_next")
-
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
-        self._rng, self._block = rng, block
-        self._buf, self._pos = rng.random(block), 0
-        self._floats, self._waits, self._next = [], [], 0
-
-    def _take(self) -> np.ndarray:
-        """The next (up to) 256 uniforms, from a fresh block once one is spent."""
-        if self._pos == self._block:
-            self._buf, self._pos = self._rng.random(self._block), 0
-        uniforms = self._buf[self._pos:self._pos + 256]
-        self._pos += len(uniforms)
-        return uniforms
-
-    def uniform(self) -> float:
-        i = self._next
-        if i == len(self._floats):
-            uniforms, i = self._take(), 0
-            self._floats, self._waits = uniforms.tolist(), waits(uniforms).tolist()
-        self._next = i + 1
-        return self._floats[i]
-
-    def exponential(self) -> float:
-        """The wait of the uniform ``uniform()`` would give."""
-        self.uniform()
-        return self._waits[self._next - 1]
-
-    def _arrays(self):
-        """The uniforms further ``uniform()`` calls would give, as arrays:
-        the rest of the current list, then fresh ones."""
-        rest = self._floats[self._next:]
-        self._floats, self._waits, self._next = [], [], 0
-        yield np.array(rest)
-        while True:
-            yield self._take()
-
-    def __iter__(self):
-        return chain.from_iterable(map(np.ndarray.tolist, self._arrays()))
-
-    def events(self):
-        """The uniforms iterating would give, as event draws ``(wait,
-        target)``, the waits of each array of them computed at once."""
-        return chain.from_iterable(self._event_lists())
-
-    def _event_lists(self):
-        rest = np.empty(0)
-        for uniforms in self._arrays():
-            # an array of odd length leaves its last uniform to the next
-            if len(rest):
-                uniforms = np.concatenate((rest, uniforms))
-            even = len(uniforms) & -2
-            rest = uniforms[even:]
-            yield zip(waits(uniforms[0:even:2]).tolist(), uniforms[1:even:2].tolist())

@@ -5,8 +5,9 @@ are integer stoichiometry), evaluates propensities
 N^(beta_k+gamma) lambda_k(N^-alpha x) per reaction and compartment
 (plus N^(eta_i+gamma) lambda_M x for movement events), and draws events
 with the direct method: exponential waiting time at the total rate,
-then a proportional channel choice. Scaled views are produced on
-output, so no drift accumulates in N^-alpha arithmetic. One
+then a proportional channel choice, both from one event draw ``(wait,
+target)`` of :mod:`rng`. Scaled views are produced on output, so no
+drift accumulates in N^-alpha arithmetic. One
 :func:`simulate` serves both model kinds: a network is read as the
 one-compartment model, whose all-zero movement tensor makes no movement
 channel. Its run equals that of ``SpatialModel(network, ["c"])`` bit
@@ -14,9 +15,10 @@ for bit, and only the channel ids, ``(k, None)`` for ``(k, 0)``, tell
 the two apart.
 
 The propensities live in a list kept current through a dependency graph
-(Gibson & Bruck 2000; the optimized direct method of Cao, Li & Petzold
-2004): each channel reads a set of raw counts, and after channel c fires
-only the channels whose read set meets c's state change are recomputed.
+(:func:`dependency_graph`, after Gibson & Bruck 2000; the optimized
+direct method of Cao, Li & Petzold 2004): each channel reads a set of
+raw counts, and after channel c fires only the channels whose read set
+meets c's state change are recomputed.
 A spatial event changes at most two compartments, so an event costs a
 handful of propensity evaluations however many compartments there are.
 In the flat pass the running total and the channel choice come from a
@@ -73,8 +75,6 @@ from .model import (MassActionRows, Model, ScalingSpec, State, check_state,
 # another is faster. Measured crossover on a 2-CPU Xeon: about 8 replicas
 # on the 3-channel AB titration, about 3 on a 224-channel ring.
 LOCKSTEP_REPLICAS = 8
-# Uniforms drawn per replica at a time in the lockstep (two per event).
-_CHUNK = 128
 # A model of at least this many channels takes the blocked pass of
 # _simulate; below it the flat pass is faster. Measured with
 # simulate at N = 100 on a 2-CPU Xeon, best of 9-15 runs per
@@ -189,12 +189,7 @@ class _Compiled:
         self.ids = tuple(ident for ident, _, _ in channels)
         self.propensities = [propensity for _, propensity, _ in channels]
         self.deltas = [delta for _, _, delta in channels]
-        readers: dict[int, list[int]] = {}
-        for c, propensity in enumerate(self.propensities):
-            for idx in propensity.reads:
-                readers.setdefault(idx, []).append(c)
-        self.dependents = [tuple(sorted({r for idx, _ in delta for r in readers.get(idx, ())}))
-                           for delta in self.deltas]
+        self.dependents = dependency_graph([p.reads for p in self.propensities], self.deltas)
         dim = model.network.n_species * model.n_compartments
         self.blocks = None
         columns = len(channels)
@@ -211,6 +206,18 @@ class _Compiled:
             for c, delta in enumerate(self.deltas):
                 for idx, change in delta:
                     self.delta[c, idx] = change
+
+
+def dependency_graph(reads, changes) -> list[tuple[int, ...]]:
+    """The dependency graph of Gibson & Bruck: for each channel's change
+    ``((position, change), ...)`` in ``changes``, the channels, in order,
+    whose read set in ``reads`` meets the positions it changes."""
+    readers: dict[int, list[int]] = {}
+    for c, read in enumerate(reads):
+        for p in read:
+            readers.setdefault(p, []).append(c)
+    return [tuple(sorted({r for p, _ in change for r in readers.get(p, ())}))
+            for change in changes]
 
 
 def direct_method(cum: list, step, draws, t_end: float, grid, snapshot,
@@ -235,9 +242,9 @@ def direct_method(cum: list, step, draws, t_end: float, grid, snapshot,
     to a list it is given. ``snapshot(t)`` records the state at each
     ``grid`` time passed.
 
-    The draws are those of :mod:`rng`: ``Buffered.events()`` of a fresh
-    stream or ``rng.cached_events`` of a Monte Carlo walk, event k on
-    uniforms 2k and 2k + 1 of the stream. The loop reads one pair per
+    The draws are those of :mod:`rng`: ``rng.events`` of a fresh stream
+    or ``rng.cached_events`` of a Monte Carlo walk, event k on uniforms
+    2k and 2k + 1 of the stream. The loop reads one pair per
     event, also for an event that falls past ``t_end``, and none once the
     total rate is zero.
     """
@@ -337,7 +344,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     if compiled is None:
         compiled = _Compiled(model, scaling, config.N)
     x = _raw_initial(model, scaling, config, x0).tolist()
-    draws = rng_mod.Buffered(rng if rng is not None else rng_mod.stream(config.seed)).events()
+    draws = rng_mod.events(rng if rng is not None else rng_mod.stream(config.seed))
     alpha_pow = config.N ** np.array([float(a) for a in model.network.alphas])
     shape = state_shape(model)
     divisor = alpha_pow[:, None] if len(shape) > 1 else alpha_pow
@@ -505,18 +512,17 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     size), summed by ``cumsum`` within each block and then over the
     block sums, and :func:`_choose_in_blocks` picks the channel. Live
     replicas have all made the same number of events k, so event k
-    takes uniforms 2k and 2k + 1 of each replica's ``SeedSequence([seed,
-    r])`` stream; they are drawn ``_CHUNK`` at a time per replica, and
-    the waits come from :func:`rng.waits`, as in the per-replica loop.
-    A replica leaves the batch when its next event falls past ``t_end``. A replica that fails is dropped with every later one,
-    and the error raised is that of the lowest-numbered failing
-    replica: the one a replica-by-replica run meets first.
+    takes event draw k of each replica's ``SeedSequence([seed, r])``
+    stream, the draws of the per-replica loop, 64 events at a time from
+    :func:`rng.event_draws`. A replica leaves the batch when its next
+    event falls past ``t_end``. A replica that fails is dropped with
+    every later one, and the error raised is that of the lowest-numbered
+    failing replica: the one a replica-by-replica run meets first.
     """
     x_init = _raw_initial(model, scaling, config, x0)
     grid = checked_grid(config.record, config.t_end)
     alpha_pow = config.N ** np.array([float(a) for a in model.network.alphas])
     table, blocks, dim, t_end = compiled.table, compiled.blocks, len(x_init), config.t_end
-    half = _CHUNK // 2
     grid_next = np.append(grid, np.inf)
     # a row needs attention once its next event passes its next grid
     # time or t_end
@@ -541,11 +547,9 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 error = RateEvaluationError("negative mass-action propensity "
                                             f"{float(prop[i][prop[i] < 0][0])}")
                 keep = np.arange(len(ids)) < i
-            if events % half == 0:
-                uniforms = np.empty((len(ids), _CHUNK))
-                for row, r in enumerate(ids):
-                    streams[r].random(out=uniforms[row])
-                waits = rng_mod.waits(uniforms[:, 0::2])
+            k = events % 64
+            if k == 0:
+                waits, targets = rng_mod.event_draws([streams[r] for r in ids], 64)
             if blocks is None:
                 cum = prop.cumsum(axis=1)
             else:
@@ -555,7 +559,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 inner[:, :, -1].cumsum(axis=1, out=cum[:, 1:])
             total = cum[:, -1]
             # a zero total gives an infinite or undefined time: no event
-            t_next = t + waits[:, events % half] / total
+            t_next = t + waits[:, k] / total
             if keep is not None or not (t_next < marks[pos]).all():
                 done = ~(t_next <= t_end)
                 if keep is not None:
@@ -564,8 +568,8 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                     snaps[ids[i], pos[i]:] = x[i, :dim]
                 keep = ~done if keep is None else keep & ~done
                 if not keep.all():
-                    ids, x, t, pos, uniforms, waits, cum, total, t_next = (
-                        a[keep] for a in (ids, x, t, pos, uniforms, waits, cum, total, t_next))
+                    ids, x, t, pos, waits, targets, cum, total, t_next = (
+                        a[keep] for a in (ids, x, t, pos, waits, targets, cum, total, t_next))
                     if blocks is not None:
                         inner = inner[keep]
                     if not len(ids):
@@ -578,7 +582,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                     pos[rows] += 1
                     passed = grid_next[pos] <= t_next
             t = t_next
-            target = uniforms[:, 2 * (events % half) + 1] * total
+            target = targets[:, k] * total
             if blocks is None:
                 chosen = (cum[:, :-1] <= target[:, None]).sum(axis=1)
             else:

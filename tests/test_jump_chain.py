@@ -560,7 +560,7 @@ def test_memo_holds_at_most_its_cap(monkeypatch):
     for cap in (10, 0):
         monkeypatch.setattr(pdmp, "_MEMO_RATES", cap)
         chain = JumpChain(system, [0.0])
-        counts = chain.run(150.0, rng_mod.Buffered(rng_mod.stream(2)).events())
+        counts = chain.run(150.0, rng_mod.events(rng_mod.stream(2)))
         runs[cap] = (counts, chain.key)
         assert len(chain.memo) == cap
     assert runs[10][0][0] >= 100 and runs[10] == runs[0]
@@ -577,7 +577,7 @@ def test_memo_hits_and_misses_count_the_refreshed_events():
     system, calls = _birth(3.0)
     chain = JumpChain(system, [0.0])
     keys = []
-    counts = chain.run(20.0, rng_mod.Buffered(rng_mod.stream(5)).events(),
+    counts = chain.run(20.0, rng_mod.events(rng_mod.stream(5)),
                        snapshot=lambda t, key: keys.append(key), log=[])
     seen, hits = set(), 0
     for key in keys:
@@ -622,7 +622,7 @@ def test_graph_holds_its_cap_links_stored_states_and_counts_its_misses(monkeypat
     system = _birth_death()
     chain = JumpChain(system, [0.0])
     keys = []
-    counts = chain.run(60.0, rng_mod.Buffered(rng_mod.stream(8)).events(),
+    counts = chain.run(60.0, rng_mod.events(rng_mod.stream(8)),
                        snapshot=lambda t, key: keys.append(key), log=[])
     assert chain.memo_cap == 3 and len(chain.memo) == 3 and len(set(keys)) > 6
     stored, misses = set(), 0
@@ -644,7 +644,7 @@ def test_graph_holds_its_cap_links_stored_states_and_counts_its_misses(monkeypat
     # the same path on a chain that stores nothing
     monkeypatch.setattr(pdmp, "_MEMO_RATES", 0)
     bare = JumpChain(system, [0.0])
-    assert bare.run(60.0, rng_mod.Buffered(rng_mod.stream(8)).events()) == counts
+    assert bare.run(60.0, rng_mod.events(rng_mod.stream(8))) == counts
     assert bare.key == chain.key and bare.misses == len(keys) and not bare.memo
 
 

@@ -97,13 +97,13 @@ ZERO_ENDS = HybridSystem(
 
 class _Uniforms:
     """Stands in for a numpy Generator whose first uniforms are ``values``
-    and every later one 0.5."""
+    and every later one 0.5, drawn into ``out``."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, size):
-        out = np.full(size, 0.5)
+    def random(self, out):
+        out[:] = 0.5
         out[:len(self.values)] = self.values
         self.values = []
         return out

@@ -1,11 +1,9 @@
-"""The buffered uniform stream: iterating a ``rng.Buffered`` hands out
-exactly the uniforms that repeated ``uniform()`` calls would, whether
-the wrapper is fresh or already partly drawn, across the boundaries of
-its 256-float lists and of its blocks, and leaves the generator drawn to
-the same point. Its event draws, and those of the cache, pair the
-stream's uniforms as ``(-log(1 - U_2k), U_2k+1)`` bit for bit; the cache
-keeps its bound. A seed or replica index that is not a nonnegative
-integer raises ModelError."""
+"""Event draws: ``rng.events``, ``rng.event_draws`` and the cache pair
+the stream's uniforms as ``(-log(1 - U_2k), U_2k+1)`` bit for bit,
+across every block boundary of the iterator, which draws no uniform
+past its current block, and from one call to the next of
+``event_draws``; the cache keeps its bound. A seed or replica
+index that is not a nonnegative integer raises ModelError."""
 
 import math
 from itertools import islice
@@ -18,26 +16,8 @@ from mscrn.averaging import McConfig
 from mscrn.errors import ModelError
 from mscrn.ssa import SimulationConfig
 
-COUNTS = (0, 1, 255, 256, 257, 511, 8191, 8192, 8193, 16385)
-
-
-@pytest.mark.parametrize("block", [8192, 16])
-@pytest.mark.parametrize("drawn", COUNTS)
-def test_iterator_yields_what_uniform_yields(block, drawn):
-    for taken in COUNTS:
-        calls_rng, iter_rng = rng_mod.stream(11), rng_mod.stream(11)
-        calls = rng_mod.Buffered(calls_rng, block)
-        iterated = rng_mod.Buffered(iter_rng, block)
-        before = [calls.uniform() for _ in range(drawn)]
-        assert [iterated.uniform() for _ in range(drawn)] == before
-        want = [calls.uniform() for _ in range(taken)]
-        assert list(islice(iter(iterated), taken)) == want, (drawn, taken)
-        # the generator has drawn the same blocks
-        assert iter_rng.random() == calls_rng.random(), (drawn, taken)
-
-
-# ---------------------------------------------------------------------------
-# event draws: (wait, target) = (-log(1 - U_2k), U_2k+1)
+# counts on both sides of every block boundary of the 8 -> 256 growth
+COUNTS = (1, 8, 9, 24, 25, 504, 505, 1000)
 
 
 def _pairs(uniforms: list) -> list:
@@ -51,32 +31,60 @@ class _Capped:
     def __init__(self, seed: int, cap: int):
         self.gen, self.left = rng_mod.stream(seed), cap
 
-    def random(self, size):
-        self.left -= size
+    def random(self, out):
+        self.left -= len(out)
         assert self.left >= 0, "drew past the uniforms asked for"
-        return self.gen.random(size)
+        return self.gen.random(out=out)
+
+
+def _drawn(n: int) -> int:
+    """The uniforms ``events`` has drawn once it has handed out ``n``
+    events: whole blocks of 8, 16, ... events, 256 at most."""
+    drawn, block = 0, 8
+    while drawn < n:
+        drawn, block = drawn + block, min(2 * block, 256)
+    return 2 * drawn
+
+
+@pytest.mark.parametrize("n", COUNTS)
+def test_events_follow_the_stream_across_blocks(n):
+    got = list(islice(rng_mod.events(rng_mod.stream(12)), n))
+    assert got == _pairs(rng_mod.stream(12).random(2 * n).tolist())
 
 
 @pytest.mark.parametrize("block", [1, 3, 5, 16, 257, 8192])
 @pytest.mark.parametrize("drawn", [0, 1, 3, 256, 257])
 def test_events_pair_the_uniforms_bit_for_bit(block, drawn):
-    # blocks of odd length hand out lists of odd length, and a start after
-    # an odd number of uniform() calls pairs across every list boundary
-    n = 700
-    buffered = rng_mod.Buffered(_Capped(12, drawn + 2 * n + 2 * block), block)
-    before = [buffered.uniform() for _ in range(drawn)]
-    got = list(islice(buffered.events(), n))
-    uniforms = rng_mod.stream(12).random(drawn + 2 * n).tolist()
-    assert before == uniforms[:drawn]
-    assert got == _pairs(uniforms[drawn:])
+    # event_draws called again on a generator, as the lockstep calls it
+    # for each chunk of events, goes on where the last call stopped
+    generator = _Capped(12, 2 * (drawn + 2 * block))
+    before = rng_mod.event_draws([generator], drawn)
+    got = [rng_mod.event_draws([generator], block) for _ in range(2)]
+    pairs = _pairs(rng_mod.stream(12).random(2 * (drawn + 2 * block)).tolist())
+    for (waits, targets), start in zip([before, *got], (0, drawn, drawn + block)):
+        assert list(zip(waits[0].tolist(), targets[0].tolist())) == \
+            pairs[start:start + waits.shape[1]]
 
 
-@pytest.mark.parametrize("block", [16, 8192])
-def test_exponential_is_the_wait_of_the_next_uniform(block):
-    buffered = rng_mod.Buffered(rng_mod.stream(4), block)
-    got = [buffered.exponential() if k % 3 else buffered.uniform() for k in range(600)]
-    uniforms = rng_mod.stream(4).random(600).tolist()
-    assert got == [-math.log(1.0 - u) if k % 3 else u for k, u in enumerate(uniforms)]
+@pytest.mark.parametrize("n", COUNTS)
+def test_events_draw_no_block_past_the_current_one(n):
+    # the generator is drawn to the end of the block that holds event n
+    # and no further
+    capped = _Capped(12, _drawn(n))
+    draws = rng_mod.events(capped)
+    assert list(islice(draws, n)) == _pairs(rng_mod.stream(12).random(2 * n).tolist())
+    assert capped.left == 0
+    with pytest.raises(AssertionError, match="drew past"):
+        list(islice(draws, _drawn(n) // 2 - n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 64, 300])
+def test_event_draw_rows_are_each_streams_events(n):
+    waits, targets = rng_mod.event_draws([rng_mod.stream(3, r) for r in range(5)], n)
+    assert waits.shape == targets.shape == (5, n)
+    for r in range(5):
+        want = list(islice(rng_mod.events(rng_mod.stream(3, r)), n))
+        assert list(zip(waits[r].tolist(), targets[r].tolist())) == want
 
 
 def test_cached_events_are_the_streams_first_draws():

@@ -239,17 +239,19 @@ def _reference(model, scaling, config, x0, rng, log):
             delta[i, d1], delta[i, d2] = -1, 1
             m = N ** float(s.eta + scaling.gamma) * model.movement[i, d1, d2]
             chans.append((lambda x, i=i, d1=d1, m=m: m * max(x[i, d1], 0.0), delta))
-    rand, t = rng_mod.Buffered(rng), 0.0
+    t = 0.0
     while len(log) < config.max_events:
         prop = [rate(x) for rate, _ in chans]
         if min(prop) < 0:
             raise RateEvaluationError(f"negative propensity in {prop}")
         total = sum(prop)
-        dt = rand.exponential() / total if total > 0 else math.inf
+        # two uniforms per event: the first gives the Exp(1) wait
+        w, u = rng.random(2).tolist()
+        dt = -math.log(1.0 - w) / total if total > 0 else math.inf
         if t + dt > config.t_end:
             return
         t += dt
-        u, acc, chosen = rand.uniform() * total, 0.0, len(chans) - 1
+        u, acc, chosen = u * total, 0.0, len(chans) - 1
         for c, p in enumerate(prop):
             acc += p
             if u < acc:
