@@ -3,7 +3,7 @@ reduction and stochastic simulation of both the finite-N model and its
 limit process."""
 
 from . import errors
-from .classify import classify, conserved_basis, movement_as_reactions, spatial_case_for
+from .classify import classify, conserved_basis, spatial_case_for
 from .model import (Expression, MassAction, Network, Reaction, ScalingSpec,
                     SpatialModel, Species, State, evaluate_rate)
 from .parser import parse_document, parse_model, serialize_model
@@ -12,7 +12,7 @@ from .verify import VerifyReport, verify_convergence
 
 __all__ = [
     "errors",
-    "classify", "conserved_basis", "movement_as_reactions", "spatial_case_for",
+    "classify", "conserved_basis", "spatial_case_for",
     "Expression", "MassAction", "Network", "Reaction", "ScalingSpec",
     "SpatialModel", "Species", "State", "evaluate_rate",
     "parse_document", "parse_model", "serialize_model",

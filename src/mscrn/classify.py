@@ -18,11 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (DegenerateEtaError, HeterogeneousEtaError, MixedAlphaError,
-                     OverlapError, TimescaleViolation, UnclassifiableError,
-                     ValidationError)
+                     OverlapError, TimescaleViolation, UnclassifiableError)
 from .exact import integer_nullspace
-from .model import (MassAction, Model, Network, Reaction, ScalingSpec, Species,
-                    SpatialModel)
+from .model import Model, Network, ScalingSpec
 
 
 @dataclass(frozen=True)
@@ -73,11 +71,6 @@ class ScaleClassification:
     slow: TierMatrix | None
     spatial_case: SpatialCase | None
     eta_norm: tuple[Fraction | None, ...] | None
-
-    @property
-    def eps(self) -> Fraction | None:
-        """Normalized fast gap (1 for any multi-scale system)."""
-        return Fraction(1) if self.kind in ("two", "three") else None
 
     @property
     def network(self) -> Network:
@@ -372,49 +365,3 @@ def conserved_basis(classification: ScaleClassification) -> ConservedBasis:
     return ConservedBasis(rows, tuple(vectors), tuple(alpha_c), tuple(k_per_vector),
                           k_c, k_c_circ, zeta_c, cols)
 
-
-def movement_as_reactions(spatial_model: SpatialModel) -> tuple[Network, dict]:
-    """Flatten a spatial model to a network over species-compartment pairs.
-
-    Each nonzero movement rate becomes a unary reaction moving one unit
-    from (i, d1) to (i, d2) with rate exponent alpha_i + eta_i, so the
-    full spatial system can be classified like any other network.
-    Returns the network and a map of new indices back to (i, d) pairs.
-    """
-    base = spatial_model.network
-    nd = spatial_model.n_compartments
-    flat_species = []
-    for i, s in enumerate(base.species):
-        for d, comp in enumerate(spatial_model.compartments):
-            flat_species.append(Species(f"{s.name}@{comp}", s.alpha))
-    flat_index = lambda i, d: i * nd + d
-
-    reactions = []
-    meta = {"chemical": [], "movement": []}
-    for k, r in enumerate(base.reactions):
-        for d in range(nd):
-            law = spatial_model.rate_law(k, d)
-            if isinstance(law, MassAction) and law.kappa == 0:
-                continue
-            reactants = {flat_index(i, d): n for i, n in r.reactants}
-            products = {flat_index(i, d): n for i, n in r.products}
-            reactions.append(Reaction.make(reactants, products, r.beta, law,
-                                           catalytic_only=r.catalytic_only or None))
-            meta["chemical"].append((k, d))
-    for i, s in enumerate(base.species):
-        for d1 in range(nd):
-            for d2 in range(nd):
-                rate = spatial_model.movement[i, d1, d2]
-                if rate <= 0:
-                    continue
-                if s.eta is None:
-                    raise ValidationError(
-                        f"species {s.name} moves but has no movement exponent eta")
-                reactions.append(Reaction.make({flat_index(i, d1): 1},
-                                               {flat_index(i, d2): 1},
-                                               s.alpha + s.eta, MassAction(rate)))
-                meta["movement"].append((i, d1, d2))
-    network = Network(flat_species, reactions)
-    back = {flat_index(i, d): (i, d) for i in range(base.n_species) for d in range(nd)}
-    meta["back"] = back
-    return network, meta

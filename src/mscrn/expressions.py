@@ -223,27 +223,6 @@ def evaluate(node: Node, env) -> float:
     return compile_expression(node, reader)(env)
 
 
-def to_text(node: Node) -> str:
-    """Deterministic source form (fully parenthesized only where needed)."""
-    def fmt(n: Node, parent_prec: int) -> str:
-        if isinstance(n, Num):
-            v = n.value
-            return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(v)
-        if isinstance(n, Var):
-            return n.name
-        if isinstance(n, Neg):
-            inner = fmt(n.operand, 3)
-            text = f"-{inner}"
-            return f"({text})" if parent_prec > 2 else text
-        prec = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[n.op]
-        left = fmt(n.left, prec)
-        right = fmt(n.right, prec + 1)
-        text = f"{left}{n.op}{right}"
-        return f"({text})" if prec < parent_prec else text
-
-    return fmt(node, 0)
-
-
 class PolynomialError(Exception):
     """Raised when an AST is not a polynomial in the requested variables."""
 

@@ -87,26 +87,18 @@ class Reaction:
     products: tuple[tuple[int, int], ...]
     beta: Fraction = Fraction(0)
     rate_law: RateLaw = MassAction(1.0)
-    catalytic_only: bool = False
 
     @staticmethod
     def make(reactants: dict[int, int], products: dict[int, int], beta=Fraction(0),
-             rate_law: RateLaw = MassAction(1.0), catalytic_only: bool | None = None) -> "Reaction":
+             rate_law: RateLaw = MassAction(1.0)) -> "Reaction":
         reactants = {i: n for i, n in reactants.items() if n != 0}
         products = {i: n for i, n in products.items() if n != 0}
         if not reactants and not products:
             raise ValidationError("reaction needs at least one reactant or product")
         if any(n < 0 for n in reactants.values()) or any(n < 0 for n in products.values()):
             raise ValidationError("stoichiometric multiplicities must be nonnegative")
-        net = {i: products.get(i, 0) - reactants.get(i, 0)
-               for i in set(reactants) | set(products)}
-        is_catalytic = all(v == 0 for v in net.values())
-        if catalytic_only is None:
-            catalytic_only = is_catalytic
-        if is_catalytic and not catalytic_only:
-            raise ValidationError("reaction has zero net change; flag it catalytic_only")
         return Reaction(tuple(sorted(reactants.items())), tuple(sorted(products.items())),
-                        Fraction(beta), rate_law, catalytic_only)
+                        Fraction(beta), rate_law)
 
 
 @dataclass
@@ -128,18 +120,6 @@ class State:
 
     def copy(self) -> "State":
         return State(self.counts.copy(), self.scaled)
-
-
-def falling_factorial(x: float, n: int) -> float:
-    """x(x-1)...(x-n+1); zero when fewer than n units are available."""
-    if n == 0:
-        return 1.0
-    if x < n:
-        return 0.0
-    out = 1.0
-    for j in range(n):
-        out *= x - j
-    return out
 
 
 class Network:

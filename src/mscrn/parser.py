@@ -423,7 +423,8 @@ def serialize_model(model: Model, scaling: ScalingSpec | None = None,
 
 
 def models_equal(a: Model, b: Model) -> bool:
-    """Structural equality (species, exponents, stoichiometry, laws, movement)."""
+    """Structural equality (species, exponents, stoichiometry, laws,
+    movement): the oracle of the serialize/parse round-trip tests."""
     if a.is_spatial != b.is_spatial or (a.is_spatial and a.compartments != b.compartments):
         return False
     na, nb = a.network, b.network

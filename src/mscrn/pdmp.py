@@ -19,14 +19,15 @@ ends the walk at its budget-th jump.
 Runs with flows go through one kernel (:func:`_run_rows`) that advances
 any number of runs at once, one row each: a single run is one row, an
 ensemble one row per replica. Each row keeps its own step size, hazard
-search, grid snapshots, jumps and event draws (:func:`_row`), and on
-every pass asks for one Cash-Karp step; the steps of all rows are taken
-by one batched evaluation (:func:`_ck_rows`), which hands each row its
-new state and, as floats, its error norm, hazard and smallest coordinate.
+search, grid snapshots, jumps and event draws (:func:`_row`), chooses
+each jump by the rule of :func:`ssa.direct_method`, and on every pass
+asks for one Cash-Karp step; the steps of all rows are taken by one
+batched evaluation (:func:`_ck_rows`), which hands each row its new
+state and, as floats, its error norm, hazard and smallest coordinate.
 Mass-action rates evaluate over the rows through one
-:class:`model.MassActionRows`, other rates one row at a time. Every row does the arithmetic of a lone run in
-the same order, so an ensemble equals its replicas run one after
-another bit for bit.
+:class:`model.MassActionRows`, other rates one row at a time. Every row
+does a lone run's arithmetic in the same order, so an ensemble equals
+its replicas run one after another bit for bit.
 
 A system is built by :func:`hybrid_system` from ordered (reaction, change
 column) pairs and the set of reactions that jump; the callers choose
@@ -417,10 +418,10 @@ def _row(dim, fns, deltas, path, t_end, draws, cfg, grid, max_events):
     where the hazard crosses an Exp(1) threshold, channel c with the rate
     ``fns[c]`` of :func:`_jump_calls` and the change list ``deltas[c]``.
     The threshold is the wait of an event draw ``(wait, target)`` of the
-    iterator ``draws``, and the jump that crosses it is chosen by the
-    same draw's target; each threshold takes the next draw, also the one
-    re-armed where the hazard crossed on a total rate of zero, which
-    leaves the target of its draw unread.
+    iterator ``draws``, and the jump that crosses it is chosen from the
+    draw's target by the rule of :func:`ssa.direct_method`; each threshold
+    takes the next draw, also one re-armed where the hazard crossed with no
+    jump channel or a total rate of zero, which leaves its target unread.
     Steps and jumps run on floats; ``path.v`` is written only where it
     is read: before a snapshot, at a jump and at the end of the run."""
     v, counts, log, snapshot = path.v, path.counts, path.log, path.snapshot
@@ -494,18 +495,12 @@ def _row(dim, fns, deltas, path, t_end, draws, cfg, grid, max_events):
                 if not 0.0 <= rate < math.inf:
                     raise NegativeRate(f"jump rate evaluated to {rate}")
             cum = list(accumulate(rates))
-            total = float(np.add.reduce(rates))   # numpy's sum: pairwise from 8 terms
-            if total <= 0:
-                # hazard crossed on a vanishing rate: numerical corner, re-arm
+            if not cum or cum[-1] <= 0:
+                # no jump channel or a vanishing rate: numerical corner, re-arm
                 y = [*v.tolist(), 0.0]
                 exp_threshold, target = next(draws)
                 continue
-            u = target * total
-            # below the in-order sum bisect_right meets no zero rate; a u past
-            # it (numpy's total is pairwise) takes the last positive rate
-            chosen = bisect_right(cum, u)
-            while chosen == len(rates) or rates[chosen] <= 0.0:
-                chosen -= 1
+            chosen = bisect_right(cum, target * cum[-1], 0, len(cum) - 1)
             x = [a + c for a, c in zip(v.tolist(), deltas[chosen])]
             if any(a < -10 * cfg.abs_tol for a in x):
                 raise NegativeRate("jump left the nonnegative orthant")

@@ -39,7 +39,7 @@ This module compiles no rate law: each propensity is
 :func:`model.scaled_rate_function` at N over the flat raw counts (or
 :func:`model.movement_rate_function`), the compiler the limit and
 averaged rates use at N = 1, and it carries the positions it reads. The
-engine checks that every propensity it reads is nonnegative.
+engine stops on a negative propensity or a total that is not finite.
 
 An ensemble of ``LOCKSTEP_REPLICAS`` or more replicas of a model whose
 channels are all mass-action or movement runs in lockstep instead
@@ -84,6 +84,7 @@ LOCKSTEP_REPLICAS = 8
 # pair of compartments, 1.19x at 55 channels, 0.90-0.98x at 78-136 and
 # 0.60x at 210.
 BLOCKED_CHANNELS = 80
+_NOT_FINITE = "total propensity {} is not finite"
 
 
 @dataclass
@@ -176,12 +177,13 @@ class _Compiled:
     in their order cut into blocks of ``size`` = ceil(sqrt(channels)), and
     ``dirty[c]`` the blocks that hold a dependent of c.
 
-    When every channel has a row form, ``table`` evaluates them over the
-    rows of the lockstep, and row c of ``delta`` is channel c's state
-    change, with a last zero column for the ones column of the rows.
-    Under the blocked pass both are padded with channels of propensity
-    zero that change nothing, up to a whole number of blocks. Otherwise
-    ``table`` is None.
+    When every channel has a row form with a finite prefactor (an infinite
+    one makes rates that are not finite with no overflow for the lockstep
+    to trap), ``table`` evaluates them over the rows of the lockstep, and
+    row c of ``delta`` is channel c's state change, with a last zero
+    column for the ones column of the rows. Under the blocked pass both
+    are padded with channels of propensity zero that change nothing, up
+    to a whole number of blocks. Otherwise ``table`` is None.
     """
 
     def __init__(self, model: Model, scaling: ScalingSpec, N: float):
@@ -200,7 +202,7 @@ class _Compiled:
             columns = -(-len(channels) // size) * size
         self.table = None
         rows = [getattr(propensity, "row_terms", None) for propensity in self.propensities]
-        if rows and all(row is not None for row in rows):
+        if rows and all(row is not None and math.isfinite(row[0]) for row in rows):
             self.table = MassActionRows(rows + [(0.0, ())] * (columns - len(rows)), dim)
             self.delta = np.zeros((columns, dim + 1))
             for c, delta in enumerate(self.deltas):
@@ -366,6 +368,7 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
 
     propensities, deltas, dependents = (compiled.propensities, compiled.deltas,
                                         compiled.dependents)
+    inf = math.inf
     # a continuous count drawn below zero can make a mass-action
     # propensity negative, which has no meaning in the channel choice
     prop = [p(x) for p in propensities]
@@ -411,9 +414,15 @@ def _simulate(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 lo = b * size
                 inner = cums[b] = list(accumulate(prop[lo:lo + size]))
                 sums[b] = inner[-1]
-            return list(accumulate(sums))
+            cum = list(accumulate(sums))
+            if not cum[-1] < inf:   # NaN too
+                raise RateEvaluationError(_NOT_FINITE.format(cum[-1]))
+            return cum
 
-    counts = direct_method(list(accumulate(sums)), step, draws, config.t_end, grid, snapshot,
+    cum = list(accumulate(sums))
+    if cum and not cum[-1] < inf:
+        raise RateEvaluationError(_NOT_FINITE.format(cum[-1]))
+    counts = direct_method(cum, step, draws, config.t_end, grid, snapshot,
                            config.max_events, pick, len(prop))
 
     return Trajectory(times=np.array(times),
@@ -515,9 +524,11 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     takes event draw k of each replica's ``SeedSequence([seed, r])``
     stream, the draws of the per-replica loop, 64 events at a time from
     :func:`rng.event_draws`. A replica leaves the batch when its next
-    event falls past ``t_end``. A replica that fails is dropped with
-    every later one, and the error raised is that of the lowest-numbered
-    failing replica: the one a replica-by-replica run meets first.
+    event falls past ``t_end``. A replica fails on a negative propensity
+    or a total that is not finite (numpy's overflow trap, no check per
+    step); it is dropped with every later one, and the error raised is
+    that of the lowest-numbered failing replica: the one a
+    replica-by-replica run meets first.
     """
     x_init = _raw_initial(model, scaling, config, x0)
     grid = checked_grid(config.record, config.t_end)
@@ -538,28 +549,45 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     pos = np.zeros(replicas, dtype=np.intp)
     error = None
     events = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+
+    def cumulative(prop):
+        # per row; blocked, those within each block and, after a zero, of the blocks
+        if blocks is None:
+            return prop.cumsum(axis=1), None
+        inner = prop.reshape(len(prop), -1, blocks[0]).cumsum(axis=2)
+        cum = np.zeros((len(prop), inner.shape[1] + 1))
+        inner[:, :, -1].cumsum(axis=1, out=cum[:, 1:])
+        return cum, inner
+
+    # an overflow raises, so a total that is not finite costs no check per step
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
         while len(ids):
-            prop = table(x)
             keep = None
-            if prop.min() < 0:
-                i = int(np.argmax((prop < 0).any(axis=1)))
-                error = RateEvaluationError("negative mass-action propensity "
-                                            f"{float(prop[i][prop[i] < 0][0])}")
+            try:
+                prop = table(x)
+                cum, inner = cumulative(prop)
+                failed = prop.min() < 0
+            except FloatingPointError:
+                with np.errstate(over="ignore"):
+                    prop = table(x)
+                    cum, inner = cumulative(prop)
+                failed = True
+            if failed:
+                i = int(np.argmax((prop < 0).any(axis=1) | ~(cum[:, -1] < np.inf)))
+                negative = prop[i][prop[i] < 0].tolist()
+                error = RateEvaluationError(f"negative mass-action propensity {negative[0]}"
+                                            if negative else _NOT_FINITE.format(cum[i, -1]))
                 keep = np.arange(len(ids)) < i
             k = events % 64
             if k == 0:
                 waits, targets = rng_mod.event_draws([streams[r] for r in ids], 64)
-            if blocks is None:
-                cum = prop.cumsum(axis=1)
-            else:
-                # the cumulative block sums, after a leading zero
-                inner = prop.reshape(len(prop), -1, blocks[0]).cumsum(axis=2)
-                cum = np.zeros((len(prop), inner.shape[1] + 1))
-                inner[:, :, -1].cumsum(axis=1, out=cum[:, 1:])
             total = cum[:, -1]
-            # a zero total gives an infinite or undefined time: no event
-            t_next = t + waits[:, k] / total
+            # a zero or subnormal total gives an infinite or undefined time: no event
+            try:
+                t_next = t + waits[:, k] / total
+            except FloatingPointError:
+                with np.errstate(over="ignore"):
+                    t_next = t + waits[:, k] / total
             if keep is not None or not (t_next < marks[pos]).all():
                 done = ~(t_next <= t_end)
                 if keep is not None:

@@ -56,7 +56,7 @@ def test_criterion_1_classification_golden(gene_doc, ab_doc):
 
         c2 = classify(ab_doc.model, ab_doc.scaling)
         idx2 = ab_doc.model.index
-        assert c2.kind == "two" and c2.eps == 1
+        assert c2.kind == "two"
         assert c2.i_fast == {idx2["B"]}
         assert c2.i_slow == {idx2["A"]}
         assert c2.k_sets["fast"] == {0, 1, 2}

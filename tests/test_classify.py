@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mscrn.classify import (classify, conserved_basis, movement_as_reactions,
-                            spatial_case_for)
+from mscrn.classify import classify, conserved_basis, spatial_case_for
 from mscrn.errors import (DegenerateEtaError, MixedAlphaError, OverlapError,
                           TimescaleViolation, UnclassifiableError)
 from mscrn.model import ScalingSpec
@@ -32,7 +31,6 @@ def test_ab_two_scale(ab_doc):
     c = classify(ab_doc.model, ab_doc.scaling)
     idx = ab_doc.model.index
     assert c.kind == "two"
-    assert c.eps == 1
     assert c.i_fast == {idx["B"]}
     assert c.i_slow == {idx["A"]}
     assert c.k_sets["fast"] == {0, 1, 2}
@@ -118,7 +116,6 @@ def test_normalization_invariance(ab_doc):
         "reaction B -> 0 @ mass-action kappa=1 beta=2\n")
     c3 = classify(doubled, ScalingSpec())
     assert (c3.kind, c3.i_fast, c3.i_slow) == (base.kind, base.i_fast, base.i_slow)
-    assert c3.eps == 1
     assert np.array_equal(c3.fast.matrix, base.fast.matrix)
 
 
@@ -239,40 +236,6 @@ def test_spatial_classification(spatial_ab_doc):
     assert c.spatial_case is not None
     # eta_A=2 (slow), eta_B=3 (fast): both above the fast gap -> case 1
     assert c.spatial_case.tag == 1
-
-
-def test_movement_as_reactions_counts(spatial_ab_doc):
-    net, meta = movement_as_reactions(spatial_ab_doc.model)
-    # 2 species x 2 compartments
-    assert net.n_species == 4
-    # 3 chemical reactions per compartment + 4 movement entries
-    assert len(meta["chemical"]) == 6
-    assert len(meta["movement"]) == 4
-    assert net.n_reactions == 10
-    # zero-rate movement entries are omitted
-    model2 = parse_model(
-        "species A alpha=0 eta=1\ncompartments d1 d2\n"
-        "reaction A -> 0 @ mass-action kappa=1\n"
-        "move A from d1 to d2 rate 1\n")[0]
-    net2, meta2 = movement_as_reactions(model2)
-    assert len(meta2["movement"]) == 1
-
-
-def test_movement_reaction_exponents(movement_doc):
-    net, meta = movement_as_reactions(movement_doc.model)
-    # movement reaction carries beta = alpha + eta = 0 + 1
-    assert all(r.beta == 1 for r in net.reactions)
-    assert np.array_equal(net.stoichiometric_matrix(),
-                          [[-1, 1], [1, -1]])
-
-
-def test_movement_only_flat_network_has_no_slow_tier(movement_doc):
-    # every compartment count changes at the movement speed, so the flat
-    # network has no species on the slow timescale; the totals are the
-    # conserved combinations instead
-    net, _ = movement_as_reactions(movement_doc.model)
-    with pytest.raises(UnclassifiableError):
-        classify(net, ScalingSpec())
 
 
 @settings(max_examples=40, deadline=None)

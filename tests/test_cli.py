@@ -128,6 +128,18 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert cli(["reduce", str(path), "--mode", "analytic"]) == 3
 
 
+def test_simulate_overflowing_propensity_exit_3(tmp_path, capsys):
+    # A * B overflows: the SSA stops on the infinite total instead of
+    # spinning at t = 0 until the event cap
+    path = tmp_path / "overflow.mscrn"
+    path.write_text("species A alpha=0\nspecies B alpha=0\n"
+                    "reaction A + B -> 0 @ mass-action kappa=1 beta=0\n"
+                    "reaction 0 -> A @ mass-action kappa=1 beta=0\n"
+                    "init A 1e200\ninit B 1e200\n")
+    assert cli(["simulate", str(path), "--engine", "ssa", "--N", "1", "--t-end", "1"]) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("engine", ["ssa", "pdmp"])
 def test_simulate_zero_replicas_exit_2(gene_file, engine, capsys):
     assert cli(["simulate", gene_file, "--engine", engine, "--t-end", "1",

@@ -1,11 +1,9 @@
-import math
-
 import pytest
 
 from mscrn import expressions
 from mscrn.errors import ParseError, RateEvaluationError
 from mscrn.expressions import (PolynomialError, as_polynomial, evaluate,
-                               parse_expression, to_text, variables)
+                               parse_expression, variables)
 
 
 def ev(text, **env):
@@ -40,14 +38,6 @@ def test_parse_error_spans():
         parse_expression("1 + ")
     with pytest.raises(ParseError):
         parse_expression("(1 + 2")
-
-
-def test_to_text_round_trips():
-    for src in ["1+2*3", "(1+2)*3", "a*b/(c+1)", "-a^2", "2*x/(1+x)"]:
-        node = parse_expression(src)
-        again = parse_expression(to_text(node))
-        env = {"a": 2.0, "b": 3.0, "c": 4.0, "x": 0.7}
-        assert math.isclose(evaluate(node, env), evaluate(again, env))
 
 
 def test_polynomial_extraction():

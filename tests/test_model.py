@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from mscrn.errors import ModelError, RateEvaluationError, ValidationError
 from mscrn.model import (Expression, MassAction, MassActionRows, Network, Reaction,
-                         SpatialModel, Species, State, evaluate_rate, falling_factorial,
-                         scaled_rate_function)
+                         SpatialModel, Species, State, evaluate_rate, scaled_rate_function)
 
 from conftest import state_of
 
@@ -38,12 +37,6 @@ def test_mass_action_mixed_scaled_form():
     net = two_species_net(alpha_a=1, alpha_b=0)
     value = evaluate_rate(net, 0, State(np.array([0.5, 4.0]), scaled=True))
     assert value == pytest.approx(2 * 0.5 * 4.0)
-
-
-def test_falling_factorial():
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(1, 2) == 0.0
-    assert falling_factorial(7, 0) == 1.0
 
 
 def test_expression_rate_law():
@@ -99,9 +92,6 @@ def test_catalytic_only_column():
     net = Network([Species("A"), Species("B")],
                   [Reaction.make({0: 1, 1: 1}, {0: 1, 1: 1})])
     assert np.array_equal(net.stoichiometric_matrix(), np.zeros((2, 1), dtype=int))
-    assert net.reactions[0].catalytic_only
-    with pytest.raises(ValidationError):
-        Reaction.make({0: 1}, {0: 1}, catalytic_only=False)
 
 
 def test_species_reaction_sets_gene(gene_doc):

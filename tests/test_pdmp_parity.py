@@ -79,15 +79,16 @@ MANY_JUMPS = HybridSystem(
     tuple((lambda v, c=c: c * (1.0 + 3.0 * v[1]), np.array([1, 0])) for c in _BIRTHS)
     + tuple((lambda v, c=c: c * v[0], np.array([-1, 0])) for c in _DEATHS),
     ((lambda v: v[0] - 0.5 * v[1], np.array([0.0, 1.0])),))
-# nine jumps of rate 0.1 and a clock: numpy sums the nine rates pairwise to
-# 0.9, in order they sum to 0.8999999999999999, so a uniform just above 8/9
-# picks the last channel by numpy's total and the one before by the other
+# nine jumps of rate 0.1 and a clock: in order the nine rates sum to
+# 0.8999999999999999 (numpy's pairwise sum, which the kernel once used, is
+# 0.9), and a uniform just above 8/9 scales that total onto the eighth
+# partial sum exactly, so the choice (bisect_right) is the last channel
 NINE_EQUAL = HybridSystem(("N", "X"), tuple((lambda v: 0.1, np.array([1, 0])) for _ in range(9)),
                           ((lambda v: 1.0, np.array([0.0, 1.0])),))
 # ten jumps, the first and last of rate 0 (they raise Z), and a clock:
-# numpy sums the rates pairwise to 3.81, in order to 3.809999999999999, so
-# the largest uniform below 1 lands past the in-order sums, and a uniform
-# of 0 on the first one; neither may fire a channel of rate 0
+# the largest uniform below 1 scales the in-order total 3.809999999999999
+# to just below the last partial sums, and a uniform of 0 lands on the
+# first one; neither may fire a channel of rate 0
 _ZERO_ENDS = (0.0, 0.7, 1.3, 0.07, 0.03, 1.3, 0.17, 0.17, 0.07, 0.0)
 ZERO_ENDS = HybridSystem(
     ("N", "Z", "X"),
@@ -174,7 +175,7 @@ def compute() -> dict:
     out["single.nine_equal.total"] = _run(
         lambda: simulate_pdmp(NINE_EQUAL, [0.0, 0.0], 1.0, record="events",
                               rng=_Uniforms([0.5, 0.888888888888889, 0.5])))
-    # thresholds ln 2, a choice past the in-order sums, then one at 0
+    # thresholds ln 2, a choice at the top of the in-order total, then one at 0
     out["single.zero_ends.choice"] = _run(
         lambda: simulate_pdmp(ZERO_ENDS, [0.0, 0.0, 0.0], 1.0, record="events",
                               rng=_Uniforms([0.5, 1.0 - 2.0 ** -53, 0.5, 0.0])))

@@ -13,7 +13,8 @@ from mscrn.errors import EventCapExceeded, ModelError, RateEvaluationError
 from mscrn.model import ScalingSpec, State
 from mscrn.parser import parse_document, parse_model
 from mscrn.pdmp import HybridSystem, run_ensemble_pdmp, simulate_pdmp
-from mscrn.ssa import SimulationConfig, observable_weights, run_ensemble, simulate
+from mscrn.ssa import (BLOCKED_CHANNELS, LOCKSTEP_REPLICAS, SimulationConfig, _Compiled,
+                       observable_weights, run_ensemble, simulate)
 
 BIRTH_TEXT = "species A alpha=0\nreaction 0 -> A @ mass-action kappa=5\n"
 DEATH_TEXT = "species A alpha=0\nreaction A -> 0 @ mass-action kappa=1\n"
@@ -372,6 +373,42 @@ def test_capped_event_raises_as_recorded():
         with pytest.raises(error) as info:
             simulate(model, scaling, cfg, State(np.array([1.0, 0.0])))
         assert str(info.value) == message
+
+
+BIRTHS = "reaction 0 -> A @ mass-action kappa=1 beta=0\n"
+DOUBLING = "species A alpha=0\nreaction A -> A + A @ mass-action kappa=1e308 beta=0\n"
+OVERFLOWS = {
+    # A * B overflows in the first propensities
+    "initial": ("species A alpha=0\nspecies B alpha=0\n"
+                "reaction A + B -> 0 @ mass-action kappa=1 beta=0\n" + BIRTHS,
+                1, [1e200, 1e200]),
+    # the first event doubles A, and kappa * A overflows at the refresh
+    "refresh": (DOUBLING, 1, [1.0]),
+    # the same in the blocked pass
+    "blocked": (DOUBLING + BIRTHS * BLOCKED_CHANNELS, 1, [1.0]),
+    # kappa * N^beta overflows in the compiled prefactor
+    "prefactor": ("species A alpha=0\nreaction A -> 0 @ mass-action kappa=1e300 beta=1\n"
+                  + BIRTHS, 1e10, [5.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_total_propensity_not_finite_raises(case):
+    # an infinite total gives a zero wait and always the last channel, so
+    # the run would spin at one time until the event cap; a single run,
+    # the per-replica loop and the lockstep stop at once, alike
+    text, N, x0 = OVERFLOWS[case]
+    model, scaling = parse_model(text)
+    assert (_Compiled(model, scaling, N).blocks is not None) == (case == "blocked")
+    cfg = SimulationConfig(N=N, t_end=1.0, seed=0, record=[1.0], max_events=1000)
+    x0 = State(np.array(x0))
+    runs = [lambda: simulate(model, scaling, cfg, x0)] + [
+        lambda r=r: run_ensemble(model, scaling, cfg, r, ["A"], x0=x0)
+        for r in (3, LOCKSTEP_REPLICAS)]
+    for run in runs:
+        with pytest.raises(RateEvaluationError) as info:
+            run()
+        assert str(info.value) == "total propensity inf is not finite"
 
 
 def test_expression_law_stops_when_its_discrete_reactant_runs_out():
