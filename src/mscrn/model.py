@@ -304,6 +304,14 @@ def evaluate_rate(model: Model, k: int, state: State, compartment: int | None = 
     return out
 
 
+def _power_of_N(N: float, exponent) -> float:
+    """N^exponent as a float; RateEvaluationError when it overflows."""
+    try:
+        return float(N) ** float(exponent)
+    except OverflowError:
+        raise RateEvaluationError(f"N^{exponent} overflows a float at N = {N:g}") from None
+
+
 def scaled_rate_function(model: Model, k: int, d: int = 0, N: float = 1.0, gamma=0,
                          flat: bool = False):
     """Reaction k's rate law in compartment d as N^(beta_k+gamma)
@@ -324,9 +332,9 @@ def scaled_rate_function(model: Model, k: int, d: int = 0, N: float = 1.0, gamma
 
     def power(alpha, n=1):
         """N^(-alpha n), which scales n counts of a species of exponent alpha."""
-        return 1.0 if unit or alpha == 0 else float(N) ** float(-alpha * n)
+        return 1.0 if unit or alpha == 0 else _power_of_N(N, -alpha * n)
 
-    prefactor = 1.0 if unit else float(N) ** float(reaction.beta + gamma)
+    prefactor = 1.0 if unit else _power_of_N(N, reaction.beta + gamma)
     if isinstance(law, MassAction):
         # the terms read the counts as they are: the powers of N that
         # scale the continuous ones fold into the prefactor
@@ -363,7 +371,7 @@ def movement_rate_function(model: Model, i: int, d1: int, d2: int, N: float, gam
     species = model.network.species[i]
     if species.eta is None:
         raise ModelError(f"species {species.name} moves but has no movement exponent eta")
-    return mass_action_rate(float(N) ** float(species.eta + gamma) * model.movement[i, d1, d2],
+    return mass_action_rate(_power_of_N(N, species.eta + gamma) * model.movement[i, d1, d2],
                             ((i * model.n_compartments + d1, 1, True),))
 
 

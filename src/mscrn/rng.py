@@ -20,19 +20,22 @@ pure-jump limit divides the wait by the total rate and scales the
 target to it; the hybrid kernel of the limit PDMP takes the wait as its
 hazard threshold and the target as the choice of the jump that crosses
 it. :func:`event_draws` is the one place where uniforms are drawn and
-paired, with the rounding of ``math.log``, for the arrays of the SSA
-lockstep, for :func:`events`, the iterator of a fresh run, and for the
-Monte Carlo draw cache. A Monte Carlo estimate walks a fixed number of
-events, its budget, always on the same stream, so
-:func:`cached_events` keeps the ``budget`` waits and targets of the last
-``EVENT_CACHE_ENTRIES`` (seed, budget) pairs asked for and hands them out
-again. An entry holds two lists of Python floats, about 64 bytes per
-event: some 6.4 MB at the default budget of 100 000.
+paired, for the SSA lockstep, for :func:`events`, the iterator of a
+fresh run, and for the Monte Carlo draw cache. Its waits are one
+``np.log`` call on a negative-stride view, which numpy 2.4 runs with
+the C library's scalar ``log``, as ``math.log`` does, not a SIMD loop:
+the bits are ``math.log``'s on any CPU. This leans on numpy's dispatch;
+the bit checks in ``tests/test_rng.py`` fail if an upgrade changes it.
+A Monte Carlo estimate walks a fixed number of events, its budget,
+always on the same stream, so :func:`cached_events` keeps the ``budget``
+waits and targets of the last ``EVENT_CACHE_ENTRIES`` (seed, budget)
+pairs asked for and hands them out again. An entry holds two lists of
+Python floats, about 64 bytes per event: some 6.4 MB at the default
+budget of 100 000.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import OrderedDict
 from itertools import chain
@@ -67,11 +70,11 @@ def stream(seed: int, replica: int | None = None) -> np.random.Generator:
 
 
 def _waits(uniforms: np.ndarray) -> np.ndarray:
-    """The Exp(1) waits -log(1 - U) of an array of uniforms U, by
-    ``math.log``, whose rounding ``np.log`` does not always share."""
+    """The Exp(1) waits -log(1 - U) of an array of uniforms U, with
+    ``math.log``'s bits: the negative stride keeps numpy off its SIMD log."""
     # 1 - U lies in (0, 1], so each log is finite
-    return -np.fromiter(map(math.log, (1.0 - uniforms).ravel().tolist()), float,
-                        uniforms.size).reshape(uniforms.shape)
+    flat = (1.0 - uniforms).ravel()
+    return -np.log(flat[::-1])[::-1].reshape(uniforms.shape)
 
 
 def event_draws(generators, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -140,6 +140,21 @@ def test_simulate_overflowing_propensity_exit_3(tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "species A alpha=0\nreaction A -> 0 @ mass-action kappa=1 beta=31\ninit A 5\n",
+    "species A alpha=0 eta=31\ncompartments d1 d2\n"
+    "reaction A -> 0 @ mass-action kappa=1,1 beta=0\n"
+    "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 1\n"
+    "init A @ d1 5\ninit A @ d2 0\n"])
+def test_simulate_overflowing_power_of_N_exit_3(tmp_path, text, capsys):
+    # N^31 at N = 1e10 overflows a float, as a reaction's beta and as a
+    # movement's eta: a numerical failure, not a traceback
+    path = tmp_path / "power.mscrn"
+    path.write_text(text)
+    assert cli(["simulate", str(path), "--engine", "ssa", "--N", "1e10", "--t-end", "1"]) == 3
+    assert "numerical failure: N^31 overflows a float at N = 1e+10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("engine", ["ssa", "pdmp"])
 def test_simulate_zero_replicas_exit_2(gene_file, engine, capsys):
     assert cli(["simulate", gene_file, "--engine", engine, "--t-end", "1",

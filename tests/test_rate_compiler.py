@@ -19,7 +19,7 @@ import pytest
 from mscrn.averaging import McConfig, _fast_polynomial, averaged_rate_two_scale
 from mscrn.classify import classify
 from mscrn.cli import cli
-from mscrn.errors import AnalyticUnavailable, MscrnError
+from mscrn.errors import AnalyticUnavailable, MscrnError, RateEvaluationError
 from mscrn.model import scaled_rate_function
 from mscrn.parser import parse_document
 from mscrn.pdmp import simulate_pdmp
@@ -80,6 +80,14 @@ def test_ssa_channel_at_unit_N_is_the_scaled_rate(name):
             k, d = ident[0], ident[1] or 0
             scaled = scaled_rate_function(model, k, d)
             assert _outcome(propensity, x.tolist()) == _outcome(scaled, columns[:, d])
+
+
+def test_overflowing_power_of_N_raises_rate_evaluation_error():
+    model = parse_document("species A alpha=0\n"
+                           "reaction A -> 0 @ mass-action kappa=1 beta=31\n").model
+    assert scaled_rate_function(model, 0, N=1e9)([5.0]) == pytest.approx(5e279)
+    with pytest.raises(RateEvaluationError, match="N\\^31 overflows a float at N = 1e\\+10"):
+        scaled_rate_function(model, 0, N=1e10)
 
 
 def test_expression_death_limit_stops_at_zero(tmp_path):

@@ -2,8 +2,9 @@
 the stream's uniforms as ``(-log(1 - U_2k), U_2k+1)`` bit for bit,
 across every block boundary of the iterator, which draws no uniform
 past its current block, and from one call to the next of
-``event_draws``; the cache keeps its bound. A seed or replica
-index that is not a nonnegative integer raises ModelError."""
+``event_draws``; every wait has ``math.log``'s bits, in the lockstep's
+shape and at the edge uniforms; the cache keeps its bound. A seed or
+replica index that is not a nonnegative integer raises ModelError."""
 
 import math
 from itertools import islice
@@ -102,6 +103,47 @@ def test_event_cache_keeps_its_bound_most_recent_first_out_last():
         rng_mod.cached_events(0, 50)   # seed 0 stays the most recently used
     assert len(rng_mod._event_cache) == rng_mod.EVENT_CACHE_ENTRIES
     assert list(rng_mod._event_cache)[-2:] == [(9, 50), (0, 50)]
+
+
+def _log_bits(waits) -> list:
+    return np.asarray(waits, dtype=float).view(np.int64).tolist()
+
+
+def test_lockstep_waits_have_math_logs_bits():
+    """The waits of ``event_draws`` in the lockstep's shape, 150 streams
+    drawn 64 events at a time (the strided ``[:, 0::2]`` view of each
+    row of 128 uniforms), equal ``-math.log(1 - U)`` bit for bit over
+    1 152 000 waits. On a CPU with AVX-512, numpy's contiguous ``np.log``
+    loop rounds about 0.35 % of these one ulp away from ``math.log``, and
+    the test fails with plain ``np.log`` in ``rng._waits``; on a CPU
+    without it the two agree and the test cannot tell them apart."""
+    replicas, chunk, chunks = 150, 64, 120
+    generators = [rng_mod.stream(27, r) for r in range(replicas)]
+    waits = np.hstack([rng_mod.event_draws(generators, chunk)[0] for _ in range(chunks)])
+    for r in range(replicas):
+        uniforms = rng_mod.stream(27, r).random(2 * chunk * chunks)[0::2].tolist()
+        assert _log_bits(waits[r]) == _log_bits([-math.log(1.0 - u) for u in uniforms])
+
+
+class _Edges:
+    """A stub generator whose uniforms are the edges of [0, 1): 0.0 and
+    the largest double below 1, 1 - 2^-53, in turn for the waits."""
+
+    EDGES = (0.0, 1.0 - 2.0 ** -53)
+
+    def random(self, out):
+        out[:] = 0.5
+        out[0::4], out[2::4] = self.EDGES
+        return out
+
+
+def test_waits_at_the_edge_uniforms_have_math_logs_bits():
+    waits, targets = rng_mod.event_draws([_Edges() for _ in range(3)], 64)
+    want = [-math.log(1.0 - u) for u in _Edges.EDGES] * 32
+    for row in waits:
+        assert _log_bits(row) == _log_bits(want)
+    assert want[0] == 0.0 and math.isfinite(want[1]) and (targets == 0.5).all()
+    assert list(islice(rng_mod.events(_Edges()), 2)) == [(w, 0.5) for w in want[:2]]
 
 
 # ---------------------------------------------------------------------------
