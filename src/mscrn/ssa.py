@@ -48,9 +48,13 @@ of one array, and each numpy step advances every replica by one event,
 recomputing all propensities from the row forms (``row_terms``) of the
 channels' closures through one :class:`model.MassActionRows`, the
 closures' arithmetic over arrays.
-Each replica still draws its own stream in the same order, so the
-ensemble statistics equal those of the replica-by-replica loop bit for
-bit. Below the threshold the per-event numpy overhead costs more than
+Each replica still draws its own stream in the same order, and every
+row is summed and chosen as in the flat pass, so the lockstep equals
+the replica-by-replica loop run on the flat pass bit for bit. Where
+that loop takes the blocked pass, it chooses the same channels with
+times equal to rounding, so the ensemble statistics are equal except
+where an event lands within rounding of a grid time or ``t_end``.
+Below the threshold the per-event numpy overhead costs more than
 it saves, and expression laws, single trajectories and event logs
 always take the per-replica loop.
 """
@@ -72,8 +76,9 @@ from .model import (MassActionRows, Model, ScalingSpec, State, check_state,
 
 # Ensembles of at least this many replicas of a model whose channels are
 # all mass-action or movement run in lockstep; below it one replica after
-# another is faster. Measured crossover on a 2-CPU Xeon: about 8 replicas
-# on the 3-channel AB titration, about 3 on a 224-channel ring.
+# another is faster. Measured crossover on a 2-CPU Xeon (best of 3,
+# t_end 1): about 12 replicas on the 3-channel AB titration at N = 1000,
+# about 6 on a 224-channel ring at N = 100.
 LOCKSTEP_REPLICAS = 8
 # A model of at least this many channels takes the blocked pass of
 # _simulate; below it the flat pass is faster. Measured with
@@ -179,11 +184,11 @@ class _Compiled:
 
     When every channel has a row form with a finite prefactor (an infinite
     one makes rates that are not finite with no overflow for the lockstep
-    to trap), ``table`` evaluates them over the rows of the lockstep, and
-    row c of ``delta`` is channel c's state change, with a last zero
-    column for the ones column of the rows. Under the blocked pass both
-    are padded with channels of propensity zero that change nothing, up
-    to a whole number of blocks. Otherwise ``table`` is None.
+    to trap), ``table`` evaluates them over the rows of the lockstep, one
+    column per channel, and row c of ``delta`` is channel c's state
+    change, with a last zero column for the ones column of the rows. The
+    lockstep sums them as the flat pass does, whatever ``blocks`` is.
+    Otherwise ``table`` is None.
     """
 
     def __init__(self, model: Model, scaling: ScalingSpec, N: float):
@@ -194,17 +199,15 @@ class _Compiled:
         self.dependents = dependency_graph([p.reads for p in self.propensities], self.deltas)
         dim = model.network.n_species * model.n_compartments
         self.blocks = None
-        columns = len(channels)
         if len(channels) >= BLOCKED_CHANNELS:
             size = math.isqrt(len(channels) - 1) + 1
             self.blocks = (size, [tuple(sorted({j // size for j in deps}))
                                   for deps in self.dependents])
-            columns = -(-len(channels) // size) * size
         self.table = None
         rows = [getattr(propensity, "row_terms", None) for propensity in self.propensities]
         if rows and all(row is not None and math.isfinite(row[0]) for row in rows):
-            self.table = MassActionRows(rows + [(0.0, ())] * (columns - len(rows)), dim)
-            self.delta = np.zeros((columns, dim + 1))
+            self.table = MassActionRows(rows, dim)
+            self.delta = np.zeros((len(channels), dim + 1))
             for c, delta in enumerate(self.deltas):
                 for idx, change in delta:
                     self.delta[c, idx] = change
@@ -505,7 +508,9 @@ def _per_replica(model: Model, scaling: ScalingSpec, config: SimulationConfig,
 def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
               x0: State, replicas: int, compiled: _Compiled) -> np.ndarray:
     """Every replica's grid snapshots, (replicas, grid, flat state), equal
-    bit for bit to :func:`_per_replica`, from replicas run in lockstep.
+    bit for bit to :func:`_per_replica` on the flat pass, from replicas
+    run in lockstep; the blocked pass chooses the same channels, with
+    times equal to rounding.
 
     The raw counts of the live replicas are the rows of one array, and
     each pass of the loop advances every live replica by one
@@ -515,25 +520,20 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     sequence, like ``accumulate``), the waiting time, and the channel
     choice, the number of partial sums but the last that are <= u *
     total (``bisect_right`` clamped to the last channel; the partial
-    sums do not decrease). A model with ``compiled.blocks`` makes the
-    same sums and choice as the blocked pass: its propensities, padded
-    with zero channels to whole blocks, are reshaped to (rows, blocks,
-    size), summed by ``cumsum`` within each block and then over the
-    block sums, and :func:`_choose_in_blocks` picks the channel. Live
-    replicas have all made the same number of events k, so event k
-    takes event draw k of each replica's ``SeedSequence([seed, r])``
-    stream, the draws of the per-replica loop, 64 events at a time from
-    :func:`rng.event_draws`. A replica leaves the batch when its next
-    event falls past ``t_end``. A replica fails on a negative propensity
-    or a total that is not finite (numpy's overflow trap, no check per
-    step); it is dropped with every later one, and the error raised is
-    that of the lowest-numbered failing replica: the one a
-    replica-by-replica run meets first.
+    sums do not decrease). Live replicas have all made the same number
+    of events k, so event k takes event draw k of each replica's
+    ``SeedSequence([seed, r])`` stream, the draws of the per-replica
+    loop, 64 events at a time from :func:`rng.event_draws`. A replica
+    leaves the batch when its next event falls past ``t_end``. A replica
+    fails on a negative propensity or a total that is not finite (numpy's
+    overflow trap, no check per step); it is dropped with every later
+    one, and the error raised is that of the lowest-numbered failing
+    replica: the one a replica-by-replica run meets first.
     """
     x_init = _raw_initial(model, scaling, config, x0)
     grid = checked_grid(config.record, config.t_end)
     alpha_pow = config.N ** np.array([float(a) for a in model.network.alphas])
-    table, blocks, dim, t_end = compiled.table, compiled.blocks, len(x_init), config.t_end
+    table, dim, t_end = compiled.table, len(x_init), config.t_end
     grid_next = np.append(grid, np.inf)
     # a row needs attention once its next event passes its next grid
     # time or t_end
@@ -550,27 +550,18 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     error = None
     events = 0
 
-    def cumulative(prop):
-        # per row; blocked, those within each block and, after a zero, of the blocks
-        if blocks is None:
-            return prop.cumsum(axis=1), None
-        inner = prop.reshape(len(prop), -1, blocks[0]).cumsum(axis=2)
-        cum = np.zeros((len(prop), inner.shape[1] + 1))
-        inner[:, :, -1].cumsum(axis=1, out=cum[:, 1:])
-        return cum, inner
-
     # an overflow raises, so a total that is not finite costs no check per step
     with np.errstate(divide="ignore", invalid="ignore", over="raise"):
         while len(ids):
             keep = None
             try:
                 prop = table(x)
-                cum, inner = cumulative(prop)
+                cum = prop.cumsum(axis=1)
                 failed = prop.min() < 0
             except FloatingPointError:
                 with np.errstate(over="ignore"):
                     prop = table(x)
-                    cum, inner = cumulative(prop)
+                    cum = prop.cumsum(axis=1)
                 failed = True
             if failed:
                 i = int(np.argmax((prop < 0).any(axis=1) | ~(cum[:, -1] < np.inf)))
@@ -598,8 +589,6 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 if not keep.all():
                     ids, x, t, pos, waits, targets, cum, total, t_next = (
                         a[keep] for a in (ids, x, t, pos, waits, targets, cum, total, t_next))
-                    if blocks is not None:
-                        inner = inner[keep]
                     if not len(ids):
                         break
                 # grid points passed before this event take the state before it
@@ -611,10 +600,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                     passed = grid_next[pos] <= t_next
             t = t_next
             target = targets[:, k] * total
-            if blocks is None:
-                chosen = (cum[:, :-1] <= target[:, None]).sum(axis=1)
-            else:
-                chosen = _choose_in_blocks(cum, inner, target, x, table)
+            chosen = (cum[:, :-1] <= target[:, None]).sum(axis=1)
             x += compiled.delta[chosen]
             events += 1
             if events >= config.max_events:
@@ -624,31 +610,6 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     if error is not None:
         raise error
     return snaps / np.repeat(alpha_pow, model.n_compartments)
-
-
-def _choose_in_blocks(cum, inner, target, x, table) -> np.ndarray:
-    """The channels the blocked pass of :func:`_simulate` chooses
-    for the rows of ``target``, from the cumulative block sums after a
-    leading zero, ``cum``, and the (rows, blocks, size) cumulative sums
-    within each block, ``inner``. The block is the number of block
-    partial sums but the last that are <= the target, and the channel
-    the number of its partial sums <= the residual: the padding of the
-    last block repeats its sum, so it is counted only when every channel
-    is. A residual at or above the block's sum takes the block's last
-    channel of positive propensity, found from the row's propensities.
-    """
-    rows = np.arange(len(target))
-    size = inner.shape[2]
-    b = (cum[:, 1:-1] <= target[:, None]).sum(axis=1)
-    j = (inner[rows, b] <= (target - cum[rows, b])[:, None]).sum(axis=1)
-    chosen = b * size + j
-    for i in np.flatnonzero(j == size):
-        prop = table(x[i:i + 1])[0]
-        c = chosen[i] - 1
-        while prop[c] <= 0.0:
-            c -= 1
-        chosen[i] = c
-    return chosen
 
 
 def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
@@ -662,7 +623,12 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     channels and their dependency graph are built once for all replicas.
     From ``LOCKSTEP_REPLICAS`` replicas on, when every channel is
     mass-action or movement, the replicas run in lockstep (:func:`_lockstep`); otherwise one after
-    another. Both give the same statistics bit for bit.
+    another. The lockstep sums and chooses as the flat pass of
+    :func:`_simulate`, so both give the same statistics bit for bit below
+    ``BLOCKED_CHANNELS`` channels; at or above it the blocked pass
+    chooses the same channels with times equal to rounding, and the
+    statistics differ only where an event lands within rounding of a
+    grid time or ``t_end``.
     ``observables`` is either a list of observable specs (see
     :func:`observable_weights`) or a precomputed (labels, weights) pair.
     """

@@ -52,15 +52,18 @@ reaction B -> 0 @ mass-action kappa=1 beta=0
 """
 
 
-def _outcome(doc, config, replicas, x0, monkeypatch, lockstep):
+def _outcome(doc, config, replicas, x0, monkeypatch, lockstep, blocked_channels=None):
     """Statistics of ``run_ensemble`` (or its exception as text) and
-    whether the lockstep kernel ran."""
+    whether the lockstep kernel ran; ``blocked_channels`` replaces
+    ``ssa.BLOCKED_CHANNELS`` when given."""
     calls = []
     kernel = ssa._lockstep
     with monkeypatch.context() as patch:
         patch.setattr(ssa, "_lockstep", lambda *args: calls.append(1) or kernel(*args))
         if not lockstep:
             patch.setattr(ssa, "LOCKSTEP_REPLICAS", replicas + 1)
+        if blocked_channels is not None:
+            patch.setattr(ssa, "BLOCKED_CHANNELS", blocked_channels)
         try:
             stats = ssa.run_ensemble(doc.model, doc.scaling, config, replicas,
                                      _observables(doc), x0=x0)
@@ -90,9 +93,10 @@ def _assert_same(got, want):
         assert np.array_equal(got[2][q], want[2][q])
 
 
-def _compare(doc, config, replicas, x0, monkeypatch):
+def _compare(doc, config, replicas, x0, monkeypatch, reference_blocked_channels=None):
     got, ran = _outcome(doc, config, replicas, x0, monkeypatch, lockstep=True)
-    want, ran_reference = _outcome(doc, config, replicas, x0, monkeypatch, lockstep=False)
+    want, ran_reference = _outcome(doc, config, replicas, x0, monkeypatch, lockstep=False,
+                                   blocked_channels=reference_blocked_channels)
     assert ran and not ran_reference
     _assert_same(got, want)
     return got
@@ -112,6 +116,12 @@ def test_fixture_ensembles_match_per_replica_loop(name, monkeypatch):
         config = ssa.SimulationConfig(N=N, t_end=1.0, seed=4, record=np.array(GRID),
                                       max_events=MAX_EVENTS)
         got = _compare(doc, config, replicas, x0, monkeypatch)
+        if name == "ring16":
+            # the lockstep is the flat pass, so it also equals a reference
+            # whose per-replica loop takes the flat pass
+            channels = len(ssa._Compiled(doc.model, doc.scaling, N).ids)
+            _compare(doc, config, replicas, x0, monkeypatch,
+                     reference_blocked_channels=channels + 1)
         if name.startswith("spatial_ab") and N == 100:
             # the fast movement reaches the event cap in both paths
             assert got.startswith("EventCapExceeded")
@@ -133,11 +143,14 @@ def test_table_equals_scalar_propensities():
     for text in list(FIXTURES.values()) + [SQUARE_TEXT]:
         doc = parse_document(text)
         compiled = ssa._Compiled(doc.model, doc.scaling, 1e8)
+        # one row and one column per channel, whichever pass the model takes
+        assert compiled.delta.shape[0] == len(compiled.ids)
         dim = compiled.delta.shape[1] - 1
         rows = np.concatenate([gen.integers(-3, 6, size=(200, dim)),
                                gen.integers(10 ** 8 - 5, 10 ** 8 + 5, size=(20, dim))])
         x = np.hstack([rows, np.ones((len(rows), 1))]).astype(float)
         table = compiled.table(x)
+        assert table.shape == (len(rows), len(compiled.ids))
         for row, values in zip(rows.tolist(), table):
             for c, propensity in enumerate(compiled.propensities):
                 try:
@@ -263,9 +276,11 @@ def test_residual_rounding_up_to_its_block_sum(monkeypatch):
     # One species decays in every compartment; at the start only three
     # channels are positive: a in block 0 and p1, p2 (p1 + p2 = s) at
     # the head of block 1, whose last channel is zero. The largest
-    # uniform below 1 makes the target the float below a + s, and the
-    # residual target - a rounds up to s itself, past every partial sum
-    # of block 1: both paths must take p2's channel, never a zero one.
+    # uniform below 1 makes the target the float below a + s. In the
+    # blocked pass of the per-replica loop the residual target - a rounds
+    # up to s itself, past every partial sum of block 1, and the pick
+    # takes the block's last channel of positive propensity, p2, never a
+    # zero one. The lockstep's flat choice must take the same channel.
     from mscrn import rng as rng_mod
 
     a, p1, p2 = 0.20306690262920823, 1.0, 1.9002898339570775
