@@ -62,6 +62,7 @@ always take the per-replica loop.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -76,9 +77,9 @@ from .model import (MassActionRows, Model, ScalingSpec, State, check_state,
 
 # Ensembles of at least this many replicas of a model whose channels are
 # all mass-action or movement run in lockstep; below it one replica after
-# another is faster. Measured crossover on a 2-CPU Xeon (best of 3,
-# t_end 1): about 12 replicas on the 3-channel AB titration at N = 1000,
-# about 6 on a 224-channel ring at N = 100.
+# another is faster. Measured crossover on a 2-CPU Xeon (t_end 1, median
+# of 9 alternated pairs): about 11 replicas on the 3-channel AB titration
+# at N = 1000, between 5 and 6 on a 224-channel ring at N = 100.
 LOCKSTEP_REPLICAS = 8
 # A model of at least this many channels takes the blocked pass of
 # _simulate; below it the flat pass is faster. Measured with
@@ -108,12 +109,23 @@ class SimulationConfig:
             raise ModelError("N must be finite and >= 1")
         check_t_end(self.t_end)
         rng_mod.check_seed(self.seed)
+        check_max_events(self.max_events)
 
 
 def check_t_end(t_end: float) -> None:
     """A run ends at a finite time t_end >= 0."""
     if not math.isfinite(t_end) or t_end < 0:
         raise ModelError("t_end must be finite and >= 0")
+
+
+def check_max_events(value) -> None:
+    """An event cap is an integer >= 1 (``operator.index`` takes it)."""
+    try:
+        cap = operator.index(value)
+    except TypeError:
+        cap = 0
+    if cap < 1:
+        raise ModelError(f"max_events must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -516,27 +528,32 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     each pass of the loop advances every live replica by one
     direct-method event: the propensities of all rows at once from
     ``compiled.table`` (the array's last column is the ones it reads),
-    the left-to-right cumulative sum per row (``cumsum`` adds in
-    sequence, like ``accumulate``), the waiting time, and the channel
-    choice, the number of partial sums but the last that are <= u *
-    total (``bisect_right`` clamped to the last channel; the partial
-    sums do not decrease). Live replicas have all made the same number
-    of events k, so event k takes event draw k of each replica's
+    the left-to-right cumulative sum per row (``np.add.accumulate``,
+    which ``cumsum`` calls), the waiting time, the channel choice, the
+    number of partial sums but the last that are <= u * total
+    (``bisect_right`` clamped to the last channel; the partial sums do
+    not decrease), and the state change, the chosen rows of
+    ``compiled.delta``. Live replicas have all made the same number of
+    events k, so event k takes event draw k of each replica's
     ``SeedSequence([seed, r])`` stream, the draws of the per-replica
-    loop, 64 events at a time from :func:`rng.event_draws`. A replica
-    leaves the batch when its next event falls past ``t_end``. A replica
-    fails on a negative propensity or a total that is not finite (numpy's
-    overflow trap, no check per step); it is dropped with every later
-    one, and the error raised is that of the lowest-numbered failing
-    replica: the one a replica-by-replica run meets first.
+    loop, 64 events at a time from :func:`rng.event_draws`, stored
+    event-major, (64, live replicas), so a step reads one row. Each live
+    replica keeps its mark, its next grid time or the float after
+    ``t_end``; only a step where some replica reaches its mark reads the
+    grid and sets marks. A replica leaves the batch when its next event
+    falls past ``t_end``. A replica fails on a negative propensity or a
+    total that is not finite (numpy's overflow trap, no check per step);
+    it is dropped with every later one, and the error raised is that of
+    the lowest-numbered failing replica: the one a replica-by-replica
+    run meets first.
     """
     x_init = _raw_initial(model, scaling, config, x0)
     grid = checked_grid(config.record, config.t_end)
     alpha_pow = config.N ** np.array([float(a) for a in model.network.alphas])
-    table, dim, t_end = compiled.table, len(x_init), config.t_end
+    table, delta, dim, t_end = compiled.table, compiled.delta, len(x_init), config.t_end
+    accumulate = np.add.accumulate
     grid_next = np.append(grid, np.inf)
-    # a row needs attention once its next event passes its next grid
-    # time or t_end
+    # a row at grid position p needs attention once its next event reaches marks[p]
     marks = np.minimum(grid_next, np.nextafter(t_end, np.inf))
     streams = [rng_mod.stream(config.seed, r) for r in range(replicas)]
     snaps = np.empty((replicas, len(grid), dim))
@@ -547,6 +564,7 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     x[:, dim] = 1.0
     t = np.zeros(replicas)
     pos = np.zeros(replicas, dtype=np.intp)
+    mark = marks[pos]
     error = None
     events = 0
 
@@ -556,12 +574,12 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
             keep = None
             try:
                 prop = table(x)
-                cum = prop.cumsum(axis=1)
+                cum = accumulate(prop, axis=1)
                 failed = prop.min() < 0
             except FloatingPointError:
                 with np.errstate(over="ignore"):
                     prop = table(x)
-                    cum = prop.cumsum(axis=1)
+                    cum = accumulate(prop, axis=1)
                 failed = True
             if failed:
                 i = int(np.argmax((prop < 0).any(axis=1) | ~(cum[:, -1] < np.inf)))
@@ -571,24 +589,26 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                 keep = np.arange(len(ids)) < i
             k = events % 64
             if k == 0:
-                waits, targets = rng_mod.event_draws([streams[r] for r in ids], 64)
+                waits, targets = (np.ascontiguousarray(a.T) for a in
+                                  rng_mod.event_draws([streams[r] for r in ids], 64))
             total = cum[:, -1]
             # a zero or subnormal total gives an infinite or undefined time: no event
             try:
-                t_next = t + waits[:, k] / total
+                t_next = t + waits[k] / total
             except FloatingPointError:
                 with np.errstate(over="ignore"):
-                    t_next = t + waits[:, k] / total
-            if keep is not None or not (t_next < marks[pos]).all():
+                    t_next = t + waits[k] / total
+            if keep is not None or not (t_next < mark).all():
                 done = ~(t_next <= t_end)
-                if keep is not None:
-                    done &= keep
-                for i in np.flatnonzero(done):
-                    snaps[ids[i], pos[i]:] = x[i, :dim]
-                keep = ~done if keep is None else keep & ~done
-                if not keep.all():
-                    ids, x, t, pos, waits, targets, cum, total, t_next = (
-                        a[keep] for a in (ids, x, t, pos, waits, targets, cum, total, t_next))
+                if keep is not None or done.any():   # then some row leaves
+                    if keep is not None:
+                        done &= keep
+                    for i in np.flatnonzero(done):
+                        snaps[ids[i], pos[i]:] = x[i, :dim]
+                    keep = ~done if keep is None else keep & ~done
+                    ids, x, t, pos, cum, total, t_next = (
+                        a[keep] for a in (ids, x, t, pos, cum, total, t_next))
+                    waits, targets = waits[:, keep], targets[:, keep]
                     if not len(ids):
                         break
                 # grid points passed before this event take the state before it
@@ -598,10 +618,11 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
                     snaps[ids[rows], pos[rows]] = x[rows, :dim]
                     pos[rows] += 1
                     passed = grid_next[pos] <= t_next
+                mark = marks[pos]
             t = t_next
-            target = targets[:, k] * total
+            target = targets[k] * total
             chosen = (cum[:, :-1] <= target[:, None]).sum(axis=1)
-            x += compiled.delta[chosen]
+            x += delta.take(chosen, axis=0)
             events += 1
             if events >= config.max_events:
                 error = EventCapExceeded(f"exceeded {config.max_events} events "

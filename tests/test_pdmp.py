@@ -135,6 +135,18 @@ def test_pure_jump_checks(rate, jump, error):
         simulate_pdmp(system, [2.0], t_end=10.0, seed=0, max_events=100)
 
 
+@pytest.mark.parametrize("cap", [0, -3, 2.5, "10", None])
+def test_bad_event_cap_rejected(cap):
+    # the cap is checked before the run starts, so no jump fires first
+    jump = HybridSystem(("X",), ((lambda v: 1.0, np.array([1], dtype=np.int64)),), ())
+    flow = HybridSystem(("X",), ((lambda v: 1.0, np.array([1], dtype=np.int64)),),
+                        ((lambda v: -v[0], np.array([1.0])),))
+    for system in (jump, flow):
+        with pytest.raises(ModelError, match="max_events must be an integer >= 1"):
+            simulate_pdmp(system, [2.0], t_end=10.0, seed=0, max_events=cap)
+        assert simulate_pdmp(system, [2.0], t_end=0.0, seed=0, max_events=1).final_state[0] == 2.0
+
+
 def test_conditional_fast_birth_death_mean(ab_doc):
     # fast intermediate given v_A = 1: birth 1, death (1+1)B,
     # stationary mean 1/(1+1) = 0.5; batch-means error bar

@@ -104,6 +104,14 @@ def test_event_cap():
         simulate(model, scaling, cfg, State(np.array([0.0])))
 
 
+@pytest.mark.parametrize("cap", [0, -3, 2.5, "10", None])
+def test_bad_event_cap_rejected(cap):
+    # the cap is checked when the run is configured, before any event fires
+    with pytest.raises(ModelError, match="max_events must be an integer >= 1"):
+        SimulationConfig(N=1, t_end=1.0, seed=0, max_events=cap)
+    SimulationConfig(N=1, t_end=1.0, seed=0, max_events=np.int64(1))
+
+
 def test_scaled_raw_initial_consistency(ab_doc):
     # scaled init v_A=1 at N=25 must give raw x_A=25
     cfg = SimulationConfig(N=25, t_end=0.0, seed=0)

@@ -127,6 +127,30 @@ def test_fixture_ensembles_match_per_replica_loop(name, monkeypatch):
             assert got.startswith("EventCapExceeded")
 
 
+def test_dense_grid_where_one_event_passes_several_grid_times(monkeypatch):
+    # 41 grid times from 0 to t_end at an N so small that the mean wait
+    # spans several grid steps: the passed-grid loop of the lockstep runs
+    # many rounds in one step, and every grid time passed takes the state
+    # before the event
+    from mscrn import rng as rng_mod
+
+    grid = np.linspace(0.0, 1.0, 41)
+    replicas = ssa.LOCKSTEP_REPLICAS + 5
+    for name, N in (("ab", 4), ("spatial_ab", 2)):
+        doc = parse_document(FIXTURES[name])
+        x0 = State(doc.initial_scaled(), scaled=True)
+        config = ssa.SimulationConfig(N=N, t_end=1.0, seed=4, record=grid)
+        _compare(doc, config, replicas, x0, monkeypatch)
+        passes = []
+        for r in range(replicas):
+            log = ssa._simulate(doc.model, doc.scaling,
+                                ssa.SimulationConfig(N=N, t_end=1.0, record="events"), x0,
+                                rng=rng_mod.stream(4, r)).event_log
+            times = [0.0] + [t for t, _ in log]
+            passes += np.diff(np.searchsorted(grid, times, side="right")).tolist()
+        assert sum(p >= 2 for p in passes) >= len(passes) / 4
+
+
 def test_square_of_large_counts(monkeypatch):
     # a continuous power is a product of floats in both paths, cubes too
     x0 = State(np.array([100_000_003.0, 0.0]), scaled=False)
