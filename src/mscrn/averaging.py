@@ -145,8 +145,8 @@ class ProductMeasure:
 
     Discrete species (alpha = 0) spread multinomially over compartments,
     continuous species sit deterministically at pi-proportional shares.
-    Exposes a sampler and, for small supports, an exact summation
-    iterator over (positions, probability) pairs.
+    Exposes a sampler, the exact support as (positions, probability)
+    pairs while it is small, and the expectation over either.
     """
 
     def __init__(self, species: tuple[int, ...], totals, pis, alphas):
@@ -173,77 +173,70 @@ class ProductMeasure:
                 out[j] = self.totals[j] * self.pis[j]
         return out
 
-    def support_size(self) -> float:
-        size = 1.0
+    def support_size(self) -> int:
         nd = self.n_compartments
-        for j, a in enumerate(self.alphas):
-            if a == 0:
-                size *= math.comb(int(self.totals[j]) + nd - 1, nd - 1)
-        return size
+        return math.prod(math.comb(int(total) + nd - 1, nd - 1)
+                         for total, a in zip(self.totals, self.alphas) if a == 0)
+
+    def _table(self, j: int) -> tuple[np.ndarray, list[float]]:
+        """Species j's placements (rows) and their probabilities: the one
+        pi-proportional share of a continuous species; every composition
+        of a discrete total over the compartments, in lexicographic order,
+        with its multinomial probability total!/prod(n!) prod(p^n) summed
+        in logs, so that no factor overflows."""
+        pj = self.pis[j]
+        if self.alphas[j] != 0:
+            return (self.totals[j] * pj)[None], [1.0]
+        total, nd = int(self.totals[j]), len(pj)
+        # stars and bars: the lexicographic order of the nd - 1 bars among
+        # total + nd - 1 slots is that of the counts between them
+        bars = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(total + nd - 1), nd - 1)), dtype=np.int64)
+        bars = bars.reshape(math.comb(total + nd - 1, nd - 1), nd - 1)
+        counts = np.diff(bars, axis=1, prepend=-1, append=total + nd - 1) - 1
+        log_factorial = np.array([math.lgamma(n + 1.0) for n in range(total + 1)])
+        with np.errstate(divide="ignore", invalid="ignore"):   # 0 log 0 is 0
+            log_powers = np.where(counts > 0, counts * np.log(pj), 0.0).sum(axis=1)
+        log_probs = log_factorial[total] - log_factorial[counts].sum(axis=1) + log_powers
+        return counts.astype(float), np.exp(log_probs).tolist()
 
     def support(self):
-        """Iterate (positions matrix, probability); None when the support
-        holds more than ``_SUPPORT_CAP`` position matrices."""
+        """Iterate (positions matrix, probability) over the exact support,
+        species' tables joined in species order; None when it holds more
+        than ``_SUPPORT_CAP`` position matrices."""
         if self.support_size() > _SUPPORT_CAP:
             return None
-        nd = self.n_compartments
-        return self._support_rec(0, np.zeros((len(self.species), nd)), 1.0)
-
-    def _support_rec(self, j, matrix, prob):
-        if j == len(self.species):
-            yield matrix.copy(), prob
-            return
-        if self.alphas[j] != 0:
-            matrix[j] = self.totals[j] * self.pis[j]
-            yield from self._support_rec(j + 1, matrix, prob)
-            return
-        total = int(self.totals[j])
-        pj = self.pis[j]
-        for combo, p in _multinomial_support(total, pj):
-            matrix[j] = combo
-            yield from self._support_rec(j + 1, matrix, prob * p)
+        rows, probs = zip(*(self._table(j) for j in range(len(self.species))))
+        return ((np.array([r[i] for r, i in zip(rows, index)]),
+                 math.prod(p[i] for p, i in zip(probs, index)))
+                for index in itertools.product(*(range(len(p)) for p in probs)))
 
     def expect(self, g, seed: int, draws: int):
         """(E[g], standard error) over positions; ``g`` maps a positions
-        matrix to (value, se). Exact summation over the support while
-        :meth:`support` gives one, otherwise ``draws`` samples from the
-        stream of ``seed``."""
-        support = self.support()
-        if support is not None:
-            value = 0.0
-            var = 0.0
-            for positions, prob in support:
-                val, se = g(positions)
-                value += prob * val
-                var += (prob * se) ** 2
-            return value, math.sqrt(var)
-        rng = rng_mod.stream(seed)
-        vals = np.empty(draws)
-        ses = np.empty(draws)
-        for r in range(draws):
-            vals[r], ses[r] = g(self.sample(rng))
-        se_outer = vals.std(ddof=1) / math.sqrt(draws)
-        return float(vals.mean()), float(math.hypot(se_outer, ses.mean()))
-
-
-def _multinomial_support(total: int, probs: np.ndarray):
-    nd = len(probs)
-
-    def rec(pos, remaining, combo, coeff):
-        if pos == nd - 1:
-            combo[pos] = remaining
-            p = coeff * math.comb(sum(combo[:pos]) + remaining, remaining) \
-                * probs[pos] ** remaining
-            yield list(combo), p
-            return
-        for n in range(remaining + 1):
-            combo[pos] = n
-            yield from rec(pos + 1, remaining - n, combo,
-                           coeff * math.comb(sum(combo[:pos + 1]), n) * probs[pos] ** n)
-
-    # probability of a composition (n_1..n_D): total!/(prod n_d!) prod p^n;
-    # built incrementally through binomial factors
-    yield from rec(0, total, [0] * nd, 1.0)
+        matrix to (value, se). One loop sums weighted placements: the
+        exact support with its probabilities while :meth:`support` gives
+        one, otherwise ``draws`` samples from the stream of ``seed``, each
+        of weight 1/draws. The value is the sum of w * value and the
+        inner error the sum of w * se: the inner estimates read the same
+        cached event draws, so their errors add, and the sum bounds the
+        error whatever their correlation. A sampled average adds its
+        sample spread in quadrature."""
+        placements = self.support()
+        sampled = placements is None
+        if sampled:
+            rng = rng_mod.stream(seed)
+            placements = ((self.sample(rng), 1.0 / draws) for _ in range(draws))
+        value = inner = 0.0
+        values = []
+        for positions, weight in placements:
+            val, se = g(positions)
+            value += weight * val
+            inner += weight * se
+            if sampled:
+                values.append(val)
+        if not sampled:
+            return value, inner
+        return value, math.hypot(np.std(values, ddof=1) / math.sqrt(draws), inner)
 
 
 def product_measure(spatial_model: SpatialModel, totals,
@@ -416,13 +409,13 @@ class StationaryMeasure:
     mass-action law and every law polynomial in the fast variables but
     have no sampler. variant 'pointmass': a single state. variant
     'empirical': a time average split into batches for standard errors,
-    held as three arrays, as a jump path's :class:`pdmp.Occupation`
-    builds them: ``states`` lists each batch's distinct states in
-    first-visit order, ``weights`` each state's summed time weight and
-    ``batch`` each row's batch index; ``n_events`` counts its fast events
-    and, on a jump path, ``rate_evals`` the jumps that evaluated rates.
-    ``discrete`` marks the variables whose mass-action orders enter as
-    falling factorials.
+    held as three arrays: ``states``, ``weights`` and ``batch``, each row's
+    batch index. A jump path's :class:`pdmp.Occupation` lists each batch's
+    distinct states in first-visit order with their summed time weights; a
+    grid-sampled path keeps every sample at unit weight. ``n_events``
+    counts its fast events and, on a jump path, ``rate_evals`` the jumps
+    that evaluated rates. ``discrete`` marks the variables whose
+    mass-action orders enter as falling factorials.
     """
 
     def __init__(self, variant: str, *, moments=None, point=None,
@@ -599,18 +592,6 @@ class McConfig:
         rng_mod.check_seed(self.seed)
 
 
-def _occupation(batches, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`pdmp.occupation_arrays` of ``batches`` of raw (rows,
-    weights) visits, each batch summed as a :class:`pdmp.JumpChain` sums it."""
-    sums = []
-    for rows, weights in batches:
-        acc = {}
-        for state, weight in zip(map(tuple, rows), weights):
-            acc[state] = acc.get(state, 0.0) + weight
-        sums.append(acc)
-    return occupation_arrays(sums, dim)
-
-
 def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
                                discrete) -> StationaryMeasure:
     """Time average of one walk of a pure-jump fast path.
@@ -700,7 +681,9 @@ def _stable_flow_root(system: HybridSystem, v: np.ndarray, tol: float):
 
 def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
                            discrete) -> StationaryMeasure:
-    """Grid-sampled time average for mixed jump/flow fast subsystems."""
+    """Grid-sampled time average for mixed jump/flow fast subsystems: every
+    sample kept after the burn-in is a state of unit weight, and
+    ``np.array_split`` cuts them into ``n_batches`` batches."""
     n_samples = min(int(mc.budget), 20_000)
     burn = int(n_samples * mc.burn_in_frac)
     # horizon chosen from initial jump-rate scale
@@ -710,12 +693,11 @@ def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
     traj = simulate_pdmp(fast_system, v0, t_end, record=grid, seed=mc.seed,
                          ode_config=mc.ode)
     keep = traj.states[burn:]
-    chunks = np.array_split(keep, mc.n_batches)
-    states, weights, batch = _occupation(((rows.tolist(), [1.0] * len(rows))
-                                         for rows in chunks), fast_system.dim)
-    return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
-                             ess=len(keep), n_events=int(traj.event_counts.sum()),
-                             discrete=discrete)
+    batch = np.repeat(np.arange(mc.n_batches),
+                      [len(rows) for rows in np.array_split(keep, mc.n_batches)])
+    return StationaryMeasure("empirical", states=keep, weights=np.ones(len(keep)),
+                             batch=batch, ess=len(keep),
+                             n_events=int(traj.event_counts.sum()), discrete=discrete)
 
 
 def constrained_start(basis: ConservedBasis, conserved_values, n_vars,

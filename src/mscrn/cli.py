@@ -65,19 +65,24 @@ def _build_parser() -> _Parser:
                                  "multiscale spatial reaction networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, *, mc=True, formats=True):
+        """A subcommand with the flags it reads: the model and ``--out``,
+        ``--seed`` and ``--budget`` where it estimates, ``--format``
+        where it writes a table."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("model", help="model file (.mscrn)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--budget", type=int, default=100_000,
-                       help="Monte Carlo event budget per stationary estimate")
+        if mc:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--budget", type=int, default=100_000,
+                           help="Monte Carlo event budget per stationary estimate")
+        if formats:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
+        return p
 
-    p = sub.add_parser("analyze", help="emit the time-scale classification")
-    common(p)
+    command("analyze", "emit the time-scale classification", mc=False, formats=False)
 
-    p = sub.add_parser("simulate", help="simulate the full or reduced model")
-    common(p)
+    p = command("simulate", "simulate the full or reduced model")
     p.add_argument("--engine", choices=["ssa", "pdmp"], default="ssa")
     p.add_argument("--N", type=float, default=100.0, help="scaling parameter (ssa)")
     p.add_argument("--t-end", type=float, required=True)
@@ -90,14 +95,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["auto", "analytic", "montecarlo"],
                    default="auto", help="reduction mode (pdmp engine)")
 
-    p = sub.add_parser("reduce", help="emit the reduced model")
-    common(p)
+    p = command("reduce", "emit the reduced model", formats=False)
     p.add_argument("--mode", choices=["auto", "analytic", "montecarlo"], default="auto")
     p.add_argument("--case", type=int, default=None,
                    help="override the spatial movement-speed case (1-4)")
 
-    p = sub.add_parser("avg-rates", help="tabulate averaged rates on a state grid")
-    common(p)
+    p = command("avg-rates", "tabulate averaged rates on a state grid")
     p.add_argument("--var", required=True, help="reduced coordinate to sweep")
     p.add_argument("--values", type=_numbers, required=True,
                    help="comma-separated grid values")
@@ -106,8 +109,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["auto", "analytic", "montecarlo"], default="auto")
     p.add_argument("--case", type=int, default=None)
 
-    p = sub.add_parser("verify", help="convergence of finite-N ensembles to the limit")
-    common(p)
+    p = command("verify", "convergence of finite-N ensembles to the limit")
     p.add_argument("--N", type=_numbers, required=True, help="comma-separated N ladder")
     p.add_argument("--replicas", type=int, default=2000)
     p.add_argument("--t-end", type=float, default=1.0)

@@ -34,7 +34,6 @@ a self-consistent fixed point on expected counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -232,14 +231,15 @@ def averaged_rate_spatial(classification: ScaleClassification, case: int, k: int
                                             law_mode, mc) for d in range(nd)]
         else:
             measures = _case34_conserved(ctx, slow_factors, basis, values)
-        value = 0.0
-        var = 0.0
+        # every compartment's law reads the same cached event draws, so
+        # their errors add
+        value = error = 0.0
         for d, measure in enumerate(measures):
             val, se = measure.expect_mass_action(ctx.coefficient(k, slow_factors, d),
                                                  orders_k)
             value += val
-            var += se ** 2
-        return value, math.sqrt(var)
+            error += se
+        return value, error
 
     def evaluate(reduced):
         s_slow = reduced[:n_slow]

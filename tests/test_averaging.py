@@ -11,9 +11,9 @@ import pytest
 from scipy import stats as sps
 
 from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryMeasure,
-                             _occupation, averaged_rate_three_scale,
-                             averaged_rate_two_scale, constrained_start,
-                             movement_equilibria, product_measure, stationary_fast)
+                             averaged_rate_three_scale, averaged_rate_two_scale,
+                             constrained_start, movement_equilibria, product_measure,
+                             stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import (AnalyticUnavailable, ModelError, NonErgodicSuspected,
                           ReducibleChainError)
@@ -52,17 +52,22 @@ def test_movement_equilibrium_reducible():
         movement_equilibria(model)
 
 
-def test_product_measure_binomial_marginal(movement_doc):
-    # discrete species, pi=(0.5,0.5) needs a symmetric fixture
+@pytest.mark.parametrize("total", [10, 1100, 5000])
+def test_product_measure_binomial_marginal(movement_doc, total):
+    # discrete species, pi=(0.5,0.5) needs a symmetric fixture. From 1030
+    # molecules on, comb(total, n) overflows a float, so the probabilities
+    # are summed in logs; the log-factorials (about 3.8e4 at 5000) hold
+    # 1e-11 absolute, so 1e-9 relative is a loose bound (measured 2.7e-15,
+    # 1.8e-12 and 1.2e-11 at these totals). Tail terms below 1e-300 are
+    # denormal and only held absolutely.
     text = ("species W alpha=0 eta=1\ncompartments a b\n"
             "move W from a to b rate 1\nmove W from b to a rate 1\n")
     model, _ = parse_model(text)
-    measure = product_measure(model, [10.0])
-    support = list(measure.support())
-    assert len(support) == 11
-    for positions, prob in support:
-        n1 = int(positions[0, 0])
-        assert prob == pytest.approx(sps.binom.pmf(n1, 10, 0.5), rel=1e-12)
+    support = list(product_measure(model, [float(total)]).support())
+    n1 = np.array([positions[0, 0] for positions, _ in support])
+    assert n1.tolist() == list(range(total + 1))
+    probs = [prob for _, prob in support]
+    assert probs == pytest.approx(sps.binom.pmf(n1, total, 0.5), rel=1e-9, abs=1e-300)
 
 
 def test_product_measure_point_mass(movement_doc):
@@ -539,24 +544,6 @@ def test_rate_and_se_share_one_estimate(ab_doc, monkeypatch):
     rate([0.7])
     rate.standard_error([0.7])
     assert len(runs) == 1
-
-
-def test_occupation_matches_per_visit_dicts():
-    # each batch keeps its distinct states in first-visit order, with the
-    # weights summed in visit order, exactly as a dict keyed by state
-    # tuples accumulates them; an empty batch leaves no rows
-    rng = np.random.default_rng(7)
-    batches = [(rng.integers(0, 4, (n, 2)).astype(float), rng.random(n))
-               for n in (40, 0, 1, 25)]
-    states, weights, batch = _occupation(iter(batches), 2)
-    for b, (rows, w) in enumerate(batches):
-        want = {}
-        for row, x in zip(rows, w):
-            want[tuple(row)] = want.get(tuple(row), 0.0) + x
-        mine = batch == b
-        assert [tuple(state) for state in states[mine]] == list(want)
-        assert weights[mine].tolist() == list(want.values())
-    assert _occupation(iter([]), 3)[0].shape == (0, 3)
 
 
 def test_empirical_mass_action_matches_per_state_loop():

@@ -34,7 +34,12 @@ uniforms, that overshot the budget. ``single_scale.expression@[3.0, 4.0]``
 was re-recorded (8.133333333333333 -> 7.737499999999999, the exact sum
 619/80 over the positions) when an expression law began to read 0 in a
 compartment where a discrete reactant has fewer molecules than its
-order, as the finite-N chain's propensity does.
+order, as the finite-N chain's propensity does. The standard errors of
+``spatial_ab.case3.montecarlo`` and ``spatial_ab.case4.montecarlo`` at
+both states were re-recorded (0.032427 -> 0.037935 and 0.057849 ->
+0.069306, values unchanged) when the per-compartment errors of cases
+3/4, estimated on the same cached draws, began to add rather than add
+in quadrature.
 """
 
 import json

@@ -76,6 +76,20 @@ def test_avg_rates_csv(model_file, capsys):
     assert lines[1] == "1,1.0,0.5,0.0,analytic"
 
 
+@pytest.mark.parametrize("total", [1100, 5000])
+def test_avg_rates_exact_position_sum_at_large_totals(tmp_path, total, capsys):
+    # an expression law summed exactly over the total + 1 placements of A
+    # on two compartments; comb(total, n) overflows a float from 1030
+    # molecules on, so the probabilities are summed in logs
+    path = tmp_path / "expr.mscrn"
+    path.write_text("species A alpha=0 eta=1\ncompartments d1 d2\n"
+                    "reaction A -> 0 @ expr 0.5*A beta=0\n"
+                    "move A from d1 to d2 rate 1\nmove A from d2 to d1 rate 1\n")
+    assert cli(["avg-rates", str(path), "--var", "A", "--values", str(total)]) == 0
+    [row] = json.loads(capsys.readouterr().out)
+    assert row["rate"] == pytest.approx(total / 2, rel=1e-9)
+
+
 def test_verify_small(model_file, tmp_path):
     out = tmp_path / "report.json"
     code = cli(["verify", model_file, "--N", "10,50", "--replicas", "60",
@@ -92,6 +106,19 @@ def test_unknown_subcommand_exit_1(capsys):
 
 def test_missing_argument_exit_1(capsys):
     assert cli(["simulate"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--format", "csv"],
+    ["analyze", "--seed", "1"],
+    ["analyze", "--budget", "10"],
+    ["reduce", "--format", "csv"],
+], ids=["analyze-format", "analyze-seed", "analyze-budget", "reduce-format"])
+def test_flag_a_subcommand_does_not_read_exit_1(model_file, args, capsys):
+    # analyze runs no estimate and writes JSON only; reduce writes the
+    # reduced-model text only
+    assert cli([args[0], model_file] + args[1:]) == 1
+    assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
 
 
 def test_bad_model_exit_2(tmp_path, capsys):

@@ -45,13 +45,14 @@ import pytest
 from mscrn import averaging, pdmp
 from mscrn import rng as rng_mod
 from mscrn.averaging import (McConfig, StationaryMeasure, _empirical_from_jump_paths,
-                             _occupation, averaged_rate_three_scale,
-                             averaged_rate_two_scale, constrained_start, fast_discrete,
-                             fast_subsystem, stationary_fast)
+                             averaged_rate_three_scale, averaged_rate_two_scale,
+                             constrained_start, fast_discrete, fast_subsystem,
+                             stationary_fast)
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import EventCapExceeded, MscrnError, NegativeRate, RateEvaluationError
 from mscrn.parser import parse_document
-from mscrn.pdmp import HybridSystem, JumpChain, _checked_state, simulate_pdmp
+from mscrn.pdmp import (HybridSystem, JumpChain, _checked_state, occupation_arrays,
+                        simulate_pdmp)
 from mscrn.spatial_cases import averaged_rate_spatial
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -105,8 +106,13 @@ def _reference_estimator(fast_system, v0, mc, discrete):
             f"only {budget - burn} post-burn-in events (threshold {mc.ess_threshold})")
     quota, last = max(1, (budget - burn) // mc.n_batches), mc.n_batches - 1
     cuts = [visits[b * quota:(b + 1) * quota] for b in range(last)] + [visits[last * quota:]]
-    states, weights, batch = _occupation([([s for s, _ in cut], [w for _, w in cut])
-                                          for cut in cuts], len(v))
+    sums = []   # each batch's visits summed per state, in first-visit order
+    for cut in cuts:
+        acc = {}
+        for state, weight in cut:
+            acc[state] = acc.get(state, 0.0) + weight
+        sums.append(acc)
+    states, weights, batch = occupation_arrays(sums, len(v))
     return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
                              ess=budget - burn, n_events=budget, discrete=discrete)
 

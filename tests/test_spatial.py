@@ -30,6 +30,24 @@ KBAR2 = float(K2.sum())                      # 2
 KBAR3 = float((K3 * PI_B).sum())             # 1
 
 
+# Case 4 with a discrete slow reactant: A (slow, multinomial over
+# pi_A = (2/3, 1/3)) meets B, a fast birth-death with Poisson means 0.5
+# and 2.75 in the two compartments, so at A = 6 the rate is
+# 6 (2/3 * 0.5 + 1/3 * 2.75) = 7.5.
+DISCRETE_SLOW_CASE4_TEXT = """\
+species A alpha=0 eta=1/2
+species B alpha=0 eta=1/2
+compartments d1 d2
+reaction A + B -> 0 @ mass-action kappa=1,1 beta=0
+reaction 0 -> B @ mass-action kappa=0.5,2.75 beta=1
+reaction B -> 0 @ mass-action kappa=1,1 beta=1
+move A from d1 to d2 rate 1
+move A from d2 to d1 rate 2
+move B from d1 to d2 rate 1
+move B from d2 to d1 rate 2
+"""
+
+
 def rate_fast_movement(s):
     return KBAR1 * KBAR2 * s / (KBAR3 + KBAR1 * s)
 
@@ -391,3 +409,23 @@ def test_closed_form_kind_not_lost_to_a_zero_probe(mode):
     assert rate([0.0, 5.0]) == pytest.approx(32 / 120, rel=1e-12)
     with pytest.raises(AnalyticUnavailable):
         rate([0.0, 3.0])
+
+
+def test_case4_montecarlo_se_covers_over_seeds():
+    # The seven position matrices of A = 6 and both compartments' fast
+    # laws are estimated on the same cached draws of the seed, so their
+    # errors add and the rate's SE is the weighted sum of the inner SEs.
+    # Power, for a normal estimate: a calibrated SE puts more than 5 of
+    # 100 seeds beyond 3 SE with probability 4e-7, an SE understated by a
+    # factor 2 with probability 0.994. Adding the inner errors in
+    # quadrature put 25 of these seeds beyond 3 SE.
+    doc = parse_document(DISCRETE_SLOW_CASE4_TEXT)
+    classification = classify(doc.model, doc.scaling)
+    exact = averaged_rate_spatial(classification, 4, 0, mode="analytic")([6.0])
+    assert exact == pytest.approx(7.5, rel=1e-12)
+    beyond = 0
+    for seed in range(100):
+        rate = averaged_rate_spatial(classification, 4, 0, mode="montecarlo",
+                                     mc=McConfig(budget=400, seed=seed))
+        beyond += abs(rate([6.0]) - 7.5) > 3 * rate.standard_error([6.0])
+    assert beyond <= 5
