@@ -64,6 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -573,22 +574,27 @@ def split_reactants(network: Network, k: int, fast_rows) -> tuple[tuple[int, ...
 # Monte Carlo stationary estimation
 
 
+# The share of an estimate's events (or samples) burnt before the time
+# average, its batch-means batches (an SE needs two), and the fewest
+# post-burn-in events a jump-path estimate accepts.
+BURN_IN_FRAC = 0.2
+N_BATCHES = 16
+MIN_ESS = 100
+
+
 @dataclass
 class McConfig:
     budget: int = 100_000        # events of the one walk (jump systems) or samples (hybrid)
-    burn_in_frac: float = 0.2
-    n_batches: int = 16          # a batch-means SE needs two batches
-    ess_threshold: int = 100
     seed: int = 0
     ode: OdeConfig | None = None
 
     def __post_init__(self):
-        for holds, rule in ((self.budget >= 1, "budget >= 1"),
-                            (0 <= self.burn_in_frac < 1, "0 <= burn_in_frac < 1"),
-                            (self.n_batches >= 2, "n_batches >= 2"),
-                            (self.ess_threshold >= 0, "ess_threshold >= 0")):
-            if not holds:   # NaN fails too
-                raise ModelError(f"McConfig needs {rule}")
+        try:
+            budget = operator.index(self.budget)
+        except TypeError:
+            budget = 0
+        if budget < 1:
+            raise ModelError(f"McConfig needs an integer budget >= 1, got {self.budget!r}")
         rng_mod.check_seed(self.seed)
 
 
@@ -601,25 +607,27 @@ def _empirical_from_jump_paths(fast_system: HybridSystem, v0, mc: McConfig,
     its work and memory are bounded by the budget. The draws come from
     :func:`rng.cached_events`: every estimate made with one ``McConfig``
     walks on the same ``budget`` draws, computed once. The first
-    ``burn_in_frac`` of the events end visits that are discarded. Each later visit of positive
-    duration weights its state by that duration (:class:`pdmp.Occupation`),
-    and every ``(budget - burn-in) // n_batches`` visits make a batch for
-    batch-means errors, ``n_batches`` in all, the last also holding the
-    leftover visits. A chain absorbed on the way (total rate 0) gives the
-    point mass at its absorbing state.
+    ``BURN_IN_FRAC`` of the events end visits that are discarded. Each
+    later visit of positive duration weights its state by that duration
+    (:class:`pdmp.Occupation`), and every ``(budget - burn-in) //
+    N_BATCHES`` visits make a batch for batch-means errors, ``N_BATCHES``
+    in all, the last also holding the leftover visits. Fewer than
+    ``MIN_ESS`` post-burn-in events raise NonErgodicSuspected. A chain
+    absorbed on the way (total rate 0) gives the point mass at its
+    absorbing state.
     """
     budget = int(mc.budget)
-    burn = int(budget * mc.burn_in_frac)
-    occupation = Occupation(budget, burn, mc.n_batches)
+    burn = int(budget * BURN_IN_FRAC)
+    occupation = Occupation(budget, burn, N_BATCHES)
     chain = JumpChain(fast_system, v0, occupation)
     # a walk reads one event draw per event; it ends before the cap
     chain.run(math.inf, rng_mod.cached_events(mc.seed, budget), max_events=budget + 1)
     if not any(chain.rates()):
         # time average of an absorbed chain is the absorbing state
         return StationaryMeasure("pointmass", point=chain.key, discrete=discrete)
-    if budget - burn < mc.ess_threshold:
+    if budget - burn < MIN_ESS:
         raise NonErgodicSuspected(
-            f"only {budget - burn} post-burn-in events (threshold {mc.ess_threshold})")
+            f"only {budget - burn} post-burn-in events (threshold {MIN_ESS})")
     states, weights, batch = occupation_arrays(occupation.batches, fast_system.dim)
     return StationaryMeasure("empirical", states=states, weights=weights, batch=batch,
                              ess=budget - burn, n_events=budget,
@@ -682,10 +690,10 @@ def _stable_flow_root(system: HybridSystem, v: np.ndarray, tol: float):
 def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
                            discrete) -> StationaryMeasure:
     """Grid-sampled time average for mixed jump/flow fast subsystems: every
-    sample kept after the burn-in is a state of unit weight, and
-    ``np.array_split`` cuts them into ``n_batches`` batches."""
+    sample kept after the ``BURN_IN_FRAC`` burn-in is a state of unit
+    weight, and ``np.array_split`` cuts them into ``N_BATCHES`` batches."""
     n_samples = min(int(mc.budget), 20_000)
-    burn = int(n_samples * mc.burn_in_frac)
+    burn = int(n_samples * BURN_IN_FRAC)
     # horizon chosen from initial jump-rate scale
     rate0 = float(fast_system.jump_rates(np.asarray(v0, dtype=float)).sum())
     t_end = max(50.0, 20.0 * n_samples / max(rate0, 1.0))
@@ -693,8 +701,8 @@ def _empirical_from_hybrid(fast_system: HybridSystem, v0, mc: McConfig,
     traj = simulate_pdmp(fast_system, v0, t_end, record=grid, seed=mc.seed,
                          ode_config=mc.ode)
     keep = traj.states[burn:]
-    batch = np.repeat(np.arange(mc.n_batches),
-                      [len(rows) for rows in np.array_split(keep, mc.n_batches)])
+    batch = np.repeat(np.arange(N_BATCHES),
+                      [len(rows) for rows in np.array_split(keep, N_BATCHES)])
     return StationaryMeasure("empirical", states=keep, weights=np.ones(len(keep)),
                              batch=batch, ess=len(keep),
                              n_events=int(traj.event_counts.sum()), discrete=discrete)
@@ -850,14 +858,6 @@ def fast_subsystem(classification: ScaleClassification, frozen) -> HybridSystem:
     if np.shape(frozen) != (classification.network.n_species,):
         raise ModelError("frozen context must be a full-length species vector")
     return fast_tier_system(classification, fast_reaction_structs(classification, frozen))
-
-
-def simulate_conditional_fast(classification: ScaleClassification, frozen, v_f0,
-                              t_end: float, **options):
-    """Simulate the fast species conditional on frozen slow coordinates,
-    ``options`` as in :func:`pdmp.simulate_pdmp`; conserved combinations
-    of the fast tier stay exactly constant."""
-    return simulate_pdmp(fast_subsystem(classification, frozen), v_f0, t_end, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -1144,19 +1144,16 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
     The fastest tier is averaged first, given frozen middle and slow
     coordinates, by :func:`stationary_fast` under ``mode`` (its Monte
     Carlo runs at a tenth of the budget, at least 2000, with its own seed
-    and ESS threshold and the caller's other settings); the result is
-    then averaged over the stationary law of the middle tier, estimated
-    by :func:`montecarlo_measure` along the middle path with the inner
+    and the caller's ODE settings); the result is then averaged over the
+    stationary law of the middle tier, estimated by
+    :func:`montecarlo_measure` along the middle path with the inner
     rates plugged in. Standard errors from the two levels combine in
-    quadrature. A middle tier that is empty degenerates to the two-scale
-    computation, and a rate touching neither faster tier passes through
+    quadrature. A rate touching neither faster tier passes through
     unchanged.
     """
     mc = mc or McConfig()
-    if classification.kind == "two":
-        return averaged_rate_two_scale(classification, k, mode=mode, base=base, mc=mc)
     if classification.kind != "three":
-        raise ModelError("three-scale averaging needs a two- or three-scale system")
+        raise ModelError("three-scale averaging needs a three-scale system")
     network = classification.network
     reaction = network.reactions[k]
     fast_rows = list(classification.fast.rows)
@@ -1170,8 +1167,7 @@ def averaged_rate_three_scale(classification: ScaleClassification, k: int,
     if not (touches & set(fast_rows)) and not (touches & set(middle_rows)):
         return _identity_rate(network, k, frozen_of, len(classification.slow.rows))
 
-    inner_mc = replace(mc, budget=max(mc.budget // 10, 2000), seed=mc.seed + 13,
-                       ess_threshold=min(mc.ess_threshold, 50))
+    inner_mc = replace(mc, budget=max(mc.budget // 10, 2000), seed=mc.seed + 13)
     inner = StateMemo(lambda frozen: stationary_fast(classification, frozen, mode=mode,
                                                      mc=inner_mc))
     # a law with no closed-form average over a moment law takes the Monte

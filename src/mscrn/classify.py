@@ -222,8 +222,8 @@ def classify(model: Model, scaling: ScalingSpec | None = None) -> ScaleClassific
     if model.is_spatial:
         eta_norm = tuple(None if s.eta is None else s.eta / scale for s in network.species)
         if kind == "two":
-            eta_f = _common_eta(network.species, eta_norm, i_fast, "fast")
-            eta_s = _common_eta(network.species, eta_norm, i_slow, "slow")
+            eta_f = _common_eta(eta_norm, i_fast, "fast")
+            eta_s = _common_eta(eta_norm, i_slow, "slow")
             if eta_f is not None and eta_s is not None:
                 spatial_case = spatial_case_for(eta_f, eta_s)
 
@@ -236,14 +236,13 @@ def classify(model: Model, scaling: ScalingSpec | None = None) -> ScaleClassific
         spatial_case=spatial_case, eta_norm=eta_norm)
 
 
-def _common_eta(species, eta_norm, tier, label) -> Fraction | None:
+def _common_eta(eta_norm, tier, label) -> Fraction | None:
     etas = {eta_norm[i] for i in tier}
     if not etas:
         return None
     if len(etas) > 1:
         raise HeterogeneousEtaError(f"{label} species carry different movement exponents")
-    eta = next(iter(etas))
-    return eta  # may be None when the tier does not move
+    return next(iter(etas))  # None when the tier does not move
 
 
 def spatial_case_for(eta_f: Fraction, eta_s: Fraction) -> SpatialCase:

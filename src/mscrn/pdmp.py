@@ -66,6 +66,8 @@ _ERR = (-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 70
 _MAX_EVENTS = 10_000_000
 # Rates a JumpChain's memo stores, over all its states.
 _MEMO_RATES = 1 << 16
+# Hazard gap at which the search for a jump time stops.
+_HAZARD_TOL = 1e-9
 
 
 @dataclass
@@ -73,11 +75,10 @@ class OdeConfig:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
     max_step: float = math.inf
-    hazard_tol: float = 1e-9
     min_step: float = 1e-13
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "hazard_tol", "min_step"):
+        for name in ("rel_tol", "abs_tol", "max_step", "min_step"):
             if not getattr(self, name) > 0:   # NaN fails too
                 raise ModelError(f"{name} must be > 0")
 
@@ -462,7 +463,7 @@ def _row(dim, fns, deltas, path, t_end, draws, cfg, grid, max_events):
             y_hi, low_hi = y_new, low
             side = 0
             for _ in range(100):
-                if g_hi <= cfg.hazard_tol or hi - lo <= cfg.min_step:
+                if g_hi <= _HAZARD_TOL or hi - lo <= cfg.min_step:
                     break
                 denom = g_hi - g_lo
                 mid = hi - g_hi * (hi - lo) / denom if denom != 0 else 0.5 * (lo + hi)

@@ -29,15 +29,15 @@ the bit checks in ``tests/test_rng.py`` fail if an upgrade changes it.
 A Monte Carlo estimate walks a fixed number of events, its budget,
 always on the same stream, so :func:`cached_events` keeps the ``budget``
 waits and targets of the last ``EVENT_CACHE_ENTRIES`` (seed, budget)
-pairs asked for and hands them out again. An entry holds two lists of
-Python floats, about 64 bytes per event: some 6.4 MB at the default
-budget of 100 000.
+pairs asked for, in a ``functools.lru_cache``, and hands them out again.
+An entry holds two lists of Python floats, about 64 bytes per event:
+some 6.4 MB at the default budget of 100 000.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-from collections import OrderedDict
 from itertools import chain
 
 import numpy as np
@@ -47,7 +47,6 @@ from .errors import ModelError
 # (seed, budget) pairs whose event draws cached_events keeps, the least
 # recently used dropped first
 EVENT_CACHE_ENTRIES = 4
-_event_cache: OrderedDict = OrderedDict()
 
 
 def check_seed(value, what: str = "seed") -> int:
@@ -105,13 +104,11 @@ def _event_blocks(generator):
 def cached_events(seed: int, budget: int):
     """An iterator over the first ``budget`` event draws of
     ``stream(seed)``, ``(wait, target)`` pairs, from the cache."""
-    key = (check_seed(seed), budget)
-    entry = _event_cache.get(key)
-    if entry is None:
-        waits, targets = event_draws([stream(seed)], budget)
-        entry = _event_cache[key] = (waits[0].tolist(), targets[0].tolist())
-        if len(_event_cache) > EVENT_CACHE_ENTRIES:
-            _event_cache.popitem(last=False)
-    else:
-        _event_cache.move_to_end(key)
-    return zip(*entry)
+    return zip(*_cached_draws(check_seed(seed), budget))
+
+
+@functools.lru_cache(maxsize=EVENT_CACHE_ENTRIES)
+def _cached_draws(seed: int, budget: int) -> tuple[list, list]:
+    """The first ``budget`` waits and targets of ``stream(seed)``, as lists."""
+    waits, targets = event_draws([stream(seed)], budget)
+    return waits[0].tolist(), targets[0].tolist()

@@ -634,11 +634,11 @@ def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
 
 
 def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
-                 replicas: int, observables, grid=None,
-                 x0: State | None = None,
+                 replicas: int, observables, x0: State | None = None,
                  quantiles=(0.1, 0.5, 0.9)) -> EnsembleStats:
     """Replicated simulation with deterministic stream splitting.
 
+    ``config.record`` is the sample grid, which every replica records.
     Replica r draws from the stream derived from (seed, r); identical
     inputs give bit-identical statistics regardless of scheduling. The
     channels and their dependency graph are built once for all replicas.
@@ -653,11 +653,9 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     ``observables`` is either a list of observable specs (see
     :func:`observable_weights`) or a precomputed (labels, weights) pair.
     """
-    if grid is None:
-        if config.record is None or isinstance(config.record, str):
-            raise ModelError("run_ensemble needs a sample grid")
-        grid = config.record
-    grid = ensemble_grid(grid, replicas, config.t_end)
+    if config.record is None or isinstance(config.record, str):
+        raise ModelError("run_ensemble needs a sample grid")
+    grid = ensemble_grid(config.record, replicas, config.t_end)
     if isinstance(observables, tuple) and len(observables) == 2 \
             and isinstance(observables[1], np.ndarray):
         labels, weights = observables

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import McConfig
+from .errors import ModelError
 from .model import Model, ScalingSpec, State, species_totals
 from .pdmp import run_ensemble_pdmp
 from .reduce import ReducedModel, build_reduced_model
@@ -108,10 +109,15 @@ def verify_convergence(model: Model, scaling: ScalingSpec, n_grid, replicas: int
     deterministic and needs one run. error(N) is the maximum over
     observables and grid times of |mean_N - mean_limit| normalized by
     (|mean_limit| + 1); the trend verdict tolerates one non-monotone
-    step within twice the combined standard errors.
+    step within twice the combined standard errors. An empty or not
+    strictly increasing N ladder, or no grid time, raises ModelError.
     """
+    ladder, times = np.asarray(n_grid, dtype=float), np.asarray(times, dtype=float)
+    if not (ladder.ndim == times.ndim == 1 and len(ladder) and len(times)) \
+            or np.any(np.diff(ladder) <= 0):
+        raise ModelError(f"verify needs a strictly increasing N ladder and a grid time, "
+                         f"got N {n_grid!r} and times {times.tolist()!r}")
     mc = mc or McConfig(seed=seed)
-    times = np.asarray(times, dtype=float)
     x0_scaled = np.asarray(x0_scaled, dtype=float)
     if reduced is None:
         # constant species keep their initial totals in frozen rate contexts

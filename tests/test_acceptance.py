@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from mscrn.averaging import (McConfig, averaged_rate_two_scale, product_measure,
-                             simulate_conditional_fast)
+from mscrn.averaging import (McConfig, averaged_rate_two_scale, fast_subsystem,
+                             product_measure)
 from mscrn.classify import classify, conserved_basis
 from mscrn.model import State
 from mscrn.parser import parse_document
@@ -213,8 +213,8 @@ def test_criterion_8_conservation(conserved_doc, movement_doc):
         # conserved functionals exactly constant along fast-subsystem paths
         c = classify(conserved_doc.model, conserved_doc.scaling)
         basis = conserved_basis(c)
-        traj = simulate_conditional_fast(c, np.zeros(3), [5.0, 2.0],
-                                         t_end=200.0, seed=4, record="events")
+        traj = simulate_pdmp(fast_subsystem(c, np.zeros(3)), [5.0, 2.0],
+                             t_end=200.0, seed=4, record="events")
         assert traj.event_counts.sum() > 500
         for theta in basis.vectors:
             totals = traj.states @ np.array(theta, dtype=float)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from mscrn.averaging import (MEMO_SIZE, McConfig, StateMemo, StationaryMeasure,
+from mscrn.averaging import (MEMO_SIZE, N_BATCHES, McConfig, StateMemo, StationaryMeasure,
                              averaged_rate_three_scale, averaged_rate_two_scale,
                              constrained_start, movement_equilibria, product_measure,
                              stationary_fast)
@@ -171,10 +171,11 @@ def test_stationary_fast_zero_rates_point_mass():
 
 
 def test_stationary_fast_ess_threshold(ab_doc):
+    # a budget of 120 leaves 96 post-burn-in events, below the 100 required
     c = classify(ab_doc.model, ab_doc.scaling)
     with pytest.raises(NonErgodicSuspected):
         stationary_fast(c, np.array([1.0, 0.0]), mode="montecarlo",
-                        mc=McConfig(budget=2000, ess_threshold=10**7, seed=1))
+                        mc=McConfig(budget=120, seed=1))
 
 
 def test_constrained_samples_on_surface(conserved_doc):
@@ -274,7 +275,7 @@ def test_averaged_rate_mc_within_3se(ab_doc):
 
 
 def test_jump_path_laws_hold_the_budget_in_every_batch(ab_doc):
-    # one walk of exactly the budget's events, cut into exactly n_batches
+    # one walk of exactly the budget's events, cut into exactly N_BATCHES
     # batches
     c = classify(ab_doc.model, ab_doc.scaling)
     for budget in (1000, 20_000):
@@ -282,7 +283,7 @@ def test_jump_path_laws_hold_the_budget_in_every_batch(ab_doc):
             mc = McConfig(budget=budget, seed=seed)
             law = stationary_fast(c, np.array([0.5, 0.0]), mode="montecarlo", mc=mc)
             assert law.variant == "empirical"
-            assert law.n_events == budget and law.batch.max() + 1 == mc.n_batches
+            assert law.n_events == budget and law.batch.max() + 1 == N_BATCHES
 
 
 CASCADE_TEXT = """\
@@ -468,8 +469,8 @@ def test_three_scale_nested(three_scale_doc):
 
 
 def test_three_scale_inner_config_keeps_the_callers_settings(three_scale_doc, monkeypatch):
-    # the inner tier runs at its own budget, seed and ESS threshold and
-    # keeps every other field of the caller's McConfig
+    # the inner tier runs at its own budget and seed and keeps the
+    # caller's ODE settings
     import mscrn.averaging as averaging
     seen = []
 
@@ -480,12 +481,11 @@ def test_three_scale_inner_config_keeps_the_callers_settings(three_scale_doc, mo
     monkeypatch.setattr(averaging, "stationary_fast", spy)
     c = classify(three_scale_doc.model, three_scale_doc.scaling)
     ode = OdeConfig(rel_tol=1e-8)
-    rate = averaged_rate_three_scale(c, 4, mc=McConfig(budget=400, seed=5, n_batches=4, ode=ode))
+    rate = averaged_rate_three_scale(c, 4, mc=McConfig(budget=400, seed=5, ode=ode))
     rate([1.0])
     assert seen
     for mc in seen:
-        assert (mc.n_batches, mc.ode) == (4, ode)
-        assert (mc.budget, mc.seed, mc.ess_threshold) == (2000, 18, 50)
+        assert (mc.budget, mc.seed, mc.ode) == (2000, 18, ode)
 
 
 def test_three_scale_rate_only_slow(three_scale_doc):
@@ -505,10 +505,10 @@ def test_three_scale_rate_only_slow(three_scale_doc):
     assert rate.standard_error([2.0]) == 0.0
 
 
-def test_three_scale_middle_empty_delegates(ab_doc):
+def test_three_scale_rejects_a_two_scale_system(ab_doc):
     c = classify(ab_doc.model, ab_doc.scaling)
-    rate = averaged_rate_three_scale(c, 0)
-    assert rate([1.0]) == pytest.approx(0.5)
+    with pytest.raises(ModelError, match="three-scale system"):
+        averaged_rate_three_scale(c, 0)
 
 
 def test_state_memo_bounded_and_stable():
@@ -575,11 +575,10 @@ def test_empirical_mass_action_matches_per_state_loop():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("budget", 0), ("budget", -5), ("burn_in_frac", 1.0), ("burn_in_frac", 1.5),
-    ("burn_in_frac", -0.5), ("burn_in_frac", float("nan")), ("n_batches", 0),
-    ("n_batches", 1), ("ess_threshold", -1)])
+    ("budget", 0), ("budget", -5), ("budget", float("inf")), ("budget", 2.5)])
 def test_mc_config_rejects_bad_values(field, value):
-    # these raised ZeroDivisionError or a misleading NonErgodicSuspected
-    # at the first estimate, or were accepted silently
+    # these raised ZeroDivisionError, a misleading NonErgodicSuspected or
+    # an untyped OverflowError at the first estimate, or were accepted
+    # silently: a budget of 2.5 walked 2 events
     with pytest.raises(ModelError, match=field):
         McConfig(**{field: value})

@@ -100,6 +100,11 @@ def test_verify_small(model_file, tmp_path):
     assert [entry["N"] for entry in payload["per_N"]] == [10, 50]
 
 
+def test_verify_decreasing_ladder_exit_2(model_file, capsys):
+    assert cli(["verify", model_file, "--N", "1000,100,10", "--replicas", "40"]) == 2
+    assert "N ladder" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_1(capsys):
     assert cli(["frobnicate"]) == 1
 

@@ -1,8 +1,8 @@
 """The Monte Carlo fast-tier estimator on ``pdmp.JumpChain`` against a
 plain walk of exactly ``mc.budget`` events: a numpy state, every rate
 called on it after every jump, the uniforms of ``mc.seed`` drawn in one
-piece, and the visits after the burn-in cut into ``n_batches`` batches of
-``(budget - burn-in) // n_batches`` visits, the last also taking the
+piece, and the visits after the burn-in cut into ``N_BATCHES`` batches of
+``(budget - burn-in) // N_BATCHES`` visits, the last also taking the
 leftover ones.
 
 Both read the stream of ``mc.seed`` in the same order, so the stationary
@@ -67,7 +67,7 @@ def _reference_estimator(fast_system, v0, mc, discrete):
     """The time average of a walk of ``mc.budget`` events, on a numpy
     state with every rate recomputed after every jump."""
     budget = int(mc.budget)
-    burn = int(budget * mc.burn_in_frac)
+    burn = int(budget * averaging.BURN_IN_FRAC)
     v = _checked_state(fast_system, v0)
     changes = [np.asarray(vec).tolist() for _, vec in fast_system.jumps]
     uniforms = iter(rng_mod.stream(mc.seed).random(2 * budget).tolist())
@@ -101,10 +101,11 @@ def _reference_estimator(fast_system, v0, mc, discrete):
 
     if not any(prop):
         return StationaryMeasure("pointmass", point=v, discrete=discrete)
-    if budget - burn < mc.ess_threshold:
+    if budget - burn < averaging.MIN_ESS:
         raise averaging.NonErgodicSuspected(
-            f"only {budget - burn} post-burn-in events (threshold {mc.ess_threshold})")
-    quota, last = max(1, (budget - burn) // mc.n_batches), mc.n_batches - 1
+            f"only {budget - burn} post-burn-in events (threshold {averaging.MIN_ESS})")
+    n_batches = averaging.N_BATCHES
+    quota, last = max(1, (budget - burn) // n_batches), n_batches - 1
     cuts = [visits[b * quota:(b + 1) * quota] for b in range(last)] + [visits[last * quota:]]
     sums = []   # each batch's visits summed per state, in first-visit order
     for cut in cuts:
@@ -403,7 +404,8 @@ def test_budget_below_ess_threshold_matches_reference():
     doc = parse_document(fx.AB_TEXT)
     cl = classify(doc.model, doc.scaling)
     system = fast_subsystem(cl, np.array([0.5, 0.0]))
-    out = _assert_same(system, [0.0], McConfig(budget=400, ess_threshold=10**6), [True])
+    # 120 events leave 96 after the burn-in, below the 100 required
+    out = _assert_same(system, [0.0], McConfig(budget=120), [True])
     assert out[:2] == ("error", "NonErgodicSuspected")
 
 
@@ -676,18 +678,18 @@ def _walked(monkeypatch, system, v0, mc, discrete):
 
 def test_burn_in_ends_inside_a_batch_and_leftover_visits_join_the_last(monkeypatch):
     # a pure birth enters a new state at every event, so each kept row is
-    # one visit: of 1003 events 300 are burnt, the quota is 703 // 16 =
-    # 43, and the 15 visits left over join batch 15; the first kept visit
-    # is to x = 300, which event 301 ends
+    # one visit: of 1014 events 202 (of 202.8) are burnt, the quota is
+    # 812 // 16 = 50, and the 12 visits left over join batch 15; the
+    # first kept visit is to x = 202, which event 203 ends
     birth = HybridSystem(("x",), ((_listed(lambda v: 1.0, []), np.array([1])),), ())
-    mc = McConfig(budget=1003, burn_in_frac=0.3, seed=5)
+    mc = McConfig(budget=1014, seed=5)
     got, [(counts, chain)] = _walked(monkeypatch, birth, [0.0], mc, [True])
-    assert counts == [1003] and chain.key == (1003.0,)
+    assert counts == [1014] and chain.key == (1014.0,)
     assert got == _outcome(_reference_estimator, birth, [0.0], mc, [True])
     _, shape, states, _, batch, ess, n_events = got
-    assert shape == (703, 1) and (ess, n_events) == (703, 1003)
-    assert states[0] == [300.0] and states[-1] == [1002.0]
-    assert np.bincount(batch).tolist() == [43] * 15 + [58]
+    assert shape == (812, 1) and (ess, n_events) == (812, 1014)
+    assert states[0] == [202.0] and states[-1] == [1013.0]
+    assert np.bincount(batch).tolist() == [50] * 15 + [62]
 
 
 def test_absorbed_before_the_budget_matches_reference(monkeypatch):
@@ -743,22 +745,25 @@ def test_estimates_from_the_cache_equal_those_on_fresh_draws():
     # each estimate again on a cleared cache, where its draws are made anew;
     # two budgets of one seed are two entries
     system = _birth_death()
-    rng_mod._event_cache.clear()
+    rng_mod._cached_draws.cache_clear()
     cached = [_summary(_empirical_from_jump_paths(system, [0.0], McConfig(budget, seed=4),
                                                   [True]))
               for budget in (2000, 3000, 2000, 3000)]
-    assert set(rng_mod._event_cache) == {(4, 2000), (4, 3000)}
+    info = rng_mod._cached_draws.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
     fresh = []
     for budget in (2000, 3000):
-        rng_mod._event_cache.clear()
+        rng_mod._cached_draws.cache_clear()
         fresh.append(_summary(_empirical_from_jump_paths(system, [0.0],
                                                          McConfig(budget, seed=4), [True])))
     assert cached == fresh * 2 and cached[0] != cached[1]
 
 
 def test_estimates_at_ten_seeds_leave_the_cache_at_its_bound():
-    rng_mod._event_cache.clear()
+    rng_mod._cached_draws.cache_clear()
     for seed in range(10):
         _empirical_from_jump_paths(_birth_death(), [0.0], McConfig(500, seed=seed), [True])
-    assert len(rng_mod._event_cache) == rng_mod.EVENT_CACHE_ENTRIES
-    assert (9, 500) in rng_mod._event_cache
+    info = rng_mod._cached_draws.cache_info()
+    assert info.currsize == info.maxsize == rng_mod.EVENT_CACHE_ENTRIES
+    rng_mod.cached_events(9, 500)   # the last seed's draws are still kept
+    assert rng_mod._cached_draws.cache_info().hits == info.hits + 1

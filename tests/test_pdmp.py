@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from mscrn.averaging import simulate_conditional_fast
+from mscrn.averaging import fast_subsystem
 from mscrn.classify import classify, conserved_basis
 from mscrn.errors import EventCapExceeded, ModelError, NegativeRate
 from mscrn.model import State
@@ -152,8 +152,8 @@ def test_conditional_fast_birth_death_mean(ab_doc):
     # stationary mean 1/(1+1) = 0.5; batch-means error bar
     c = classify(ab_doc.model, ab_doc.scaling)
     frozen = np.array([1.0, 0.0])
-    traj = simulate_conditional_fast(c, frozen, [0.0], t_end=20_000.0, seed=3,
-                                     record="events")
+    traj = simulate_pdmp(fast_subsystem(c, frozen), [0.0], t_end=20_000.0, seed=3,
+                         record="events")
     times = np.concatenate([[0.0], traj.times[1:]])
     values = traj.states[:-1, 0]
     dt = np.diff(traj.times)
@@ -171,7 +171,7 @@ def test_conditional_fast_zero_rates_constant(conserved_doc):
     # activity when rates vanish (all molecules absent)
     c = classify(conserved_doc.model, conserved_doc.scaling)
     frozen = np.zeros(3)
-    traj = simulate_conditional_fast(c, frozen, [0.0, 0.0], t_end=5.0, seed=0)
+    traj = simulate_pdmp(fast_subsystem(c, frozen), [0.0, 0.0], t_end=5.0, seed=0)
     assert traj.event_counts.sum() == 0
     assert np.array_equal(traj.final_state, [0.0, 0.0])
 
@@ -182,8 +182,8 @@ def test_conditional_fast_conserves_theta(conserved_doc):
     basis = conserved_basis(c)
     assert basis.vectors == ((1, 1),)
     frozen = np.array([0.0, 0.0, 0.0])
-    traj = simulate_conditional_fast(c, frozen, [5.0, 2.0], t_end=50.0, seed=4,
-                                     record="events")
+    traj = simulate_pdmp(fast_subsystem(c, frozen), [5.0, 2.0], t_end=50.0, seed=4,
+                         record="events")
     assert traj.event_counts.sum() > 100
     totals = traj.states @ np.array([1.0, 1.0])
     assert np.all(totals == 7.0)
@@ -291,8 +291,7 @@ def test_unknown_record_mode_raises_model_error(flows):
         simulate_pdmp(system, [0.0], 1.0, record="evnts")
 
 
-@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_step", "hazard_tol",
-                                   "min_step"])
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_step", "min_step"])
 def test_ode_config_rejects_nan(field):
     with pytest.raises(ModelError, match=field):
         OdeConfig(**{field: float("nan")})

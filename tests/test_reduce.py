@@ -47,7 +47,7 @@ def test_reduced_montecarlo_marker():
             "reaction B -> 0 @ mass-action kappa=1 beta=1\n")
     doc = parse_document(text)
     red = build_reduced_model(doc.model, doc.scaling,
-                              mc=McConfig(budget=5000, ess_threshold=10))
+                              mc=McConfig(budget=5000))
     assert red.rates[0].kind == "montecarlo"
     assert "montecarlo" in serialize_reduced(red)
 

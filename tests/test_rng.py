@@ -88,21 +88,33 @@ def test_event_draw_rows_are_each_streams_events(n):
         assert list(zip(waits[r].tolist(), targets[r].tolist())) == want
 
 
+def _cache_counts() -> tuple:
+    info = rng_mod._cached_draws.cache_info()
+    return info.misses, info.hits, info.currsize
+
+
 def test_cached_events_are_the_streams_first_draws():
-    rng_mod._event_cache.clear()
+    rng_mod._cached_draws.cache_clear()
     for _ in range(2):   # drawn, then from the cache
         got = list(rng_mod.cached_events(9, 300))
         assert got == _pairs(rng_mod.stream(9).random(600).tolist())
-    assert list(rng_mod._event_cache) == [(9, 300)]
+    assert _cache_counts() == (1, 1, 1)
 
 
 def test_event_cache_keeps_its_bound_most_recent_first_out_last():
-    rng_mod._event_cache.clear()
+    rng_mod._cached_draws.cache_clear()
     for seed in range(10):
         rng_mod.cached_events(seed, 50)
         rng_mod.cached_events(0, 50)   # seed 0 stays the most recently used
-    assert len(rng_mod._event_cache) == rng_mod.EVENT_CACHE_ENTRIES
-    assert list(rng_mod._event_cache)[-2:] == [(9, 50), (0, 50)]
+    misses, hits, size = _cache_counts()
+    assert (misses, hits, size) == (10, 10, rng_mod.EVENT_CACHE_ENTRIES)
+    # the four most recently used, seeds 0, 9, 8 and 7, are kept, and
+    # seed 6 was dropped
+    for seed in (0, 9, 8, 7):
+        rng_mod.cached_events(seed, 50)
+    assert _cache_counts() == (10, 14, size)
+    rng_mod.cached_events(6, 50)
+    assert _cache_counts() == (11, 14, size)
 
 
 def _log_bits(waits) -> list:

@@ -271,9 +271,9 @@ def test_record_grid_rejects_non_finite_times(engine, grid):
         _simulate_both(engine, grid)
     if engine == "ssa":
         model, scaling = parse_model(DEATH_TEXT)
-        cfg = SimulationConfig(N=1, t_end=1.0, seed=0)
+        cfg = SimulationConfig(N=1, t_end=1.0, seed=0, record=grid)
         with pytest.raises(ModelError, match="finite"):
-            run_ensemble(model, scaling, cfg, 2, ["A"], grid=grid, x0=State(np.array([3.0])))
+            run_ensemble(model, scaling, cfg, 2, ["A"], x0=State(np.array([3.0])))
     else:
         with pytest.raises(ModelError, match="finite"):
             run_ensemble_pdmp(DEATH_SYSTEM, [3.0], 1.0, 0, 2, grid, np.eye(1))
@@ -284,8 +284,8 @@ def test_record_grid_rejects_non_finite_times(engine, grid):
 def test_ensembles_reject_no_replicas_or_no_grid(ensemble, replicas, grid):
     if ensemble == "ssa":
         model, scaling = parse_model(DEATH_TEXT)
-        cfg = SimulationConfig(N=1, t_end=1.0, seed=0)
-        run = lambda: run_ensemble(model, scaling, cfg, replicas, ["A"], grid=grid,
+        cfg = SimulationConfig(N=1, t_end=1.0, seed=0, record=grid)
+        run = lambda: run_ensemble(model, scaling, cfg, replicas, ["A"],
                                    x0=State(np.array([3.0])))
     else:
         run = lambda: run_ensemble_pdmp(DEATH_SYSTEM, [3.0], 1.0, 0, replicas, grid,

@@ -3,7 +3,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from mscrn.errors import ModelError
 from mscrn.verify import VerifyReport, _trend_verdict, verify_convergence
 
 
@@ -57,3 +59,14 @@ def test_verify_conserved_observables(conserved_doc):
                                 x0_scaled=np.array([3.0, 0.0, 0.0]), seed=4)
     assert report.observables == ["S", "c1"]
     assert report.final_error < 0.3
+
+
+@pytest.mark.parametrize("n_grid, times", [([], [0.5]), ([1000, 100, 10], [0.5]),
+                                           ([100, 100], [0.5]), ([10, 100], [])],
+                         ids=["empty-ladder", "decreasing", "repeated", "empty-grid"])
+def test_verify_rejects_a_bad_ladder_or_an_empty_grid(ab_doc, n_grid, times):
+    # an empty ladder or grid raised a bare IndexError; a decreasing
+    # ladder graded a correct limit non-monotone, and a repeated N passed
+    with pytest.raises(ModelError, match="N ladder|grid time"):
+        verify_convergence(ab_doc.model, ab_doc.scaling, n_grid, replicas=40,
+                           times=times, x0_scaled=ab_doc.initial_scaled(), seed=0)
