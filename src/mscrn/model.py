@@ -385,21 +385,36 @@ def mass_action_rate(prefactor: float, terms):
     integer count the floored product is the falling factorial, zero
     below its order. The sign is not checked. The function carries its
     row form as ``row_terms``, for :class:`MassActionRows`, and the
-    positions it reads as ``reads``.
+    positions it reads as ``reads``. A law of one or two terms, each of
+    order 1 (every movement channel and most reactions), takes the same
+    products in the same order without the loop over terms.
     """
     terms = tuple(terms)
+    if len(terms) == 1 and terms[0][1] == 1:
+        (i, _, floor), = terms
 
-    def rate(values):
-        out = prefactor
-        for i, n, discrete in terms:
-            value = values[i]
-            if n == 1:   # the common case, without a loop
-                out *= 0.0 if discrete and value <= 0 else value
-                continue
-            for j in range(n):
-                d = value - j if discrete else value
-                out *= 0.0 if discrete and d <= 0 else d
-        return out
+        def rate(values):
+            a = values[i]
+            return prefactor * (0.0 if floor and a <= 0 else a)
+    elif len(terms) == 2 and terms[0][1] == terms[1][1] == 1:
+        (i, _, floor_i), (j, _, floor_j) = terms
+
+        def rate(values):
+            a, b = values[i], values[j]
+            return (prefactor * (0.0 if floor_i and a <= 0 else a)
+                    * (0.0 if floor_j and b <= 0 else b))
+    else:
+        def rate(values):
+            out = prefactor
+            for i, n, discrete in terms:
+                value = values[i]
+                if n == 1:   # without the loop over j
+                    out *= 0.0 if discrete and value <= 0 else value
+                    continue
+                for j in range(n):
+                    d = value - j if discrete else value
+                    out *= 0.0 if discrete and d <= 0 else d
+            return out
 
     rate.row_terms = (prefactor, terms)
     rate.reads = tuple(i for i, _, _ in terms)

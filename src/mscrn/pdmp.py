@@ -46,7 +46,7 @@ import numpy as np
 from . import rng as rng_mod
 from .errors import EventCapExceeded, ModelError, NegativeRate, OdeStepFailure
 from .model import MassActionRows
-from .ssa import (EnsembleStats, Trajectory, check_max_events, check_t_end, dependency_graph,
+from .ssa import (EnsembleStats, Trajectory, check_count, check_t_end, dependency_graph,
                   direct_method, ensemble_grid, record_mode)
 
 # Cash-Karp tableau
@@ -173,7 +173,7 @@ def simulate_pdmp(system: HybridSystem, v0, t_end: float, seed: int = 0,
     ``record`` follows the stochastic engine: a sample-time grid,
     ``'events'`` for a jump log, or None (initial snapshot only).
     """
-    check_max_events(max_events)
+    check_count("max_events", max_events)
     cfg = ode_config or OdeConfig()
     v = _initial_state(system, v0, t_end)
     grid, event_mode = record_mode(record, t_end)

@@ -57,12 +57,31 @@ where an event lands within rounding of a grid time or ``t_end``.
 Below the threshold the per-event numpy overhead costs more than
 it saves, and expression laws, single trajectories and event logs
 always take the per-replica loop.
+
+The per-replica loop runs its replicas on every usable CPU
+(:func:`_in_shards`): the replicas are cut into one contiguous range per
+CPU this process may run on, the first range runs in the calling
+process and every other one in a forked child, which sends its
+snapshots back through a pipe. Replica r reads the stream of
+``SeedSequence([seed, r])`` wherever it runs, so the statistics are the
+same bits at any CPU count. A process with a second thread running
+counts one usable CPU and forks nothing, since a forked child holds only
+the forking thread. A failing ensemble raises the error of its lowest
+failing replica, as one replica after another would, once every child
+is killed and reaped; a child that ends without a result raises
+MscrnError naming its replicas. This module is the only one that starts
+a process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
+import pickle
+import signal
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -70,16 +89,19 @@ from itertools import accumulate
 import numpy as np
 
 from . import rng as rng_mod
-from .errors import EventCapExceeded, ModelError, RateEvaluationError
+from .errors import EventCapExceeded, ModelError, MscrnError, RateEvaluationError
 from .model import (MassActionRows, Model, ScalingSpec, State, check_state,
                     movement_rate_function, scaled_rate_function, state_shape)
 
 
 # Ensembles of at least this many replicas of a model whose channels are
-# all mass-action or movement run in lockstep; below it one replica after
-# another is faster. Measured crossover on a 2-CPU Xeon (t_end 1, median
-# of 9 alternated pairs): about 11 replicas on the 3-channel AB titration
-# at N = 1000, between 5 and 6 on a 224-channel ring at N = 100.
+# all mass-action or movement run in lockstep; below it the per-replica
+# loop is faster. Measured crossover on a 2-CPU Xeon, with the loop on
+# both CPUs (t_end 1, wall time, medians of 9-15 alternated pairs): about
+# 22 replicas on the 3-channel AB titration at N = 1000 (lockstep 1.12-1.15x
+# the loop's time at 20, 0.88-0.91x at 24), about 16 on a 224-channel ring
+# at N = 100 (0.98-1.08x from 10 to 16, 0.78x at 18). With the loop on
+# one CPU they were about 11 and between 5 and 6.
 LOCKSTEP_REPLICAS = 8
 # A model of at least this many channels takes the blocked pass of
 # _simulate; below it the flat pass is faster. Measured with
@@ -109,7 +131,7 @@ class SimulationConfig:
             raise ModelError("N must be finite and >= 1")
         check_t_end(self.t_end)
         rng_mod.check_seed(self.seed)
-        check_max_events(self.max_events)
+        check_count("max_events", self.max_events)
 
 
 def check_t_end(t_end: float) -> None:
@@ -118,14 +140,15 @@ def check_t_end(t_end: float) -> None:
         raise ModelError("t_end must be finite and >= 0")
 
 
-def check_max_events(value) -> None:
-    """An event cap is an integer >= 1 (``operator.index`` takes it)."""
+def check_count(name: str, value) -> None:
+    """A count (an event cap, a number of replicas) is an integer >= 1
+    (``operator.index`` takes it); ModelError names it otherwise."""
     try:
-        cap = operator.index(value)
+        count = operator.index(value)
     except TypeError:
-        cap = 0
-    if cap < 1:
-        raise ModelError(f"max_events must be an integer >= 1, got {value!r}")
+        count = 0
+    if count < 1:
+        raise ModelError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -337,10 +360,9 @@ def record_mode(record, t_end: float) -> tuple[np.ndarray | None, bool]:
 
 
 def ensemble_grid(grid, replicas: int, t_end: float) -> np.ndarray:
-    """The checked sample grid of an ensemble run; an ensemble needs at
-    least one replica and one sample time."""
-    if replicas < 1:
-        raise ModelError("replicas must be >= 1")
+    """The checked sample grid of an ensemble run; an ensemble needs an
+    integer number of replicas, at least one, and one sample time."""
+    check_count("replicas", replicas)
     grid = checked_grid(grid, t_end)
     if not len(grid):
         raise ModelError("an ensemble needs at least one sample time")
@@ -507,14 +529,125 @@ def observable_weights(model: Model, names) -> tuple[tuple[str, ...], np.ndarray
     return tuple(labels), np.array(rows)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (``os.sched_getaffinity``), or 1
+    where that call is missing or a second thread runs: a forked child
+    holds only the forking thread, so a lock another thread held would
+    stay locked in it."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_shards(out: np.ndarray, fill) -> None:
+    """Call ``fill(lo, hi)``, which writes rows lo..hi-1 of ``out``, over
+    all its rows, cut into k = min(rows, :func:`usable_cpus`) contiguous
+    ranges that run at once: range 0 in this process, every other range
+    in a forked child. A child writes its rows' bytes, or its exception
+    pickled, to a pipe and always leaves by ``os._exit``; the rows are
+    read straight into ``out``. At k = 1 nothing forks.
+
+    The ranges are read in order, so the error raised is that of the
+    first range that failed, and since each range runs its rows in order,
+    that of the lowest failing row, as when the rows run one after
+    another. A child that ends without a result raises MscrnError naming
+    its rows and exit status. However the call ends (an error, a
+    KeyboardInterrupt), every child still running is killed and reaped
+    first, so no process outlives it.
+    """
+    rows = len(out)
+    k = min(rows, usable_cpus())
+    bounds = [rows * j // k for j in range(k + 1)]
+    children = []   # (pid, pipe, lo, hi) of the ranges not yet read, in order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _shard_child(out, fill, lo, hi, write_end)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb"), lo, hi))
+        fill(0, bounds[1])
+        while children:
+            pid, pipe, lo, hi = children[0]
+            rows_read = error = None
+            tag = pipe.read(1)
+            if tag == b"\0":
+                rows_read = pipe.readinto(memoryview(out[lo:hi]).cast("B"))
+            elif tag == b"\1":
+                try:
+                    error = pickle.load(pipe)
+                except Exception:   # a message cut short: the child died
+                    pass
+            pipe.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if error is not None:
+                raise error
+            if rows_read != out[lo:hi].nbytes:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise MscrnError(f"replicas {lo}..{hi - 1}: the worker process ended "
+                                 f"without a result ({how})")
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            # a child reaped just before an interrupt is gone already
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _shard_child(out: np.ndarray, fill, lo: int, hi: int, write_end: int):
+    """The forked child of :func:`_in_shards`: fills rows lo..hi-1 of
+    ``out`` and writes tag 0 and their bytes, or tag 1 and the pickled
+    exception, to ``write_end``. It never returns; it leaves by
+    ``os._exit``, status 0 once the whole message is written."""
+    status = 1
+    try:
+        with os.fdopen(write_end, "wb") as pipe:
+            try:
+                fill(lo, hi)
+            except BaseException as error:   # KeyboardInterrupt too
+                pipe.write(b"\1" + _pickled(error))
+            else:
+                pipe.write(b"\0")
+                pipe.write(memoryview(out[lo:hi]).cast("B"))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(error: BaseException) -> bytes:
+    """``error`` pickled, or, if it does not come back from its pickle,
+    an MscrnError with its type and message."""
+    try:
+        data = pickle.dumps(error)
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps(MscrnError(f"{type(error).__name__}: {error}"))
+
+
 def _per_replica(model: Model, scaling: ScalingSpec, config: SimulationConfig,
-                 x0: State, replicas: int, compiled: _Compiled):
-    """Each replica's grid snapshots, (grid, flat state), one
-    :func:`_simulate` run after another."""
-    for r in range(replicas):
-        traj = _simulate(model, scaling, config, x0, rng=rng_mod.stream(config.seed, r),
-                         compiled=compiled)
-        yield traj.states.reshape(len(traj.times), -1)
+                 x0: State, replicas: int, compiled: _Compiled) -> np.ndarray:
+    """Every replica's grid snapshots, (replicas, grid, flat state), each
+    replica one :func:`_simulate` run; contiguous ranges of replicas run
+    at once on the usable CPUs (:func:`_in_shards`), each range one
+    replica after another. Replica r reads its own stream, so the
+    snapshots, and the error raised, are the same at any CPU count."""
+    snaps = np.empty((replicas, len(config.record),
+                      model.network.n_species * model.n_compartments))
+
+    def fill(lo, hi):
+        for r in range(lo, hi):
+            traj = _simulate(model, scaling, config, x0, rng=rng_mod.stream(config.seed, r),
+                             compiled=compiled)
+            snaps[r] = traj.states.reshape(len(traj.times), -1)
+
+    _in_shards(snaps, fill)
+    return snaps
 
 
 def _lockstep(model: Model, scaling: ScalingSpec, config: SimulationConfig,
@@ -643,8 +776,11 @@ def run_ensemble(model: Model, scaling: ScalingSpec, config: SimulationConfig,
     inputs give bit-identical statistics regardless of scheduling. The
     channels and their dependency graph are built once for all replicas.
     From ``LOCKSTEP_REPLICAS`` replicas on, when every channel is
-    mass-action or movement, the replicas run in lockstep (:func:`_lockstep`); otherwise one after
-    another. The lockstep sums and chooses as the flat pass of
+    mass-action or movement, the replicas run in lockstep in this
+    process (:func:`_lockstep`); otherwise one after another in
+    contiguous ranges, one range per usable CPU (:func:`_per_replica`),
+    with the same bits at any CPU count and, on failure, the error of the
+    lowest failing replica. The lockstep sums and chooses as the flat pass of
     :func:`_simulate`, so both give the same statistics bit for bit below
     ``BLOCKED_CHANNELS`` channels; at or above it the blocked pass
     chooses the same channels with times equal to rounding, and the

@@ -294,6 +294,22 @@ def test_ensembles_reject_no_replicas_or_no_grid(ensemble, replicas, grid):
         run()
 
 
+@pytest.mark.parametrize("ensemble", ["ssa", "pdmp"])
+@pytest.mark.parametrize("replicas", [2.0, 2.5, "2"])
+def test_ensembles_reject_a_replica_count_that_is_not_an_integer(ensemble, replicas):
+    # a float count raised an untyped TypeError from range() or np.empty
+    if ensemble == "ssa":
+        model, scaling = parse_model(DEATH_TEXT)
+        cfg = SimulationConfig(N=1, t_end=1.0, seed=0, record=[0.5, 1.0])
+        run = lambda: run_ensemble(model, scaling, cfg, replicas, ["A"],
+                                   x0=State(np.array([3.0])))
+    else:
+        run = lambda: run_ensemble_pdmp(DEATH_SYSTEM, [3.0], 1.0, 0, replicas, [0.5, 1.0],
+                                        np.eye(1))
+    with pytest.raises(ModelError, match="replicas must be an integer >= 1"):
+        run()
+
+
 @pytest.mark.parametrize("N", [math.nan, math.inf, -math.inf, 0.5])
 def test_config_rejects_non_finite_or_small_N(N):
     # NaN compares false with 1, and a NaN or infinite N made an
